@@ -8,11 +8,10 @@
 //!                           the execution-engine benchmark: macro
 //!                           workloads swept over morsel thread counts
 //!                           {1, 2, 4} ∪ {N} (writes BENCH_pipeline.json)
-//! repro faults [--quick] [--tcp] [--seed N]...
-//!                           the chaos matrix: fault injection, worker
-//!                           recovery, byte-identical replay; --tcp runs
-//!                           it over real loopback sockets with heartbeat
-//!                           liveness
+//! repro faults [--quick] [--seed N]...
+//!                           the chaos matrix over loopback TCP sockets:
+//!                           fault injection, heartbeat liveness, worker
+//!                           recovery, byte-identical replay
 //! repro outofcore [--quick] [--threads N] [--seed N]...
 //!                           out-of-core execution: join+aggregation at a
 //!                           pool budget ~10x smaller than the dataset,
@@ -33,7 +32,6 @@ use pc_bench::{faults, figures, lint, outofcore, pipeline, tables, verify};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let tcp = args.iter().any(|a| a == "--tcp");
     let seeds: Vec<u64> = args
         .iter()
         .zip(args.iter().skip(1))
@@ -85,7 +83,7 @@ fn main() {
         "figure4" => figures::figure4(),
         "figure5" => figures::figure5(),
         "pipeline" => pipeline::pipeline(quick, threads),
-        "faults" => faults::faults(quick, &seeds, tcp),
+        "faults" => faults::faults(quick, &seeds),
         "outofcore" => outofcore::outofcore(quick, threads, &seeds),
         "verify" => {
             if !verify::verify_demo(&seeds) {

@@ -4,19 +4,17 @@
 //! experiment: every fault kind ({drop, delay, reorder, corrupt,
 //! worker-death}) against both transport-heavy stage shapes (aggregation
 //! shuffle, broadcast join), over a fixed seed set plus any `--seed N`
-//! extras (CI passes a seed rotated from the commit hash). With `--tcp`
-//! the chaos rides on real loopback sockets (`TcpTransport`) instead of
-//! the in-process stream. Each cell reports whether the run under faults
-//! produced output **byte-identical** to a fault-free run, how many
-//! workers were recovered and stages replayed, how many wire bytes were
-//! wasted on retransmission, and — on the TCP wire — missed heartbeats
-//! and metered reconnects. Any non-identical cell prints its full fault
-//! schedule and fails the process.
+//! extras (CI passes a seed rotated from the commit hash). The chaos rides
+//! on real loopback sockets (`TcpTransport`). Each cell reports whether
+//! the run under faults produced output **byte-identical** to a fault-free
+//! in-process (`Local`) run, how many workers were recovered and stages
+//! replayed, how many wire bytes were wasted on retransmission, and the
+//! wire's missed heartbeats and metered reconnects. Any non-identical cell
+//! prints its full fault schedule and fails the process.
 
 use crate::util::row;
 use pc_cluster::{
-    ClusterConfig, ClusterStats, FaultKind, FaultSpec, PcCluster, StreamConfig, TcpConfig,
-    TransportKind,
+    ClusterConfig, ClusterStats, FaultKind, FaultSpec, PcCluster, TcpConfig, TransportKind,
 };
 use pc_core::{Dataset, Job};
 use pc_exec::ExecConfig;
@@ -100,7 +98,6 @@ fn cluster_with(transport: TransportKind) -> PcCluster {
             morsel_rows: 64,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 1 << 20,
         transport,
         ..ClusterConfig::default()
     })
@@ -122,27 +119,18 @@ fn cluster_pressured(seed: u64) -> PcCluster {
             morsel_rows: 64,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 1 << 20,
         pressure: Some(PressureSpec::seeded(seed)),
         ..ClusterConfig::default()
     })
     .unwrap()
 }
 
-fn faulty(spec: FaultSpec, tcp: bool) -> TransportKind {
-    let inner = if tcp {
-        TransportKind::Tcp(TcpConfig {
+fn faulty(spec: FaultSpec) -> TransportKind {
+    TransportKind::Faulty {
+        inner: Box::new(TransportKind::Tcp(TcpConfig {
             chunk_bytes: 1 << 10,
             ..TcpConfig::default()
-        })
-    } else {
-        TransportKind::Stream(StreamConfig {
-            chunk_bytes: 1 << 10,
-            ..StreamConfig::default()
-        })
-    };
-    TransportKind::Faulty {
-        inner: Box::new(inner),
+        })),
         spec,
     }
 }
@@ -224,10 +212,9 @@ fn run_join(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
 }
 
 /// The chaos demonstration. `extra_seeds` join the fixed set (CI rotates
-/// one in from the commit hash); `tcp` moves the chaos onto real loopback
-/// sockets. Exits non-zero if any cell is not byte-identical to the
-/// fault-free run.
-pub fn faults(quick: bool, extra_seeds: &[u64], tcp: bool) {
+/// one in from the commit hash). Exits non-zero if any cell is not
+/// byte-identical to the fault-free run.
+pub fn faults(quick: bool, extra_seeds: &[u64]) {
     let rows = if quick { 600 } else { 2_000 };
     let mut seeds: Vec<u64> = if quick { vec![1] } else { vec![1, 2, 3] };
     seeds.extend_from_slice(extra_seeds);
@@ -242,12 +229,9 @@ pub fn faults(quick: bool, extra_seeds: &[u64], tcp: bool) {
         FaultKind::WorkerDeath,
     ];
 
-    let wire = if tcp {
-        "tcp sockets"
-    } else {
-        "in-process stream"
-    };
-    println!("Transport & recovery: chaos matrix over {rows} rows, seeds {seeds:?}, wire: {wire}");
+    println!(
+        "Transport & recovery: chaos matrix over {rows} rows, seeds {seeds:?}, wire: tcp sockets"
+    );
     println!("(every cell must be byte-identical to the fault-free run)\n");
     let widths = [14, 12, 6, 10, 10, 9, 14, 9, 9];
     row(
@@ -276,7 +260,7 @@ pub fn faults(quick: bool, extra_seeds: &[u64], tcp: bool) {
                     spec.death_at = Some(seed % 6);
                     spec.victim = Some(seed as usize % WORKERS);
                 }
-                let c = cluster_with(faulty(spec, tcp));
+                let c = cluster_with(faulty(spec));
                 let schedule = c.transport().fault_summary().unwrap_or_default();
                 let (got, stats) = job(&c, rows);
                 let identical =

@@ -135,7 +135,6 @@ pub fn figure5() {
             join_partitions: 8,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 16 << 20,
         ..ClusterConfig::default()
     })
     .unwrap();

@@ -65,7 +65,6 @@ fn client_with(threads: usize, pool_capacity: usize, pressure: Option<PressureSp
             threads,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 64 << 20,
         pool_capacity,
         pressure,
         ..ClusterConfig::default()

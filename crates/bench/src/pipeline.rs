@@ -44,7 +44,6 @@ fn client(threads: usize) -> PcClient {
             threads,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 64 << 20,
         ..ClusterConfig::default()
     })
     .expect("cluster boot")

@@ -22,7 +22,6 @@ fn bench_client() -> PcClient {
             join_partitions: 8,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 64 << 20,
         ..ClusterConfig::default()
     })
     .expect("cluster boot")

@@ -21,11 +21,8 @@ pub struct ClusterConfig {
     /// knob: it sets each worker's pipelining threads (Appendix D.2's N)
     /// and its aggregation combining threads (D.2's K) alike.
     pub exec: ExecConfig,
-    /// Build sides smaller than this broadcast; larger ones hash-partition
-    /// (the §8.3.2 "two gigabytes" rule, scaled down).
-    pub broadcast_threshold: usize,
-    /// How pages move between nodes (in-process copy, chunked streaming,
-    /// or either of those under fault injection).
+    /// How pages move between nodes (in-process copy, TCP sockets, or
+    /// either of those under fault injection).
     pub transport: TransportKind,
     /// Stage-replay limits for worker recovery.
     pub recovery: RecoveryPolicy,
@@ -45,7 +42,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             workers: 4,
             exec: ExecConfig::default(),
-            broadcast_threshold: 64 << 20,
             transport: TransportKind::default(),
             recovery: RecoveryPolicy::default(),
             pool_capacity: 1 << 30,
@@ -326,16 +322,13 @@ impl PcCluster {
     // ------------------------------------------------------------ execution
 
     /// Optimizes, plans, and executes a compiled query across the cluster.
-    /// With `config.exec.verify_plans` set (the default), the optimized
-    /// TCAP program is statically verified before planning — a broken plan
-    /// (whether lowered broken or broken by an optimizer rule) is refused
-    /// with [`PcError::PlanRejected`] instead of executing.
+    /// The optimized TCAP program is statically verified before planning —
+    /// a broken plan (whether lowered broken or broken by an optimizer
+    /// rule) is refused with [`PcError::PlanRejected`] instead of executing.
     pub fn execute(&self, q: &CompiledQuery) -> PcResult<ClusterStats> {
         let mut tcap = q.tcap.clone();
         pc_tcap::optimize(&mut tcap);
-        if self.config.exec.verify_plans {
-            pc_tcap::verify::require_clean(&tcap).map_err(PcError::PlanRejected)?;
-        }
+        pc_tcap::verify::require_clean(&tcap).map_err(PcError::PlanRejected)?;
         let physical = plan(&tcap)?;
         self.run_physical(&physical, &q.stages, &q.aggs)
     }

@@ -16,8 +16,8 @@
 //!   through a zero-copy pointer queue to combining threads, combined pages
 //!   shuffle to the partition's owner, and aggregation threads merge and
 //!   materialize.
-//! * Join build sides are broadcast when small (the §8.3.2 rule); the
-//!   hash-partition path repartitions probe rows to the partition owners.
+//! * Join build sides are always broadcast (the paper's §8.3.2 rule
+//!   hash-partitions large ones instead; this simulation does not).
 
 pub mod cluster;
 pub mod recovery;
@@ -29,6 +29,6 @@ pub mod wire;
 pub use cluster::{ClusterConfig, ClusterStats, PcCluster};
 pub use recovery::{Liveness, RecoveryPolicy};
 pub use transport::{
-    FaultKind, FaultSpec, FaultyTransport, LocalTransport, StreamConfig, StreamTransport,
-    TcpConfig, TcpTransport, Transport, TransportKind, TransportMeter, MASTER,
+    FaultKind, FaultSpec, FaultyTransport, LocalTransport, TcpConfig, TcpTransport, Transport,
+    TransportKind, TransportMeter, MASTER,
 };

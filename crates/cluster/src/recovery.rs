@@ -12,10 +12,10 @@
 //!    flight on the wire.
 //!
 //! So when the transport reports a dead worker (or a collect deadline
-//! expires), the master: rolls the traffic meter back (the aborted
-//! attempt's deliveries were waste, not logical shuffle bytes), resets the
-//! transport (stale frames from the aborted attempt can never leak into
-//! the replay), restarts the dead worker's backend under a bumped liveness
+//! expires), the master: resets the transport (stale frames from the
+//! aborted attempt can never leak into the replay), rolls the traffic
+//! meter back (the aborted attempt's deliveries were waste, not logical
+//! shuffle bytes), restarts the dead worker's backend under a bumped liveness
 //! epoch, clears the stage's intermediate outputs, and re-runs the whole
 //! stage from the surviving inputs. Determinism then makes the replayed
 //! output byte-identical to a fault-free run.
@@ -79,7 +79,7 @@ pub fn is_recoverable(e: &PcError) -> bool {
 }
 
 /// Runs `attempt` under the stage-replay protocol: on a recoverable error,
-/// roll back metering, reset the transport, recover the dead worker (or
+/// reset the transport, roll back metering, recover the dead worker (or
 /// revive all on an anonymous deadline), clear `replay_lists` (this stage's
 /// append-only intermediate outputs under the tmp database), and retry.
 pub(crate) fn with_stage_recovery<T>(
@@ -95,8 +95,11 @@ pub(crate) fn with_stage_recovery<T>(
             Ok(v) => return Ok(v),
             Err(e) if is_recoverable(&e) && tries + 1 < max => {
                 tries += 1;
-                cluster.meter().rollback(snap);
+                // Reset first: it fences off the aborted attempt's
+                // deliveries, so the rollback after it reclassifies all of
+                // them and none can be metered later.
                 cluster.transport().reset();
+                cluster.meter().rollback(snap);
                 match e {
                     PcError::WorkerDead(w) if w < cluster.workers.len() => {
                         cluster.recover_worker(w);

@@ -11,10 +11,9 @@
 //! * **Output / Materialize** — pages stay on the producing worker: stored
 //!   sets are distributed.
 //! * **JoinBuild** — per-worker tables are sealed and **broadcast**: every
-//!   worker receives every build page (the paper's broadcast join; chosen
-//!   for build sides under the broadcast threshold — larger sides would
-//!   hash-partition per D.3, a path this simulation routes through the same
-//!   broadcast mechanics and reports in the stats).
+//!   worker receives every build page (the paper's broadcast join). The
+//!   paper hash-partitions large build sides per D.3 instead; this
+//!   simulation broadcasts every build side.
 //! * **AggProduce** — the two-stage distributed aggregation of D.2 /
 //!   Figure 5: pipelining threads pre-aggregate into hash-partitioned map
 //!   pages and push them through a zero-copy pointer queue to combining
@@ -108,12 +107,10 @@ pub fn run_stage_distributed(
             let mut parts_in_send_order: Vec<usize> = Vec::new();
             let mut src_in_send_order: Vec<usize> = Vec::new();
             let mut partitions = JoinTable::round_partitions(cluster.config.exec.join_partitions);
-            let mut total_bytes = 0usize;
             for (w, outs) in per_worker_outputs.into_iter().enumerate() {
                 for out in outs {
                     let MorselOutput::TablePages {
                         groups,
-                        bytes,
                         partitions: parts,
                         pages,
                     } = out
@@ -121,7 +118,6 @@ pub fn run_stage_distributed(
                         unreachable!()
                     };
                     stats.join_groups += groups;
-                    total_bytes += bytes;
                     partitions = parts;
                     for (part, page) in pages {
                         // Queue for the master; the partition tag and the
@@ -152,10 +148,6 @@ pub fn run_stage_distributed(
                 let _ = transport.collect(w)?;
             }
             cluster.note_broadcast();
-            if total_bytes > cluster.config.broadcast_threshold {
-                // A full hash-partition join would repartition instead; this
-                // simulation broadcasts either way but keeps the signal.
-            }
             // Tag filters are built once here, from the gathered pages'
             // stored hashes; every reopening thread shares them. The gather
             // is where the table's full size first exists in one place, so
@@ -280,7 +272,7 @@ fn run_aggregation_stage(
     });
 
     // Shuffle: partition p's pages go to worker p % W over the transport.
-    // All sends are queued before any inbox is collected, so a streaming
+    // All sends are queued before any inbox is collected, so the socket
     // transport overlaps chunk delivery with the remaining combines.
     let transport = cluster.transport();
     for (src_w, r) in combined.into_iter().enumerate() {

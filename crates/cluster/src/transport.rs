@@ -16,23 +16,20 @@
 //!   deliveries) is counted separately as retransmission, so a lossy run
 //!   reports the same `bytes_shuffled` as a clean one.
 //!
-//! Four implementations:
+//! Three implementations:
 //!
-//! * [`LocalTransport`] — the synchronous in-process byte copy the cluster
-//!   has always used (the default).
-//! * [`StreamTransport`] — chunks sealed pages into CRC-checksummed wire
-//!   frames ([`crate::wire`]) and pushes them through a bounded channel to
-//!   a demux thread that reassembles them concurrently, so delivery
-//!   overlaps with downstream compute; the bounded channel is the flow
-//!   control, and collects carry a deadline (the master-side failure
-//!   detector).
-//! * [`TcpTransport`] — the same frames over real `std::net` TCP sockets:
-//!   one listener per node, a poll loop (the vendored `mio` shim)
-//!   demuxing every inbound connection, continuous worker heartbeats
-//!   feeding a master-side liveness monitor, and crash-restart
-//!   reconnection with bounded, jittered exponential backoff.
-//! * [`FaultyTransport`] — a decorator that injects drops, delays,
-//!   reorders, payload corruption, and whole-worker deaths from a
+//! * [`LocalTransport`] — the synchronous in-process byte copy (the
+//!   default), and the reference every wire run is compared to byte for
+//!   byte.
+//! * [`TcpTransport`] — the wire: sealed pages chunked into CRC-checksummed
+//!   frames ([`crate::wire`]) over real `std::net` TCP sockets — one
+//!   listener per node, a poll loop (the vendored `mio` shim) demuxing
+//!   every inbound connection and reassembling pages, collects carrying a
+//!   deadline, continuous worker heartbeats feeding a master-side liveness
+//!   monitor, and crash-restart reconnection with bounded, jittered
+//!   exponential backoff.
+//! * [`FaultyTransport`] — a decorator over either that injects drops,
+//!   delays, reorders, payload corruption, and whole-worker deaths from a
 //!   reproducible seed-driven schedule.
 //!
 //! Wire failures never panic and never surface garbage pages: checksum
@@ -180,7 +177,7 @@ pub trait Transport: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Queue one sealed page from `src` for delivery to `dst`'s inbox.
-    /// May return before the page has arrived (streaming transports overlap
+    /// May return before the page has arrived (the socket transport overlaps
     /// delivery with the caller's next work).
     fn send(&self, src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()>;
 
@@ -425,40 +422,7 @@ impl Transport for LocalTransport {
     }
 }
 
-// ---------------------------------------------------------------- stream
-
-/// Tuning for [`StreamTransport`].
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Frame payload size a sealed page is chunked into.
-    pub chunk_bytes: usize,
-    /// Frames in flight before senders block (the flow-control window).
-    pub frames_in_flight: usize,
-    /// Per-send deadline: how long a sender may stay blocked on a full
-    /// window before the master declares the link failed.
-    pub send_deadline: Duration,
-    /// Collect deadline: how long the master waits for a worker's inbox to
-    /// fill before declaring the stage failed (the failure detector).
-    pub collect_deadline: Duration,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            chunk_bytes: 4 << 10,
-            frames_in_flight: 64,
-            send_deadline: Duration::from_secs(5),
-            collect_deadline: Duration::from_secs(10),
-        }
-    }
-}
-
-enum Frame {
-    /// One encoded wire frame ([`crate::wire`]): checksummed bytes, exactly
-    /// as a socket transport would put them on a connection.
-    Wire(Vec<u8>),
-    Shutdown,
-}
+// ---------------------------------------------------------------- frames
 
 /// Splits a page's bytes into encoded, checksummed data frames.
 fn encode_page_frames(
@@ -489,9 +453,8 @@ fn encode_page_frames(
         .collect()
 }
 
-/// Chunk reassembly shared by the frame-based transports (the stream demux
-/// thread and the TCP poll loop): collects data frames per (dst, seq),
-/// validates completed pages, and delivers them — or poisons the
+/// Chunk reassembly for the TCP poll loop: collects data frames per
+/// (dst, seq), validates completed pages, and delivers them — or poisons the
 /// destination's inbox with a typed [`PcError::Transport`] when the frame
 /// map is inconsistent or the page is torn. The demux side never panics;
 /// recovery answers the poisoned collect with a stage replay.
@@ -581,163 +544,6 @@ impl Reassembler {
     }
 }
 
-/// A flow-controlled streaming transport: pages are chunked into frames and
-/// pushed through a bounded channel to a demux thread that reassembles and
-/// delivers them while the sender moves on — shuffles overlap with the
-/// compute that produces the next pages instead of barriering per page.
-pub struct StreamTransport {
-    inbox: Arc<Inbox>,
-    config: StreamConfig,
-    tx: crossbeam_channel::Sender<Frame>,
-    epoch: Arc<AtomicU64>,
-    demux: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl StreamTransport {
-    /// Spawns the demux thread and returns the transport.
-    pub fn new(meter: Arc<TransportMeter>, config: StreamConfig) -> Self {
-        let (tx, rx) = crossbeam_channel::bounded::<Frame>(config.frames_in_flight);
-        let inbox = Arc::new(Inbox::new());
-        let epoch = Arc::new(AtomicU64::new(0));
-        let demux = {
-            let inbox = inbox.clone();
-            let epoch = epoch.clone();
-            std::thread::Builder::new()
-                .name(format!("pc-transport-demux-{}", unique_suffix()))
-                .spawn(move || {
-                    let mut reasm = Reassembler::new();
-                    while let Ok(frame) = rx.recv() {
-                        match frame {
-                            Frame::Shutdown => break,
-                            Frame::Wire(bytes) => {
-                                let now = epoch.load(Ordering::Acquire);
-                                match wire::decode(&bytes) {
-                                    Ok(Decoded::Frame { frame, .. }) => {
-                                        if frame.kind != FrameKind::Data {
-                                            continue;
-                                        }
-                                        if frame.epoch != now {
-                                            // A stale frame from an aborted
-                                            // stage attempt: drop it, and any
-                                            // partial pages from dead epochs.
-                                            reasm.retain_epoch(now);
-                                            continue;
-                                        }
-                                        reasm.accept(frame, &meter, &inbox);
-                                    }
-                                    Ok(Decoded::Corrupt { consumed, .. }) => {
-                                        // Checksum reject: the attempt is
-                                        // wire waste; a retransmitted clean
-                                        // copy (or stage replay) recovers.
-                                        meter.on_failed_attempt(consumed);
-                                    }
-                                    Ok(Decoded::Need) | Err(_) => {
-                                        // A channel message is exactly one
-                                        // frame, so a short or unparseable
-                                        // message is broken framing; the
-                                        // loss surfaces at collect.
-                                        meter.on_failed_attempt(bytes.len());
-                                    }
-                                }
-                            }
-                        }
-                    }
-                })
-                .expect("spawn transport demux thread")
-        };
-        StreamTransport {
-            inbox,
-            config,
-            tx,
-            epoch,
-            demux: Mutex::new(Some(demux)),
-        }
-    }
-
-    /// Pushes one encoded frame into the bounded channel (the flow-control
-    /// window), honoring the send deadline.
-    fn push(&self, dst: NodeId, encoded: Vec<u8>) -> PcResult<()> {
-        self.tx
-            .send_timeout(Frame::Wire(encoded), self.config.send_deadline)
-            .map_err(|e| {
-                PcError::Transport(match e {
-                    crossbeam_channel::SendTimeoutError::Timeout(_) => format!(
-                        "send to {} exceeded the {:?} deadline (window stalled)",
-                        node_name(dst),
-                        self.config.send_deadline
-                    ),
-                    crossbeam_channel::SendTimeoutError::Disconnected(_) => {
-                        "transport demux thread is gone".to_string()
-                    }
-                })
-            })
-    }
-}
-
-impl Transport for StreamTransport {
-    fn name(&self) -> &'static str {
-        "stream"
-    }
-
-    fn send(&self, src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
-        let bytes = page.to_bytes();
-        let seq = self.inbox.expect(dst);
-        let epoch = self.epoch.load(Ordering::Acquire);
-        for frame in encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes) {
-            self.push(dst, frame)?;
-        }
-        Ok(())
-    }
-
-    fn collect(&self, dst: NodeId) -> PcResult<Vec<SealedPage>> {
-        self.inbox
-            .collect(dst, Some(self.config.collect_deadline), None)
-    }
-
-    fn send_corrupted(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        page: &SealedPage,
-        flip_seed: u64,
-        retransmit: bool,
-    ) -> PcResult<()> {
-        let bytes = page.to_bytes();
-        let seq = self.inbox.expect(dst);
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
-        let victim = (mix(flip_seed, frames.len() as u64, 0xC0F) as usize) % frames.len();
-        for (i, frame) in frames.into_iter().enumerate() {
-            if i == victim {
-                let mut mangled = frame.clone();
-                wire::flip_payload_bit(&mut mangled, flip_seed);
-                self.push(dst, mangled)?;
-                if !retransmit {
-                    continue;
-                }
-            }
-            self.push(dst, frame)?;
-        }
-        Ok(())
-    }
-
-    fn reset(&self) {
-        // New epoch first, so frames still in the channel are recognizably
-        // stale by the time the inbox is cleared.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.inbox.reset();
-    }
-}
-
-impl Drop for StreamTransport {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Frame::Shutdown);
-        if let Some(h) = self.demux.lock().expect("demux handle poisoned").take() {
-            let _ = h.join();
-        }
-    }
-}
-
 // ---------------------------------------------------------------- tcp
 
 /// Tuning for [`TcpTransport`].
@@ -778,20 +584,6 @@ impl Default for TcpConfig {
             reconnect_cap: Duration::from_millis(250),
             reconnect_attempts: 5,
             jitter_seed: 0,
-        }
-    }
-}
-
-impl TcpConfig {
-    /// Maps the stream transport's knobs onto the TCP wire — how the
-    /// `PC_WIRE=tcp` override reroutes stream-configured tests over real
-    /// sockets without touching them.
-    pub fn from_stream(cfg: &StreamConfig) -> TcpConfig {
-        TcpConfig {
-            chunk_bytes: cfg.chunk_bytes,
-            send_deadline: cfg.send_deadline,
-            collect_deadline: cfg.collect_deadline,
-            ..TcpConfig::default()
         }
     }
 }
@@ -883,6 +675,14 @@ impl BeatBoard {
 
 type ConnSlot = Arc<Mutex<Option<std::net::TcpStream>>>;
 
+/// The delivery epoch is a bare counter with no invariant a panicking
+/// holder could break, so a poisoned lock is still good to use.
+fn lock_epoch(epoch: &Mutex<u64>) -> std::sync::MutexGuard<'_, u64> {
+    epoch
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Sealed pages over real `std::net` TCP sockets.
 ///
 /// Every node (each worker plus the master) owns a loopback listener. A
@@ -899,7 +699,7 @@ pub struct TcpTransport {
     inbox: Arc<Inbox>,
     config: TcpConfig,
     meter: Arc<TransportMeter>,
-    epoch: Arc<AtomicU64>,
+    epoch: Arc<Mutex<u64>>,
     workers: usize,
     addrs: Vec<SocketAddr>,
     conns: Mutex<HashMap<(NodeId, NodeId), ConnSlot>>,
@@ -928,7 +728,7 @@ impl TcpTransport {
             listeners.push(l);
         }
         let inbox = Arc::new(Inbox::new());
-        let epoch = Arc::new(AtomicU64::new(0));
+        let epoch = Arc::new(Mutex::new(0u64));
         let beats = Arc::new(BeatBoard::new(workers));
         let alive: Arc<Vec<AtomicBool>> =
             Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect());
@@ -1087,7 +887,7 @@ impl Transport for TcpTransport {
     fn send(&self, src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
         let bytes = page.to_bytes();
         let seq = self.inbox.expect(dst);
-        let epoch = self.epoch.load(Ordering::Acquire);
+        let epoch = *lock_epoch(&self.epoch);
         let frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
         self.write_frames(src, dst, &frames)
     }
@@ -1100,8 +900,12 @@ impl Transport for TcpTransport {
 
     fn reset(&self) {
         // New epoch first, so frames still buffered in sockets are
-        // recognizably stale by the time the inbox is cleared.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        // recognizably stale by the time the inbox is cleared. The poll
+        // loop accepts data frames under this same lock: once `reset`
+        // returns, no page of the aborted epoch can still be delivered or
+        // metered, so recovery's meter rollback (which follows) is exact.
+        let mut epoch = lock_epoch(&self.epoch);
+        *epoch += 1;
         self.inbox.reset();
     }
 
@@ -1115,7 +919,7 @@ impl Transport for TcpTransport {
     ) -> PcResult<()> {
         let bytes = page.to_bytes();
         let seq = self.inbox.expect(dst);
-        let epoch = self.epoch.load(Ordering::Acquire);
+        let epoch = *lock_epoch(&self.epoch);
         let mut frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
         let victim = (mix(flip_seed, frames.len() as u64, 0xC0F) as usize) % frames.len();
         let clean = frames[victim].clone();
@@ -1174,7 +978,7 @@ fn poll_loop(
     workers: usize,
     inbox: Arc<Inbox>,
     meter: Arc<TransportMeter>,
-    epoch: Arc<AtomicU64>,
+    epoch: Arc<Mutex<u64>>,
     beats: Arc<BeatBoard>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -1270,7 +1074,7 @@ fn drain_frames(
     conn: &mut TcpConn,
     inbox: &Inbox,
     meter: &TransportMeter,
-    epoch: &AtomicU64,
+    epoch: &Mutex<u64>,
     beats: &BeatBoard,
     reasm: &mut Reassembler,
 ) -> bool {
@@ -1286,9 +1090,10 @@ fn drain_frames(
                         beats.record(src);
                     }
                     FrameKind::Data => {
-                        let now = epoch.load(Ordering::Acquire);
-                        if frame.epoch != now {
-                            reasm.retain_epoch(now);
+                        // Held across the accept; see `reset`.
+                        let now = lock_epoch(epoch);
+                        if frame.epoch != *now {
+                            reasm.retain_epoch(*now);
                             continue;
                         }
                         reasm.accept(frame, meter, inbox);
@@ -1796,8 +1601,6 @@ pub enum TransportKind {
     /// The synchronous in-process byte copy.
     #[default]
     Local,
-    /// Chunked, flow-controlled streaming with a demux thread.
-    Stream(StreamConfig),
     /// Real loopback TCP sockets with heartbeat liveness and backoff
     /// reconnection.
     Tcp(TcpConfig),
@@ -1813,28 +1616,13 @@ pub enum TransportKind {
 impl TransportKind {
     /// Builds the transport stack, metering into `meter`, for a cluster of
     /// `workers` nodes.
-    ///
-    /// Setting `PC_WIRE=tcp` in the environment reroutes every `Stream`
-    /// selection over real sockets (via [`TcpConfig::from_stream`]), which
-    /// is how the chaos suite runs byte-identical against [`TcpTransport`]
-    /// with zero test changes. `Local` stays in-process — it is the
-    /// baseline the wire transports are compared to.
     pub fn build(
         &self,
         meter: Arc<TransportMeter>,
         workers: usize,
     ) -> PcResult<Arc<dyn Transport>> {
-        let tcp_override = std::env::var("PC_WIRE")
-            .map(|v| v == "tcp")
-            .unwrap_or(false);
         Ok(match self {
             TransportKind::Local => Arc::new(LocalTransport::new(meter)),
-            TransportKind::Stream(cfg) if tcp_override => Arc::new(TcpTransport::new(
-                meter,
-                TcpConfig::from_stream(cfg),
-                workers,
-            )?),
-            TransportKind::Stream(cfg) => Arc::new(StreamTransport::new(meter, cfg.clone())),
             TransportKind::Tcp(cfg) => Arc::new(TcpTransport::new(meter, cfg.clone(), workers)?),
             TransportKind::Faulty { inner, spec } => {
                 let base = inner.build(meter.clone(), workers)?;
@@ -1889,30 +1677,86 @@ mod tests {
         assert_eq!(meter.bytes_retransmitted(), 0);
     }
 
+    /// `page`'s bytes as data frames for `(dst, seq)` under `epoch`.
+    fn data_frames(epoch: u64, dst: NodeId, seq: u64, page: &SealedPage) -> Vec<WireFrame> {
+        let bytes = page.to_bytes();
+        let chunks: Vec<&[u8]> = bytes.chunks(64).collect();
+        assert!(chunks.len() >= 2, "the tests need a multi-frame page");
+        let total = chunks.len() as u32;
+        chunks
+            .iter()
+            .enumerate()
+            .map(|(idx, c)| {
+                WireFrame::data(epoch, 0, dst as u64, seq, idx as u32, total, c.to_vec())
+            })
+            .collect()
+    }
+
     #[test]
-    fn stream_transport_reassembles_chunked_pages() {
-        let meter = Arc::new(TransportMeter::default());
-        let t = StreamTransport::new(
-            meter.clone(),
-            StreamConfig {
-                chunk_bytes: 128, // force many frames per page
-                frames_in_flight: 4,
-                ..StreamConfig::default()
-            },
+    fn reassembler_scraps_a_dead_epoch_partial_when_its_seq_is_reused() {
+        let meter = TransportMeter::default();
+        let inbox = Inbox::new();
+        let mut reasm = Reassembler::new();
+        // An aborted attempt leaves one chunk of page 0 behind ...
+        let stale = data_frames(5, 1, 0, &page(0)).remove(0);
+        let stale_len = stale.payload.len() as u64;
+        reasm.accept(stale, &meter, &inbox);
+        // ... and the replay reuses (dst 1, seq 0) for a different page.
+        let replayed = page(9);
+        let seq = inbox.expect(1);
+        for f in data_frames(6, 1, seq, &replayed) {
+            reasm.accept(f, &meter, &inbox);
+        }
+        assert_eq!(meter.sends_failed(), 1, "the stale partial is waste");
+        assert_eq!(meter.bytes_retransmitted(), stale_len);
+        let got = inbox.collect(1, None, None).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(
+            got[0].to_bytes(),
+            replayed.to_bytes(),
+            "no stale chunk leaked into the replayed page"
         );
-        let originals: Vec<SealedPage> = (0..6).map(page).collect();
-        for (i, p) in originals.iter().enumerate() {
-            t.send(0, i % 2, p).unwrap();
-        }
-        for dst in 0..2usize {
-            let got = t.collect(dst).unwrap();
-            assert_eq!(got.len(), 3);
-            for (k, p) in got.iter().enumerate() {
-                let expect = &originals[dst + 2 * k];
-                assert_eq!(p.to_bytes(), expect.to_bytes(), "torn or misordered page");
+        assert_eq!(meter.pages_shuffled(), 1);
+        assert!(reasm.partial.is_empty());
+    }
+
+    #[test]
+    fn reassembler_poisons_dst_when_frames_disagree_on_total() {
+        let meter = TransportMeter::default();
+        let inbox = Inbox::new();
+        let mut reasm = Reassembler::new();
+        inbox.expect(2);
+        reasm.accept(
+            WireFrame::data(0, 0, 2, 0, 0, 3, vec![1; 8]),
+            &meter,
+            &inbox,
+        );
+        reasm.accept(
+            WireFrame::data(0, 0, 2, 0, 1, 4, vec![2; 8]),
+            &meter,
+            &inbox,
+        );
+        match inbox.collect(2, None, None) {
+            Err(PcError::Transport(why)) => {
+                assert!(why.contains("inconsistent chunk map"), "{why}")
             }
+            other => panic!("expected a typed transport error, got {other:?}"),
         }
-        assert_eq!(meter.pages_shuffled(), 6);
+        assert_eq!(meter.pages_shuffled(), 0, "nothing was delivered");
+        assert_eq!(meter.bytes_retransmitted(), 16, "both frames were waste");
+        assert!(reasm.partial.is_empty(), "the damaged page is forgotten");
+    }
+
+    #[test]
+    fn retain_epoch_drops_dead_epoch_partials() {
+        let meter = TransportMeter::default();
+        let inbox = Inbox::new();
+        let mut reasm = Reassembler::new();
+        reasm.accept(data_frames(1, 0, 0, &page(0)).remove(0), &meter, &inbox);
+        reasm.accept(data_frames(2, 1, 0, &page(1)).remove(0), &meter, &inbox);
+        reasm.retain_epoch(2);
+        let live: Vec<_> = reasm.partial.keys().copied().collect();
+        assert_eq!(live, vec![(1, 0)], "only the live epoch's partial stays");
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //!   stage replay recovers — corruption never panics and never delivers
 //!   garbage pages.
 //!
-//! The same codec frames both the in-process [`StreamTransport`] channel
-//! and the real-socket [`TcpTransport`], so the chaos matrix exercises one
-//! corruption story on both wires.
+//! This codec frames everything the real-socket [`TcpTransport`] sends, so
+//! the chaos matrix exercises exactly the corruption story described here.
 //!
-//! [`StreamTransport`]: crate::transport::StreamTransport
 //! [`TcpTransport`]: crate::transport::TcpTransport
 
 use pc_object::{PcError, PcResult};

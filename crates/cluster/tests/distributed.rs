@@ -43,7 +43,6 @@ fn cluster() -> PcCluster {
             morsel_rows: 64,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 1 << 20,
         ..ClusterConfig::default()
     })
     .unwrap()

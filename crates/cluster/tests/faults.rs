@@ -11,7 +11,7 @@
 
 use pc_cluster::testkit::{assert_runs_identical, set_bytes_sorted};
 use pc_cluster::{
-    ClusterConfig, ClusterStats, FaultKind, FaultSpec, PcCluster, StreamConfig, TransportKind,
+    ClusterConfig, ClusterStats, FaultKind, FaultSpec, PcCluster, TcpConfig, TransportKind,
 };
 use pc_core::{Dataset, Job};
 use pc_exec::ExecConfig;
@@ -54,20 +54,19 @@ fn cluster_with(transport: TransportKind) -> PcCluster {
             morsel_rows: 64,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 1 << 20,
         transport,
         ..ClusterConfig::default()
     })
     .unwrap()
 }
 
-/// Fault injection over the streaming transport: the realistic stack —
+/// Fault injection over the socket transport: the realistic stack —
 /// chunked frames on the wire underneath, chaos on top.
 fn faulty(spec: FaultSpec) -> TransportKind {
     TransportKind::Faulty {
-        inner: Box::new(TransportKind::Stream(StreamConfig {
+        inner: Box::new(TransportKind::Tcp(TcpConfig {
             chunk_bytes: 1 << 10, // several frames per page
-            ..StreamConfig::default()
+            ..TcpConfig::default()
         })),
         spec,
     }
@@ -360,16 +359,16 @@ fn corrupted_frames_never_reach_output() {
 }
 
 #[test]
-fn stream_transport_alone_matches_local_byte_for_byte() {
-    // The streaming transport under no faults is just a slower wire: both
+fn tcp_transport_alone_matches_local_byte_for_byte() {
+    // The socket transport under no faults is just a slower wire: both
     // stage shapes must produce the fault-free bytes.
     for (name, job) in SCENARIOS {
         let (baseline, _) = job(&cluster_with(TransportKind::Local));
-        let (got, stats) = job(&cluster_with(TransportKind::Stream(StreamConfig {
+        let (got, stats) = job(&cluster_with(TransportKind::Tcp(TcpConfig {
             chunk_bytes: 1 << 10,
-            ..StreamConfig::default()
+            ..TcpConfig::default()
         })));
-        assert_runs_identical(&format!("{name} over stream transport"), &baseline, &got);
+        assert_runs_identical(&format!("{name} over tcp transport"), &baseline, &got);
         assert_eq!(stats.stages_replayed, 0);
         assert_eq!(stats.bytes_retransmitted, 0);
     }

@@ -35,7 +35,6 @@ fn cluster(threads: usize, morsel_rows: usize) -> PcCluster {
             threads,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 1 << 20,
         ..ClusterConfig::default()
     })
     .unwrap()

@@ -37,7 +37,6 @@ fn cluster(
             threads,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 1 << 20,
         pool_capacity,
         pressure,
         ..ClusterConfig::default()
@@ -112,24 +111,23 @@ impl AggregateSpec for SumAgg {
     }
 }
 
-/// Rows the join projection may emit before erroring out; negative means
-/// "never poisoned". A global because the projection must be a plain `fn`-
-/// style closure shared across worker threads.
-static POISON_BUDGET: AtomicI64 = AtomicI64::new(-1);
-
 /// Runs the join → aggregate query and returns the output set's canonical
-/// bytes plus run stats.
-fn run_query(c: &PcCluster) -> PcResult<(Vec<Vec<u8>>, ClusterStats)> {
+/// bytes plus run stats. `poison_after` is the number of rows the join
+/// projection may emit before erroring out (`None`: never). The budget is
+/// owned by this call's projection closure, so concurrently running tests
+/// cannot eat each other's injected abort.
+fn run_query(c: &PcCluster, poison_after: Option<i64>) -> PcResult<(Vec<Vec<u8>>, ClusterStats)> {
     c.create_or_clear_set("db", "sums").unwrap();
+    let poison_budget = poison_after.map(AtomicI64::new);
     let joined = Dataset::<Rec>::scan("db", "big").join(
         &Dataset::<Rec>::scan("db", "dim"),
         |a, b| key_of(a).eq(key_of(b)),
         "oocPair",
-        |a, b| {
-            if POISON_BUDGET.load(Ordering::Relaxed) >= 0
-                && POISON_BUDGET.fetch_sub(1, Ordering::Relaxed) <= 0
-            {
-                return Err(PcError::Catalog("injected mid-stage abort".into()));
+        move |a, b| {
+            if let Some(left) = &poison_budget {
+                if left.fetch_sub(1, Ordering::Relaxed) <= 0 {
+                    return Err(PcError::Catalog("injected mid-stage abort".into()));
+                }
             }
             let p = make_object::<Rec>()?;
             p.v().set_key(a.v().key())?;
@@ -180,7 +178,7 @@ proptest! {
 
         let base_c = cluster(threads, 1 << 30, None, join_partitions, agg_partitions);
         load(&base_c, n, keys, seed);
-        let (baseline, base_stats) = run_query(&base_c).unwrap();
+        let (baseline, base_stats) = run_query(&base_c, None).unwrap();
         prop_assert_eq!(
             base_stats.exec.join_partitions_spilled + base_stats.exec.agg_pages_spilled,
             0,
@@ -190,7 +188,7 @@ proptest! {
         let pressure = pressure_seed.map(PressureSpec::seeded);
         let c = cluster(threads, TINY_POOL, pressure, join_partitions, agg_partitions);
         load(&c, n, keys, seed);
-        let (got, stats) = run_query(&c).unwrap();
+        let (got, stats) = run_query(&c, None).unwrap();
         assert_runs_identical(&label, &baseline, &got);
         prop_assert!(
             stats.exec.join_partitions_spilled + stats.exec.agg_pages_spilled > 0,
@@ -214,9 +212,7 @@ fn mid_stage_abort_leaks_no_spill_files() {
 
     // Poison the probe-side projection: the join build (which spills at
     // this pool size) completes, then the probe stage dies mid-flight.
-    POISON_BUDGET.store(50, Ordering::Relaxed);
-    let err = run_query(&c);
-    POISON_BUDGET.store(-1, Ordering::Relaxed);
+    let err = run_query(&c, Some(50));
     assert!(err.is_err(), "poisoned run must fail");
 
     // The failed run spilled (cumulative pool counters survive the error)…
@@ -233,7 +229,7 @@ fn mid_stage_abort_leaks_no_spill_files() {
 
     // The cluster is still usable: the same query, un-poisoned, completes
     // and spills again cleanly.
-    let (bytes, stats) = run_query(&c).unwrap();
+    let (bytes, stats) = run_query(&c, None).unwrap();
     assert!(!bytes.is_empty());
     assert!(stats.exec.join_partitions_spilled + stats.exec.agg_pages_spilled > 0);
     let (leaked, _) = leaked_and_reserved(&c);

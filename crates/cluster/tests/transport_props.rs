@@ -4,8 +4,8 @@
 //! no torn pages** (byte-identical `SealedPage`s).
 
 use pc_cluster::{
-    FaultKind, FaultSpec, FaultyTransport, StreamConfig, StreamTransport, Transport,
-    TransportMeter, MASTER,
+    FaultKind, FaultSpec, FaultyTransport, TcpConfig, TcpTransport, Transport, TransportMeter,
+    MASTER,
 };
 use pc_lambda::SetWriter;
 use pc_object::{make_object, PcVec, SealedPage};
@@ -81,19 +81,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn stream_chunking_reassembles_exactly_once_in_order(
+    fn tcp_chunking_reassembles_exactly_once_in_order(
         batch in batch_strategy(),
         chunk in 48usize..256,
     ) {
         let meter = Arc::new(TransportMeter::default());
-        let t = StreamTransport::new(
+        let t = TcpTransport::new(
             meter.clone(),
-            StreamConfig {
+            TcpConfig {
                 chunk_bytes: chunk, // far below page size: many frames/page
-                frames_in_flight: 4,
-                ..StreamConfig::default()
+                ..TcpConfig::default()
             },
-        );
+            WORKERS,
+        )
+        .unwrap();
         check_delivery(&t, &batch)?;
         prop_assert_eq!(meter.pages_shuffled(), batch.len() as u64);
         prop_assert_eq!(meter.bytes_retransmitted(), 0);
@@ -106,14 +107,17 @@ proptest! {
         rate in 0u16..=256,
     ) {
         let meter = Arc::new(TransportMeter::default());
-        let inner: Arc<dyn Transport> = Arc::new(StreamTransport::new(
-            meter.clone(),
-            StreamConfig {
-                chunk_bytes: 96,
-                frames_in_flight: 4,
-                ..StreamConfig::default()
-            },
-        ));
+        let inner: Arc<dyn Transport> = Arc::new(
+            TcpTransport::new(
+                meter.clone(),
+                TcpConfig {
+                    chunk_bytes: 96,
+                    ..TcpConfig::default()
+                },
+                WORKERS,
+            )
+            .unwrap(),
+        );
         let spec = FaultSpec {
             rate,
             ..FaultSpec::seeded(

@@ -39,7 +39,6 @@ impl PcClient {
                 join_partitions: 8,
                 ..ExecConfig::default()
             },
-            broadcast_threshold: 16 << 20,
             ..ClusterConfig::default()
         })
     }

@@ -545,14 +545,6 @@ impl JoinTable {
             .collect()
     }
 
-    /// Bytes across all table pages (planner statistics / broadcast choice).
-    pub fn bytes(&self) -> usize {
-        self.parts
-            .iter()
-            .flat_map(|p| p.pages.iter().map(|(b, _)| b.used()))
-            .sum()
-    }
-
     // ------------------------------------------------------------- shipping
 
     /// Seals the table into shippable `(partition, page)` pairs (the

@@ -23,10 +23,7 @@ pub mod plan;
 pub mod vlist;
 
 pub use jointable::{JoinTable, TagFilter, DEFAULT_JOIN_PARTITIONS};
-pub use local::{
-    default_threads, run_pipeline_stage, ExecConfig, ExecStats, LocalExecutor, PipelineOutput,
-    TMP_DB,
-};
+pub use local::{default_threads, ExecConfig, ExecStats, PipelineOutput, TMP_DB};
 pub use morsel::{
     carve_morsels, run_stage_morsels, Morsel, MorselOutput, MorselQueue, SharedTable,
 };

@@ -1,13 +1,12 @@
 //! Pipeline execution.
 //!
-//! [`run_span`]-over-morsels is the core engine: `crate::morsel` carves a
+//! `run_span`-over-morsels is the core engine: `crate::morsel` carves a
 //! stage's input pages into fixed-size morsels and worker threads pull them
 //! from a work-stealing queue, each running the per-batch loop defined here
-//! with its own sink state. [`run_pipeline_stage`] is the single-threaded
-//! form (one span covering every page); [`LocalExecutor`] composes the
-//! morsel driver into a single-node engine, and the distributed runtime in
-//! `pc-cluster` calls the same driver once per worker (a
-//! `PipelineJobStage`) and shuffles the outputs between nodes.
+//! with its own sink state. The distributed runtime in `pc-cluster` is the
+//! one caller: it runs the morsel driver once per worker (a
+//! `PipelineJobStage`) and shuffles the outputs between nodes; single-node
+//! execution is a one-worker cluster.
 //!
 //! Batch mechanics follow Appendix C: input pages stay pinned while a batch
 //! built from them is in flight; object-producing kernels allocate directly
@@ -16,21 +15,16 @@
 //! columns still pin them — and retry the failed stage.
 
 use crate::jointable::JoinTable;
-use crate::morsel::{run_stage_morsels, MorselOutput, SharedTable};
-use crate::plan::{
-    plan, AggDest, PhysicalPlan, PipelineSpec, ResolvedOp, ResolvedPipeline, ResolvedSink, Sink,
-    Source,
-};
+use crate::plan::{PipelineSpec, ResolvedOp, ResolvedPipeline, ResolvedSink, Sink};
 use crate::vlist::VectorList;
 use pc_lambda::{
-    for_each_sel, sel_len, AggPage, Column, ColumnKernel, ColumnPool, CompiledQuery, ErasedAgg,
-    ErasedAggSink, ExecCtx, SetWriter, SpillCtx, StageLibrary,
+    for_each_sel, sel_len, AggPage, Column, ColumnKernel, ColumnPool, ErasedAgg, ErasedAggSink,
+    ExecCtx, SetWriter, SpillCtx,
 };
 use pc_object::{
     AllocPolicy, AllocScope, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcResult, PcVec,
     SealedPage,
 };
-use pc_storage::StorageManager;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -65,12 +59,6 @@ pub struct ExecConfig {
     /// `None` (the default) is the old fully-in-memory behavior: nothing is
     /// reserved and nothing can spill.
     pub spill: Option<SpillCtx>,
-    /// Run the [`pc_tcap::verify`] static verifier over every TCAP program
-    /// before planning it, refusing ill-formed plans with
-    /// [`PcError::PlanRejected`] instead of executing garbage. On by
-    /// default; turn off only to benchmark the (tiny) verification cost or
-    /// to deliberately feed the executor broken plans in tests.
-    pub verify_plans: bool,
 }
 
 /// Default stage thread count: `PC_THREADS` when set to a positive integer,
@@ -98,7 +86,6 @@ impl Default for ExecConfig {
             threads: default_threads(),
             morsel_rows: 32 * 1024,
             spill: None,
-            verify_plans: true,
         }
     }
 }
@@ -238,32 +225,6 @@ pub enum PipelineOutput {
 
 /// The database name intermediates are materialized under.
 pub const TMP_DB: &str = "__tmp";
-
-/// Runs one pipeline over `pages` single-threaded, as one span (the
-/// pre-morsel engine entry point, kept for differential tests and simple
-/// callers). `tables` supplies the hash tables for every join this
-/// pipeline probes.
-pub fn run_pipeline_stage(
-    config: &ExecConfig,
-    p: &PipelineSpec,
-    pages: &[Arc<SealedPage>],
-    stages: &StageLibrary,
-    aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
-    tables: &HashMap<String, JoinTable>,
-) -> PcResult<(PipelineOutput, ExecStats)> {
-    // Resolve names → slots and stages → kernels once, off the batch path.
-    let rp = p.resolve(stages)?;
-    let mut state = ThreadState::new(rp.ops.len());
-    run_span(
-        config,
-        p,
-        &rp,
-        aggs,
-        tables,
-        &mut state,
-        pages.iter().map(|pg| (pg, 0, usize::MAX)),
-    )
-}
 
 /// Runs one pipeline over a span of `(page, lo, hi)` row ranges with fresh
 /// sink state, on the calling thread. This is the unit a morsel scheduler
@@ -619,149 +580,6 @@ impl ScratchPage {
         self.block = None;
         self.size = (self.size * 2).min(256 << 20);
         Ok(())
-    }
-}
-
-// --------------------------------------------------------- local executor
-
-/// Executes physical plans on one node.
-pub struct LocalExecutor {
-    pub storage: StorageManager,
-    pub config: ExecConfig,
-}
-
-impl LocalExecutor {
-    pub fn new(storage: StorageManager, config: ExecConfig) -> Self {
-        LocalExecutor { storage, config }
-    }
-
-    /// Plans and runs a compiled query. When `config.verify_plans` is set
-    /// (the default) the TCAP program is statically verified first and an
-    /// ill-formed plan is refused with [`PcError::PlanRejected`].
-    pub fn execute(&self, q: &CompiledQuery) -> PcResult<ExecStats> {
-        if self.config.verify_plans {
-            pc_tcap::verify::require_clean(&q.tcap).map_err(PcError::PlanRejected)?;
-        }
-        let physical = plan(&q.tcap)?;
-        self.run_plan(&physical, &q.stages, &q.aggs)
-    }
-
-    /// Runs an already-planned query. Every stage runs morsel-driven over
-    /// `config.threads` work-stealing threads; outputs merge in morsel
-    /// order, so the result bytes are independent of the thread count.
-    pub fn run_plan(
-        &self,
-        physical: &PhysicalPlan,
-        stages: &StageLibrary,
-        aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
-    ) -> PcResult<ExecStats> {
-        let mut stats = ExecStats::default();
-        let pool_before = self.storage.pool().stats();
-        let mut tables: HashMap<String, SharedTable> = HashMap::new();
-        // A previous query's materialized pages must never leak into this
-        // one's deterministically-named tmp lists.
-        for list in physical.intermediate_lists() {
-            self.storage.create_or_clear_set(TMP_DB, list)?;
-        }
-        for p in &physical.pipelines {
-            let pages = match &p.source {
-                Source::Set { db, set, .. } => self.storage.scan(db, set)?,
-                Source::Intermediate { list, .. } => self.storage.scan(TMP_DB, list)?,
-            };
-            let (outputs, s) = run_stage_morsels(&self.config, p, &pages, stages, aggs, &tables)?;
-            stats.absorb(&s);
-            match &p.sink {
-                Sink::Output { .. } | Sink::Materialize { .. } => {
-                    let (db, set) = match &p.sink {
-                        Sink::Output { db, set, .. } => (db.clone(), set.clone()),
-                        Sink::Materialize { list, .. } => {
-                            self.storage.catalog().ensure_set(TMP_DB, list);
-                            (TMP_DB.to_string(), list.clone())
-                        }
-                        _ => unreachable!(),
-                    };
-                    for out in outputs {
-                        let MorselOutput::Pages(pages) = out else {
-                            unreachable!()
-                        };
-                        for page in pages {
-                            self.storage.append_page(&db, &set, page)?;
-                        }
-                    }
-                }
-                Sink::JoinBuild {
-                    table, obj_cols, ..
-                } => {
-                    // Per-morsel builds fold together partition-wise: a page
-                    // tagged `p` joins every other morsel's partition-`p`
-                    // chain, in morsel order, and probe threads reopen
-                    // zero-copy views sharing one set of tag filters.
-                    let mut partitions = JoinTable::round_partitions(self.config.join_partitions);
-                    let mut tagged: Vec<(usize, Arc<SealedPage>)> = Vec::new();
-                    for out in outputs {
-                        let MorselOutput::TablePages {
-                            partitions: parts,
-                            pages,
-                            ..
-                        } = out
-                        else {
-                            unreachable!()
-                        };
-                        partitions = parts;
-                        tagged.extend(pages.into_iter().map(|(part, pg)| (part, Arc::new(pg))));
-                    }
-                    // The gather is the RAM consumer (per-morsel tables are
-                    // bounded by morsel_rows): reserve the merged table's
-                    // bytes against the budget and shed partitions that do
-                    // not fit; spilled partitions probe in second-pass waves.
-                    let st = SharedTable::from_tagged_pages_budgeted(
-                        obj_cols.len(),
-                        partitions,
-                        tagged,
-                        self.config.spill.as_ref(),
-                    )?;
-                    stats.join_partitions_spilled += st.spilled_partitions() as u64;
-                    stats.join_bytes_spilled += st.spilled_bytes() as u64;
-                    tables.insert(table.clone(), st);
-                }
-                Sink::AggProduce { comp, dest, .. } => {
-                    // Local consuming stage (AggregationJobStage): merge all
-                    // partition pages in morsel order, then materialize.
-                    let agg = aggs.get(comp).unwrap();
-                    let mut merger = agg.new_merger(self.config.page_size);
-                    for out in outputs {
-                        let MorselOutput::AggPartitions(parts) = out else {
-                            unreachable!()
-                        };
-                        for (_part, page) in parts {
-                            merger.merge_page(page.load()?)?;
-                        }
-                    }
-                    let mut out_writer = SetWriter::new(self.config.page_size);
-                    stats.agg_groups += merger.finalize(&mut out_writer)?;
-                    let (db, set): (&str, &str) = match dest {
-                        AggDest::Set { db, set } => (db, set),
-                        AggDest::Intermediate { list } => {
-                            self.storage.catalog().ensure_set(TMP_DB, list);
-                            (TMP_DB, list)
-                        }
-                    };
-                    stats.rows_out += out_writer.objects_written;
-                    for page in out_writer.finish()? {
-                        self.storage.append_page(db, set, page)?;
-                        stats.pages_written += 1;
-                    }
-                }
-            }
-            stats.pipelines_run += 1;
-        }
-        let pool_after = self.storage.pool().stats();
-        stats.pool_hits += pool_after.hits - pool_before.hits;
-        stats.pool_misses += pool_after.misses - pool_before.misses;
-        stats.pool_evictions += pool_after.evictions - pool_before.evictions;
-        stats.pool_spills += pool_after.spills - pool_before.spills;
-        stats.pool_bytes_spilled += pool_after.bytes_spilled - pool_before.bytes_spilled;
-        Ok(stats)
     }
 }
 

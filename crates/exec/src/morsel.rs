@@ -127,12 +127,10 @@ pub enum MorselOutput {
     /// Sealed output pages (OUTPUT / materialization sinks).
     Pages(Vec<SealedPage>),
     /// A sealed join build table: partition-tagged pages plus its summary
-    /// numbers (groups folded, table bytes, radix partition count).
+    /// numbers (groups folded, radix partition count).
     TablePages {
         /// Groups folded into this morsel's table.
         groups: u64,
-        /// Bytes across the table's pages (broadcast-threshold signal).
-        bytes: usize,
         /// Radix partition count the pages are tagged with.
         partitions: usize,
         /// The partition-tagged sealed map pages.
@@ -150,10 +148,9 @@ impl MorselOutput {
         Ok(match out {
             PipelineOutput::Pages(p) => MorselOutput::Pages(p),
             PipelineOutput::BuiltTable(t) => {
-                let (groups, bytes, partitions) = (t.groups, t.bytes(), t.partitions());
+                let (groups, partitions) = (t.groups, t.partitions());
                 MorselOutput::TablePages {
                     groups,
-                    bytes,
                     partitions,
                     pages: t.into_pages()?,
                 }

@@ -303,7 +303,7 @@ impl PipelineSpec {
     /// Resolves this pipeline against a stage library: column names become
     /// slot indices, stage names become kernel `Arc`s, and each op gets a
     /// statically computed drop list. Called once per
-    /// [`crate::run_pipeline_stage`] invocation, off the per-batch path.
+    /// [`crate::run_stage_morsels`] invocation, off the per-batch path.
     pub fn resolve(&self, stages: &StageLibrary) -> PcResult<ResolvedPipeline> {
         let mut r = Resolver {
             names: Vec::new(),

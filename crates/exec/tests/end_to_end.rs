@@ -1,13 +1,12 @@
 //! End-to-end tests: lambda calculus → TCAP → optimizer → physical plan →
 //! vectorized execution, verified against straight-line Rust computations.
 
-use pc_core::{Dataset, Job};
-use pc_exec::{ExecConfig, LocalExecutor};
+use pc_core::{ClusterConfig, Dataset, Job, PcCluster};
+use pc_exec::ExecConfig;
 use pc_lambda::AggregateSpec;
 use pc_object::{
     make_object, pc_object, AnyObj, BlockRef, Handle, PcResult, PcString, PcVec, SealedPage,
 };
-use pc_storage::StorageManager;
 
 pc_object! {
     /// Employee record.
@@ -44,23 +43,30 @@ pc_object! {
     }
 }
 
-fn setup(label: &str) -> LocalExecutor {
-    let storage = StorageManager::in_temp(label).unwrap();
-    LocalExecutor::new(
-        storage,
-        ExecConfig {
-            batch_size: 64,
-            page_size: 1 << 16,
-            agg_partitions: 3,
-            join_partitions: 4,
-            morsel_rows: 128,
-            ..ExecConfig::default()
-        },
-    )
+/// Single-node execution: a one-worker cluster over the in-process
+/// transport.
+fn one_worker(exec: ExecConfig) -> PcCluster {
+    PcCluster::new(ClusterConfig {
+        workers: 1,
+        exec,
+        ..ClusterConfig::default()
+    })
+    .unwrap()
 }
 
-fn load_emps(ex: &LocalExecutor, n: usize) {
-    ex.storage.create_or_clear_set("db", "emps").unwrap();
+fn setup() -> PcCluster {
+    one_worker(ExecConfig {
+        batch_size: 64,
+        page_size: 1 << 16,
+        agg_partitions: 3,
+        join_partitions: 4,
+        morsel_rows: 128,
+        ..ExecConfig::default()
+    })
+}
+
+fn load_emps(ex: &PcCluster, n: usize) {
+    ex.create_or_clear_set("db", "emps").unwrap();
     let mut writer = pc_lambda::SetWriter::new(1 << 16);
     for i in 0..n {
         writer
@@ -73,13 +79,12 @@ fn load_emps(ex: &LocalExecutor, n: usize) {
             })
             .unwrap();
     }
-    for page in writer.finish().unwrap() {
-        ex.storage.append_page("db", "emps", page).unwrap();
-    }
+    ex.send_pages("db", "emps", writer.finish().unwrap())
+        .unwrap();
 }
 
-fn load_depts(ex: &LocalExecutor) {
-    ex.storage.create_or_clear_set("db", "depts").unwrap();
+fn load_depts(ex: &PcCluster) {
+    ex.create_or_clear_set("db", "depts").unwrap();
     let mut writer = pc_lambda::SetWriter::new(1 << 16);
     for d in 0..7i64 {
         writer
@@ -91,14 +96,13 @@ fn load_depts(ex: &LocalExecutor) {
             })
             .unwrap();
     }
-    for page in writer.finish().unwrap() {
-        ex.storage.append_page("db", "depts", page).unwrap();
-    }
+    ex.send_pages("db", "depts", writer.finish().unwrap())
+        .unwrap();
 }
 
-fn read_all<T: pc_object::PcObjType>(ex: &LocalExecutor, db: &str, set: &str) -> Vec<Handle<T>> {
+fn read_all<T: pc_object::PcObjType>(ex: &PcCluster, db: &str, set: &str) -> Vec<Handle<T>> {
     let mut out = Vec::new();
-    for page in ex.storage.scan(db, set).unwrap() {
+    for page in ex.workers[0].storage.scan(db, set).unwrap() {
         let (_b, root) = SealedPage::from_bytes(&page.to_bytes())
             .unwrap()
             .open()
@@ -120,9 +124,9 @@ fn expected_salaries(n: usize) -> Vec<(i64, i64)> {
 
 #[test]
 fn selection_with_redundant_method_calls() {
-    let ex = setup("sel");
+    let ex = setup();
     load_emps(&ex, 500);
-    ex.storage.create_or_clear_set("db", "rich").unwrap();
+    ex.create_or_clear_set("db", "rich").unwrap();
 
     // The §7 example: salary > 50000 && salary < 100000 — two method calls
     // that the optimizer must fuse into one.
@@ -145,7 +149,7 @@ fn selection_with_redundant_method_calls() {
         q.tcap
     );
 
-    let stats = ex.execute(&q).unwrap();
+    let stats = ex.execute(&q).unwrap().exec;
     let got = read_all::<Emp>(&ex, "db", "rich");
     let expected: Vec<i64> = expected_salaries(500)
         .into_iter()
@@ -163,10 +167,10 @@ fn selection_with_redundant_method_calls() {
 
 #[test]
 fn two_way_join_with_pushdown() {
-    let ex = setup("join");
+    let ex = setup();
     load_emps(&ex, 300);
     load_depts(&ex);
-    ex.storage.create_or_clear_set("db", "placements").unwrap();
+    ex.create_or_clear_set("db", "placements").unwrap();
 
     // Join on dept id; also require salary > 60000 (pushable to the emp side).
     let joined = Dataset::<Emp>::scan("db", "emps").join(
@@ -259,17 +263,16 @@ impl AggregateSpec for DeptAgg {
 
 #[test]
 fn aggregation_groups_and_sums() {
-    let ex = setup("agg");
+    let ex = setup();
     load_emps(&ex, 700);
-    ex.storage.create_or_clear_set("db", "deptstats").unwrap();
+    ex.create_or_clear_set("db", "deptstats").unwrap();
 
     let stats_ds = Dataset::<Emp>::scan("db", "emps").aggregate(DeptAgg);
-    let mut q = Job::new()
+    let q = Job::new()
         .add(stats_ds.write_to("db", "deptstats"))
         .compile()
         .unwrap();
-    pc_tcap::optimize(&mut q.tcap);
-    let stats = ex.execute(&q).unwrap();
+    let stats = ex.execute(&q).unwrap().exec;
     assert_eq!(stats.agg_groups, 7);
 
     let got = read_all::<DeptStat>(&ex, "db", "deptstats");
@@ -289,9 +292,9 @@ fn aggregation_groups_and_sums() {
 
 #[test]
 fn multi_selection_flatmap() {
-    let ex = setup("msel");
+    let ex = setup();
     load_emps(&ex, 100);
-    ex.storage.create_or_clear_set("db", "tokens").unwrap();
+    ex.create_or_clear_set("db", "tokens").unwrap();
 
     // Emit one PcVec<i64> [dept, k] object per k in 0..dept_id.
     let tokens = Dataset::<Emp>::scan("db", "emps").flat_map("expandDept", |e| {
@@ -305,11 +308,10 @@ fn multi_selection_flatmap() {
         }
         Ok(out)
     });
-    let mut q = Job::new()
+    let q = Job::new()
         .add(tokens.write_to("db", "tokens"))
         .compile()
         .unwrap();
-    pc_tcap::optimize(&mut q.tcap);
     ex.execute(&q).unwrap();
 
     let got = read_all::<PcVec<i64>>(&ex, "db", "tokens");
@@ -325,10 +327,10 @@ fn multi_selection_flatmap() {
 
 #[test]
 fn three_way_join_cascades() {
-    let ex = setup("join3");
+    let ex = setup();
     // Three tiny sets keyed to each other.
     for (set, n) in [("a", 10usize), ("b", 10), ("c", 10)] {
-        ex.storage.create_or_clear_set("db", set).unwrap();
+        ex.create_or_clear_set("db", set).unwrap();
         let mut w = pc_lambda::SetWriter::new(1 << 16);
         for i in 0..n {
             w.write_with(|| {
@@ -340,11 +342,9 @@ fn three_way_join_cascades() {
             })
             .unwrap();
         }
-        for page in w.finish().unwrap() {
-            ex.storage.append_page("db", set, page).unwrap();
-        }
+        ex.send_pages("db", set, w.finish().unwrap()).unwrap();
     }
-    ex.storage.create_or_clear_set("db", "triples").unwrap();
+    ex.create_or_clear_set("db", "triples").unwrap();
 
     let key = |e: &Handle<Emp>| e.v().dept_id();
     let triples = Dataset::<Emp>::scan("db", "a").join3(
@@ -364,11 +364,10 @@ fn three_way_join_cascades() {
             Ok(v)
         },
     );
-    let mut q = Job::new()
+    let q = Job::new()
         .add(triples.write_to("db", "triples"))
         .compile()
         .unwrap();
-    pc_tcap::optimize(&mut q.tcap);
     ex.execute(&q).unwrap();
 
     let got = read_all::<PcVec<i64>>(&ex, "db", "triples");
@@ -382,26 +381,21 @@ fn three_way_join_cascades() {
 
 #[test]
 fn tiny_pages_force_rolls_and_stay_correct() {
-    let storage = StorageManager::in_temp("tiny").unwrap();
-    let ex = LocalExecutor::new(
-        storage,
-        ExecConfig {
-            batch_size: 16,
-            page_size: 4096,
-            agg_partitions: 2,
-            join_partitions: 2,
-            morsel_rows: 64,
-            ..ExecConfig::default()
-        },
-    );
+    let ex = one_worker(ExecConfig {
+        batch_size: 16,
+        page_size: 4096,
+        agg_partitions: 2,
+        join_partitions: 2,
+        morsel_rows: 64,
+        ..ExecConfig::default()
+    });
     load_emps(&ex, 400);
-    ex.storage.create_or_clear_set("db", "all").unwrap();
+    ex.create_or_clear_set("db", "all").unwrap();
 
     let all = Dataset::<Emp>::scan("db", "emps")
         .filter(|e| e.method("getSalary", |e| e.v().salary()).ge_const(0i64));
-    let mut q = Job::new().add(all.write_to("db", "all")).compile().unwrap();
-    pc_tcap::optimize(&mut q.tcap);
-    let stats = ex.execute(&q).unwrap();
+    let q = Job::new().add(all.write_to("db", "all")).compile().unwrap();
+    let stats = ex.execute(&q).unwrap().exec;
     assert_eq!(stats.rows_out, 400);
     assert!(stats.pages_written > 1, "4 KiB pages must roll");
     assert!(
@@ -417,29 +411,25 @@ fn morsel_scheduler_reports_stats_and_matches_single_threaded() {
     // Pin the thread counts explicitly (independent of PC_THREADS): the
     // 1-thread and 4-thread runs of the same query must produce
     // byte-identical output pages, and the morsel counters must be live.
-    let run = |label: &str, threads: usize| -> (Vec<Vec<u8>>, pc_exec::ExecStats) {
-        let storage = StorageManager::in_temp(label).unwrap();
-        let ex = LocalExecutor::new(
-            storage,
-            ExecConfig {
-                batch_size: 64,
-                page_size: 1 << 16,
-                agg_partitions: 3,
-                join_partitions: 4,
-                morsel_rows: 64,
-                threads,
-                ..ExecConfig::default()
-            },
-        );
+    let run = |threads: usize| -> (Vec<Vec<u8>>, pc_exec::ExecStats) {
+        let ex = one_worker(ExecConfig {
+            batch_size: 64,
+            page_size: 1 << 16,
+            agg_partitions: 3,
+            join_partitions: 4,
+            morsel_rows: 64,
+            threads,
+            ..ExecConfig::default()
+        });
         load_emps(&ex, 700);
-        ex.storage.create_or_clear_set("db", "out").unwrap();
+        ex.create_or_clear_set("db", "out").unwrap();
         let big = Dataset::<Emp>::scan("db", "emps").filter(|e| {
             e.method("getSalary", |e| e.v().salary())
                 .gt_const(60_000i64)
         });
         let q = Job::new().add(big.write_to("db", "out")).compile().unwrap();
-        let stats = ex.execute(&q).unwrap();
-        let mut pages: Vec<Vec<u8>> = ex
+        let stats = ex.execute(&q).unwrap().exec;
+        let mut pages: Vec<Vec<u8>> = ex.workers[0]
             .storage
             .scan("db", "out")
             .unwrap()
@@ -450,8 +440,8 @@ fn morsel_scheduler_reports_stats_and_matches_single_threaded() {
         (pages, stats)
     };
 
-    let (base, s1) = run("morsel_t1", 1);
-    let (par, s4) = run("morsel_t4", 4);
+    let (base, s1) = run(1);
+    let (par, s4) = run(4);
     assert!(
         s1.morsels_dispatched > 0,
         "morsel queue must report dispatches: {s1:?}"

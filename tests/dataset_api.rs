@@ -190,7 +190,6 @@ fn multi_sink_job_runs_shared_upstream_once() {
             morsel_rows: 512,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 8 << 20,
         ..ClusterConfig::default()
     })
     .unwrap();

@@ -72,7 +72,6 @@ fn selection_then_aggregation_then_join_across_cluster() {
             morsel_rows: 256,
             ..ExecConfig::default()
         },
-        broadcast_threshold: 8 << 20,
         ..ClusterConfig::default()
     })
     .unwrap();

@@ -4,14 +4,12 @@
 //! `Job::compile` verifies every lowered plan, and the cluster re-verifies
 //! after optimization before planning (`PcError::PlanRejected` otherwise) —
 //! so a successful run of each workload *is* the proof that its plans
-//! verify clean, pre- and post-optimize. `verify_plans` is forced on here
-//! rather than inherited, so this net holds even if the default flips.
+//! verify clean, pre- and post-optimize.
 //!
 //! Sizes are tiny: the point is plan coverage (every computation family the
 //! compilers emit), not throughput.
 
 use plinycompute::cluster::ClusterConfig;
-use plinycompute::exec::ExecConfig;
 use plinycompute::lillinalg::{DenseMatrix, DistMatrix, LilLinAlg};
 use plinycompute::ml::gmm::PcGmm;
 use plinycompute::ml::kmeans::{synthetic_points, PcKMeans};
@@ -23,10 +21,6 @@ use plinycompute::PcClient;
 fn verifying_client() -> PcClient {
     PcClient::connect(ClusterConfig {
         workers: 2,
-        exec: ExecConfig {
-            verify_plans: true,
-            ..ExecConfig::default()
-        },
         ..ClusterConfig::default()
     })
     .expect("cluster boots")
