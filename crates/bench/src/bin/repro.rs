@@ -1,13 +1,10 @@
-//! `repro` — regenerates every table and figure of the paper's evaluation.
+//! `repro` — the gates CI runs and the shapes of the paper's tables and
+//! figures. Nothing here is a stopwatch of record: `benchmark/` measures.
 //!
 //! ```text
-//! repro all [--quick]       run everything
+//! repro all [--quick]       every table and figure
 //! repro table2 [--quick]    one table (table1..table8)
 //! repro figure1             one figure (figure1..figure5)
-//! repro pipeline [--quick] [--threads N]
-//!                           the execution-engine benchmark: macro
-//!                           workloads swept over morsel thread counts
-//!                           {1, 2, 4} ∪ {N} (writes BENCH_pipeline.json)
 //! repro faults [--quick] [--seed N]...
 //!                           the chaos matrix over loopback TCP sockets:
 //!                           fault injection, heartbeat liveness, worker
@@ -27,7 +24,7 @@
 //!                           LINT_ALLOW.txt
 //! ```
 
-use pc_bench::{faults, figures, lint, outofcore, pipeline, tables, verify};
+use pc_bench::{faults, figures, lint, outofcore, tables, verify};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,7 +79,6 @@ fn main() {
         "figure3" => figures::figure3(),
         "figure4" => figures::figure4(),
         "figure5" => figures::figure5(),
-        "pipeline" => pipeline::pipeline(quick, threads),
         "faults" => faults::faults(quick, &seeds),
         "outofcore" => outofcore::outofcore(quick, threads, &seeds),
         "verify" => {
@@ -97,7 +93,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment {other}; use all|table1..table8|figure1..figure5|pipeline|faults|outofcore|verify|lint"
+                "unknown experiment {other}; use all|table1..table8|figure1..figure5|faults|outofcore|verify|lint"
             );
             std::process::exit(2);
         }

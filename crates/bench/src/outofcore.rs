@@ -24,11 +24,57 @@
 //! cargo run --release -p pc-bench --bin repro -- outofcore [--quick] [--seed N]
 //! ```
 
-use crate::pipeline::{BenchRec, SumAgg};
 use crate::util::{fmt_dur, row, time_once};
 use pc_core::prelude::*;
 use pc_object::PressureSpec;
 use std::time::Duration;
+
+pc_object! {
+    /// The workload's record: a join/group key and a payload.
+    pub struct BenchRec / BenchRecView {
+        (key, set_key): i64,
+        (val, set_val): i64,
+    }
+}
+
+/// The workload's aggregation: group by `key`, folding `(count, sum(val))`.
+struct SumAgg;
+
+impl AggregateSpec for SumAgg {
+    type In = BenchRec;
+    type Key = i64;
+    type Val = (i64, i64);
+    type Out = BenchRec;
+
+    fn key_of(&self, rec: &Handle<BenchRec>) -> PcResult<i64> {
+        Ok(rec.v().key())
+    }
+
+    fn init(&self, _b: &BlockRef, rec: &Handle<BenchRec>) -> PcResult<(i64, i64)> {
+        Ok((1, rec.v().val()))
+    }
+
+    fn combine(&self, b: &BlockRef, slot: u32, rec: &Handle<BenchRec>) -> PcResult<()> {
+        let (c, t): (i64, i64) = b.read(slot);
+        b.write(slot, (c + 1, t + rec.v().val()));
+        Ok(())
+    }
+
+    fn merge(&self, dst: &BlockRef, dst_slot: u32, src: &BlockRef, src_slot: u32) -> PcResult<()> {
+        let (c1, t1): (i64, i64) = dst.read(dst_slot);
+        let (c2, t2): (i64, i64) = src.read(src_slot);
+        dst.write(dst_slot, (c1 + c2, t1 + t2));
+        Ok(())
+    }
+
+    fn finalize(&self, key: &i64, b: &BlockRef, val_slot: u32) -> PcResult<Handle<BenchRec>> {
+        let (_c, t): (i64, i64) = b.read(val_slot);
+        let out = make_object::<BenchRec>()?;
+        out.v().set_key(*key)?;
+        out.v().set_val(t)?;
+        Ok(out)
+    }
+}
 
 /// One measured out-of-core pass and everything the gates need from it.
 struct OocRun {
@@ -40,8 +86,6 @@ struct OocRun {
     agg_bytes_spilled: u64,
     spill_waves: u64,
     pool_evictions: u64,
-    pool_spills: u64,
-    pool_bytes_spilled: u64,
     leaked_spill_files: usize,
     reserved_after: usize,
 }
@@ -142,8 +186,6 @@ fn run_ooc(
         agg_bytes_spilled: stats.exec.agg_bytes_spilled,
         spill_waves: stats.exec.spill_waves,
         pool_evictions: stats.exec.pool_evictions,
-        pool_spills: stats.exec.pool_spills,
-        pool_bytes_spilled: stats.exec.pool_bytes_spilled,
         leaked_spill_files: leaked,
         reserved_after: reserved,
     })
@@ -282,7 +324,6 @@ pub fn outofcore(quick: bool, threads: Option<usize>, extra_seeds: &[u64]) {
     }
 
     // The chaos leg: same budget, with seeded denials layered on top.
-    let mut pressured: Vec<(u64, OocRun)> = Vec::new();
     for &seed in &seeds {
         match run_ooc(threads, n, keys, budget, Some(PressureSpec::seeded(seed))) {
             Ok(r) => {
@@ -302,7 +343,6 @@ pub fn outofcore(quick: bool, threads: Option<usize>, extra_seeds: &[u64]) {
                         ),
                     );
                 }
-                pressured.push((seed, r));
             }
             Err(e) => fail(&mut failures, format!("pressure seed {seed}: {e}")),
         }
@@ -315,11 +355,6 @@ pub fn outofcore(quick: bool, threads: Option<usize>, extra_seeds: &[u64]) {
         budgeted.join_partitions_spilled, budgeted.agg_pages_spilled, budgeted.spill_waves
     );
 
-    write_json(
-        quick, n, keys, threads, data, budget, &baseline, &budgeted, &pressured, slowdown,
-    );
-    println!("spliced \"outofcore\" into BENCH_pipeline.json");
-
     if !failures.is_empty() {
         eprintln!("\n{} out-of-core gate(s) failed", failures.len());
         std::process::exit(1);
@@ -329,85 +364,4 @@ pub fn outofcore(quick: bool, threads: Option<usize>, extra_seeds: &[u64]) {
          ({} pressure seed(s))",
         seeds.len()
     );
-}
-
-fn run_json(r: &OocRun) -> String {
-    format!(
-        "{{\"secs\": {:.6}, \"join_partitions_spilled\": {}, \"join_bytes_spilled\": {}, \
-         \"agg_pages_spilled\": {}, \"agg_bytes_spilled\": {}, \"spill_waves\": {}, \
-         \"pool_evictions\": {}, \"pool_spills\": {}, \"pool_bytes_spilled\": {}, \
-         \"leaked_spill_files\": {}}}",
-        r.dur.as_secs_f64(),
-        r.join_partitions_spilled,
-        r.join_bytes_spilled,
-        r.agg_pages_spilled,
-        r.agg_bytes_spilled,
-        r.spill_waves,
-        r.pool_evictions,
-        r.pool_spills,
-        r.pool_bytes_spilled,
-        r.leaked_spill_files,
-    )
-}
-
-/// Splices the out-of-core results into `BENCH_pipeline.json` without
-/// disturbing what `repro pipeline` wrote there. The entry is always the
-/// last key, so a re-run replaces its own previous entry; if the file is
-/// missing (outofcore run standalone), a minimal wrapper is written.
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    quick: bool,
-    n: usize,
-    keys: i64,
-    threads: usize,
-    data: u64,
-    budget: usize,
-    baseline: &OocRun,
-    budgeted: &OocRun,
-    pressured: &[(u64, OocRun)],
-    slowdown: f64,
-) {
-    let mode = if quick { "quick" } else { "full" };
-    let mut entry = String::from("{\n");
-    entry.push_str(&format!("    \"mode\": \"{mode}\",\n"));
-    entry.push_str(&format!("    \"rows\": {n},\n"));
-    entry.push_str(&format!("    \"keys\": {keys},\n"));
-    entry.push_str(&format!("    \"threads\": {threads},\n"));
-    entry.push_str(&format!("    \"dataset_bytes\": {data},\n"));
-    entry.push_str(&format!("    \"pool_budget_bytes\": {budget},\n"));
-    entry.push_str(&format!(
-        "    \"data_over_budget\": {:.1},\n",
-        data as f64 / budget as f64
-    ));
-    entry.push_str(&format!("    \"slowdown\": {slowdown:.3},\n"));
-    entry.push_str(&format!("    \"in_memory\": {},\n", run_json(baseline)));
-    entry.push_str(&format!("    \"budgeted\": {},\n", run_json(budgeted)));
-    entry.push_str("    \"pressure\": {\n");
-    for (i, (seed, r)) in pressured.iter().enumerate() {
-        entry.push_str(&format!(
-            "      \"{seed}\": {}{}\n",
-            run_json(r),
-            if i + 1 < pressured.len() { "," } else { "" }
-        ));
-    }
-    entry.push_str("    }\n  }");
-
-    const MARKER: &str = ",\n  \"outofcore\": ";
-    let path = "BENCH_pipeline.json";
-    let json = match std::fs::read_to_string(path) {
-        Ok(base) if base.trim_end().ends_with('}') => {
-            // Drop a previous outofcore entry (always last), then the
-            // closing brace, then append the fresh entry.
-            let head = match base.find(MARKER) {
-                Some(i) => base[..i].to_string(),
-                None => {
-                    let t = base.trim_end();
-                    t[..t.len() - 1].trim_end().to_string()
-                }
-            };
-            format!("{head}{MARKER}{entry}\n}}\n")
-        }
-        _ => format!("{{\n  \"bench\": \"outofcore\"{MARKER}{entry}\n}}\n"),
-    };
-    std::fs::write(path, json).expect("write BENCH_pipeline.json");
 }

@@ -1,7 +1,7 @@
 //! The cluster: master node + worker nodes (Figure 4), and the distributed
 //! query scheduler that turns a physical plan into JobStages.
 
-use crate::recovery::{self, Liveness, RecoveryPolicy};
+use crate::recovery::{self, Liveness};
 use crate::stages;
 use crate::transport::{Transport, TransportKind, TransportMeter, MASTER};
 use pc_exec::{plan, ExecConfig, ExecStats, PhysicalPlan, Sink, Source};
@@ -24,8 +24,6 @@ pub struct ClusterConfig {
     /// How pages move between nodes (in-process copy, TCP sockets, or
     /// either of those under fault injection).
     pub transport: TransportKind,
-    /// Stage-replay limits for worker recovery.
-    pub recovery: RecoveryPolicy,
     /// Per-worker buffer-pool capacity in bytes: the pool's page cache AND
     /// the memory budget its operators reserve working memory against.
     /// Datasets larger than this spill and run out of core.
@@ -43,7 +41,6 @@ impl Default for ClusterConfig {
             workers: 4,
             exec: ExecConfig::default(),
             transport: TransportKind::default(),
-            recovery: RecoveryPolicy::default(),
             pool_capacity: 1 << 30,
             pressure: None,
         }
@@ -103,6 +100,12 @@ pub struct PcCluster {
 impl PcCluster {
     /// Boots a cluster with per-worker temp spill directories.
     pub fn new(config: ClusterConfig) -> PcResult<Self> {
+        if config.workers == 0 {
+            // Page dispatch and the shuffle both route `% workers`.
+            return Err(PcError::Catalog(
+                "a cluster needs at least one worker (ClusterConfig::workers is 0)".into(),
+            ));
+        }
         let catalog = Arc::new(Catalog::new());
         let base = std::env::temp_dir().join(format!(
             "pccluster_{}_{}",
@@ -250,8 +253,8 @@ impl PcCluster {
         for w in &self.workers {
             w.storage.drop_set(db, set);
         }
-        // Worker storage drops already clear the shared master catalog, but
-        // a 0-worker or partially-registered set must still disappear.
+        // Every worker's drop also removes the entry from the shared master
+        // catalog; dropping it here states that rather than relying on it.
         self.catalog.drop_set(db, set);
         Ok(())
     }

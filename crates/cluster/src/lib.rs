@@ -27,7 +27,7 @@ pub mod transport;
 pub mod wire;
 
 pub use cluster::{ClusterConfig, ClusterStats, PcCluster};
-pub use recovery::{Liveness, RecoveryPolicy};
+pub use recovery::Liveness;
 pub use transport::{
     FaultKind, FaultSpec, FaultyTransport, LocalTransport, TcpConfig, TcpTransport, Transport,
     TransportKind, TransportMeter, MASTER,

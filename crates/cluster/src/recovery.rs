@@ -29,20 +29,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How persistently the master replays failed stages.
-#[derive(Debug, Clone)]
-pub struct RecoveryPolicy {
-    /// Attempts per stage (first run + replays) before the job fails.
-    pub max_stage_attempts: usize,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_stage_attempts: 5,
-        }
-    }
-}
+/// Attempts per stage (first run + replays) before the job fails.
+const STAGE_ATTEMPTS: usize = 5;
 
 /// Worker liveness as the master sees it: one epoch per worker, bumped
 /// every time the worker's backend is restarted after a detected death. A
@@ -87,13 +75,12 @@ pub(crate) fn with_stage_recovery<T>(
     replay_lists: &[String],
     mut attempt: impl FnMut() -> PcResult<T>,
 ) -> PcResult<T> {
-    let max = cluster.config.recovery.max_stage_attempts.max(1);
     let mut tries = 0;
     loop {
         let snap = cluster.meter().checkpoint();
         match attempt() {
             Ok(v) => return Ok(v),
-            Err(e) if is_recoverable(&e) && tries + 1 < max => {
+            Err(e) if is_recoverable(&e) && tries + 1 < STAGE_ATTEMPTS => {
                 tries += 1;
                 // Reset first: it fences off the aborted attempt's
                 // deliveries, so the rollback after it reclassifies all of

@@ -551,9 +551,6 @@ impl Reassembler {
 pub struct TcpConfig {
     /// Frame payload size a sealed page is chunked into.
     pub chunk_bytes: usize,
-    /// Per-socket write deadline: how long a sender may stay blocked on a
-    /// full socket buffer before the link counts as failed.
-    pub send_deadline: Duration,
     /// Collect deadline: the backstop failure detector when heartbeats are
     /// still within budget.
     pub collect_deadline: Duration,
@@ -561,42 +558,39 @@ pub struct TcpConfig {
     pub heartbeat_interval: Duration,
     /// Missed beats before the master marks a worker suspect.
     pub suspect_after: u32,
-    /// First reconnect delay; doubles per attempt.
-    pub reconnect_base: Duration,
-    /// Ceiling on the exponential reconnect delay.
-    pub reconnect_cap: Duration,
-    /// Data-path reconnect attempts before a send fails with a typed
-    /// transport error (heartbeat endpoints keep dialing at the cap).
-    pub reconnect_attempts: u32,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             chunk_bytes: 4 << 10,
-            send_deadline: Duration::from_secs(5),
             collect_deadline: Duration::from_secs(10),
             heartbeat_interval: Duration::from_millis(100),
             suspect_after: 5,
-            reconnect_base: Duration::from_millis(10),
-            reconnect_cap: Duration::from_millis(250),
-            reconnect_attempts: 5,
-            jitter_seed: 0,
         }
     }
 }
 
+/// Per-socket write deadline: how long a sender may stay blocked on a full
+/// socket buffer before the link counts as failed.
+const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+/// First redial delay; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Ceiling on the exponential redial delay.
+const BACKOFF_CAP: Duration = Duration::from_millis(250);
+/// Data-path redials before a send fails with a typed transport error
+/// (heartbeat endpoints keep dialing at the cap).
+const REDIAL_ATTEMPTS: u32 = 5;
+
 /// Jittered, capped exponential backoff: attempt 0 waits about the base,
-/// each retry doubles, the cap bounds it, and a seed-deterministic jitter
-/// (up to a quarter of the delay) keeps reconnect storms from
-/// synchronizing.
-fn backoff_delay(cfg: &TcpConfig, attempt: u32, salt: u64) -> Duration {
-    let exp = cfg.reconnect_base.saturating_mul(1u32 << attempt.min(16));
-    let capped = exp.min(cfg.reconnect_cap).max(Duration::from_millis(1));
+/// each retry doubles, the cap bounds it, and a deterministic jitter (up to
+/// a quarter of the delay, a pure function of attempt and `salt`) keeps
+/// reconnect storms from synchronizing.
+fn backoff_delay(attempt: u32, salt: u64) -> Duration {
+    let exp = BACKOFF_BASE.saturating_mul(1u32 << attempt.min(16));
+    let capped = exp.min(BACKOFF_CAP).max(Duration::from_millis(1));
     let span = (capped.as_millis() as u64 / 4).max(1);
-    let jitter = mix(cfg.jitter_seed, attempt as u64, salt) % span;
+    let jitter = mix(0, attempt as u64, salt) % span;
     capped + Duration::from_millis(jitter)
 }
 
@@ -828,7 +822,7 @@ impl TcpTransport {
                 match std::net::TcpStream::connect(self.addr_of(dst)) {
                     Ok(s) => {
                         let _ = s.set_nodelay(true);
-                        let _ = s.set_write_timeout(Some(self.config.send_deadline));
+                        let _ = s.set_write_timeout(Some(WRITE_DEADLINE));
                         if had_failure {
                             self.meter.on_reconnect();
                         }
@@ -837,14 +831,14 @@ impl TcpTransport {
                     Err(e) => {
                         had_failure = true;
                         attempt += 1;
-                        if attempt > self.config.reconnect_attempts {
+                        if attempt > REDIAL_ATTEMPTS {
                             return Err(PcError::Transport(format!(
                                 "connect to {} failed after {} backoff attempts: {e}",
                                 node_name(dst),
-                                self.config.reconnect_attempts
+                                REDIAL_ATTEMPTS
                             )));
                         }
-                        std::thread::sleep(backoff_delay(&self.config, attempt - 1, dst as u64));
+                        std::thread::sleep(backoff_delay(attempt - 1, dst as u64));
                         continue;
                     }
                 }
@@ -865,14 +859,14 @@ impl TcpTransport {
                     *conn = None;
                     had_failure = true;
                     attempt += 1;
-                    if attempt > self.config.reconnect_attempts {
+                    if attempt > REDIAL_ATTEMPTS {
                         return Err(PcError::Transport(format!(
                             "send to {} failed after {} backoff attempts: {e}",
                             node_name(dst),
-                            self.config.reconnect_attempts
+                            REDIAL_ATTEMPTS
                         )));
                     }
-                    std::thread::sleep(backoff_delay(&self.config, attempt - 1, dst as u64));
+                    std::thread::sleep(backoff_delay(attempt - 1, dst as u64));
                 }
             }
         }
@@ -1176,7 +1170,7 @@ fn heartbeat_endpoint(
             match std::net::TcpStream::connect(master_addr) {
                 Ok(s) => {
                     let _ = s.set_nodelay(true);
-                    let _ = s.set_write_timeout(Some(config.send_deadline));
+                    let _ = s.set_write_timeout(Some(WRITE_DEADLINE));
                     if had_failure {
                         meter.on_reconnect();
                         had_failure = false;
@@ -1186,7 +1180,7 @@ fn heartbeat_endpoint(
                 }
                 Err(_) => {
                     had_failure = true;
-                    nap(backoff_delay(&config, failed_attempts, w as u64));
+                    nap(backoff_delay(failed_attempts, w as u64));
                     failed_attempts = failed_attempts.saturating_add(1);
                     continue;
                 }
@@ -1883,12 +1877,11 @@ mod tests {
 
     #[test]
     fn backoff_delays_are_capped_and_grow() {
-        let cfg = TcpConfig::default();
         let mut prev = Duration::ZERO;
         for attempt in 0..10 {
-            let d = backoff_delay(&cfg, attempt, 1);
+            let d = backoff_delay(attempt, 1);
             assert!(
-                d <= cfg.reconnect_cap + cfg.reconnect_cap / 4,
+                d <= BACKOFF_CAP + BACKOFF_CAP / 4,
                 "attempt {attempt}: {d:?} exceeds the jittered cap"
             );
             if attempt < 3 {
@@ -1896,7 +1889,7 @@ mod tests {
                 prev = d;
             }
         }
-        // Deterministic: the same (seed, attempt) always jitters the same.
-        assert_eq!(backoff_delay(&cfg, 4, 7), backoff_delay(&cfg, 4, 7));
+        // Deterministic: the same (attempt, salt) always jitters the same.
+        assert_eq!(backoff_delay(4, 7), backoff_delay(4, 7));
     }
 }

@@ -79,6 +79,21 @@ fn read_objs<T: pc_object::PcObjType>(c: &PcCluster, db: &str, set: &str) -> Vec
         .collect()
 }
 
+/// A 0-worker cluster used to boot and then divide by zero in `send_pages`
+/// (`% workers.len()`) and the aggregation shuffle (`% nworkers`).
+#[test]
+fn zero_workers_is_rejected_at_boot() {
+    let booted = PcCluster::new(ClusterConfig {
+        workers: 0,
+        ..ClusterConfig::default()
+    });
+    match booted {
+        Err(pc_object::PcError::Catalog(msg)) => assert!(msg.contains("at least one worker")),
+        Err(e) => panic!("wrong error for 0 workers: {e}"),
+        Ok(_) => panic!("a 0-worker cluster must not boot"),
+    }
+}
+
 #[test]
 fn pages_distribute_across_workers() {
     let c = cluster();

@@ -18,9 +18,10 @@
 //! path routes a key to its owning partition's chain only — never a full
 //! table scan — after a compact 16-bit tag filter (built from the stored
 //! hashes when the build seals) has rejected miss probes without touching
-//! any map. The pre-vectorization row-at-a-time build survives as
-//! [`JoinTable::insert_rowwise`] for differential tests and the
-//! `micro_join` A/B benchmark.
+//! any map. The pre-vectorization row-at-a-time build and the unrouted
+//! full-scan probe survive, compiled for this crate's tests only, as
+//! `insert_rowwise` and `probe_into_scan`: the references the differential
+//! tests here and in `join_vectorized` compare the batch paths against.
 
 use pc_object::{
     AllocPolicy, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcKey, PcMap, PcResult, PcVec,
@@ -327,74 +328,6 @@ impl JoinTable {
         }
     }
 
-    /// The pre-vectorization build path, kept verbatim as the reference for
-    /// parity tests and the `micro_join` A/B benchmark: one closure-driven
-    /// `upsert_by`, a redundant `map.get` re-probe, and a per-element push
-    /// loop per group. Routes through the same partitions so its tables
-    /// probe identically.
-    pub fn insert_rowwise(&mut self, hash: u64, objs: &[AnyHandle]) -> PcResult<()> {
-        debug_assert_eq!(objs.len(), self.arity);
-        let part = self.part_of(PcKey::hash_val(&hash));
-        if self.parts[part].pages.is_empty() {
-            self.add_page(part, self.page_size)?;
-        }
-        self.parts[part].tags = TagFilter::default();
-        let mut on_fresh_page = false;
-        // Escalate locally for the faulting group, leaving the configured
-        // `self.page_size` untouched for later pages (see `bulk_insert`).
-        let mut page_size = self.page_size;
-        for _ in 0..24 {
-            match self.try_insert_last(part, hash, objs) {
-                Ok(()) => {
-                    self.groups += 1;
-                    return Ok(());
-                }
-                Err(PcError::BlockFull { .. }) => {
-                    // Page full: start a new page in the partition's chain
-                    // (buckets may span pages). A fault on a just-created
-                    // page means the group itself exceeds the page size:
-                    // escalate before retrying.
-                    if on_fresh_page {
-                        page_size = (page_size * 2).min(256 << 20);
-                    }
-                    self.add_page(part, page_size)?;
-                    on_fresh_page = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(PcError::Catalog(
-            "join group exceeds the maximum page size".into(),
-        ))
-    }
-
-    fn try_insert_last(&mut self, part: usize, hash: u64, objs: &[AnyHandle]) -> PcResult<()> {
-        let (block, map) = self.parts[part].pages.last().unwrap();
-        // Probe with the key's canonical slot hash (PcKey::hash_val) so the
-        // typed `get` path finds the same entry.
-        map.upsert_by(
-            PcKey::hash_val(&hash),
-            |b, slot| b.read::<u64>(slot) == hash,
-            |_b| Ok(hash),
-            |_b| block.make_object::<PcVec<Handle<AnyObj>>>(),
-            |_b, _slot| Ok(()),
-        )?;
-        // Fetch the bucket and append the group (deep copies objects from
-        // the probe/input page onto the table page — §6.4's rule). The
-        // append must be atomic per group: a BlockFull fault after a partial
-        // push would tear the bucket's arity framing, so roll back before
-        // propagating the fault.
-        let bucket = map.get(&hash).expect("bucket just ensured");
-        let before = bucket.len();
-        for h in objs {
-            if let Err(e) = bucket.push(h.downcast_unchecked::<AnyObj>()) {
-                bucket.truncate(before);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
     /// Transitions the table to the probe phase: builds each partition's
     /// 16-bit tag filter from the stored entry hashes of its map pages (no
     /// key is rehashed). Called once the build sink finishes — and by
@@ -463,30 +396,6 @@ impl JoinTable {
         for (_block, map) in &part.pages {
             if let Some(bucket) = map.get_hashed(shash, &hash) {
                 matches += push_matches(&bucket, self.arity, probe_row, idx, built);
-            }
-        }
-        matches
-    }
-
-    /// The retained pre-partitioning probe: walks **every** table page for
-    /// each key with a fresh typed lookup, exactly as the engine did before
-    /// probes were partition-routed. Kept only for the `micro_join`
-    /// benchmark and differential tests; not a public API surface.
-    #[doc(hidden)]
-    pub fn probe_into_scan(
-        &self,
-        hash: u64,
-        probe_row: u32,
-        idx: &mut Vec<u32>,
-        built: &mut [Vec<AnyHandle>],
-    ) -> usize {
-        debug_assert_eq!(built.len(), self.arity);
-        let mut matches = 0;
-        for part in &self.parts {
-            for (_block, map) in &part.pages {
-                if let Some(bucket) = map.get(&hash) {
-                    matches += push_matches(&bucket, self.arity, probe_row, idx, built);
-                }
             }
         }
         matches
@@ -679,6 +588,101 @@ fn push_matches(
     matches
 }
 
+/// The row-at-a-time references the batch paths are tested against. Test
+/// builds only: nothing in the engine calls them.
+#[cfg(test)]
+impl JoinTable {
+    /// The pre-vectorization build path, kept verbatim as the reference for
+    /// parity tests: one closure-driven `upsert_by`, a redundant `map.get`
+    /// re-probe, and a per-element push loop per group. Routes through the
+    /// same partitions so its tables probe identically.
+    fn insert_rowwise(&mut self, hash: u64, objs: &[AnyHandle]) -> PcResult<()> {
+        debug_assert_eq!(objs.len(), self.arity);
+        let part = self.part_of(PcKey::hash_val(&hash));
+        if self.parts[part].pages.is_empty() {
+            self.add_page(part, self.page_size)?;
+        }
+        self.parts[part].tags = TagFilter::default();
+        let mut on_fresh_page = false;
+        // Escalate locally for the faulting group, leaving the configured
+        // `self.page_size` untouched for later pages (see `bulk_insert`).
+        let mut page_size = self.page_size;
+        for _ in 0..24 {
+            match self.try_insert_last(part, hash, objs) {
+                Ok(()) => {
+                    self.groups += 1;
+                    return Ok(());
+                }
+                Err(PcError::BlockFull { .. }) => {
+                    // Page full: start a new page in the partition's chain
+                    // (buckets may span pages). A fault on a just-created
+                    // page means the group itself exceeds the page size:
+                    // escalate before retrying.
+                    if on_fresh_page {
+                        page_size = (page_size * 2).min(256 << 20);
+                    }
+                    self.add_page(part, page_size)?;
+                    on_fresh_page = true;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Err(PcError::Catalog(
+            "join group exceeds the maximum page size".into(),
+        ))
+    }
+
+    fn try_insert_last(&mut self, part: usize, hash: u64, objs: &[AnyHandle]) -> PcResult<()> {
+        let (block, map) = self.parts[part].pages.last().unwrap();
+        // Probe with the key's canonical slot hash (PcKey::hash_val) so the
+        // typed `get` path finds the same entry.
+        map.upsert_by(
+            PcKey::hash_val(&hash),
+            |b, slot| b.read::<u64>(slot) == hash,
+            |_b| Ok(hash),
+            |_b| block.make_object::<PcVec<Handle<AnyObj>>>(),
+            |_b, _slot| Ok(()),
+        )?;
+        // Fetch the bucket and append the group (deep copies objects from
+        // the probe/input page onto the table page — §6.4's rule). The
+        // append must be atomic per group: a BlockFull fault after a partial
+        // push would tear the bucket's arity framing, so roll back before
+        // propagating the fault.
+        let bucket = map.get(&hash).expect("bucket just ensured");
+        let before = bucket.len();
+        for h in objs {
+            if let Err(e) = bucket.push(h.downcast_unchecked::<AnyObj>()) {
+                bucket.truncate(before);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// The retained pre-partitioning probe: walks **every** table page for
+    /// each key with a fresh typed lookup, exactly as the engine did before
+    /// probes were partition-routed. Kept only as the reference routed
+    /// probes are tested against.
+    fn probe_into_scan(
+        &self,
+        hash: u64,
+        probe_row: u32,
+        idx: &mut Vec<u32>,
+        built: &mut [Vec<AnyHandle>],
+    ) -> usize {
+        debug_assert_eq!(built.len(), self.arity);
+        let mut matches = 0;
+        for part in &self.parts {
+            for (_block, map) in &part.pages {
+                if let Some(bucket) = map.get(&hash) {
+                    matches += push_matches(&bucket, self.arity, probe_row, idx, built);
+                }
+            }
+        }
+        matches
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,10 +749,14 @@ mod tests {
         assert_eq!(vectorized.groups, 300);
         assert_eq!(rowwise.groups, 300);
         for key in 0..9u64 {
-            let collect = |t: &JoinTable| {
+            let collect = |t: &JoinTable, scan: bool| {
                 let mut idx = Vec::new();
                 let mut built: Vec<Vec<AnyHandle>> = vec![Vec::new()];
-                t.probe_into(key, 0, &mut idx, &mut built);
+                if scan {
+                    t.probe_into_scan(key, 0, &mut idx, &mut built);
+                } else {
+                    t.probe_into(key, 0, &mut idx, &mut built);
+                }
                 let mut vals: Vec<i64> = built[0]
                     .iter()
                     .map(|h| {
@@ -760,7 +768,11 @@ mod tests {
                 vals.sort_unstable();
                 vals
             };
-            assert_eq!(collect(&vectorized), collect(&rowwise), "key {key}");
+            // The full reference pair: rowwise build probed by full scan.
+            let want = collect(&rowwise, true);
+            assert_eq!(collect(&vectorized, false), want, "key {key}");
+            assert_eq!(collect(&vectorized, true), want, "key {key}: routing");
+            assert_eq!(collect(&rowwise, false), want, "key {key}: rowwise");
         }
     }
 
@@ -954,5 +966,200 @@ mod tests {
             Ok(())
         })
         .unwrap();
+    }
+}
+
+#[cfg(test)]
+mod join_vectorized {
+    //! Differential property tests for the radix-partitioned vectorized join
+    //! build: the batch path (batch hash → radix scatter → grouped bulk upsert)
+    //! and the retained row-at-a-time reference must produce identical
+    //! probe-result multisets across arities, selections, batch sizes, and
+    //! page sizes — and a `BlockFull` fault mid-group must never leave a torn
+    //! `arity`-frame in any bucket.
+
+    use crate::JoinTable;
+    use pc_object::{make_object, AllocScope, AnyHandle, AnyObj, Handle, PcVec};
+    use proptest::prelude::*;
+
+    /// Payload object `k`: a vector `[tag, k]` so probes can recover both the
+    /// column index and the row identity.
+    fn payload(col: i64, row: i64) -> Handle<PcVec<i64>> {
+        let v = make_object::<PcVec<i64>>().unwrap();
+        v.push(col).unwrap();
+        v.push(row).unwrap();
+        v
+    }
+
+    /// Probes `keys` against `t` and returns the sorted multiset of
+    /// `(key, probe_row, col_tag, row_id)` over every match group and column.
+    fn probe_all(t: &JoinTable, keys: &[u64]) -> Vec<(u64, u32, i64, i64)> {
+        let mut out = Vec::new();
+        let mut idx: Vec<u32> = Vec::new();
+        let mut built: Vec<Vec<AnyHandle>> = (0..t.arity()).map(|_| Vec::new()).collect();
+        for (p, &key) in keys.iter().enumerate() {
+            idx.clear();
+            for b in built.iter_mut() {
+                b.clear();
+            }
+            let n = t.probe_into(key, p as u32, &mut idx, &mut built);
+            assert_eq!(idx.len(), n, "one idx entry per match group");
+            for b in &built {
+                assert_eq!(b.len(), n, "every column buffer aligned to matches");
+            }
+            for m in 0..n {
+                for b in &built {
+                    let v: Handle<PcVec<i64>> = b[m].downcast_unchecked::<AnyObj>().assume();
+                    assert_eq!(v.len(), 2, "payload framing intact");
+                    out.push((key, idx[m], v.get(0), v.get(1)));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20))]
+
+        #[test]
+        fn vectorized_and_rowwise_builds_probe_identically(
+            rows in proptest::collection::vec(0u64..24, 1..300),
+            mask in proptest::collection::vec(any::<bool>(), 300..301),
+            arity in 1usize..4,
+            partitions in 1usize..9,
+            page_size_exp in 12u32..17,
+            batch_rows in 8usize..120,
+        ) {
+            let page_size = 1usize << page_size_exp; // 4 KiB .. 64 KiB: forces
+                                                     // multi-page chains + faults
+            let scope = AllocScope::new(1 << 22);
+            let mut vectorized = JoinTable::with_partitions(arity, page_size, partitions);
+            let mut rowwise = JoinTable::with_partitions(arity, page_size, partitions);
+
+            // Absorb the same input through both paths, batch by batch, with a
+            // selection vector derived from the mask.
+            let mut group: Vec<AnyHandle> = Vec::with_capacity(arity);
+            for (chunk_at, chunk) in rows.chunks(batch_rows).enumerate() {
+                let cols: Vec<Vec<AnyHandle>> = (0..arity)
+                    .map(|k| {
+                        chunk
+                            .iter()
+                            .enumerate()
+                            .map(|(i, _)| {
+                                payload(k as i64, (chunk_at * batch_rows + i) as i64).erase()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let hashes: Vec<u64> = chunk.to_vec();
+                let sel: Vec<u32> = (0..chunk.len())
+                    .filter(|i| mask[(chunk_at * batch_rows + i) % mask.len()])
+                    .map(|i| i as u32)
+                    .collect();
+                let col_slices: Vec<&[AnyHandle]> = cols.iter().map(|c| c.as_slice()).collect();
+                vectorized.insert_batch(&hashes, Some(&sel), &col_slices).unwrap();
+                for &i in &sel {
+                    group.clear();
+                    group.extend(cols.iter().map(|c| c[i as usize].clone()));
+                    rowwise.insert_rowwise(hashes[i as usize], &group).unwrap();
+                }
+            }
+            drop(group);
+            drop(scope);
+            prop_assert_eq!(vectorized.groups, rowwise.groups, "group counts diverged");
+            vectorized.finish_build();
+
+            // Probe every possible key (hits and misses) through both tables.
+            let keys: Vec<u64> = (0..30u64).collect();
+            let got_vec = probe_all(&vectorized, &keys);
+            let got_row = probe_all(&rowwise, &keys);
+            prop_assert_eq!(got_vec, got_row, "probe multisets diverged");
+        }
+    }
+
+    /// Torn-group regression: with `arity > 1` and pages so small that
+    /// `BlockFull` faults land mid-group constantly, the rollback
+    /// (`bucket.truncate(before)`) must keep every bucket's framing intact —
+    /// each probed group carries exactly one payload per column, with matching
+    /// row ids across the columns of a group.
+    #[test]
+    fn torn_groups_never_survive_block_full_faults() {
+        let _s = AllocScope::new(1 << 22);
+        for arity in [2usize, 3] {
+            // 512-byte pages cannot hold many 2-element vectors: most groups
+            // fault at least once, many mid-group.
+            let mut t = JoinTable::with_partitions(arity, 512, 4);
+            let n = 120usize;
+            let cols: Vec<Vec<AnyHandle>> = (0..arity)
+                .map(|k| {
+                    (0..n)
+                        .map(|i| payload(k as i64, i as i64).erase())
+                        .collect()
+                })
+                .collect();
+            let hashes: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
+            let col_slices: Vec<&[AnyHandle]> = cols.iter().map(|c| c.as_slice()).collect();
+            t.insert_batch(&hashes, None, &col_slices).unwrap();
+            t.finish_build();
+            assert!(t.page_count() > 4, "tiny pages must fault and chain");
+
+            let mut idx: Vec<u32> = Vec::new();
+            let mut built: Vec<Vec<AnyHandle>> = (0..arity).map(|_| Vec::new()).collect();
+            let mut total = 0usize;
+            for key in 0..5u64 {
+                idx.clear();
+                for b in built.iter_mut() {
+                    b.clear();
+                }
+                let matches = t.probe_into(key, 0, &mut idx, &mut built);
+                total += matches;
+                for m in 0..matches {
+                    let mut row_id = None;
+                    for (k, b) in built.iter().enumerate() {
+                        let v: Handle<PcVec<i64>> = b[m].downcast_unchecked::<AnyObj>().assume();
+                        assert_eq!(v.len(), 2, "payload framing intact");
+                        assert_eq!(v.get(0), k as i64, "column tag preserved in order");
+                        match row_id {
+                            None => row_id = Some(v.get(1)),
+                            Some(r) => assert_eq!(
+                                v.get(1),
+                                r,
+                                "group columns must come from the same build row"
+                            ),
+                        }
+                    }
+                }
+            }
+            assert_eq!(total, n, "every group probed exactly once (arity {arity})");
+        }
+    }
+
+    /// The same rollback contract on the rowwise reference path.
+    #[test]
+    fn rowwise_rollback_matches_vectorized_under_faults() {
+        let _s = AllocScope::new(1 << 22);
+        let arity = 2usize;
+        let mut vectorized = JoinTable::with_partitions(arity, 512, 2);
+        let mut rowwise = JoinTable::with_partitions(arity, 512, 2);
+        let n = 80usize;
+        let cols: Vec<Vec<AnyHandle>> = (0..arity)
+            .map(|k| {
+                (0..n)
+                    .map(|i| payload(k as i64, i as i64).erase())
+                    .collect()
+            })
+            .collect();
+        let hashes: Vec<u64> = (0..n as u64).map(|i| i % 3).collect();
+        let col_slices: Vec<&[AnyHandle]> = cols.iter().map(|c| c.as_slice()).collect();
+        vectorized.insert_batch(&hashes, None, &col_slices).unwrap();
+        vectorized.finish_build();
+        for i in 0..n {
+            rowwise
+                .insert_rowwise(hashes[i], &[cols[0][i].clone(), cols[1][i].clone()])
+                .unwrap();
+        }
+        let keys: Vec<u64> = (0..4u64).collect();
+        assert_eq!(probe_all(&vectorized, &keys), probe_all(&rowwise, &keys));
     }
 }

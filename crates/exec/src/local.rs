@@ -18,8 +18,8 @@ use crate::jointable::JoinTable;
 use crate::plan::{PipelineSpec, ResolvedOp, ResolvedPipeline, ResolvedSink, Sink};
 use crate::vlist::VectorList;
 use pc_lambda::{
-    for_each_sel, sel_len, AggPage, Column, ColumnKernel, ColumnPool, ErasedAgg, ErasedAggSink,
-    ExecCtx, SetWriter, SpillCtx,
+    for_each_sel, AggPage, Column, ColumnKernel, ColumnPool, ErasedAgg, ErasedAggSink, ExecCtx,
+    SetWriter, SpillCtx,
 };
 use pc_object::{
     AllocPolicy, AllocScope, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcResult, PcVec,
@@ -172,45 +172,6 @@ impl ExecStats {
     }
 }
 
-/// Per-thread execution state that outlives any single morsel: the recycled
-/// column-buffer pool (thread-affine, so a morsel's batch buffers stay hot
-/// on the thread that ran it) and the observed per-op flat-map fan-out
-/// ratios used to pre-size kernel output buffers on later morsels.
-pub struct ThreadState {
-    pool: ColumnPool,
-    /// Cumulative `(rows_in, values_out)` per resolved op slot. Only
-    /// flat-map slots are ever updated; a capacity hint never changes what
-    /// a kernel produces, so this thread-history state is exempt from the
-    /// determinism argument.
-    fanout: Vec<(u64, u64)>,
-}
-
-impl ThreadState {
-    /// Fresh state for a pipeline resolved to `ops` op slots.
-    pub fn new(ops: usize) -> Self {
-        ThreadState {
-            pool: ColumnPool::default(),
-            fanout: vec![(0, 0); ops],
-        }
-    }
-
-    /// Predicted total output values for `live` input rows at op `op`,
-    /// or 0 when this thread has observed nothing yet.
-    fn fanout_hint(&self, op: usize, live: usize) -> usize {
-        let (rows_in, vals_out) = self.fanout[op];
-        vals_out
-            .saturating_mul(live as u64)
-            .checked_div(rows_in)
-            .unwrap_or(0) as usize
-    }
-
-    fn record_fanout(&mut self, op: usize, live: usize, vals_out: usize) {
-        let e = &mut self.fanout[op];
-        e.0 += live as u64;
-        e.1 += vals_out as u64;
-    }
-}
-
 /// What a pipeline's sink produced (before any storage/shuffle routing).
 pub enum PipelineOutput {
     /// Sealed output pages (OUTPUT / materialization sinks).
@@ -236,7 +197,7 @@ pub(crate) fn run_span<'a>(
     rp: &ResolvedPipeline,
     aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
     tables: &HashMap<String, JoinTable>,
-    state: &mut ThreadState,
+    pool: &mut ColumnPool,
     spans: impl Iterator<Item = (&'a Arc<SealedPage>, usize, usize)>,
 ) -> PcResult<(PipelineOutput, ExecStats)> {
     let mut stats = ExecStats::default();
@@ -281,7 +242,7 @@ pub(crate) fn run_span<'a>(
         let mut at = lo.min(total);
         while at < total {
             let hi = (at + config.batch_size).min(total);
-            let mut handles = state.pool.take_objs();
+            let mut handles = pool.take_objs();
             handles.extend((at..hi).map(|i| root.get(i).erase()));
             stats.rows_in += handles.len() as u64;
             vl.set_slot(rp.source_slot, Column::Obj(handles));
@@ -295,13 +256,13 @@ pub(crate) fn run_span<'a>(
                 &mut agg_sink,
                 &mut build_table,
                 &mut scratch,
-                state,
+                pool,
                 &mut stats,
             )?;
             stats.batches += 1;
             // Batch boundary: the vector list dies (its buffers return to
             // the pool, dropping object references), zombies release.
-            vl.recycle(&mut state.pool);
+            vl.recycle(pool);
             if let Some(w) = writer.as_mut() {
                 stats.max_zombie_pages = stats.max_zombie_pages.max(w.max_zombies);
                 w.release_zombies()?;
@@ -349,14 +310,13 @@ fn run_batch(
     agg_sink: &mut Option<Box<dyn ErasedAggSink>>,
     build_table: &mut Option<JoinTable>,
     scratch: &mut ScratchPage,
-    state: &mut ThreadState,
+    pool: &mut ColumnPool,
     stats: &mut ExecStats,
 ) -> PcResult<()> {
-    for (op_idx, op) in rp.ops.iter().enumerate() {
+    for op in &rp.ops {
         if vl.is_empty() {
             return Ok(());
         }
-        let pool = &mut state.pool;
         match op {
             ResolvedOp::Apply {
                 kernel,
@@ -384,14 +344,11 @@ fn run_batch(
                 drop,
                 drop_out,
             } => {
-                let live = sel_len(vl.slot(*input)?.len(), vl.sel());
-                let hint = state.fanout_hint(op_idx, live);
                 let mut result = None;
                 for attempt in 0..8 {
                     let block = kernel_block(writer, scratch)?;
                     let scope = AllocScope::install(block.clone());
                     let mut ctx = ExecCtx::new(block);
-                    ctx.fanout_hint = hint;
                     let r = kernel.apply(&[vl.slot(*input)?], vl.sel(), &mut ctx);
                     std::mem::drop(scope);
                     match r {
@@ -408,8 +365,6 @@ fn run_batch(
                 let (col, counts) = result.ok_or_else(|| {
                     PcError::Catalog("flatmap exceeded page-fault retries".into())
                 })?;
-                state.record_fanout(op_idx, live, col.len());
-                let pool = &mut state.pool;
                 vl.drop_slots(drop, pool);
                 vl.replicate_with(&counts, *out, col, pool);
                 if *drop_out {
@@ -652,19 +607,5 @@ mod tests {
         assert_eq!(total.pool_evictions, 28);
         assert_eq!(total.pool_spills, 29);
         assert_eq!(total.pool_bytes_spilled, 30);
-    }
-
-    #[test]
-    fn fanout_hint_learns_the_observed_ratio() {
-        let mut s = ThreadState::new(2);
-        // Nothing observed yet: no hint.
-        assert_eq!(s.fanout_hint(0, 100), 0);
-        // 10 rows fanned out to 40 values → ratio 4.
-        s.record_fanout(0, 10, 40);
-        assert_eq!(s.fanout_hint(0, 100), 400);
-        // Ops learn independently.
-        assert_eq!(s.fanout_hint(1, 100), 0);
-        s.record_fanout(0, 10, 0);
-        assert_eq!(s.fanout_hint(0, 100), 200, "history is cumulative");
     }
 }

@@ -16,13 +16,12 @@
 //! index**. The morsel decomposition is a pure function of the input pages
 //! and `morsel_rows`, so the merged bytes are identical for every thread
 //! count and every steal schedule. What *is* thread-affine — the
-//! `ColumnPool` buffer cache and the flat-map fan-out hint — only affects
-//! allocation, never output bytes.
+//! `ColumnPool` buffer cache — only affects allocation, never output bytes.
 
 use crate::jointable::{JoinTable, TagFilter};
-use crate::local::{run_span, ExecConfig, ExecStats, PipelineOutput, ThreadState};
+use crate::local::{run_span, ExecConfig, ExecStats, PipelineOutput};
 use crate::plan::PipelineSpec;
-use pc_lambda::{AggPage, ErasedAgg, SpillCtx, StageLibrary};
+use pc_lambda::{AggPage, ColumnPool, ErasedAgg, SpillCtx, StageLibrary};
 use pc_object::{
     AnyObj, Handle, MemoryBudget, MemoryGrant, PageSpiller, PcError, PcResult, PcVec, SealedPage,
 };
@@ -445,7 +444,7 @@ fn run_worker(
     queue: &MorselQueue,
     me: usize,
 ) -> MorselResults {
-    let mut state = ThreadState::new(rp.ops.len());
+    let mut pool = ColumnPool::default();
     let local_tables = open_probe_tables(config, p, shared)?;
     let mut acc = Vec::new();
     while let Some(m) = queue.next(me) {
@@ -455,7 +454,7 @@ fn run_worker(
             rp,
             aggs,
             &local_tables,
-            &mut state,
+            &mut pool,
             std::iter::once((&m.page, m.lo, m.hi)),
         )?;
         acc.push((m.index, MorselOutput::seal(out)?, stats));
@@ -556,7 +555,7 @@ fn run_wave(
         // No input rows: still run the sink machinery once so an empty
         // input yields the sink's (empty) output — a finished empty table,
         // a flushed map — exactly as the single-threaded engine does.
-        let mut state = ThreadState::new(rp.ops.len());
+        let mut pool = ColumnPool::default();
         let local_tables = open_probe_tables(config, p, shared)?;
         let (out, mut stats) = run_span(
             config,
@@ -564,7 +563,7 @@ fn run_wave(
             rp,
             aggs,
             &local_tables,
-            &mut state,
+            &mut pool,
             std::iter::empty(),
         )?;
         stats.threads_used = stats.threads_used.max(1);

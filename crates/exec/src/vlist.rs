@@ -266,14 +266,6 @@ impl VectorList {
         self.sel = Some(next);
     }
 
-    /// Eagerly filters every column (the pre-selection-vector execution
-    /// model; kept as the reference path for tests and benchmarks).
-    pub fn filter_materialize(&mut self, mask: &[bool]) {
-        for c in self.slots.iter_mut().flatten() {
-            *c = c.filter(mask);
-        }
-    }
-
     /// Compacts every column through the selection and clears it.
     pub fn compact(&mut self) {
         if let Some(sel) = self.sel.take() {

@@ -20,9 +20,9 @@
 //! per-row `%`), and folds each partition's bucket into its map page with
 //! one grouped bulk upsert, so consecutive probes hit the same hot table.
 //! The merger folds shuffled pages map-at-a-time, reusing stored entry
-//! hashes instead of rehashing keys. The old row-at-a-time path survives as
-//! [`ErasedAggSink::absorb_rowwise`] for differential tests and the
-//! `micro_agg` A/B benchmark.
+//! hashes instead of rehashing keys. The old row-at-a-time path survives,
+//! compiled for this crate's tests only, as `absorb_rowwise`: the reference
+//! the differential proptests in `agg_vectorized` compare `absorb` against.
 
 use crate::column::Column;
 use crate::sink::SetWriter;
@@ -244,9 +244,10 @@ pub trait ErasedAggSink {
     /// materialize a compacted column first.
     fn absorb(&mut self, objs: &Column, sel: Option<&[u32]>) -> PcResult<()>;
     /// The pre-vectorization reference path: one `key_of → hash → % →
-    /// upsert` round trip per row. Kept so differential tests and the
-    /// `micro_agg` benchmark can compare the two paths on identical input;
-    /// the engine never calls this.
+    /// upsert` round trip per row. Kept so the differential tests can
+    /// compare the two paths on identical input; the engine never calls
+    /// this.
+    #[cfg(test)]
     fn absorb_rowwise(&mut self, objs: &Column, sel: Option<&[u32]>) -> PcResult<()>;
     /// Seals all partition maps, returning `(partition, page)` pairs. Pages
     /// may be [`AggPage::Spilled`]; callers `load()` them at merge time so
@@ -603,6 +604,7 @@ impl<S: AggregateSpec> SinkImpl<S> {
     /// The pre-vectorization per-row upsert, kept verbatim as the reference
     /// path behind `absorb_rowwise` (modulo-probed, closure-driven, one
     /// retry scaffold per row).
+    #[cfg(test)]
     fn upsert_row(
         &mut self,
         part: usize,
@@ -689,6 +691,7 @@ impl<S: AggregateSpec> ErasedAggSink for SinkImpl<S> {
         result
     }
 
+    #[cfg(test)]
     fn absorb_rowwise(&mut self, objs: &Column, sel: Option<&[u32]>) -> PcResult<()> {
         let objs = objs.as_obj()?;
         self.stats.rows_absorbed += crate::kernel::sel_len(objs.len(), sel) as u64;
@@ -807,5 +810,201 @@ impl<S: AggregateSpec> ErasedAggMerger for MergerImpl<S> {
 impl<S: AggregateSpec> MapPage<S> {
     fn block(&self) -> &BlockRef {
         &self.block
+    }
+}
+
+#[cfg(test)]
+mod agg_vectorized {
+    //! Differential property tests for the vectorized aggregation sink: the
+    //! batch path (batch hash → radix partition → grouped bulk upsert) and the
+    //! row-at-a-time reference must produce identical `(key, count, sum)`
+    //! multisets across random batches, selections, partition counts, and
+    //! page-escalation sizes — after flushing, shuffling-style merging, and
+    //! final materialization.
+
+    use crate::agg::AggEngine;
+    use crate::{AggregateSpec, Column, ErasedAgg, ErasedAggSink, SetWriter};
+    use pc_object::{
+        make_object, pc_object, AllocScope, AnyObj, BlockRef, Handle, PcResult, PcVec, SealedPage,
+    };
+    use proptest::prelude::*;
+
+    pc_object! {
+        /// The test record: a group key and a payload value.
+        pub struct Rec / RecView {
+            (key, set_key): i64,
+            (val, set_val): i64,
+        }
+    }
+
+    struct GroupSum;
+
+    impl AggregateSpec for GroupSum {
+        type In = Rec;
+        type Key = i64;
+        type Val = (i64, i64); // (count, sum)
+        type Out = PcVec<i64>; // [key, count, sum]
+
+        fn key_of(&self, rec: &Handle<Rec>) -> PcResult<i64> {
+            Ok(rec.v().key())
+        }
+
+        fn init(&self, _b: &BlockRef, rec: &Handle<Rec>) -> PcResult<(i64, i64)> {
+            Ok((1, rec.v().val()))
+        }
+
+        fn combine(&self, b: &BlockRef, slot: u32, rec: &Handle<Rec>) -> PcResult<()> {
+            let (c, s): (i64, i64) = b.read(slot);
+            b.write(slot, (c + 1, s + rec.v().val()));
+            Ok(())
+        }
+
+        fn merge(
+            &self,
+            dst: &BlockRef,
+            dst_slot: u32,
+            src: &BlockRef,
+            src_slot: u32,
+        ) -> PcResult<()> {
+            let (c1, s1): (i64, i64) = dst.read(dst_slot);
+            let (c2, s2): (i64, i64) = src.read(src_slot);
+            dst.write(dst_slot, (c1 + c2, s1 + s2));
+            Ok(())
+        }
+
+        fn finalize(&self, key: &i64, b: &BlockRef, val_slot: u32) -> PcResult<Handle<PcVec<i64>>> {
+            let (c, s): (i64, i64) = b.read(val_slot);
+            let out = make_object::<PcVec<i64>>()?;
+            out.push(*key)?;
+            out.push(c)?;
+            out.push(s)?;
+            Ok(out)
+        }
+    }
+
+    /// Drains a sink through the full two-phase path (flush → merge every
+    /// partition page → finalize) and returns the sorted `(key, count, sum)`
+    /// groups.
+    fn drain(
+        engine: &AggEngine<GroupSum>,
+        mut sink: Box<dyn ErasedAggSink>,
+        page_size: usize,
+    ) -> Vec<(i64, i64, i64)> {
+        let mut merger = engine.new_merger(page_size);
+        for (_part, page) in sink.flush().unwrap() {
+            let page = page.load().unwrap();
+            merger.merge_page(page).unwrap();
+        }
+        let mut w = SetWriter::new(1 << 18);
+        merger.finalize(&mut w).unwrap();
+        let mut out = Vec::new();
+        for page in w.finish().unwrap() {
+            let (_b, root) = SealedPage::from_bytes(&page.to_bytes())
+                .unwrap()
+                .open()
+                .unwrap();
+            let v = root.downcast::<PcVec<Handle<AnyObj>>>().unwrap();
+            for h in v.iter() {
+                let rec = h.assume::<PcVec<i64>>();
+                out.push((rec.get(0), rec.get(1), rec.get(2)));
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn vectorized_and_rowwise_sinks_agree(
+            rows in proptest::collection::vec((0i64..40, -100i64..100), 1..400),
+            mask in proptest::collection::vec(any::<bool>(), 400..401),
+            partitions in 1usize..6,
+            page_size_exp in 12u32..17,
+            batch_rows in 16usize..200,
+        ) {
+            let page_size = 1usize << page_size_exp; // 4 KiB .. 64 KiB: forces
+                                                     // mid-burst seals + escalation
+            let scope = AllocScope::new(1 << 22);
+            let engine = AggEngine::new(GroupSum);
+            let mut vectorized = engine.new_sink(partitions, page_size, None);
+            let mut rowwise = engine.new_sink(partitions, page_size, None);
+
+            // Build object batches of `batch_rows` rows each, with a selection
+            // vector derived from the mask; absorb the same input through both
+            // paths.
+            let mut model: std::collections::HashMap<i64, (i64, i64)> = Default::default();
+            for (chunk_at, chunk) in rows.chunks(batch_rows).enumerate() {
+                let mut handles = Vec::with_capacity(chunk.len());
+                for &(k, v) in chunk {
+                    let r = make_object::<Rec>().unwrap();
+                    r.v().set_key(k).unwrap();
+                    r.v().set_val(v).unwrap();
+                    handles.push(r.erase());
+                }
+                let sel: Vec<u32> = (0..chunk.len())
+                    .filter(|i| mask[(chunk_at * batch_rows + i) % mask.len()])
+                    .map(|i| i as u32)
+                    .collect();
+                for &i in &sel {
+                    let (k, v) = chunk[i as usize];
+                    let e = model.entry(k).or_insert((0, 0));
+                    e.0 += 1;
+                    e.1 += v;
+                }
+                let col = Column::Obj(handles);
+                vectorized.absorb(&col, Some(&sel)).unwrap();
+                rowwise.absorb_rowwise(&col, Some(&sel)).unwrap();
+            }
+            drop(scope);
+
+            let got_vec = drain(&engine, vectorized, page_size);
+            let got_row = drain(&engine, rowwise, page_size);
+            let mut want: Vec<(i64, i64, i64)> =
+                model.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
+            want.sort_unstable();
+            prop_assert_eq!(&got_vec, &got_row, "paths diverged");
+            prop_assert_eq!(got_vec, want, "vectorized path wrong vs model");
+        }
+
+        #[test]
+        fn dense_batches_agree_across_cardinalities(
+            n in 1usize..600,
+            card in prop_oneof![Just(1i64), Just(3), Just(16), Just(257)],
+            partitions in 1usize..9,
+        ) {
+            // Dense (no selection) absorb over low and high cardinality,
+            // including tiny pages that force the resumable bulk-upsert to seal
+            // mid-bucket.
+            let scope = AllocScope::new(1 << 22);
+            let engine = AggEngine::new(GroupSum);
+            let mut vectorized = engine.new_sink(partitions, 4096, None);
+            let mut rowwise = engine.new_sink(partitions, 4096, None);
+            let mut handles = Vec::with_capacity(n);
+            let mut model: std::collections::HashMap<i64, (i64, i64)> = Default::default();
+            for i in 0..n {
+                let k = (i as i64 * 31) % card;
+                let r = make_object::<Rec>().unwrap();
+                r.v().set_key(k).unwrap();
+                r.v().set_val(i as i64).unwrap();
+                handles.push(r.erase());
+                let e = model.entry(k).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += i as i64;
+            }
+            let col = Column::Obj(handles);
+            vectorized.absorb(&col, None).unwrap();
+            rowwise.absorb_rowwise(&col, None).unwrap();
+            drop(scope);
+
+            let got_vec = drain(&engine, vectorized, 4096);
+            let got_row = drain(&engine, rowwise, 4096);
+            let mut want: Vec<(i64, i64, i64)> =
+                model.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
+            want.sort_unstable();
+            prop_assert_eq!(&got_vec, &got_row, "paths diverged");
+            prop_assert_eq!(got_vec, want, "vectorized path wrong vs model");
+        }
     }
 }

@@ -87,25 +87,6 @@ impl Column {
         }
     }
 
-    /// Keeps only the rows where `keep` is true.
-    pub fn filter(&self, keep: &[bool]) -> Column {
-        fn f<T: Clone>(v: &[T], keep: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(keep)
-                .filter(|(_, &k)| k)
-                .map(|(x, _)| x.clone())
-                .collect()
-        }
-        match self {
-            Column::Bool(v) => Column::Bool(f(v, keep)),
-            Column::I64(v) => Column::I64(f(v, keep)),
-            Column::F64(v) => Column::F64(f(v, keep)),
-            Column::U64(v) => Column::U64(f(v, keep)),
-            Column::Str(v) => Column::Str(f(v, keep)),
-            Column::Obj(v) => Column::Obj(f(v, keep)),
-        }
-    }
-
     /// Replicates row `i` `counts[i]` times (FLATMAP reshaping).
     pub fn replicate(&self, counts: &[u32]) -> Column {
         fn r<T: Clone>(v: &[T], counts: &[u32]) -> Vec<T> {

@@ -19,21 +19,11 @@ pub struct ExecCtx {
     pub out: BlockRef,
     /// Rows processed so far (diagnostics).
     pub rows: u64,
-    /// Expected total output rows for a set-valued (flat-map) kernel, 0 when
-    /// unknown. The executor predicts it from the fan-out ratio the calling
-    /// thread observed on earlier morsels; kernels may use it to pre-reserve
-    /// output capacity. Purely an allocation hint — it never changes what a
-    /// kernel produces.
-    pub fanout_hint: usize,
 }
 
 impl ExecCtx {
     pub fn new(out: BlockRef) -> Self {
-        ExecCtx {
-            out,
-            rows: 0,
-            fanout_hint: 0,
-        }
+        ExecCtx { out, rows: 0 }
     }
 }
 
@@ -220,10 +210,7 @@ where
     ) -> PcResult<(Column, Vec<u32>)> {
         let objs = inputs[0].as_obj()?;
         let n = sel_len(objs.len(), sel);
-        // Growing `out` doubling-by-doubling re-moves every element already
-        // produced; the executor's fan-out hint (observed ratio on this
-        // thread's previous morsels) sizes it once up front.
-        let mut out = Vec::with_capacity(ctx.fanout_hint);
+        let mut out = Vec::new();
         let mut counts = Vec::with_capacity(n);
         for_each_sel(objs.len(), sel, |i| {
             let vals = (self.f)(&objs[i].downcast_unchecked::<T>())?;

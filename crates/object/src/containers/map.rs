@@ -386,8 +386,8 @@ impl<K: PcKey, V: PcValue> Handle<PcMap<K, V>> {
     /// Pre-masking reference implementation of [`upsert_by`]: identical
     /// semantics, but the probe start is computed with an integer division
     /// (`hash % cap`) the way the row-at-a-time engine did before probing
-    /// went mask-based. Kept only for differential tests and the
-    /// vectorized-vs-eager aggregation benchmark; not a public API surface.
+    /// went mask-based. Kept only as the reference differential tests
+    /// (here and in `pc-lambda`) compare against; not a public API surface.
     ///
     /// [`upsert_by`]: Self::upsert_by
     #[doc(hidden)]
