@@ -148,10 +148,6 @@ impl<T: Codec> Rdd<T> {
         Rdd { eng, parts }
     }
 
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Runs `f` over each partition in parallel, producing a new RDD stored
     /// at the engine's storage level (the per-stage codec cost).
     pub fn map_partitions<U: Codec>(&self, f: impl Fn(Vec<T>) -> Vec<U> + Send + Sync) -> Rdd<U> {

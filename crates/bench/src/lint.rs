@@ -8,10 +8,11 @@
 //! not recorded in the allowlist at `LINT_ALLOW.txt` (workspace root).
 //!
 //! The allowlist is a ratchet, not an excuse file: every current entry is
-//! either a join on a thread whose panic is the error being propagated, a
-//! mutex whose poisoning already implies a panicked peer, or an invariant
-//! established on the adjacent line. New unwraps fail CI until either
-//! converted to `?` or deliberately added to the allowlist in the same PR.
+//! either a mutex whose poisoning already implies a panicked peer or an
+//! invariant established on the adjacent line. New unwraps fail CI until
+//! either converted to `?` or deliberately added to the allowlist in the
+//! same PR — and an entry whose line is gone fails it too, so a fixed
+//! unwrap takes its entry with it.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -21,13 +22,12 @@ use std::path::{Path, PathBuf};
 const SCANNED: &[&str] = &["crates/cluster/src", "crates/exec/src"];
 
 /// One offending line.
-#[derive(Debug)]
-pub struct Offence {
+struct Offence {
     /// Workspace-relative path.
-    pub path: String,
-    pub line: usize,
+    path: String,
+    line: usize,
     /// The trimmed source line (what the allowlist matches on).
-    pub text: String,
+    text: String,
 }
 
 fn workspace_root() -> PathBuf {
@@ -103,49 +103,79 @@ fn allowlist(root: &Path) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Runs the lint. Returns every offence not covered by the allowlist.
-pub fn offences() -> Vec<Offence> {
+/// What one lint run found.
+struct Report {
+    /// Offending lines the allowlist does not cover.
+    offences: Vec<Offence>,
+    /// Allowlist entries (`path`, `line`) no scanned line matches any more:
+    /// the unwrap was fixed, so the entry must go.
+    stale: Vec<(String, String)>,
+    /// Allowlist size.
+    entries: usize,
+}
+
+/// Runs the lint over the scanned trees against the allowlist.
+fn check() -> Report {
     let root = workspace_root();
     let allow = allowlist(&root);
     let mut files = Vec::new();
     for dir in SCANNED {
         rust_sources(&root.join(dir), &mut files);
     }
-    let mut out = Vec::new();
-    for f in files {
-        for o in scan_file(&root, &f) {
-            let allowed = allow.iter().any(|(p, t)| *p == o.path && *t == o.text);
-            if !allowed {
-                out.push(o);
-            }
-        }
+    let found: Vec<Offence> = files.iter().flat_map(|f| scan_file(&root, f)).collect();
+    let matches = |o: &Offence, (p, t): &(String, String)| *p == o.path && *t == o.text;
+    let stale = allow
+        .iter()
+        .filter(|e| !found.iter().any(|o| matches(o, e)))
+        .cloned()
+        .collect();
+    let offences = found
+        .into_iter()
+        .filter(|o| !allow.iter().any(|e| matches(o, e)))
+        .collect();
+    Report {
+        offences,
+        stale,
+        entries: allow.len(),
     }
-    out
 }
 
 /// CLI entry: prints a report, returns true when clean.
 pub fn lint() -> bool {
-    let found = offences();
-    if found.is_empty() {
+    let r = check();
+    if r.offences.is_empty() && r.stale.is_empty() {
         println!(
-            "repro lint: no unallowlisted unwrap()/expect() in {}",
-            SCANNED.join(", ")
+            "repro lint: no unallowlisted unwrap()/expect() in {} ({} allowlist entries, none stale)",
+            SCANNED.join(", "),
+            r.entries
         );
         return true;
     }
     let mut msg = String::new();
-    let _ = writeln!(
-        msg,
-        "repro lint: {} unallowlisted unwrap()/expect() call(s) in non-test code:\n",
-        found.len()
-    );
-    for o in &found {
-        let _ = writeln!(msg, "  {}:{}: {}", o.path, o.line, o.text);
+    if !r.offences.is_empty() {
+        let _ = writeln!(
+            msg,
+            "repro lint: {} unallowlisted unwrap()/expect() call(s) in non-test code:\n",
+            r.offences.len()
+        );
+        for o in &r.offences {
+            let _ = writeln!(msg, "  {}:{}: {}", o.path, o.line, o.text);
+        }
+        let _ = writeln!(
+            msg,
+            "\nconvert to `?` (PcError has a variant for every recoverable condition), or\nadd `path: trimmed-line` to LINT_ALLOW.txt with a justification comment."
+        );
     }
-    let _ = writeln!(
-        msg,
-        "\nconvert to `?` (PcError has a variant for every recoverable condition), or\nadd `path: trimmed-line` to LINT_ALLOW.txt with a justification comment."
-    );
+    if !r.stale.is_empty() {
+        let _ = writeln!(
+            msg,
+            "repro lint: {} stale LINT_ALLOW.txt entr(ies) — the line is gone, delete the entry:\n",
+            r.stale.len()
+        );
+        for (path, text) in &r.stale {
+            let _ = writeln!(msg, "  {path}: {text}");
+        }
+    }
     eprint!("{msg}");
     false
 }
@@ -156,35 +186,15 @@ mod tests {
 
     #[test]
     fn the_tree_is_lint_clean() {
-        let found = offences();
-        assert!(
-            found.is_empty(),
-            "unallowlisted unwrap/expect in non-test code:\n{}",
-            found
-                .iter()
-                .map(|o| format!("  {}:{}: {}", o.path, o.line, o.text))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        assert!(lint(), "`repro lint` failed: see its report above");
     }
 
     #[test]
     fn allowlist_matches_on_path_and_content() {
-        let root = workspace_root();
-        let allow = allowlist(&root);
+        // A missing file would read as an empty (and so never stale) list.
         assert!(
-            !allow.is_empty(),
+            check().entries > 0,
             "LINT_ALLOW.txt missing or empty at the workspace root"
         );
-        // Every allowlist entry should still correspond to a real line —
-        // stale entries mean the unwrap was fixed and the entry must go.
-        for (path, text) in &allow {
-            let src = std::fs::read_to_string(root.join(path))
-                .unwrap_or_else(|_| panic!("allowlisted file {path} no longer exists"));
-            assert!(
-                src.lines().any(|l| l.trim() == text),
-                "stale allowlist entry (line no longer present): {path}: {text}"
-            );
-        }
     }
 }

@@ -1,11 +1,11 @@
 //! The cluster: master node + worker nodes (Figure 4), and the distributed
 //! query scheduler that turns a physical plan into JobStages.
 
-use crate::recovery::{self, Liveness};
+use crate::recovery;
 use crate::stages;
 use crate::transport::{Transport, TransportKind, TransportMeter, MASTER};
 use pc_exec::{plan, ExecConfig, ExecStats, PhysicalPlan, Sink, Source};
-use pc_lambda::{CompiledQuery, ErasedAgg, SetWriter, SpillCtx, StageLibrary};
+use pc_lambda::{CompiledQuery, ErasedAgg, SpillCtx, StageLibrary};
 use pc_object::{AnyHandle, PcError, PcResult, PressureSpec, SealedPage};
 use pc_storage::{Catalog, StorageManager, WorkerTypeCatalog};
 use std::collections::HashMap;
@@ -90,7 +90,6 @@ pub struct PcCluster {
     pub workers: Vec<WorkerNode>,
     transport: Arc<dyn Transport>,
     meter: Arc<TransportMeter>,
-    liveness: Liveness,
     tables_broadcast: AtomicU64,
     stages_replayed: AtomicU64,
     workers_recovered: AtomicU64,
@@ -128,14 +127,12 @@ impl PcCluster {
         }
         let meter = Arc::new(TransportMeter::default());
         let transport = config.transport.build(meter.clone(), config.workers)?;
-        let liveness = Liveness::new(config.workers);
         Ok(PcCluster {
             config,
             catalog,
             workers,
             transport,
             meter,
-            liveness,
             tables_broadcast: AtomicU64::new(0),
             stages_replayed: AtomicU64::new(0),
             workers_recovered: AtomicU64::new(0),
@@ -151,11 +148,6 @@ impl PcCluster {
     /// The shared traffic meter the transport stack reports into.
     pub fn meter(&self) -> &Arc<TransportMeter> {
         &self.meter
-    }
-
-    /// Worker liveness epochs as the master sees them.
-    pub fn liveness(&self) -> &Liveness {
-        &self.liveness
     }
 
     pub fn stats_snapshot(&self) -> ClusterStats {
@@ -218,10 +210,9 @@ impl PcCluster {
         self.stages_replayed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Restart worker `w`'s backend after a detected death: bump its
-    /// liveness epoch and clear its dead state in the transport.
+    /// Restart worker `w`'s backend after a detected death: clear its dead
+    /// state in the transport.
     pub(crate) fn recover_worker(&self, w: usize) {
-        self.liveness.restart(w);
         self.transport.revive(w);
         self.workers_recovered.fetch_add(1, Ordering::Relaxed);
     }
@@ -418,20 +409,6 @@ impl PcCluster {
         }
         Ok(())
     }
-}
-
-/// Writes typed client data into sealed pages ready for `send_pages`.
-pub fn pages_from<I>(page_size: usize, objs: I) -> PcResult<Vec<SealedPage>>
-where
-    I: IntoIterator,
-    I::Item: FnOnce() -> PcResult<AnyHandle>,
-{
-    let mut w = SetWriter::new(page_size);
-    for make in objs {
-        let mut make = Some(make);
-        w.write_with(|| (make.take().expect("single call"))())?;
-    }
-    w.finish()
 }
 
 pub(crate) fn unique_suffix() -> u64 {

@@ -7,9 +7,12 @@
 //!
 //! Faithfulness notes (see DESIGN.md for the full substitution table):
 //!
-//! * All inter-node movement goes through `SealedPage::to_bytes` /
-//!   `from_bytes` — a byte-level copy standing in for the network. Pages
-//!   arrive valid with zero per-object work, and the cluster counts every
+//! * All inter-node movement goes through one [`Transport`] as
+//!   `SealedPage::to_bytes` / `from_bytes` — an in-process byte copy
+//!   (`Local`, the default and the reference) or checksummed frames over
+//!   real loopback TCP sockets (`Tcp`: blocking `std::net`, an acceptor
+//!   thread per node and a reader thread per connection). Pages arrive
+//!   valid with zero per-object work, and the cluster counts every
 //!   shuffled byte.
 //! * Distributed aggregation follows Appendix D.2: per-worker pipelining
 //!   threads pre-aggregate into hash-partitioned `Map` pages, pages flow
@@ -27,7 +30,6 @@ pub mod transport;
 pub mod wire;
 
 pub use cluster::{ClusterConfig, ClusterStats, PcCluster};
-pub use recovery::Liveness;
 pub use transport::{
     FaultKind, FaultSpec, FaultyTransport, LocalTransport, TcpConfig, TcpTransport, Transport,
     TransportKind, TransportMeter, MASTER,

@@ -15,10 +15,10 @@
 //! expires), the master: resets the transport (stale frames from the
 //! aborted attempt can never leak into the replay), rolls the traffic
 //! meter back (the aborted attempt's deliveries were waste, not logical
-//! shuffle bytes), restarts the dead worker's backend under a bumped liveness
-//! epoch, clears the stage's intermediate outputs, and re-runs the whole
-//! stage from the surviving inputs. Determinism then makes the replayed
-//! output byte-identical to a fault-free run.
+//! shuffle bytes), restarts the dead worker's backend, clears the stage's
+//! intermediate outputs, and re-runs the whole stage from the surviving
+//! inputs. Determinism then makes the replayed output byte-identical to a
+//! fault-free run.
 
 use crate::cluster::PcCluster;
 use crate::stages;
@@ -26,38 +26,10 @@ use pc_exec::{ExecStats, PipelineSpec};
 use pc_lambda::{ErasedAgg, StageLibrary};
 use pc_object::{PcError, PcResult};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Attempts per stage (first run + replays) before the job fails.
 const STAGE_ATTEMPTS: usize = 5;
-
-/// Worker liveness as the master sees it: one epoch per worker, bumped
-/// every time the worker's backend is restarted after a detected death. A
-/// send observed under an old epoch belongs to an aborted attempt.
-#[derive(Debug)]
-pub struct Liveness {
-    epochs: Vec<AtomicU64>,
-}
-
-impl Liveness {
-    /// All workers start alive at epoch 0.
-    pub fn new(workers: usize) -> Self {
-        Liveness {
-            epochs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// The current epoch of worker `w`.
-    pub fn epoch(&self, w: usize) -> u64 {
-        self.epochs[w].load(Ordering::Relaxed)
-    }
-
-    /// Restart worker `w`'s backend: bump its epoch, return the new one.
-    pub fn restart(&self, w: usize) -> u64 {
-        self.epochs[w].fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
 
 /// Errors the master can recover from by replaying the stage. Everything
 /// else (compute errors, catalog errors) is deterministic and would simply

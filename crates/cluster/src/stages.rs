@@ -23,11 +23,11 @@
 use crate::cluster::PcCluster;
 use crate::transport::MASTER;
 use pc_exec::{
-    run_stage_morsels, ExecStats, JoinTable, MorselOutput, PipelineSpec, SharedTable, Sink,
+    fan_out, run_stage_morsels, ExecStats, JoinTable, MorselOutput, PipelineSpec, SharedTable, Sink,
 };
-use pc_lambda::{ErasedAgg, SetWriter, StageLibrary};
+use pc_lambda::{AggPage, ErasedAgg, SetWriter, StageLibrary};
 use pc_object::{PcError, PcResult, SealedPage};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Broadcast join tables in transit, by name: sealed partition-tagged page
@@ -48,31 +48,22 @@ pub fn run_stage_distributed(
 
     // ---- run the pipeline on every worker, morsel-driven ----
     type WorkerResult = PcResult<(Vec<MorselOutput>, ExecStats)>;
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for w in 0..nworkers {
-            let tables_ref: &TableStore = tables;
-            joins.push(scope.spawn(move || -> WorkerResult {
-                let pages = cluster.local_pages(w, &p.source)?;
-                // Simulate the worker's local type catalog faulting the
-                // root type from the master (the .so fetch of §6.3).
-                if let Some(first) = pages.first() {
-                    let block = first.open_block();
-                    let code = block.obj_code(first.root());
-                    cluster.workers[w].types.resolve(code)?;
-                }
-                // The worker's pipelining threads pull morsels from a
-                // shared work-stealing queue; each probe thread opens its
-                // own zero-copy view of any broadcast join tables. The
-                // worker's own pool backs its memory budget and spill store.
-                let exec_cfg = cluster.worker_exec_config(w);
-                run_stage_morsels(&exec_cfg, p, &pages, stages, aggs, tables_ref)
-            }));
+    let tables_ref: &TableStore = tables;
+    let results: Vec<WorkerResult> = fan_out(0..nworkers, |w| {
+        let pages = cluster.local_pages(w, &p.source)?;
+        // Simulate the worker's local type catalog faulting the root type
+        // from the master (the .so fetch of §6.3).
+        if let Some(first) = pages.first() {
+            let block = first.open_block();
+            let code = block.obj_code(first.root());
+            cluster.workers[w].types.resolve(code)?;
         }
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("worker thread"))
-            .collect()
+        // The worker's pipelining threads pull morsels from a shared
+        // work-stealing queue; each probe thread opens its own zero-copy
+        // view of any broadcast join tables. The worker's own pool backs
+        // its memory budget and spill store.
+        let exec_cfg = cluster.worker_exec_config(w);
+        run_stage_morsels(&exec_cfg, p, &pages, stages, aggs, tables_ref)
     });
 
     let mut stats = ExecStats::default();
@@ -192,83 +183,58 @@ fn run_aggregation_stage(
     // Combining step, per worker (Appendix D.2's K combining threads):
     // merge the morsels' partial maps per partition, so each worker ships
     // at most one combined page per partition. Partitions are dealt
-    // round-robin over the unified `exec.threads` knob; each merge is
-    // page-at-a-time (`PcMap::merge_from` under the hood, in morsel order
-    // within a partition), and results are re-sorted by partition so the
-    // shuffle order stays deterministic.
+    // round-robin, in partition order, over the unified `exec.threads`
+    // knob; each merge is page-at-a-time (`PcMap::merge_from` under the
+    // hood, in morsel order within a partition), and results are re-sorted
+    // by partition so the shuffle order stays deterministic.
     let combine_threads = cluster.config.exec.threads.max(1);
-    let combined: Vec<PcResult<Vec<(usize, SealedPage)>>> = std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for outs in per_worker_outputs {
-            let agg = agg.clone();
-            joins.push(scope.spawn(move || -> PcResult<Vec<(usize, SealedPage)>> {
-                let mut by_part: HashMap<usize, Vec<pc_lambda::AggPage>> = HashMap::new();
-                for out in outs {
-                    let MorselOutput::AggPartitions(parts) = out else {
-                        unreachable!()
-                    };
-                    for (part, page) in parts {
-                        by_part.entry(part).or_default().push(page);
+    type Shipped = PcResult<Vec<(usize, SealedPage)>>;
+    let combined = fan_out(per_worker_outputs, |outs| -> Shipped {
+        let mut by_part: BTreeMap<usize, Vec<AggPage>> = BTreeMap::new();
+        for out in outs {
+            let MorselOutput::AggPartitions(parts) = out else {
+                unreachable!()
+            };
+            for (part, page) in parts {
+                by_part.entry(part).or_default().push(page);
+            }
+        }
+        // Deal partitions over the worker's combining threads.
+        let mut lanes: Vec<Vec<(usize, Vec<AggPage>)>> =
+            (0..combine_threads).map(|_| Vec::new()).collect();
+        for (i, entry) in by_part.into_iter().enumerate() {
+            lanes[i % combine_threads].push(entry);
+        }
+        let lane_results = fan_out(lanes, |lane| -> Shipped {
+            let mut shipped = Vec::new();
+            for (part, pages) in lane {
+                match <[AggPage; 1]>::try_from(pages) {
+                    // Nothing to combine; forward as-is (reloading if it
+                    // sits spilled).
+                    Ok([page]) => shipped.push((part, page.load()?)),
+                    Err(pages) => {
+                        let mut merger = agg.new_merger(page_size);
+                        for page in pages {
+                            // Spilled pages reload one at a time: the
+                            // combine never holds a partition's whole chain
+                            // in RAM.
+                            merger.merge_page(page.load()?)?;
+                        }
+                        for page in merger.into_pages()? {
+                            shipped.push((part, page));
+                        }
                     }
                 }
-                let mut parts: Vec<(usize, Vec<pc_lambda::AggPage>)> =
-                    by_part.into_iter().collect();
-                parts.sort_by_key(|(p, _)| *p);
-                // Deal partitions over the worker's combining threads.
-                let mut lanes: Vec<Vec<(usize, Vec<pc_lambda::AggPage>)>> =
-                    (0..combine_threads).map(|_| Vec::new()).collect();
-                for (i, entry) in parts.into_iter().enumerate() {
-                    lanes[i % combine_threads].push(entry);
-                }
-                let lane_results: Vec<PcResult<Vec<(usize, SealedPage)>>> =
-                    std::thread::scope(|s2| {
-                        let mut handles = Vec::new();
-                        for lane in lanes {
-                            let agg = agg.clone();
-                            handles.push(s2.spawn(
-                                move || -> PcResult<Vec<(usize, SealedPage)>> {
-                                    let mut shipped = Vec::new();
-                                    for (part, pages) in lane {
-                                        if pages.len() == 1 {
-                                            // Nothing to combine; forward as-is
-                                            // (reloading if it sits spilled).
-                                            let page = pages.into_iter().next().unwrap().load()?;
-                                            shipped.push((part, page));
-                                            continue;
-                                        }
-                                        let mut merger = agg.new_merger(page_size);
-                                        for page in pages {
-                                            // Spilled pages reload one at a
-                                            // time: the combine never holds a
-                                            // partition's whole chain in RAM.
-                                            merger.merge_page(page.load()?)?;
-                                        }
-                                        for page in merger.into_pages()? {
-                                            shipped.push((part, page));
-                                        }
-                                    }
-                                    Ok(shipped)
-                                },
-                            ));
-                        }
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("combining thread"))
-                            .collect()
-                    });
-                let mut shipped = Vec::new();
-                for r in lane_results {
-                    shipped.extend(r?);
-                }
-                // Reproducible shuffle order regardless of lane scheduling.
-                shipped.sort_by_key(|(p, _)| *p);
-                Ok(shipped)
-            }));
+            }
+            Ok(shipped)
+        });
+        let mut shipped = Vec::new();
+        for r in lane_results {
+            shipped.extend(r?);
         }
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("combining worker"))
-            .collect()
+        // Reproducible shuffle order regardless of lane scheduling.
+        shipped.sort_by_key(|(p, _)| *p);
+        Ok(shipped)
     });
 
     // Shuffle: partition p's pages go to worker p % W over the transport.
@@ -287,27 +253,17 @@ fn run_aggregation_stage(
     }
 
     // Aggregation threads: each owner merges its inbox and materializes.
-    let finals: Vec<PcResult<(u64, Vec<SealedPage>)>> = std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for pages in inbox {
-            let agg = agg.clone();
-            joins.push(scope.spawn(move || -> PcResult<(u64, Vec<SealedPage>)> {
-                if pages.is_empty() {
-                    return Ok((0, Vec::new()));
-                }
-                let mut merger = agg.new_merger(page_size);
-                for page in pages {
-                    merger.merge_page(page)?;
-                }
-                let mut writer = SetWriter::new(page_size);
-                let groups = merger.finalize(&mut writer)?;
-                Ok((groups, writer.finish()?))
-            }));
+    let finals = fan_out(inbox, |pages| -> PcResult<(u64, Vec<SealedPage>)> {
+        if pages.is_empty() {
+            return Ok((0, Vec::new()));
         }
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("aggregation thread"))
-            .collect()
+        let mut merger = agg.new_merger(page_size);
+        for page in pages {
+            merger.merge_page(page)?;
+        }
+        let mut writer = SetWriter::new(page_size);
+        let groups = merger.finalize(&mut writer)?;
+        Ok((groups, writer.finish()?))
     });
 
     let (db, set): (String, String) = match dest {

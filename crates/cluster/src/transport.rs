@@ -23,11 +23,11 @@
 //!   byte.
 //! * [`TcpTransport`] — the wire: sealed pages chunked into CRC-checksummed
 //!   frames ([`crate::wire`]) over real `std::net` TCP sockets — one
-//!   listener per node, a poll loop (the vendored `mio` shim) demuxing
-//!   every inbound connection and reassembling pages, collects carrying a
-//!   deadline, continuous worker heartbeats feeding a master-side liveness
-//!   monitor, and crash-restart reconnection with bounded, jittered
-//!   exponential backoff.
+//!   listener and acceptor thread per node, one blocking reader thread per
+//!   inbound connection decoding frames and reassembling pages, collects
+//!   carrying a deadline, continuous worker heartbeats feeding a
+//!   master-side liveness monitor, and crash-restart reconnection with
+//!   bounded, jittered exponential backoff.
 //! * [`FaultyTransport`] — a decorator over either that injects drops,
 //!   delays, reorders, payload corruption, and whole-worker deaths from a
 //!   reproducible seed-driven schedule.
@@ -191,8 +191,8 @@ pub trait Transport: Send + Sync {
     /// the aborted attempt can never leak into the replay.
     fn reset(&self);
 
-    /// Clear fault state for worker `w`: its backend restarted under a new
-    /// liveness epoch. No-op for reliable transports.
+    /// Clear fault state for worker `w`: its backend restarted. No-op for
+    /// reliable transports.
     fn revive(&self, _w: NodeId) {}
 
     /// Enable fault injection (no-op for reliable transports). The cluster
@@ -453,11 +453,13 @@ fn encode_page_frames(
         .collect()
 }
 
-/// Chunk reassembly for the TCP poll loop: collects data frames per
-/// (dst, seq), validates completed pages, and delivers them — or poisons the
-/// destination's inbox with a typed [`PcError::Transport`] when the frame
-/// map is inconsistent or the page is torn. The demux side never panics;
-/// recovery answers the poisoned collect with a stage replay.
+/// Chunk reassembly for one inbound TCP connection: collects data frames
+/// per (dst, seq), validates completed pages, and delivers them — or poisons
+/// the destination's inbox with a typed [`PcError::Transport`] when the
+/// frame map is inconsistent or the page is torn. One per connection is
+/// enough: a page's frames all travel on one connection, and a redial
+/// resends every frame of the page. The receive side never panics; recovery
+/// answers the poisoned collect with a stage replay.
 struct Reassembler {
     partial: HashMap<(NodeId, u64), PartialPage>,
 }
@@ -475,6 +477,15 @@ impl Reassembler {
     /// Drops partial pages left over from aborted-stage epochs.
     fn retain_epoch(&mut self, now: u64) {
         self.partial.retain(|_, (e, _)| *e == now);
+    }
+
+    /// The connection is gone: whatever it left half-assembled was wire
+    /// waste (the sender's redial, or the stage replay, sends the whole
+    /// page again).
+    fn scrap(self, meter: &TransportMeter) {
+        for (_, chunks) in self.partial.into_values() {
+            meter.on_failed_attempt(chunks.iter().flatten().map(Vec::len).sum());
+        }
     }
 
     fn accept(&mut self, frame: WireFrame, meter: &TransportMeter, inbox: &Inbox) {
@@ -600,8 +611,9 @@ struct BeatState {
     suspect: bool,
 }
 
-/// Master-side liveness board: the poll loop records beats, the monitor
-/// thread advances missed-beat counts, collects consult the suspect set.
+/// Master-side liveness board: the master's readers record beats, the
+/// monitor thread advances missed-beat counts, collects consult the suspect
+/// set.
 struct BeatBoard {
     state: Mutex<Vec<BeatState>>,
 }
@@ -667,7 +679,15 @@ impl BeatBoard {
     }
 }
 
-type ConnSlot = Arc<Mutex<Option<std::net::TcpStream>>>;
+fn spawn_named(
+    role: &str,
+    f: impl FnOnce() + Send + 'static,
+) -> PcResult<std::thread::JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(format!("pc-tcp-{role}-{}", unique_suffix()))
+        .spawn(f)
+        .map_err(|e| PcError::Transport(format!("tcp transport spawn {role}: {e}")))
+}
 
 /// The delivery epoch is a bare counter with no invariant a panicking
 /// holder could break, so a poisoned lock is still good to use.
@@ -677,34 +697,60 @@ fn lock_epoch(epoch: &Mutex<u64>) -> std::sync::MutexGuard<'_, u64> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// What the receive-side threads share: where pages and beats land, and
+/// the fence and flag that bound them.
+#[derive(Clone)]
+struct Receiver {
+    inbox: Arc<Inbox>,
+    meter: Arc<TransportMeter>,
+    epoch: Arc<Mutex<u64>>,
+    beats: Arc<BeatBoard>,
+    shutdown: Arc<AtomicBool>,
+}
+
 /// Sealed pages over real `std::net` TCP sockets.
 ///
 /// Every node (each worker plus the master) owns a loopback listener. A
-/// `send(src, dst, ..)` writes checksummed wire frames on a pooled
-/// src→dst connection — re-dialed with bounded, jittered exponential
-/// backoff when the link drops. One poll-loop thread (the vendored `mio`
-/// shim) services every listener and inbound connection: it decodes
-/// frames, reassembles and validates pages into the shared inbox, and
-/// records worker heartbeats. A monitor thread turns missed beats into
+/// `send(src, dst, ..)` writes checksummed wire frames on the pooled
+/// connection into `dst` — one per destination node, re-dialed with
+/// bounded, jittered exponential backoff when the link drops. The receive
+/// side is plain blocking I/O: one acceptor thread per listener, one reader
+/// thread per accepted connection that decodes frames, reassembles and
+/// validates pages into the shared inbox, records worker heartbeats, and
+/// ends when its peer closes — a blocking `read` is told what a readiness
+/// loop would have to keep asking. A monitor thread turns missed beats into
 /// suspicion; a collect blocked on a suspect worker fails fast with
 /// [`PcError::WorkerDead`] instead of waiting out the collect deadline,
 /// and stage replay takes it from there.
+///
+/// A thread per connection is only cheap while connections are few, which
+/// is why links are pooled per destination and not per `(src, dst)` pair:
+/// W workers mean 2W + 1 readers, not (W + 1)² + W. The thread count is
+/// load-bearing for memory, not just tidiness: see DESIGN.md, "Transport &
+/// recovery", for the malloc-arena measurement behind it.
 pub struct TcpTransport {
     inbox: Arc<Inbox>,
     config: TcpConfig,
     meter: Arc<TransportMeter>,
     epoch: Arc<Mutex<u64>>,
     workers: usize,
+    /// Listener addresses: worker `w` at index `w`, the master at index
+    /// `workers`.
     addrs: Vec<SocketAddr>,
-    conns: Mutex<HashMap<(NodeId, NodeId), ConnSlot>>,
+    /// One pooled outbound link per destination node, indexed like `addrs`
+    /// and shared by every sender in the process.
+    conns: Vec<Mutex<Option<std::net::TcpStream>>>,
     beats: Arc<BeatBoard>,
     alive: Arc<Vec<AtomicBool>>,
     shutdown: Arc<AtomicBool>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Each node's acceptor thread, with the address that wakes it.
+    acceptors: Vec<(SocketAddr, std::thread::JoinHandle<()>)>,
+    /// The monitor and the heartbeat endpoints.
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl TcpTransport {
-    /// Binds one listener per node, spawns the poll loop, the heartbeat
+    /// Binds one listener per node and spawns its acceptor, the heartbeat
     /// monitor, and one heartbeat endpoint per worker.
     pub fn new(meter: Arc<TransportMeter>, config: TcpConfig, workers: usize) -> PcResult<Self> {
         let workers = workers.max(1);
@@ -716,110 +762,84 @@ impl TcpTransport {
         let mut listeners = Vec::with_capacity(workers + 1);
         let mut addrs = Vec::with_capacity(workers + 1);
         for _ in 0..=workers {
-            let l = mio::net::TcpListener::bind("127.0.0.1:0".parse().expect("loopback addr"))
-                .map_err(|e| io_err("bind", e))?;
+            let l = std::net::TcpListener::bind(("127.0.0.1", 0)).map_err(|e| io_err("bind", e))?;
             addrs.push(l.local_addr().map_err(|e| io_err("local_addr", e))?);
             listeners.push(l);
         }
-        let inbox = Arc::new(Inbox::new());
-        let epoch = Arc::new(Mutex::new(0u64));
-        let beats = Arc::new(BeatBoard::new(workers));
-        let alive: Arc<Vec<AtomicBool>> =
-            Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
+        let rx = Receiver {
+            inbox: Arc::new(Inbox::new()),
+            meter: meter.clone(),
+            epoch: Arc::new(Mutex::new(0u64)),
+            beats: Arc::new(BeatBoard::new(workers)),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        };
+        // From here on an early return drops `t`, which stops and joins
+        // whatever was already started.
+        let mut t = TcpTransport {
+            inbox: rx.inbox.clone(),
+            config,
+            meter,
+            epoch: rx.epoch.clone(),
+            workers,
+            addrs,
+            conns: (0..=workers).map(|_| Mutex::new(None)).collect(),
+            beats: rx.beats.clone(),
+            alive: Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect()),
+            shutdown: rx.shutdown.clone(),
+            acceptors: Vec::new(),
+            threads: Vec::new(),
+        };
 
-        // --- the poll loop: all inbound traffic, one thread ---
-        {
-            let inbox = inbox.clone();
-            let meter = meter.clone();
-            let epoch = epoch.clone();
-            let beats = beats.clone();
-            let shutdown = shutdown.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pc-tcp-poll-{}", unique_suffix()))
-                    .spawn(move || {
-                        poll_loop(listeners, workers, inbox, meter, epoch, beats, shutdown)
-                    })
-                    .expect("spawn tcp poll loop"),
-            );
+        // --- one acceptor per node: all inbound traffic ---
+        for (node, listener) in listeners.into_iter().enumerate() {
+            let rx = rx.clone();
+            let h = spawn_named(&format!("accept-{node}"), move || rx.accept_loop(listener))?;
+            t.acceptors.push((t.addrs[node], h));
         }
 
         // --- the liveness monitor ---
         {
-            let meter = meter.clone();
-            let beats = beats.clone();
-            let shutdown = shutdown.clone();
-            let interval = config.heartbeat_interval;
-            let suspect_after = config.suspect_after;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pc-tcp-monitor-{}", unique_suffix()))
-                    .spawn(move || {
-                        while !shutdown.load(Ordering::Relaxed) {
-                            beats.tick(interval, suspect_after, &meter);
-                            std::thread::sleep(interval / 2);
-                        }
-                    })
-                    .expect("spawn tcp liveness monitor"),
-            );
+            let interval = t.config.heartbeat_interval;
+            let suspect_after = t.config.suspect_after;
+            t.threads.push(spawn_named("monitor", move || {
+                while !rx.shutdown.load(Ordering::Relaxed) {
+                    rx.beats.tick(interval, suspect_after, &rx.meter);
+                    std::thread::sleep(interval / 2);
+                }
+            })?);
         }
 
         // --- one heartbeat endpoint per worker ---
         for w in 0..workers {
-            let meter = meter.clone();
-            let alive = alive.clone();
-            let shutdown = shutdown.clone();
-            let config2 = config.clone();
-            let master_addr = addrs[workers];
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pc-tcp-beat-{w}-{}", unique_suffix()))
-                    .spawn(move || {
-                        heartbeat_endpoint(w, master_addr, config2, meter, alive, shutdown)
-                    })
-                    .expect("spawn tcp heartbeat endpoint"),
-            );
+            let meter = t.meter.clone();
+            let alive = t.alive.clone();
+            let shutdown = t.shutdown.clone();
+            let config = t.config.clone();
+            let master_addr = t.addrs[workers];
+            t.threads.push(spawn_named(&format!("beat-{w}"), move || {
+                heartbeat_endpoint(w, master_addr, config, meter, alive, shutdown)
+            })?);
         }
-
-        Ok(TcpTransport {
-            inbox,
-            config,
-            meter,
-            epoch,
-            workers,
-            addrs,
-            conns: Mutex::new(HashMap::new()),
-            beats,
-            alive,
-            shutdown,
-            threads: Mutex::new(threads),
-        })
+        Ok(t)
     }
 
-    fn addr_of(&self, n: NodeId) -> SocketAddr {
-        if n == MASTER {
-            self.addrs[self.workers]
-        } else {
-            self.addrs[n]
-        }
-    }
-
-    /// Writes a page's frames on the pooled src→dst connection, re-dialing
+    /// Writes a page's frames on the pooled connection to `dst`, re-dialing
     /// with bounded exponential backoff (jittered, capped, metered) when
     /// the link is down or drops mid-write.
-    fn write_frames(&self, src: NodeId, dst: NodeId, frames: &[Vec<u8>]) -> PcResult<()> {
-        let slot: ConnSlot = {
-            let mut conns = self.conns.lock().expect("conn pool poisoned");
-            conns.entry((src, dst)).or_default().clone()
+    fn write_frames(&self, dst: NodeId, frames: &[Vec<u8>]) -> PcResult<()> {
+        let node = if dst == MASTER { self.workers } else { dst };
+        let (Some(slot), Some(addr)) = (self.conns.get(node), self.addrs.get(node)) else {
+            return Err(PcError::Transport(format!(
+                "send to {}: no such node",
+                node_name(dst)
+            )));
         };
         let mut conn = slot.lock().expect("conn slot poisoned");
         let mut attempt = 0u32;
         let mut had_failure = false;
         loop {
             if conn.is_none() {
-                match std::net::TcpStream::connect(self.addr_of(dst)) {
+                match std::net::TcpStream::connect(addr) {
                     Ok(s) => {
                         let _ = s.set_nodelay(true);
                         let _ = s.set_write_timeout(Some(WRITE_DEADLINE));
@@ -883,7 +903,7 @@ impl Transport for TcpTransport {
         let seq = self.inbox.expect(dst);
         let epoch = *lock_epoch(&self.epoch);
         let frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
-        self.write_frames(src, dst, &frames)
+        self.write_frames(dst, &frames)
     }
 
     fn collect(&self, dst: NodeId) -> PcResult<Vec<SealedPage>> {
@@ -894,10 +914,10 @@ impl Transport for TcpTransport {
 
     fn reset(&self) {
         // New epoch first, so frames still buffered in sockets are
-        // recognizably stale by the time the inbox is cleared. The poll
-        // loop accepts data frames under this same lock: once `reset`
-        // returns, no page of the aborted epoch can still be delivered or
-        // metered, so recovery's meter rollback (which follows) is exact.
+        // recognizably stale by the time the inbox is cleared. The readers
+        // accept data frames under this same lock: once `reset` returns,
+        // no page of the aborted epoch can still be delivered or metered,
+        // so recovery's meter rollback (which follows) is exact.
         let mut epoch = lock_epoch(&self.epoch);
         *epoch += 1;
         self.inbox.reset();
@@ -921,20 +941,18 @@ impl Transport for TcpTransport {
         if retransmit {
             frames.insert(victim + 1, clean);
         }
-        self.write_frames(src, dst, &frames)
+        self.write_frames(dst, &frames)
     }
 
     fn kill(&self, w: NodeId) {
         if w < self.workers {
             self.alive[w].store(false, Ordering::Relaxed);
         }
-        // Sever every live connection touching the dead node; senders will
-        // re-dial (with backoff) once it is revived.
-        let conns = self.conns.lock().expect("conn pool poisoned");
-        for ((src, dst), slot) in conns.iter() {
-            if *src == w || *dst == w {
-                slot.lock().expect("conn slot poisoned").take();
-            }
+        // Sever the link into the dead node (closing the sender half is
+        // also what ends its reader); senders will re-dial (with backoff)
+        // once it is revived.
+        if let Some(slot) = self.conns.get(w) {
+            slot.lock().expect("conn slot poisoned").take();
         }
     }
 
@@ -953,171 +971,130 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        for h in self.threads.lock().expect("tcp threads poisoned").drain(..) {
+        // Readers end when their peer closes: the pooled sender halves
+        // close here, the heartbeat endpoints' as those threads exit.
+        self.conns.clear();
+        // An acceptor notices the flag only when `accept` returns: hand it
+        // a throw-away connection. One that cannot be woken is left
+        // detached rather than hanging the drop.
+        for (addr, h) in self.acceptors.drain(..) {
+            if std::net::TcpStream::connect(addr).is_ok() {
+                let _ = h.join();
+            }
+        }
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-struct TcpConn {
-    stream: mio::net::TcpStream,
-    buf: Vec<u8>,
-}
-
-/// The receive side: accepts connections on every node's listener, decodes
-/// frames, reassembles pages, and records heartbeats — one thread for the
-/// whole cluster.
-fn poll_loop(
-    mut listeners: Vec<mio::net::TcpListener>,
-    workers: usize,
-    inbox: Arc<Inbox>,
-    meter: Arc<TransportMeter>,
-    epoch: Arc<Mutex<u64>>,
-    beats: Arc<BeatBoard>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let poll = match mio::Poll::new() {
-        Ok(p) => p,
-        Err(_) => return,
-    };
-    for (i, l) in listeners.iter_mut().enumerate() {
-        let _ = poll
-            .registry()
-            .register(l, mio::Token(i), mio::Interest::READABLE);
-    }
-    let mut conns: HashMap<usize, TcpConn> = HashMap::new();
-    let mut next_token = workers + 2;
-    let mut reasm = Reassembler::new();
-    let mut events = mio::Events::with_capacity(64);
-    let mut scratch = [0u8; 64 << 10];
-    while !shutdown.load(Ordering::Relaxed) {
-        if poll
-            .poll(&mut events, Some(Duration::from_millis(10)))
-            .is_err()
-        {
-            return;
+impl Receiver {
+    /// One node's acceptor: every inbound connection gets a blocking
+    /// reader thread. Returns — after joining its readers, whose peers
+    /// `Drop` has closed by then — once `shutdown` is set and a dial wakes
+    /// the `accept`.
+    fn accept_loop(&self, listener: std::net::TcpListener) {
+        let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        for stream in listener.incoming() {
+            if self.shutdown.load(Ordering::Relaxed) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            // Reap readers whose connection has closed, so kill/revive
+            // cycles cannot grow the list without bound.
+            readers.retain(|h| !h.is_finished());
+            let rx = self.clone();
+            // A failed spawn drops the stream: the sender sees a dead link.
+            readers.extend(spawn_named("read", move || rx.read_loop(stream)));
         }
-        for ev in &events {
-            let t = ev.token().0;
-            if t <= workers {
-                // A listener: accept everything waiting.
-                while let Ok((mut stream, _)) = listeners[t].accept() {
-                    let token = next_token;
-                    next_token += 1;
-                    if poll
-                        .registry()
-                        .register(&mut stream, mio::Token(token), mio::Interest::READABLE)
-                        .is_ok()
-                    {
-                        conns.insert(
-                            token,
-                            TcpConn {
-                                stream,
-                                buf: Vec::new(),
-                            },
-                        );
-                    }
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&t) else {
-                continue;
-            };
-            let mut closed = false;
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        closed = true;
-                        break;
-                    }
-                    Ok(n) => conn.buf.extend_from_slice(&scratch[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        closed = true;
-                        break;
-                    }
-                }
-            }
-            let framing_broken = drain_frames(conn, &inbox, &meter, &epoch, &beats, &mut reasm);
-            if closed && !framing_broken && !conn.buf.is_empty() {
-                // The peer vanished mid-frame: a truncated page. Surface a
-                // typed error on the destination if the stranded header
-                // still names one; either way the bytes were waste.
-                meter.on_failed_attempt(conn.buf.len());
-                if let Some(dst) = truncated_dst(&conn.buf) {
-                    inbox.fail(
-                        dst,
-                        format!(
-                            "connection closed mid-frame ({} bytes stranded)",
-                            conn.buf.len()
-                        ),
-                    );
-                }
-            }
-            if closed || framing_broken {
-                let mut dead = conns.remove(&t).expect("conn present");
-                let _ = poll.registry().deregister(&mut dead.stream);
-            }
+        for h in readers {
+            let _ = h.join();
         }
     }
-}
 
-/// Decodes every complete frame buffered on a connection. Returns true when
-/// the framing itself broke (the connection must be dropped).
-fn drain_frames(
-    conn: &mut TcpConn,
-    inbox: &Inbox,
-    meter: &TransportMeter,
-    epoch: &Mutex<u64>,
-    beats: &BeatBoard,
-    reasm: &mut Reassembler,
-) -> bool {
-    let mut consumed_total = 0;
-    let broken = loop {
-        match wire::decode(&conn.buf[consumed_total..]) {
-            Ok(Decoded::Need) => break false,
-            Ok(Decoded::Frame { frame, consumed }) => {
-                consumed_total += consumed;
-                match frame.kind {
-                    FrameKind::Heartbeat => {
-                        let src = frame.src as usize;
-                        beats.record(src);
-                    }
-                    FrameKind::Data => {
-                        // Held across the accept; see `reset`.
-                        let now = lock_epoch(epoch);
-                        if frame.epoch != *now {
-                            reasm.retain_epoch(*now);
-                            continue;
-                        }
-                        reasm.accept(frame, meter, inbox);
-                    }
-                }
+    /// One inbound connection: decodes frames, reassembles pages, and
+    /// records heartbeats until the peer closes (a killed worker's severed
+    /// sender half, a dropped transport) or the framing breaks.
+    fn read_loop(&self, mut stream: std::net::TcpStream) {
+        let mut reasm = Reassembler::new();
+        let mut buf = Vec::new();
+        let mut scratch = [0u8; 64 << 10];
+        let framing_broken = loop {
+            match stream.read(&mut scratch) {
+                Ok(0) => break false,
+                Ok(n) => buf.extend_from_slice(&scratch[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break false,
             }
-            Ok(Decoded::Corrupt { consumed, .. }) => {
-                // Checksum reject: skip exactly this frame; framing holds.
-                meter.on_failed_attempt(consumed);
-                consumed_total += consumed;
-            }
-            Err(_) => {
-                // Frame boundaries can no longer be trusted: everything
-                // still buffered is waste and the connection dies. The
-                // stranded destination (if its header survives) gets a
-                // typed error instead of a deadline stall.
-                let rest = conn.buf.len() - consumed_total;
-                meter.on_failed_attempt(rest);
-                if let Some(dst) = truncated_dst(&conn.buf[consumed_total..]) {
-                    inbox.fail(
-                        dst,
-                        "wire framing broken on an inbound connection".to_string(),
-                    );
-                }
+            if self.drain_frames(&mut buf, &mut reasm) {
                 break true;
             }
+        };
+        if !framing_broken && !buf.is_empty() {
+            // The peer vanished mid-frame: a truncated page. Surface a
+            // typed error on the destination if the stranded header
+            // still names one; either way the bytes were waste.
+            self.meter.on_failed_attempt(buf.len());
+            if let Some(dst) = truncated_dst(&buf) {
+                self.inbox.fail(
+                    dst,
+                    format!("connection closed mid-frame ({} bytes stranded)", buf.len()),
+                );
+            }
         }
-    };
-    conn.buf.drain(..consumed_total);
-    broken
+        reasm.scrap(&self.meter);
+    }
+
+    /// Decodes every complete frame buffered on a connection. Returns true
+    /// when the framing itself broke (the connection must be dropped).
+    fn drain_frames(&self, buf: &mut Vec<u8>, reasm: &mut Reassembler) -> bool {
+        let mut consumed_total = 0;
+        let broken = loop {
+            match wire::decode(&buf[consumed_total..]) {
+                Ok(Decoded::Need) => break false,
+                Ok(Decoded::Frame { frame, consumed }) => {
+                    consumed_total += consumed;
+                    match frame.kind {
+                        FrameKind::Heartbeat => {
+                            let src = frame.src as usize;
+                            self.beats.record(src);
+                        }
+                        FrameKind::Data => {
+                            // Held across the accept; see `reset`.
+                            let now = lock_epoch(&self.epoch);
+                            if frame.epoch != *now {
+                                reasm.retain_epoch(*now);
+                                continue;
+                            }
+                            reasm.accept(frame, &self.meter, &self.inbox);
+                        }
+                    }
+                }
+                Ok(Decoded::Corrupt { consumed, .. }) => {
+                    // Checksum reject: skip exactly this frame; framing holds.
+                    self.meter.on_failed_attempt(consumed);
+                    consumed_total += consumed;
+                }
+                Err(_) => {
+                    // Frame boundaries can no longer be trusted: everything
+                    // still buffered is waste and the connection dies. The
+                    // stranded destination (if its header survives) gets a
+                    // typed error instead of a deadline stall.
+                    let rest = buf.len() - consumed_total;
+                    self.meter.on_failed_attempt(rest);
+                    if let Some(dst) = truncated_dst(&buf[consumed_total..]) {
+                        self.inbox.fail(
+                            dst,
+                            "wire framing broken on an inbound connection".to_string(),
+                        );
+                    }
+                    break true;
+                }
+            }
+        };
+        buf.drain(..consumed_total);
+        broken
+    }
 }
 
 /// Best-effort destination of a stranded partial frame (magic must hold and
@@ -1160,9 +1137,10 @@ fn heartbeat_endpoint(
     };
     while !shutdown.load(Ordering::Relaxed) {
         if !alive[w].load(Ordering::Relaxed) {
-            if conn.take().is_some() {
-                had_failure = true;
-            }
+            // A crash is a failure whether or not the first dial had
+            // landed yet: the dial after the restart is a metered re-dial.
+            conn = None;
+            had_failure = true;
             std::thread::sleep(Duration::from_millis(5));
             continue;
         }
@@ -1751,6 +1729,73 @@ mod tests {
         reasm.retain_epoch(2);
         let live: Vec<_> = reasm.partial.keys().copied().collect();
         assert_eq!(live, vec![(1, 0)], "only the live epoch's partial stays");
+    }
+
+    #[test]
+    fn tcp_close_mid_frame_poisons_the_stranded_dst() {
+        let meter = Arc::new(TransportMeter::default());
+        let t = TcpTransport::new(meter.clone(), TcpConfig::default(), 2).unwrap();
+        // A page for worker 1 is outstanding: without the poison, the
+        // collect below would sit out its whole 10 s deadline.
+        t.inbox.expect(1);
+        let frame = WireFrame::data(0, MASTER as u64, 1, 0, 0, 1, vec![7; 64]).encode();
+        let half = &frame[..frame.len() / 2];
+        let mut raw = std::net::TcpStream::connect(t.addrs[1]).unwrap();
+        raw.write_all(half).unwrap();
+        drop(raw);
+        let start = Instant::now();
+        match t.collect(1) {
+            Err(PcError::Transport(why)) => assert!(why.contains("mid-frame"), "{why}"),
+            other => panic!("expected a typed transport error, got {other:?}"),
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "the poison must preempt the collect deadline"
+        );
+        assert_eq!(meter.bytes_retransmitted(), half.len() as u64);
+        assert_eq!(meter.pages_shuffled(), 0);
+    }
+
+    #[test]
+    fn tcp_broken_framing_drops_only_that_connection() {
+        let meter = Arc::new(TransportMeter::default());
+        let t = TcpTransport::new(meter.clone(), TcpConfig::default(), 2).unwrap();
+        let mut raw = std::net::TcpStream::connect(t.addrs[1]).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        raw.write_all(&[0xAB; 64]).unwrap(); // a full header's worth, bad magic
+        assert_eq!(
+            raw.read(&mut [0u8; 8]).unwrap(),
+            0,
+            "the receiver must hang up on a connection whose framing broke"
+        );
+        assert_eq!(meter.bytes_retransmitted(), 64, "the garbage is waste");
+        // The damage stays on that connection: the pooled link still
+        // carries a page intact.
+        let p = page(3);
+        t.send(MASTER, 1, &p).unwrap();
+        let got = t.collect(1).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].to_bytes(), p.to_bytes());
+    }
+
+    #[test]
+    fn tcp_drop_joins_its_threads_promptly() {
+        let meter = Arc::new(TransportMeter::default());
+        let t = TcpTransport::new(meter.clone(), TcpConfig::default(), 2).unwrap();
+        // Live data connections to both workers, heartbeat links to the
+        // master, and one killed worker.
+        for w in 0..2 {
+            t.send(MASTER, w, &page(w as i64)).unwrap();
+            assert_eq!(t.collect(w).unwrap().len(), 1);
+        }
+        t.kill(1);
+        let start = Instant::now();
+        drop(t);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "drop took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -401,36 +401,6 @@ impl JoinTable {
         matches
     }
 
-    /// Calls `f` with each match group for `hash` (partition-routed like
-    /// [`Self::probe_into`]).
-    pub fn probe(
-        &self,
-        hash: u64,
-        mut f: impl FnMut(&[AnyHandle]) -> PcResult<()>,
-    ) -> PcResult<()> {
-        let shash = PcKey::hash_val(&hash);
-        let Some(part) = self.route(shash) else {
-            return Ok(());
-        };
-        for (_block, map) in &part.pages {
-            if let Some(bucket) = map.get_hashed(shash, &hash) {
-                let len = bucket.len();
-                debug_assert_eq!(len % self.arity, 0);
-                let mut group: Vec<AnyHandle> = Vec::with_capacity(self.arity);
-                let mut i = 0;
-                while i < len {
-                    group.clear();
-                    for k in 0..self.arity {
-                        group.push(bucket.get(i + k).erase());
-                    }
-                    f(&group)?;
-                    i += self.arity;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Number of probe keys the tag filters rejected without a map probe
     /// (diagnostics; reset never).
     pub fn tag_rejects(&self) -> u64 {
@@ -544,21 +514,6 @@ impl JoinTable {
         Ok(t)
     }
 
-    /// Folds another table's partitions into this one partition-wise
-    /// (merging per-thread builds on a worker): partition `p`'s chains
-    /// concatenate, so probes still touch only their own partition.
-    pub fn absorb(&mut self, other: JoinTable) {
-        debug_assert_eq!(self.arity, other.arity);
-        debug_assert_eq!(self.partitions, other.partitions);
-        self.groups += other.groups;
-        for (mine, theirs) in self.parts.iter_mut().zip(other.parts) {
-            if !theirs.pages.is_empty() {
-                mine.tags = TagFilter::default();
-                mine.pages.extend(theirs.pages);
-            }
-        }
-    }
-
     pub fn page_count(&self) -> usize {
         self.parts.iter().map(|p| p.pages.len()).sum()
     }
@@ -654,6 +609,32 @@ impl JoinTable {
             if let Err(e) = bucket.push(h.downcast_unchecked::<AnyObj>()) {
                 bucket.truncate(before);
                 return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Calls `f` with each match group for `hash` (partition-routed like
+    /// [`Self::probe_into`]).
+    fn probe(&self, hash: u64, mut f: impl FnMut(&[AnyHandle]) -> PcResult<()>) -> PcResult<()> {
+        let shash = PcKey::hash_val(&hash);
+        let Some(part) = self.route(shash) else {
+            return Ok(());
+        };
+        for (_block, map) in &part.pages {
+            if let Some(bucket) = map.get_hashed(shash, &hash) {
+                let len = bucket.len();
+                debug_assert_eq!(len % self.arity, 0);
+                let mut group: Vec<AnyHandle> = Vec::with_capacity(self.arity);
+                let mut i = 0;
+                while i < len {
+                    group.clear();
+                    for k in 0..self.arity {
+                        group.push(bucket.get(i + k).erase());
+                    }
+                    f(&group)?;
+                    i += self.arity;
+                }
             }
         }
         Ok(())
@@ -916,37 +897,6 @@ mod tests {
             caps.iter().filter(|&&c| c == 512).count() > 0,
             "vectorized escalation must also restore the configured size: {caps:?}"
         );
-    }
-
-    #[test]
-    fn absorb_merges_per_thread_builds_partition_wise() {
-        let _s = AllocScope::new(1 << 19);
-        // Two "pipelining thread" builds over disjoint row ranges...
-        let srcs = sources(200);
-        let mut a = JoinTable::with_partitions(1, 4096, 4);
-        let mut b = JoinTable::with_partitions(1, 4096, 4);
-        let hashes: Vec<u64> = (0..200u64).map(|i| i % 10).collect();
-        let objs: Vec<AnyHandle> = srcs.iter().map(|v| v.erase()).collect();
-        a.insert_batch(&hashes[..100], None, &[&objs[..100]])
-            .unwrap();
-        b.insert_batch(&hashes[100..], None, &[&objs[100..]])
-            .unwrap();
-        // ...fold together partition-wise, and probe like one build.
-        a.absorb(b);
-        assert_eq!(a.groups, 200);
-        a.finish_build();
-        let mut idx = Vec::new();
-        let mut built: Vec<Vec<AnyHandle>> = vec![Vec::new()];
-        let mut total = 0;
-        for key in 0..10u64 {
-            assert!(
-                a.partition_page_count(key) < a.page_count(),
-                "absorbed chains must stay partition-routed"
-            );
-            total += a.probe_into(key, 0, &mut idx, &mut built);
-        }
-        assert_eq!(total, 200, "every group from both builds probes");
-        assert_eq!(a.probe_into(99, 0, &mut idx, &mut built), 0);
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub mod plan;
 pub mod vlist;
 
 pub use jointable::{JoinTable, TagFilter, DEFAULT_JOIN_PARTITIONS};
-pub use local::{default_threads, ExecConfig, ExecStats, PipelineOutput, TMP_DB};
+pub use local::{default_threads, ExecConfig, ExecStats, TMP_DB};
 pub use morsel::{
-    carve_morsels, run_stage_morsels, Morsel, MorselOutput, MorselQueue, SharedTable,
+    carve_morsels, fan_out, run_stage_morsels, Morsel, MorselOutput, MorselQueue, SharedTable,
 };
 pub use plan::{
     describe_decompositions, plan, AggDest, PhysicalPlan, PipeOp, PipelineSpec, ResolvedOp,

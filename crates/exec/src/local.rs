@@ -3,10 +3,11 @@
 //! `run_span`-over-morsels is the core engine: `crate::morsel` carves a
 //! stage's input pages into fixed-size morsels and worker threads pull them
 //! from a work-stealing queue, each running the per-batch loop defined here
-//! with its own sink state. The distributed runtime in `pc-cluster` is the
-//! one caller: it runs the morsel driver once per worker (a
-//! `PipelineJobStage`) and shuffles the outputs between nodes; single-node
-//! execution is a one-worker cluster.
+//! with its own sink state (one `SinkState` per morsel) and sealing the
+//! result into the [`MorselOutput`] the cluster routes. The distributed
+//! runtime in `pc-cluster` is the one caller: it runs the morsel driver
+//! once per worker (a `PipelineJobStage`) and shuffles the outputs between
+//! nodes; single-node execution is a one-worker cluster.
 //!
 //! Batch mechanics follow Appendix C: input pages stay pinned while a batch
 //! built from them is in flight; object-producing kernels allocate directly
@@ -15,11 +16,12 @@
 //! columns still pin them — and retry the failed stage.
 
 use crate::jointable::JoinTable;
+use crate::morsel::MorselOutput;
 use crate::plan::{PipelineSpec, ResolvedOp, ResolvedPipeline, ResolvedSink, Sink};
 use crate::vlist::VectorList;
 use pc_lambda::{
-    for_each_sel, AggPage, Column, ColumnKernel, ColumnPool, ErasedAgg, ErasedAggSink, ExecCtx,
-    SetWriter, SpillCtx,
+    for_each_sel, Column, ColumnKernel, ColumnPool, ErasedAgg, ErasedAggSink, ExecCtx, SetWriter,
+    SpillCtx,
 };
 use pc_object::{
     AllocPolicy, AllocScope, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcResult, PcVec,
@@ -172,59 +174,55 @@ impl ExecStats {
     }
 }
 
-/// What a pipeline's sink produced (before any storage/shuffle routing).
-pub enum PipelineOutput {
-    /// Sealed output pages (OUTPUT / materialization sinks).
-    Pages(Vec<SealedPage>),
-    /// A built join hash table (boxed: the partitioned table's inline state
-    /// dwarfs the other variants).
-    BuiltTable(Box<JoinTable>),
-    /// Pre-aggregated `(partition, page)` pairs awaiting merge; a page may
-    /// be resident or spilled (it reloads lazily at merge time).
-    AggPartitions(Vec<(usize, AggPage)>),
+/// A span's sink state: the one sink its pipeline ends in, built once from
+/// [`Sink`] and consumed into the span's [`MorselOutput`].
+enum SinkState {
+    /// OUTPUT / materialization: objects land on the writer's live page.
+    Write(SetWriter),
+    /// Pre-aggregation into hash-partitioned map pages.
+    Agg(Box<dyn ErasedAggSink>),
+    /// A join build table's partitioned page chains.
+    Build(JoinTable),
 }
 
 /// The database name intermediates are materialized under.
 pub const TMP_DB: &str = "__tmp";
 
-/// Runs one pipeline over a span of `(page, lo, hi)` row ranges with fresh
-/// sink state, on the calling thread. This is the unit a morsel scheduler
-/// dispatches: every morsel gets its own sinks, so its output depends only
-/// on its input rows and merges deterministically by morsel index.
-pub(crate) fn run_span<'a>(
+/// Runs one pipeline over one `(page, lo, hi)` row range (`None`: no input
+/// rows, the sink machinery alone) with fresh sink state, on the calling
+/// thread. This is the unit a morsel scheduler dispatches: every morsel
+/// gets its own sink, so its output depends only on its input rows and
+/// merges deterministically by morsel index. The output is sealed here, on
+/// the thread that produced it (handles never cross threads — §6.5).
+pub(crate) fn run_span(
     config: &ExecConfig,
     p: &PipelineSpec,
     rp: &ResolvedPipeline,
     aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
     tables: &HashMap<String, JoinTable>,
     pool: &mut ColumnPool,
-    spans: impl Iterator<Item = (&'a Arc<SealedPage>, usize, usize)>,
-) -> PcResult<(PipelineOutput, ExecStats)> {
+    span: Option<(&Arc<SealedPage>, usize, usize)>,
+) -> PcResult<(MorselOutput, ExecStats)> {
     let mut stats = ExecStats::default();
-    let mut writer: Option<SetWriter> = match &p.sink {
-        Sink::Output { .. } | Sink::Materialize { .. } => Some(SetWriter::new(config.page_size)),
-        _ => None,
-    };
-    let mut agg_sink: Option<Box<dyn ErasedAggSink>> = match &p.sink {
+    let mut sink = match &p.sink {
+        Sink::Output { .. } | Sink::Materialize { .. } => {
+            SinkState::Write(SetWriter::new(config.page_size))
+        }
         Sink::AggProduce { comp, .. } => {
             let agg = aggs
                 .get(comp)
                 .ok_or_else(|| PcError::Catalog(format!("no aggregation engine for {comp}")))?;
-            Some(agg.new_sink(
+            SinkState::Agg(agg.new_sink(
                 config.agg_partitions,
                 config.page_size,
                 config.spill.clone(),
             ))
         }
-        _ => None,
-    };
-    let mut build_table = match &p.sink {
-        Sink::JoinBuild { obj_cols, .. } => Some(JoinTable::with_partitions(
+        Sink::JoinBuild { obj_cols, .. } => SinkState::Build(JoinTable::with_partitions(
             obj_cols.len(),
             config.page_size,
             config.join_partitions,
         )),
-        _ => None,
     };
     let mut scratch = ScratchPage::new(config.page_size);
     // One slot-addressed vector list and the thread's buffer pool serve
@@ -233,7 +231,7 @@ pub(crate) fn run_span<'a>(
     // to the thread across morsels.
     let mut vl = VectorList::for_slots(rp.slot_names.clone());
 
-    for (page, lo, span_hi) in spans {
+    if let Some((page, lo, span_hi)) = span {
         // Zero-copy read view of the input page (pinned while the Arc and
         // the batch's handles live).
         let (_block, root) = page.open_view()?;
@@ -252,9 +250,7 @@ pub(crate) fn run_span<'a>(
                 rp,
                 tables,
                 &mut vl,
-                &mut writer,
-                &mut agg_sink,
-                &mut build_table,
+                &mut sink,
                 &mut scratch,
                 pool,
                 &mut stats,
@@ -263,52 +259,49 @@ pub(crate) fn run_span<'a>(
             // Batch boundary: the vector list dies (its buffers return to
             // the pool, dropping object references), zombies release.
             vl.recycle(pool);
-            if let Some(w) = writer.as_mut() {
+            if let SinkState::Write(w) = &mut sink {
                 stats.max_zombie_pages = stats.max_zombie_pages.max(w.max_zombies);
                 w.release_zombies()?;
             }
         }
     }
 
-    let output = match &p.sink {
-        Sink::Output { .. } | Sink::Materialize { .. } => {
-            let w = writer.take().unwrap();
+    let output = match sink {
+        SinkState::Write(w) => {
             stats.rows_out += w.objects_written;
             let pages = w.finish()?;
             stats.pages_written += pages.len() as u64;
-            PipelineOutput::Pages(pages)
+            MorselOutput::Pages(pages)
         }
-        Sink::JoinBuild { .. } => {
-            let mut t = build_table.take().unwrap();
-            // The build is complete: construct the probe-side tag filters
-            // from the stored entry hashes (the seal point of the chains).
-            t.finish_build();
+        SinkState::Build(t) => {
             stats.join_groups += t.groups;
             stats.build_pages_sealed += t.page_count() as u64;
-            PipelineOutput::BuiltTable(Box::new(t))
+            // Sealed as it stands: the probe side builds its tag filters
+            // once over the gathered pages, not per morsel.
+            MorselOutput::TablePages {
+                groups: t.groups,
+                partitions: t.partitions(),
+                pages: t.into_pages()?,
+            }
         }
-        Sink::AggProduce { .. } => {
-            let mut sink = agg_sink.take().unwrap();
+        SinkState::Agg(mut sink) => {
             let parts = sink.flush()?;
             let s = sink.stats();
             stats.rows_aggregated += s.rows_absorbed;
             stats.map_pages_sealed += s.map_pages_sealed;
             stats.agg_pages_spilled += s.pages_spilled;
             stats.agg_bytes_spilled += s.bytes_spilled;
-            PipelineOutput::AggPartitions(parts)
+            MorselOutput::AggPartitions(parts)
         }
     };
     Ok((output, stats))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_batch(
     rp: &ResolvedPipeline,
     tables: &HashMap<String, JoinTable>,
     vl: &mut VectorList,
-    writer: &mut Option<SetWriter>,
-    agg_sink: &mut Option<Box<dyn ErasedAggSink>>,
-    build_table: &mut Option<JoinTable>,
+    sink: &mut SinkState,
     scratch: &mut ScratchPage,
     pool: &mut ColumnPool,
     stats: &mut ExecStats,
@@ -325,7 +318,7 @@ fn run_batch(
                 drop,
                 drop_out,
             } => {
-                let col = apply_with_retry(kernel, inputs, vl, writer, scratch)?;
+                let col = apply_with_retry(kernel, inputs, vl, sink, scratch)?;
                 vl.drop_slots(drop, pool);
                 vl.rebase_with(*out, col, pool);
                 if *drop_out {
@@ -346,7 +339,7 @@ fn run_batch(
             } => {
                 let mut result = None;
                 for attempt in 0..8 {
-                    let block = kernel_block(writer, scratch)?;
+                    let block = kernel_block(sink, scratch)?;
                     let scope = AllocScope::install(block.clone());
                     let mut ctx = ExecCtx::new(block);
                     let r = kernel.apply(&[vl.slot(*input)?], vl.sel(), &mut ctx);
@@ -357,7 +350,7 @@ fn run_batch(
                             break;
                         }
                         Err(PcError::BlockFull { .. }) if attempt < 7 => {
-                            roll_kernel_page(writer, scratch)?;
+                            roll_kernel_page(sink, scratch)?;
                         }
                         Err(e) => return Err(e),
                     }
@@ -423,33 +416,36 @@ fn run_batch(
     }
     // Pipe sinks are contiguity boundaries: they consume the selection
     // directly (no compaction pass) by iterating live rows only.
-    match &rp.sink {
-        ResolvedSink::Write { slot } => {
-            let w = writer.as_mut().unwrap();
+    match (&rp.sink, sink) {
+        (ResolvedSink::Write { slot }, SinkState::Write(w)) => {
             let objs = vl.slot(*slot)?.as_obj()?;
             for_each_sel(objs.len(), vl.sel(), |i| w.write_handle(&objs[i]))?;
         }
-        ResolvedSink::AggProduce { slot } => {
-            agg_sink
-                .as_mut()
-                .unwrap()
-                .absorb(vl.slot(*slot)?, vl.sel())?;
+        (ResolvedSink::AggProduce { slot }, SinkState::Agg(agg)) => {
+            agg.absorb(vl.slot(*slot)?, vl.sel())?;
         }
-        ResolvedSink::JoinBuild {
-            hash_slot,
-            obj_slots,
-        } => {
+        (
+            ResolvedSink::JoinBuild {
+                hash_slot,
+                obj_slots,
+            },
+            SinkState::Build(t),
+        ) => {
             // The vectorized build: the whole selection-live batch is
             // hashed, radix-partitioned, and bulk-folded into the table's
             // partition chains in one call — no per-row group Vec, no
             // per-column handle clone.
-            let t = build_table.as_mut().unwrap();
             let hashes = vl.slot(*hash_slot)?.as_u64()?;
             let cols: Vec<&[AnyHandle]> = obj_slots
                 .iter()
                 .map(|s| vl.slot(*s).and_then(|c| c.as_obj()))
                 .collect::<PcResult<_>>()?;
             t.insert_batch(hashes, vl.sel(), &cols)?;
+        }
+        _ => {
+            return Err(PcError::Catalog(
+                "pipeline sink and its resolved form disagree".into(),
+            ))
         }
     }
     Ok(())
@@ -458,22 +454,22 @@ fn run_batch(
 /// The block kernels should allocate on: the live output page for
 /// OUTPUT-like sinks (objects land where they are needed), a recycled
 /// scratch page otherwise.
-fn kernel_block(writer: &mut Option<SetWriter>, scratch: &mut ScratchPage) -> PcResult<BlockRef> {
-    match writer {
-        Some(w) => w.live_block(),
-        None => scratch.block(),
+fn kernel_block(sink: &mut SinkState, scratch: &mut ScratchPage) -> PcResult<BlockRef> {
+    match sink {
+        SinkState::Write(w) => w.live_block(),
+        _ => scratch.block(),
     }
 }
 
-fn roll_kernel_page(writer: &mut Option<SetWriter>, scratch: &mut ScratchPage) -> PcResult<()> {
-    match writer {
-        Some(w) => {
+fn roll_kernel_page(sink: &mut SinkState, scratch: &mut ScratchPage) -> PcResult<()> {
+    match sink {
+        SinkState::Write(w) => {
             // Same-size retries can fault forever when one batch's output
             // exceeds a page; escalate the page size as we retry.
             w.escalate_page_size();
             w.retire_live_page()
         }
-        None => scratch.roll(),
+        _ => scratch.roll(),
     }
 }
 
@@ -481,11 +477,11 @@ fn apply_with_retry(
     kernel: &Arc<dyn ColumnKernel>,
     inputs: &[usize],
     vl: &VectorList,
-    writer: &mut Option<SetWriter>,
+    sink: &mut SinkState,
     scratch: &mut ScratchPage,
 ) -> PcResult<Column> {
     for attempt in 0..8 {
-        let block = kernel_block(writer, scratch)?;
+        let block = kernel_block(sink, scratch)?;
         let scope = AllocScope::install(block.clone());
         let mut ctx = ExecCtx::new(block);
         let cols: Vec<&Column> = inputs
@@ -499,7 +495,7 @@ fn apply_with_retry(
             Err(PcError::BlockFull { .. }) if attempt < 7 => {
                 // Page fault: retire the page (it may zombify if pinned by
                 // this batch's earlier columns), escalate, retry the stage.
-                roll_kernel_page(writer, scratch)?;
+                roll_kernel_page(sink, scratch)?;
             }
             Err(e) => return Err(e),
         }
@@ -522,10 +518,11 @@ impl ScratchPage {
     }
 
     fn block(&mut self) -> PcResult<BlockRef> {
-        if self.block.is_none() {
-            self.block = Some(BlockRef::new(self.size, AllocPolicy::LightweightReuse));
-        }
-        Ok(self.block.as_ref().unwrap().clone())
+        let size = self.size;
+        Ok(self
+            .block
+            .get_or_insert_with(|| BlockRef::new(size, AllocPolicy::LightweightReuse))
+            .clone())
     }
 
     /// Abandons the current scratch page (a zombie page in §C's taxonomy —

@@ -19,7 +19,7 @@
 //! `ColumnPool` buffer cache — only affects allocation, never output bytes.
 
 use crate::jointable::{JoinTable, TagFilter};
-use crate::local::{run_span, ExecConfig, ExecStats, PipelineOutput};
+use crate::local::{run_span, ExecConfig, ExecStats};
 use crate::plan::PipelineSpec;
 use pc_lambda::{AggPage, ColumnPool, ErasedAgg, SpillCtx, StageLibrary};
 use pc_object::{
@@ -119,9 +119,30 @@ impl MorselQueue {
     }
 }
 
-/// A `Send` form of [`PipelineOutput`]: one morsel's sink result, sealed
-/// into pages inside the producing thread (handles never cross threads —
-/// §6.5). The same type rides the cluster's transport per worker.
+/// Runs `f(item)` for every item, each on its own scoped thread, and returns
+/// the results in item order. A panic in `f` is re-raised on the caller with
+/// its original payload once every thread has finished. Every stage-level
+/// spawn-and-join goes through here.
+pub fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
+/// One morsel's sink result, sealed into pages inside the producing thread
+/// (handles never cross threads — §6.5), so it is `Send`: the cluster routes
+/// it to storage, broadcast, or shuffle as it is.
 pub enum MorselOutput {
     /// Sealed output pages (OUTPUT / materialization sinks).
     Pages(Vec<SealedPage>),
@@ -138,25 +159,6 @@ pub enum MorselOutput {
     /// Pre-aggregated `(partition, page)` pairs awaiting merge; a page may
     /// be resident or spilled (it reloads lazily at merge time).
     AggPartitions(Vec<(usize, AggPage)>),
-}
-
-impl MorselOutput {
-    /// Seals a [`PipelineOutput`] into its `Send` form (must run on the
-    /// thread that produced it, while its handles are still thread-local).
-    pub fn seal(out: PipelineOutput) -> PcResult<Self> {
-        Ok(match out {
-            PipelineOutput::Pages(p) => MorselOutput::Pages(p),
-            PipelineOutput::BuiltTable(t) => {
-                let (groups, partitions) = (t.groups, t.partitions());
-                MorselOutput::TablePages {
-                    groups,
-                    partitions,
-                    pages: t.into_pages()?,
-                }
-            }
-            PipelineOutput::AggPartitions(p) => MorselOutput::AggPartitions(p),
-        })
-    }
 }
 
 /// One planned second-pass chunk: `(spilled-partition index, lo page, hi
@@ -210,16 +212,6 @@ pub struct SharedTable {
 }
 
 impl SharedTable {
-    /// Builds the shared form from partition-tagged pages, constructing the
-    /// tag filters once from the stored entry hashes.
-    pub fn from_tagged_pages(
-        arity: usize,
-        partitions: usize,
-        pages: Vec<(usize, Arc<SealedPage>)>,
-    ) -> PcResult<Self> {
-        Self::from_tagged_pages_budgeted(arity, partitions, pages, None)
-    }
-
     /// Builds the shared form under an optional memory budget. The gathered
     /// table's bytes are reserved against the budget; while the reservation
     /// is denied, the **largest** resident partition's whole page chain is
@@ -448,16 +440,9 @@ fn run_worker(
     let local_tables = open_probe_tables(config, p, shared)?;
     let mut acc = Vec::new();
     while let Some(m) = queue.next(me) {
-        let (out, stats) = run_span(
-            config,
-            p,
-            rp,
-            aggs,
-            &local_tables,
-            &mut pool,
-            std::iter::once((&m.page, m.lo, m.hi)),
-        )?;
-        acc.push((m.index, MorselOutput::seal(out)?, stats));
+        let span = Some((&m.page, m.lo, m.hi));
+        let (out, stats) = run_span(config, p, rp, aggs, &local_tables, &mut pool, span)?;
+        acc.push((m.index, out, stats));
     }
     Ok(acc)
 }
@@ -557,17 +542,9 @@ fn run_wave(
         // a flushed map — exactly as the single-threaded engine does.
         let mut pool = ColumnPool::default();
         let local_tables = open_probe_tables(config, p, shared)?;
-        let (out, mut stats) = run_span(
-            config,
-            p,
-            rp,
-            aggs,
-            &local_tables,
-            &mut pool,
-            std::iter::empty(),
-        )?;
+        let (out, mut stats) = run_span(config, p, rp, aggs, &local_tables, &mut pool, None)?;
         stats.threads_used = stats.threads_used.max(1);
-        return Ok((vec![MorselOutput::seal(out)?], stats));
+        return Ok((vec![out], stats));
     }
 
     // Never spawn more threads than there are morsels to run.
@@ -578,15 +555,8 @@ fn run_wave(
         // Single-threaded: run inline, no spawn overhead.
         vec![run_worker(config, p, rp, aggs, shared, &queue, 0)]
     } else {
-        std::thread::scope(|scope| {
-            let queue = &queue;
-            let handles: Vec<_> = (0..nthreads)
-                .map(|t| scope.spawn(move || run_worker(config, p, rp, aggs, shared, queue, t)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("morsel worker"))
-                .collect()
+        fan_out(0..nthreads, |t| {
+            run_worker(config, p, rp, aggs, shared, &queue, t)
         })
     };
 

@@ -453,17 +453,6 @@ impl PhysicalPlan {
             })
             .collect()
     }
-
-    /// Number of stages (pipelines) in the plan.
-    pub fn stage_count(&self) -> usize {
-        self.pipelines.len()
-    }
-
-    /// One stage by position — stage-replay entry point: recovery re-runs
-    /// a failed stage in place, from its still-materialized inputs.
-    pub fn stage(&self, i: usize) -> Option<&PipelineSpec> {
-        self.pipelines.get(i)
-    }
 }
 
 impl std::fmt::Display for PhysicalPlan {

@@ -27,14 +27,6 @@ pub struct VectorList {
 }
 
 impl VectorList {
-    pub fn new() -> Self {
-        VectorList {
-            names: Vec::new(),
-            slots: Vec::new(),
-            sel: None,
-        }
-    }
-
     /// A list pre-sized for a resolved pipeline's slot map: every slot
     /// empty, addressed by index.
     pub fn for_slots(names: Vec<String>) -> Self {
@@ -44,12 +36,6 @@ impl VectorList {
             slots,
             sel: None,
         }
-    }
-
-    pub fn with(name: &str, col: Column) -> Self {
-        let mut vl = VectorList::new();
-        vl.push(name, col);
-        vl
     }
 
     /// Base row count (length of the aligned columns, 0 when empty).
@@ -211,162 +197,85 @@ impl VectorList {
             pool.recycle_sel(sel);
         }
     }
-
-    // ------------------------------------------------------- name-based API
-
-    fn slot_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    pub fn col(&self, name: &str) -> PcResult<&Column> {
-        self.slot_of(name)
-            .and_then(|s| self.slots[s].as_ref())
-            .ok_or_else(|| PcError::Catalog(format!("vector list has no column {name}")))
-    }
-
-    /// Appends a column (replacing any existing one of the same name).
-    pub fn push(&mut self, name: &str, col: Column) {
-        debug_assert!(self.sel.is_none(), "push with an active selection");
-        match self.slot_of(name) {
-            Some(s) => self.slots[s] = Some(col),
-            None => {
-                self.names.push(name.to_string());
-                self.slots.push(Some(col));
-            }
-        }
-    }
-
-    /// Keeps only the named columns (a statement's output declaration).
-    pub fn retain(&mut self, keep: &[String]) {
-        for (n, c) in self.names.iter().zip(self.slots.iter_mut()) {
-            if !keep.contains(n) {
-                *c = None;
-            }
-        }
-    }
-
-    /// Applies a boolean mask to the live rows: marks the selection instead
-    /// of copying columns. Call [`Self::compact`] to materialize.
-    pub fn filter(&mut self, mask: &[bool]) {
-        debug_assert_eq!(mask.len(), self.len(), "mask length != live rows");
-        let next: Vec<u32> = match &self.sel {
-            None => mask
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m)
-                .map(|(i, _)| i as u32)
-                .collect(),
-            Some(cur) => cur
-                .iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(&i, _)| i)
-                .collect(),
-        };
-        self.sel = Some(next);
-    }
-
-    /// Compacts every column through the selection and clears it.
-    pub fn compact(&mut self) {
-        if let Some(sel) = self.sel.take() {
-            for c in self.slots.iter_mut().flatten() {
-                *c = c.gather(&sel);
-            }
-        }
-    }
-
-    /// Replicates each live row by `counts` (FLATMAP reshaping).
-    pub fn replicate(&mut self, counts: &[u32]) {
-        let sel = self.sel.take();
-        for c in self.slots.iter_mut().flatten() {
-            *c = c.replicate_sel(counts, sel.as_deref());
-        }
-    }
-
-    /// Gathers live rows by index into the base rows (join probe fan-out).
-    pub fn gather(&mut self, idx: &[u32]) {
-        for c in self.slots.iter_mut().flatten() {
-            *c = c.gather(idx);
-        }
-        self.sel = None;
-    }
-
-    /// Names of the columns currently present.
-    pub fn names(&self) -> Vec<&str> {
-        self.names
-            .iter()
-            .zip(&self.slots)
-            .filter(|(_, c)| c.is_some())
-            .map(|(n, _)| n.as_str())
-            .collect()
-    }
-
-    /// Drops every column, releasing object references (ends the batch).
-    pub fn clear(&mut self) {
-        for c in self.slots.iter_mut() {
-            *c = None;
-        }
-        self.sel = None;
-    }
-}
-
-impl Default for VectorList {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A slot-addressed list over `cols`, slot `i` holding `cols[i]`.
+    fn list_of(cols: Vec<Column>) -> VectorList {
+        let mut vl = VectorList::for_slots((0..cols.len()).map(|i| format!("c{i}")).collect());
+        for (slot, col) in cols.into_iter().enumerate() {
+            vl.set_slot(slot, col);
+        }
+        vl
+    }
+
     #[test]
     fn push_filter_retain_roundtrip() {
-        let mut vl = VectorList::with("a", Column::I64(vec![1, 2, 3, 4]));
-        vl.push("b", Column::Bool(vec![true, false, true, false]));
+        let mut pool = ColumnPool::default();
+        let mut vl = list_of(vec![
+            Column::I64(vec![1, 2, 3, 4]),
+            Column::Bool(vec![true, false, true, false]),
+        ]);
         assert_eq!(vl.len(), 4);
-        let mask: Vec<bool> = vl.col("b").unwrap().as_bool().unwrap().to_vec();
-        vl.filter(&mask);
+        vl.filter_by_slot(1, &mut pool).unwrap();
         // The filter only marks rows...
         assert_eq!(vl.len(), 2);
         assert_eq!(vl.sel(), Some(&[0u32, 2][..]));
-        assert_eq!(vl.col("a").unwrap().len(), 4, "columns stay unmaterialized");
-        // ...until a boundary compacts them.
-        vl.compact();
-        assert_eq!(vl.col("a").unwrap().as_i64().unwrap(), &[1, 3]);
-        vl.retain(&["a".to_string()]);
-        assert!(vl.col("b").is_err());
+        assert_eq!(vl.slot(0).unwrap().len(), 4, "columns stay unmaterialized");
+        // ...until a kernel's dense output rebases them; the statement's
+        // drop list then loses the mask.
+        vl.rebase_with(1, Column::Bool(vec![true, true]), &mut pool);
+        assert_eq!(vl.slot(0).unwrap().as_i64().unwrap(), &[1, 3]);
+        vl.drop_slots(&[1], &mut pool);
+        assert!(vl.slot(1).is_err());
     }
 
     #[test]
     fn chained_filters_compose_selections() {
-        let mut vl = VectorList::with("x", Column::I64(vec![10, 20, 30, 40, 50, 60]));
-        vl.filter(&[true, true, false, true, true, false]); // rows 0,1,3,4
+        let mut pool = ColumnPool::default();
+        let mut vl = list_of(vec![
+            Column::I64(vec![10, 20, 30, 40, 50, 60]),
+            Column::Bool(vec![true, true, false, true, true, false]), // rows 0,1,3,4
+            Column::Bool(vec![false, true, true, true, false, true]), // rows 1,2,3,5
+        ]);
+        vl.filter_by_slot(1, &mut pool).unwrap();
         assert_eq!(vl.len(), 4);
-        // Second mask is over live rows.
-        vl.filter(&[false, true, true, false]);
+        // Masks are base-aligned: the second refines the first's survivors.
+        vl.filter_by_slot(2, &mut pool).unwrap();
         assert_eq!(vl.sel(), Some(&[1u32, 3][..]));
-        vl.compact();
-        assert_eq!(vl.col("x").unwrap().as_i64().unwrap(), &[20, 40]);
+        vl.rebase_with(2, Column::I64(vec![0, 0]), &mut pool);
+        assert_eq!(vl.slot(0).unwrap().as_i64().unwrap(), &[20, 40]);
     }
 
     #[test]
     fn replicate_matches_counts() {
-        let mut vl = VectorList::with("x", Column::F64(vec![1.0, 2.0, 3.0]));
-        vl.replicate(&[2, 0, 1]);
-        assert_eq!(vl.col("x").unwrap().as_f64().unwrap(), &[1.0, 1.0, 3.0]);
+        let mut pool = ColumnPool::default();
+        let mut vl = list_of(vec![
+            Column::F64(vec![1.0, 2.0, 3.0]),
+            Column::I64(vec![0; 3]),
+        ]);
+        vl.replicate_with(&[2, 0, 1], 1, Column::I64(vec![7, 8, 9]), &mut pool);
+        assert_eq!(vl.slot(0).unwrap().as_f64().unwrap(), &[1.0, 1.0, 3.0]);
+        assert_eq!(vl.slot(1).unwrap().as_i64().unwrap(), &[7, 8, 9]);
     }
 
     #[test]
     fn replicate_through_selection() {
-        let mut vl = VectorList::with("x", Column::F64(vec![1.0, 2.0, 3.0, 4.0]));
-        vl.filter(&[false, true, false, true]); // live rows 1, 3
-        vl.replicate(&[3, 1]);
-        assert_eq!(
-            vl.col("x").unwrap().as_f64().unwrap(),
-            &[2.0, 2.0, 2.0, 4.0]
-        );
+        let mut pool = ColumnPool::default();
+        let mut vl = list_of(vec![
+            Column::F64(vec![1.0, 2.0, 3.0, 4.0]),
+            Column::Bool(vec![false, true, false, true]), // live rows 1, 3
+        ]);
+        vl.filter_by_slot(1, &mut pool).unwrap();
+        vl.replicate_with(&[3, 1], 1, Column::I64(vec![0; 4]), &mut pool);
+        assert_eq!(vl.slot(0).unwrap().as_f64().unwrap(), &[2.0, 2.0, 2.0, 4.0]);
         assert_eq!(vl.sel(), None, "replicate rebases");
+        // A probe's gather rebases the same way, by base-row index.
+        vl.gather_rebase(&[3, 0, 0], &mut pool);
+        assert_eq!(vl.slot(0).unwrap().as_f64().unwrap(), &[4.0, 2.0, 2.0]);
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl Column {
         }
     }
 
-    pub fn as_str_col(&self) -> PcResult<&[Box<str>]> {
-        match self {
-            Column::Str(v) => Ok(v),
-            other => Err(type_err("str", other)),
-        }
-    }
-
     pub fn as_obj(&self) -> PcResult<&[AnyHandle]> {
         match self {
             Column::Obj(v) => Ok(v),
@@ -137,14 +130,9 @@ impl Column {
     }
 
     /// Gathers rows by index (join probe output assembly, selection-vector
-    /// compaction at stage boundaries).
-    pub fn gather(&self, idx: &[u32]) -> Column {
-        self.gather_pooled(idx, &mut ColumnPool::default())
-    }
-
-    /// Gather variant drawing the output allocation from (and sized by) a
-    /// recycled [`ColumnPool`] buffer, so steady-state batches allocate
-    /// nothing.
+    /// compaction at stage boundaries), drawing the output allocation from
+    /// (and sized by) a recycled [`ColumnPool`] buffer, so steady-state
+    /// batches allocate nothing.
     pub fn gather_pooled(&self, idx: &[u32], pool: &mut ColumnPool) -> Column {
         fn g<T: Clone>(v: &[T], idx: &[u32], mut out: Vec<T>) -> Vec<T> {
             out.clear();
@@ -159,18 +147,6 @@ impl Column {
             Column::U64(v) => Column::U64(g(v, idx, pool.u64s.pop().unwrap_or_default())),
             Column::Str(v) => Column::Str(g(v, idx, pool.strs.pop().unwrap_or_default())),
             Column::Obj(v) => Column::Obj(g(v, idx, pool.objs.pop().unwrap_or_default())),
-        }
-    }
-
-    /// An empty column of the same type.
-    pub fn empty_like(&self) -> Column {
-        match self {
-            Column::Bool(_) => Column::Bool(Vec::new()),
-            Column::I64(_) => Column::I64(Vec::new()),
-            Column::F64(_) => Column::F64(Vec::new()),
-            Column::U64(_) => Column::U64(Vec::new()),
-            Column::Str(_) => Column::Str(Vec::new()),
-            Column::Obj(_) => Column::Obj(Vec::new()),
         }
     }
 }

@@ -571,7 +571,7 @@ mod tests {
         .unwrap();
         assert_eq!(gt.as_bool().unwrap(), &[false, true, true]);
         // Hash over a selection matches hash over the gathered column.
-        let dense = a.gather(&sel);
+        let dense = a.gather_pooled(&sel, &mut crate::ColumnPool::default());
         let h_sel = HashKernel.apply(&[&a], Some(&sel), &mut c).unwrap();
         let h_dense = HashKernel.apply(&[&dense], None, &mut c).unwrap();
         assert_eq!(h_sel.as_u64().unwrap(), h_dense.as_u64().unwrap());

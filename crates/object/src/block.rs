@@ -257,12 +257,6 @@ impl BlockRef {
         unsafe { (*self.raw()).used as usize }
     }
 
-    /// Bytes still available for bump allocation (free-list space excluded).
-    #[inline]
-    pub fn bump_free(&self) -> usize {
-        self.capacity() - self.used()
-    }
-
     pub fn stats(&self) -> BlockStats {
         let r = self.raw();
         unsafe {
@@ -394,12 +388,6 @@ impl BlockRef {
     #[inline]
     pub fn obj_size(&self, off: u32) -> u32 {
         self.read_u32(off - 20)
-    }
-
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn set_obj_size(&self, off: u32, size: u32) {
-        self.write_u32(off - 20, size)
     }
 
     #[inline]

@@ -108,17 +108,6 @@ pub fn require_vtable(code: TypeCode) -> PcResult<&'static TypeVTable> {
     lookup_vtable(code).ok_or(PcError::TypeNotRegistered(code.0))
 }
 
-/// All registered type names (catalog listing, for diagnostics and the
-/// cluster bootstrap that pre-registers workload types on every worker).
-pub fn registered_types() -> Vec<(TypeCode, String)> {
-    registry()
-        .read()
-        .by_code
-        .iter()
-        .map(|(c, v)| (*c, v.name.clone()))
-        .collect()
-}
-
 /// Ensures the built-in container types used by the engine internals are
 /// registered (`PcString`, raw arrays are headerless, and generic containers
 /// register lazily on first use).
