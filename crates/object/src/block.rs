@@ -143,13 +143,18 @@ pub struct BlockRef(pub(crate) Rc<Block>);
 
 fn next_block_id() -> u64 {
     use std::cell::Cell;
-    thread_local! { static NEXT: Cell<u64> = const { Cell::new(1) }; }
-    // Thread id in the high bits keeps ids unique across threads.
-    let tid = crate::hash::fnv1a(format!("{:?}", std::thread::current().id()).as_bytes());
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // Threads are numbered as they mint their first id; the number goes in
+    // the high bits, so ids are unique across threads without any per-block
+    // work. `Relaxed`: the counter publishes nothing but itself.
+    static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static NEXT: Cell<u64> = Cell::new((NEXT_THREAD.fetch_add(1, Ordering::Relaxed) << 32) | 1);
+    }
     NEXT.with(|n| {
         let v = n.get();
         n.set(v + 1);
-        (tid << 32) ^ v
+        v
     })
 }
 
@@ -623,7 +628,7 @@ impl BlockRef {
         let code = self.obj_code(off);
         if code != T::type_code() {
             return Err(PcError::TypeMismatch {
-                expected: Box::leak(T::type_name().into_boxed_str()),
+                expected: registry::static_type_name::<T>(),
                 found: code.0,
             });
         }

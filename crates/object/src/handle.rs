@@ -183,7 +183,7 @@ impl AnyHandle {
         let code = self.type_code();
         if code != T::type_code() {
             return Err(PcError::TypeMismatch {
-                expected: Box::leak(T::type_name().into_boxed_str()),
+                expected: registry::static_type_name::<T>(),
                 found: code.0,
             });
         }

@@ -35,8 +35,10 @@
 //!   [`AnyHandle`]s; stored handles are `{offset, type_code}` pairs that stay
 //!   valid when the whole page moves.
 //! * [`registry`] — the process-wide type catalog mapping type codes to
-//!   "vtables" (deep copy, drop, describe), the analogue of PC's `.so`
-//!   shipping and `getVTablePtr()` lookup.
+//!   "vtables" (deep copy, drop), the analogue of PC's `.so` shipping and
+//!   `getVTablePtr()` lookup: an append-only table that the first touch of
+//!   a type publishes into under a mutex and every later `make_object`,
+//!   handle store, downcast and drop reads without a lock.
 //! * [`containers`] — [`PcVec`], [`PcMap`], [`PcString`]: the built-in
 //!   generic container objects.
 //! * [`page`] — [`SealedPage`]: a detached, `Send`, byte-movable page.

@@ -426,3 +426,49 @@ fn string_page_roundtrip_with_unicode() {
     assert_eq!(v.get(0).as_str(), "héllo wörld");
     assert_eq!(v.get(1).as_str(), "数据库");
 }
+
+#[test]
+fn failed_downcasts_borrow_the_expected_name() {
+    use pc_object::PcError;
+
+    let scope = AllocScope::new(1 << 16);
+    let v = make_object::<PcVec<i64>>().unwrap();
+    scope.block().set_root(&v);
+    let any = v.erase();
+
+    // A wrong-type request is reported, not leaked: every mismatch against
+    // the same `T` names it through one process-lifetime string.
+    let expected_of = |e: PcError| match e {
+        PcError::TypeMismatch { expected, found } => {
+            assert_eq!(found, any.type_code().0);
+            expected
+        }
+        other => panic!("expected a type mismatch, got {other:?}"),
+    };
+    let first = expected_of(any.downcast::<PcVec<Handle<Emp>>>().unwrap_err());
+    let second = expected_of(any.downcast::<PcVec<Handle<Emp>>>().unwrap_err());
+    let root = expected_of(
+        scope
+            .block()
+            .root_handle::<PcVec<Handle<Emp>>>()
+            .unwrap_err(),
+    );
+    assert_eq!(first, "PcVec<Handle<Emp>>");
+    assert_eq!(first.as_ptr(), second.as_ptr());
+    assert_eq!(first.as_ptr(), root.as_ptr());
+}
+
+#[test]
+fn block_ids_are_distinct_within_and_across_threads() {
+    let mint_two = || {
+        let a = BlockRef::new(4096, AllocPolicy::NoReuse);
+        let b = BlockRef::new(4096, AllocPolicy::NoReuse);
+        [a.id(), b.id()]
+    };
+    let here = mint_two();
+    let there = std::thread::spawn(mint_two).join().unwrap();
+    let mut ids = [here, there].concat();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 4, "block ids collided: {here:?} {there:?}");
+}
