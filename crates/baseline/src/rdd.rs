@@ -3,7 +3,6 @@
 //! tuning hints of Table 4.
 
 use crate::codec::{decode_partition, encode_partition, Codec};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +127,16 @@ fn key_hash<K: Hash>(k: &K) -> u64 {
     h.finish()
 }
 
+/// Splits `rows` into `n` buckets by key hash, keeping their order.
+fn bucket_by_key<K: Hash, V>(rows: Vec<(K, V)>, n: usize) -> Vec<Vec<(K, V)>> {
+    let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
+    for kv in rows {
+        let b = (key_hash(&kv.0) % n as u64) as usize;
+        buckets[b].push(kv);
+    }
+    buckets
+}
+
 impl<T: Codec> Rdd<T> {
     fn from_vecs(eng: SparkLike, parts: Vec<Vec<T>>, storage: StorageLevel) -> Self {
         let parts = parts
@@ -230,12 +239,7 @@ where
                 .iter()
                 .map(|p| {
                     s.spawn(move || {
-                        let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-                        for kv in p.read(eng) {
-                            let b = (key_hash(&kv.0) % n as u64) as usize;
-                            buckets[b].push(kv);
-                        }
-                        buckets
+                        bucket_by_key(p.read(eng), n)
                             .into_iter()
                             .map(|b| encode_partition(&b))
                             .collect::<Vec<_>>()
@@ -351,37 +355,31 @@ where
     }
 
     /// Map-side repartition by key hash; returns per-target serialized
-    /// blobs (merged across source partitions).
+    /// blobs, each the source partitions' buckets in partition order.
     fn shuffle_by_key(&self) -> Vec<Vec<u8>> {
         let n = self.parts.len();
         let eng = &self.eng;
-        let merged: Vec<Mutex<Vec<(K, V)>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        std::thread::scope(|s| {
-            let merged = &merged;
+        let per_source: Vec<Vec<Vec<(K, V)>>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .parts
                 .iter()
-                .map(|p| {
-                    s.spawn(move || {
-                        let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-                        for kv in p.read(eng) {
-                            let b = (key_hash(&kv.0) % n as u64) as usize;
-                            buckets[b].push(kv);
-                        }
-                        for (b, bucket) in buckets.into_iter().enumerate() {
-                            merged[b].lock().extend(bucket);
-                        }
-                    })
-                })
+                .map(|p| s.spawn(move || bucket_by_key(p.read(eng), n)))
                 .collect();
-            for h in handles {
-                h.join().expect("shuffle task");
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shuffle task"))
+                .collect()
         });
+        let mut merged: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
+        for buckets in per_source {
+            for (m, bucket) in merged.iter_mut().zip(buckets) {
+                m.extend(bucket);
+            }
+        }
         merged
             .into_iter()
             .map(|m| {
-                let blob = encode_partition(&m.into_inner());
+                let blob = encode_partition(&m);
                 eng.stats
                     .bytes_shuffled
                     .fetch_add(blob.len() as u64, Ordering::Relaxed);
@@ -466,5 +464,20 @@ mod tests {
         };
         assert_eq!(run(false), run(true));
         assert_eq!(run(false).len(), 200);
+    }
+
+    #[test]
+    fn shuffle_join_output_order_is_deterministic() {
+        let run = || {
+            let e = eng(StorageLevel::Serialized);
+            let l = e.parallelize((0i64..600).map(|i| (i % 50, i)).collect());
+            let r = e.parallelize((0i64..50).map(|i| (i, i * 10)).collect());
+            l.join(&r).collect()
+        };
+        let first = run();
+        assert_eq!(first.len(), 600);
+        for attempt in 0..20 {
+            assert_eq!(run(), first, "run {attempt} reordered the join output");
+        }
     }
 }

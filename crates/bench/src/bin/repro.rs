@@ -19,9 +19,8 @@
 //!                           verify clean, one rendered rejection, and the
 //!                           mutation gauntlet (exits non-zero below the
 //!                           >=95% expected-code rejection gate)
-//! repro lint                panic-hygiene lint: fails on unwrap()/expect()
-//!                           in cluster/exec non-test code not recorded in
-//!                           LINT_ALLOW.txt
+//! repro lint                panic-hygiene lint: fails on any unwrap()/expect()
+//!                           in cluster/exec/storage non-test code
 //! ```
 
 use pc_bench::{faults, figures, lint, outofcore, tables, verify};

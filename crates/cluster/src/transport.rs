@@ -39,7 +39,7 @@
 
 use crate::cluster::unique_suffix;
 use crate::wire::{self, Decoded, FrameKind, WireFrame};
-use pc_object::{PcError, PcResult, SealedPage};
+use pc_object::{sync, PcError, PcResult, SealedPage};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -282,8 +282,8 @@ impl Inbox {
     }
 
     /// Register one logical send to `dst`; returns its sequence number.
-    fn expect(&self, dst: NodeId) -> u64 {
-        let mut s = self.state.lock().expect("inbox poisoned");
+    fn register_send(&self, dst: NodeId) -> u64 {
+        let mut s = sync::lock(&self.state);
         let seq = s.next_seq.entry(dst).or_insert(0);
         let n = *seq;
         *seq += 1;
@@ -293,7 +293,7 @@ impl Inbox {
 
     /// Deliver a reassembled page.
     fn deliver(&self, dst: NodeId, seq: u64, page: SealedPage) {
-        let mut s = self.state.lock().expect("inbox poisoned");
+        let mut s = sync::lock(&self.state);
         s.delivered.entry(dst).or_default().insert(seq, page);
         self.arrived.notify_all();
     }
@@ -304,7 +304,7 @@ impl Inbox {
     /// with no retransmission, a truncated connection, an inconsistent
     /// reassembly map — surfaces to the recovery layer.
     fn fail(&self, dst: NodeId, why: String) {
-        let mut s = self.state.lock().expect("inbox poisoned");
+        let mut s = sync::lock(&self.state);
         s.failed.entry(dst).or_insert(why);
         self.arrived.notify_all();
     }
@@ -319,7 +319,7 @@ impl Inbox {
         interrupt: Option<&dyn Fn() -> Option<PcError>>,
     ) -> PcResult<Vec<SealedPage>> {
         let start = Instant::now();
-        let mut s = self.state.lock().expect("inbox poisoned");
+        let mut s = sync::lock(&self.state);
         loop {
             if let Some(why) = s.failed.remove(&dst) {
                 return Err(PcError::Transport(format!(
@@ -361,9 +361,7 @@ impl Inbox {
                     } else {
                         left
                     };
-                    let (guard, _timeout) =
-                        self.arrived.wait_timeout(s, nap).expect("inbox poisoned");
-                    s = guard;
+                    s = sync::wait_timeout(&self.arrived, s, nap);
                 }
             }
         }
@@ -374,7 +372,7 @@ impl Inbox {
     }
 
     fn reset(&self) {
-        let mut s = self.state.lock().expect("inbox poisoned");
+        let mut s = sync::lock(&self.state);
         *s = InboxState::default();
         self.arrived.notify_all();
     }
@@ -406,7 +404,7 @@ impl Transport for LocalTransport {
 
     fn send(&self, _src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
         let bytes = page.to_bytes();
-        let seq = self.inbox.expect(dst);
+        let seq = self.inbox.register_send(dst);
         let arrived = SealedPage::from_bytes(&bytes)?;
         self.meter.on_delivered(bytes.len());
         self.inbox.deliver(dst, seq, arrived);
@@ -459,7 +457,7 @@ fn encode_page_frames(
 /// frame map is inconsistent or the page is torn. One per connection is
 /// enough: a page's frames all travel on one connection, and a redial
 /// resends every frame of the page. The receive side never panics; recovery
-/// answers the poisoned collect with a stage replay.
+/// answers the failed collect with a stage replay.
 struct Reassembler {
     partial: HashMap<(NodeId, u64), PartialPage>,
 }
@@ -635,7 +633,7 @@ impl BeatBoard {
 
     /// A beat arrived from worker `w`: it is alive, whatever we suspected.
     fn record(&self, w: usize) {
-        let mut s = self.state.lock().expect("beat board poisoned");
+        let mut s = sync::lock(&self.state);
         if let Some(b) = s.get_mut(w) {
             b.last_beat = Instant::now();
             b.missed = 0;
@@ -647,7 +645,7 @@ impl BeatBoard {
     /// (with half an interval of grace) and promotes quiet workers to
     /// suspect once `suspect_after` beats are missing.
     fn tick(&self, interval: Duration, suspect_after: u32, meter: &TransportMeter) {
-        let mut s = self.state.lock().expect("beat board poisoned");
+        let mut s = sync::lock(&self.state);
         for b in s.iter_mut() {
             let due = interval * (b.missed + 1) + interval / 2;
             if b.last_beat.elapsed() >= due {
@@ -661,7 +659,7 @@ impl BeatBoard {
     }
 
     fn suspects(&self) -> Vec<NodeId> {
-        let s = self.state.lock().expect("beat board poisoned");
+        let s = sync::lock(&self.state);
         s.iter()
             .enumerate()
             .filter(|(_, b)| b.suspect)
@@ -687,14 +685,6 @@ fn spawn_named(
         .name(format!("pc-tcp-{role}-{}", unique_suffix()))
         .spawn(f)
         .map_err(|e| PcError::Transport(format!("tcp transport spawn {role}: {e}")))
-}
-
-/// The delivery epoch is a bare counter with no invariant a panicking
-/// holder could break, so a poisoned lock is still good to use.
-fn lock_epoch(epoch: &Mutex<u64>) -> std::sync::MutexGuard<'_, u64> {
-    epoch
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// What the receive-side threads share: where pages and beats land, and
@@ -834,19 +824,20 @@ impl TcpTransport {
                 node_name(dst)
             )));
         };
-        let mut conn = slot.lock().expect("conn slot poisoned");
+        let mut conn = sync::lock(slot);
         let mut attempt = 0u32;
         let mut had_failure = false;
         loop {
-            if conn.is_none() {
-                match std::net::TcpStream::connect(addr) {
+            let stream = match conn.as_mut() {
+                Some(stream) => stream,
+                None => match std::net::TcpStream::connect(addr) {
                     Ok(s) => {
                         let _ = s.set_nodelay(true);
                         let _ = s.set_write_timeout(Some(WRITE_DEADLINE));
                         if had_failure {
                             self.meter.on_reconnect();
                         }
-                        *conn = Some(s);
+                        conn.insert(s)
                     }
                     Err(e) => {
                         had_failure = true;
@@ -861,9 +852,8 @@ impl TcpTransport {
                         std::thread::sleep(backoff_delay(attempt - 1, dst as u64));
                         continue;
                     }
-                }
-            }
-            let stream = conn.as_mut().expect("connection just ensured");
+                },
+            };
             let wrote = frames
                 .iter()
                 .try_for_each(|f| stream.write_all(f))
@@ -900,8 +890,8 @@ impl Transport for TcpTransport {
 
     fn send(&self, src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
         let bytes = page.to_bytes();
-        let seq = self.inbox.expect(dst);
-        let epoch = *lock_epoch(&self.epoch);
+        let seq = self.inbox.register_send(dst);
+        let epoch = *sync::lock(&self.epoch);
         let frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
         self.write_frames(dst, &frames)
     }
@@ -918,7 +908,7 @@ impl Transport for TcpTransport {
         // accept data frames under this same lock: once `reset` returns,
         // no page of the aborted epoch can still be delivered or metered,
         // so recovery's meter rollback (which follows) is exact.
-        let mut epoch = lock_epoch(&self.epoch);
+        let mut epoch = sync::lock(&self.epoch);
         *epoch += 1;
         self.inbox.reset();
     }
@@ -932,8 +922,8 @@ impl Transport for TcpTransport {
         retransmit: bool,
     ) -> PcResult<()> {
         let bytes = page.to_bytes();
-        let seq = self.inbox.expect(dst);
-        let epoch = *lock_epoch(&self.epoch);
+        let seq = self.inbox.register_send(dst);
+        let epoch = *sync::lock(&self.epoch);
         let mut frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
         let victim = (mix(flip_seed, frames.len() as u64, 0xC0F) as usize) % frames.len();
         let clean = frames[victim].clone();
@@ -952,7 +942,7 @@ impl Transport for TcpTransport {
         // also what ends its reader); senders will re-dial (with backoff)
         // once it is revived.
         if let Some(slot) = self.conns.get(w) {
-            slot.lock().expect("conn slot poisoned").take();
+            sync::lock(slot).take();
         }
     }
 
@@ -1035,9 +1025,9 @@ impl Receiver {
             // typed error on the destination if the stranded header
             // still names one; either way the bytes were waste.
             self.meter.on_failed_attempt(buf.len());
-            if let Some(dst) = truncated_dst(&buf) {
+            if let Some(dst) = wire::stranded_dst(&buf) {
                 self.inbox.fail(
-                    dst,
+                    dst as NodeId,
                     format!("connection closed mid-frame ({} bytes stranded)", buf.len()),
                 );
             }
@@ -1061,7 +1051,7 @@ impl Receiver {
                         }
                         FrameKind::Data => {
                             // Held across the accept; see `reset`.
-                            let now = lock_epoch(&self.epoch);
+                            let now = sync::lock(&self.epoch);
                             if frame.epoch != *now {
                                 reasm.retain_epoch(*now);
                                 continue;
@@ -1082,9 +1072,9 @@ impl Receiver {
                     // typed error instead of a deadline stall.
                     let rest = buf.len() - consumed_total;
                     self.meter.on_failed_attempt(rest);
-                    if let Some(dst) = truncated_dst(&buf[consumed_total..]) {
+                    if let Some(dst) = wire::stranded_dst(&buf[consumed_total..]) {
                         self.inbox.fail(
-                            dst,
+                            dst as NodeId,
                             "wire framing broken on an inbound connection".to_string(),
                         );
                     }
@@ -1095,19 +1085,6 @@ impl Receiver {
         buf.drain(..consumed_total);
         broken
     }
-}
-
-/// Best-effort destination of a stranded partial frame (magic must hold and
-/// the header must reach the dst field).
-fn truncated_dst(buf: &[u8]) -> Option<NodeId> {
-    if buf.len() >= 29 {
-        let magic = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-        if magic == wire::MAGIC {
-            let dst = u64::from_le_bytes(buf[21..29].try_into().ok()?);
-            return Some(dst as usize);
-        }
-    }
-    None
 }
 
 /// One worker's beating endpoint: dials the master and sends a heartbeat
@@ -1362,7 +1339,7 @@ impl FaultyTransport {
     }
 
     fn check_alive(&self, src: NodeId, dst: NodeId) -> PcResult<()> {
-        let dead = self.dead.lock().expect("dead set poisoned");
+        let dead = sync::lock(&self.dead);
         if dead.contains(&dst) {
             return Err(PcError::WorkerDead(dst));
         }
@@ -1376,7 +1353,7 @@ impl FaultyTransport {
     /// destination's permutation.
     fn deliver(&self, src: NodeId, dst: NodeId, page: &SealedPage, logical: usize) -> PcResult<()> {
         self.inner.send(src, dst, page)?;
-        let mut chans = self.chans.lock().expect("chan state poisoned");
+        let mut chans = sync::lock(&self.chans);
         chans.entry(dst).or_default().perm.push(logical);
         Ok(())
     }
@@ -1392,7 +1369,7 @@ impl Transport for FaultyTransport {
         // Assign the logical index first: order restoration is defined by
         // call order at this boundary, not by what survives the wire.
         let logical = {
-            let mut chans = self.chans.lock().expect("chan state poisoned");
+            let mut chans = sync::lock(&self.chans);
             let c = chans.entry(dst).or_default();
             let l = c.next_logical;
             c.next_logical += 1;
@@ -1405,7 +1382,7 @@ impl Transport for FaultyTransport {
             let n = self.sends.fetch_add(1, Ordering::Relaxed);
             if let Some((at, victim)) = self.death_point() {
                 if n >= at && !self.death_fired.swap(true, Ordering::Relaxed) {
-                    self.dead.lock().expect("dead set poisoned").insert(victim);
+                    sync::lock(&self.dead).insert(victim);
                     // Let the wire see the death too: a real-socket inner
                     // transport severs the victim's connections and stops
                     // its heartbeats, so the master's liveness monitor
@@ -1435,7 +1412,7 @@ impl Transport for FaultyTransport {
                     // Retried in place: fall through to a clean delivery.
                 }
                 Some(FaultKind::Reorder) => {
-                    let mut chans = self.chans.lock().expect("chan state poisoned");
+                    let mut chans = sync::lock(&self.chans);
                     let c = chans.entry(dst).or_default();
                     if c.holdback.is_none() {
                         // Stash this page; it goes out after the next send
@@ -1453,7 +1430,7 @@ impl Transport for FaultyTransport {
                         // link-level retransmit. The receiver's checksum
                         // rejects the bad frame and meters the waste.
                         self.inner.send_corrupted(src, dst, page, flip, true)?;
-                        let mut chans = self.chans.lock().expect("chan state poisoned");
+                        let mut chans = sync::lock(&self.chans);
                         chans.entry(dst).or_default().perm.push(logical);
                         return Ok(());
                     }
@@ -1472,7 +1449,7 @@ impl Transport for FaultyTransport {
         self.deliver(src, dst, page, logical)?;
         // Flush a pending stash *after* the newer page: that is the swap.
         let stashed = {
-            let mut chans = self.chans.lock().expect("chan state poisoned");
+            let mut chans = sync::lock(&self.chans);
             chans.entry(dst).or_default().holdback.take()
         };
         if let Some((held_logical, bytes)) = stashed {
@@ -1485,7 +1462,7 @@ impl Transport for FaultyTransport {
     fn collect(&self, dst: NodeId) -> PcResult<Vec<SealedPage>> {
         // Flush any stash that never saw a follow-up send.
         let stashed = {
-            let mut chans = self.chans.lock().expect("chan state poisoned");
+            let mut chans = sync::lock(&self.chans);
             chans.entry(dst).or_default().holdback.take()
         };
         if let Some((held_logical, bytes)) = stashed {
@@ -1495,7 +1472,7 @@ impl Transport for FaultyTransport {
         }
         let inner_order = self.inner.collect(dst)?;
         let perm = {
-            let mut chans = self.chans.lock().expect("chan state poisoned");
+            let mut chans = sync::lock(&self.chans);
             chans.remove(&dst).unwrap_or_default().perm
         };
         if perm.len() != inner_order.len() {
@@ -1507,28 +1484,23 @@ impl Transport for FaultyTransport {
             )));
         }
         // Un-permute: inner order → logical send order.
-        let mut out: Vec<Option<SealedPage>> = (0..inner_order.len()).map(|_| None).collect();
-        for (inner_idx, page) in inner_order.into_iter().enumerate() {
-            out[perm[inner_idx]] = Some(page);
-        }
-        Ok(out
-            .into_iter()
-            .map(|p| p.expect("perm is a bijection"))
-            .collect())
+        let mut out: Vec<(usize, SealedPage)> = perm.into_iter().zip(inner_order).collect();
+        out.sort_unstable_by_key(|(logical, _)| *logical);
+        Ok(out.into_iter().map(|(_, page)| page).collect())
     }
 
     fn reset(&self) {
-        self.chans.lock().expect("chan state poisoned").clear();
+        sync::lock(&self.chans).clear();
         self.inner.reset();
     }
 
     fn revive(&self, w: NodeId) {
-        self.dead.lock().expect("dead set poisoned").remove(&w);
+        sync::lock(&self.dead).remove(&w);
         self.inner.revive(w);
     }
 
     fn kill(&self, w: NodeId) {
-        self.dead.lock().expect("dead set poisoned").insert(w);
+        sync::lock(&self.dead).insert(w);
         self.inner.kill(w);
     }
 
@@ -1675,7 +1647,7 @@ mod tests {
         reasm.accept(stale, &meter, &inbox);
         // ... and the replay reuses (dst 1, seq 0) for a different page.
         let replayed = page(9);
-        let seq = inbox.expect(1);
+        let seq = inbox.register_send(1);
         for f in data_frames(6, 1, seq, &replayed) {
             reasm.accept(f, &meter, &inbox);
         }
@@ -1697,7 +1669,7 @@ mod tests {
         let meter = TransportMeter::default();
         let inbox = Inbox::new();
         let mut reasm = Reassembler::new();
-        inbox.expect(2);
+        inbox.register_send(2);
         reasm.accept(
             WireFrame::data(0, 0, 2, 0, 0, 3, vec![1; 8]),
             &meter,
@@ -1737,7 +1709,7 @@ mod tests {
         let t = TcpTransport::new(meter.clone(), TcpConfig::default(), 2).unwrap();
         // A page for worker 1 is outstanding: without the poison, the
         // collect below would sit out its whole 10 s deadline.
-        t.inbox.expect(1);
+        t.inbox.register_send(1);
         let frame = WireFrame::data(0, MASTER as u64, 1, 0, 0, 1, vec![7; 64]).encode();
         let half = &frame[..frame.len() / 2];
         let mut raw = std::net::TcpStream::connect(t.addrs[1]).unwrap();

@@ -33,6 +33,17 @@ pub const HEADER_LEN: usize = 49;
 /// CRC-32 trailer length.
 pub const TRAILER_LEN: usize = 4;
 
+// Header layout, little-endian: magic u32 | kind u8 | epoch u64 | src u64 |
+// dst u64 | seq u64 | idx u32 | total u32 | payload length u32.
+const KIND_AT: usize = 4;
+const EPOCH_AT: usize = 5;
+const SRC_AT: usize = 13;
+const DST_AT: usize = 21;
+const SEQ_AT: usize = 29;
+const IDX_AT: usize = 37;
+const TOTAL_AT: usize = 41;
+const LEN_AT: usize = 45;
+
 /// Sanity cap on a single frame's payload (frames are page *chunks*; a
 /// length beyond this is framing corruption, not a real frame).
 pub const MAX_PAYLOAD: usize = 1 << 24;
@@ -154,32 +165,67 @@ pub enum Decoded {
     },
 }
 
+/// The little-endian integer whose `N` bytes start at `at`, or `None` when
+/// `buf` ends first: every fixed-width field read goes through here.
+fn le<const N: usize, T>(buf: &[u8], at: usize, from: fn([u8; N]) -> T) -> Option<T> {
+    Some(from(buf.get(at..at + N)?.try_into().ok()?))
+}
+
+/// A frame header as read off the wire, before any check.
+struct Header {
+    magic: u32,
+    kind: u8,
+    epoch: u64,
+    src: u64,
+    dst: u64,
+    seq: u64,
+    idx: u32,
+    total: u32,
+    len: usize,
+}
+
+impl Header {
+    /// The header at the head of `buf`; `None` until all of it is buffered.
+    fn read(buf: &[u8]) -> Option<Header> {
+        Some(Header {
+            magic: le(buf, 0, u32::from_le_bytes)?,
+            kind: le(buf, KIND_AT, u8::from_le_bytes)?,
+            epoch: le(buf, EPOCH_AT, u64::from_le_bytes)?,
+            src: le(buf, SRC_AT, u64::from_le_bytes)?,
+            dst: le(buf, DST_AT, u64::from_le_bytes)?,
+            seq: le(buf, SEQ_AT, u64::from_le_bytes)?,
+            idx: le(buf, IDX_AT, u32::from_le_bytes)?,
+            total: le(buf, TOTAL_AT, u32::from_le_bytes)?,
+            len: le(buf, LEN_AT, u32::from_le_bytes)? as usize,
+        })
+    }
+}
+
 /// Decodes the frame at the head of `buf`.
 ///
 /// `Err` means the framing itself can no longer be trusted (bad magic or an
 /// absurd length): the caller must drop the connection — the data lost with
 /// it surfaces as a typed transport error, never as a garbage page.
 pub fn decode(buf: &[u8]) -> PcResult<Decoded> {
-    if buf.len() < HEADER_LEN {
+    let Some(h) = Header::read(buf) else {
         return Ok(Decoded::Need);
-    }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().expect("sliced"));
-    if magic != MAGIC {
+    };
+    if h.magic != MAGIC {
         return Err(PcError::Transport(format!(
-            "wire framing broken: bad magic {magic:#010x}"
+            "wire framing broken: bad magic {:#010x}",
+            h.magic
         )));
     }
-    let len = u32::from_le_bytes(buf[45..49].try_into().expect("sliced")) as usize;
+    let len = h.len;
     if len > MAX_PAYLOAD {
         return Err(PcError::Transport(format!(
             "wire framing broken: frame payload length {len} exceeds {MAX_PAYLOAD}"
         )));
     }
     let frame_len = HEADER_LEN + len + TRAILER_LEN;
-    if buf.len() < frame_len {
+    let Some(want) = le(buf, HEADER_LEN + len, u32::from_le_bytes) else {
         return Ok(Decoded::Need);
-    }
-    let want = u32::from_le_bytes(buf[HEADER_LEN + len..frame_len].try_into().expect("sliced"));
+    };
     let got = crc32(&buf[4..HEADER_LEN + len]);
     if want != got {
         return Ok(Decoded::Corrupt {
@@ -187,7 +233,7 @@ pub fn decode(buf: &[u8]) -> PcResult<Decoded> {
             why: format!("frame checksum mismatch (stored {want:#010x}, computed {got:#010x})"),
         });
     }
-    let kind = match buf[4] {
+    let kind = match h.kind {
         1 => FrameKind::Data,
         2 => FrameKind::Heartbeat,
         other => {
@@ -197,28 +243,36 @@ pub fn decode(buf: &[u8]) -> PcResult<Decoded> {
             })
         }
     };
-    let idx = u32::from_le_bytes(buf[37..41].try_into().expect("sliced"));
-    let total = u32::from_le_bytes(buf[41..45].try_into().expect("sliced"));
-    if kind == FrameKind::Data && (total == 0 || idx >= total || total > MAX_CHUNKS) {
+    if kind == FrameKind::Data && (h.total == 0 || h.idx >= h.total || h.total > MAX_CHUNKS) {
         return Ok(Decoded::Corrupt {
             consumed: frame_len,
-            why: format!("inconsistent chunk header (idx {idx} of {total})"),
+            why: format!("inconsistent chunk header (idx {} of {})", h.idx, h.total),
         });
     }
     let frame = WireFrame {
         kind,
-        epoch: u64::from_le_bytes(buf[5..13].try_into().expect("sliced")),
-        src: u64::from_le_bytes(buf[13..21].try_into().expect("sliced")),
-        dst: u64::from_le_bytes(buf[21..29].try_into().expect("sliced")),
-        seq: u64::from_le_bytes(buf[29..37].try_into().expect("sliced")),
-        idx,
-        total,
+        epoch: h.epoch,
+        src: h.src,
+        dst: h.dst,
+        seq: h.seq,
+        idx: h.idx,
+        total: h.total,
         payload: buf[HEADER_LEN..HEADER_LEN + len].to_vec(),
     };
     Ok(Decoded::Frame {
         frame,
         consumed: frame_len,
     })
+}
+
+/// The destination a partial frame stranded on a closed or broken
+/// connection was headed for: best effort, so only the magic must hold and
+/// the header must reach the `dst` field.
+pub fn stranded_dst(buf: &[u8]) -> Option<u64> {
+    if le(buf, 0, u32::from_le_bytes)? != MAGIC {
+        return None;
+    }
+    le(buf, DST_AT, u64::from_le_bytes)
 }
 
 /// Flips one seed-chosen bit inside the payload region of an encoded frame
@@ -230,7 +284,7 @@ pub fn flip_payload_bit(encoded: &mut [u8], seed: u64) -> (usize, u8) {
     let (base, span) = if payload_len > 0 {
         (HEADER_LEN, payload_len)
     } else {
-        (29, 8) // the seq field
+        (SEQ_AT, 8)
     };
     let bit = splitmix(seed) % (span as u64 * 8);
     let byte = base + (bit / 8) as usize;

@@ -146,12 +146,13 @@ impl JoinTable {
         (shash as usize & (len - 1), 1u16 << ((shash >> 55) & 15))
     }
 
-    fn add_page(&mut self, part: usize, page_size: usize) -> PcResult<()> {
+    /// Opens a fresh map page at the end of `part`'s chain; returns its map.
+    fn add_page(&mut self, part: usize, page_size: usize) -> PcResult<Handle<TableMap>> {
         let block = BlockRef::new(page_size, AllocPolicy::LightweightReuse);
         let map = block.make_object::<TableMap>()?;
         block.set_root(&map);
-        self.parts[part].pages.push((block, map));
-        Ok(())
+        self.parts[part].pages.push((block, map.clone()));
+        Ok(map)
     }
 
     // ------------------------------------------------------------- building
@@ -265,9 +266,11 @@ impl JoinTable {
         jhashes: &[u64],
         cols: &[&[AnyHandle]],
     ) -> PcResult<()> {
-        if self.parts[part].pages.is_empty() {
-            self.add_page(part, self.page_size)?;
-        }
+        // The chain's last page is the open one.
+        let mut map = match self.parts[part].pages.last() {
+            Some((_block, map)) => map.clone(),
+            None => self.add_page(part, self.page_size)?,
+        };
         // Inserts invalidate any probe-side filter built earlier.
         self.parts[part].tags = TagFilter::default();
         let mut done = 0usize;
@@ -278,7 +281,6 @@ impl JoinTable {
         let mut page_size = self.page_size;
         let mut stall = 0u32;
         loop {
-            let (_block, map) = self.parts[part].pages.last().unwrap();
             let est = (map.len() * 2 + 16).min(bhashes.len() - done);
             match map.reserve(est) {
                 Err(PcError::BlockFull { .. }) => {}
@@ -321,7 +323,7 @@ impl JoinTable {
                     if stall > 1 {
                         page_size = (page_size * 2).min(256 << 20);
                     }
-                    self.add_page(part, page_size)?;
+                    map = self.add_page(part, page_size)?;
                 }
                 Err(e) => return Err(e),
             }

@@ -23,7 +23,8 @@ use crate::local::{run_span, ExecConfig, ExecStats};
 use crate::plan::PipelineSpec;
 use pc_lambda::{AggPage, ColumnPool, ErasedAgg, SpillCtx, StageLibrary};
 use pc_object::{
-    AnyObj, Handle, MemoryBudget, MemoryGrant, PageSpiller, PcError, PcResult, PcVec, SealedPage,
+    sync, AnyObj, Handle, MemoryBudget, MemoryGrant, PageSpiller, PcError, PcResult, PcVec,
+    SealedPage,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,13 +94,13 @@ impl MorselQueue {
     /// deque has drained — the work set is fixed up front, so no new
     /// morsels can appear afterwards.
     pub fn next(&self, me: usize) -> Option<Morsel> {
-        if let Some(m) = self.deques[me].lock().expect("morsel deque").pop_front() {
+        if let Some(m) = sync::lock(&self.deques[me]).pop_front() {
             self.dispatched.fetch_add(1, Ordering::Relaxed);
             return Some(m);
         }
         for k in 1..self.deques.len() {
             let victim = (me + k) % self.deques.len();
-            if let Some(m) = self.deques[victim].lock().expect("morsel deque").pop_back() {
+            if let Some(m) = sync::lock(&self.deques[victim]).pop_back() {
                 self.dispatched.fetch_add(1, Ordering::Relaxed);
                 self.stolen.fetch_add(1, Ordering::Relaxed);
                 return Some(m);

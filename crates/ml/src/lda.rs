@@ -22,12 +22,11 @@
 //! the iteration-invariant triples, then the hand-coded sampler.
 
 use crate::sampling;
-use parking_lot::Mutex;
 use pc_baseline::{Rdd, SparkLike};
 use pc_core::prelude::*;
 use pc_object::PcValue;
+use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::Arc;
 
 pc_object! {
     /// One (docID, wordID, count) triple.
@@ -72,14 +71,23 @@ pc_object! {
     }
 }
 
-type SharedRng = Arc<Mutex<rand::rngs::StdRng>>;
+/// The generator for one keyed draw of one iteration. Every join row and
+/// every aggregated key draws from its own stream, so what it samples does
+/// not depend on which thread runs it or in what order.
+fn keyed_rng(seed: u64, key: &[i64]) -> StdRng {
+    StdRng::seed_from_u64(
+        key.iter()
+            .fold(seed, |h, &k| StdRng::seed_from_u64(h ^ k as u64).random()),
+    )
+}
 
 /// Aggregation rebuilding a factor: sums count vectors per key, then
 /// samples Dirichlet(prior + counts) in finalize.
 struct FactorAgg {
     width: usize,
     prior: f64,
-    rng: SharedRng,
+    /// The iteration seed: finalize draws key `k` from `keyed_rng(seed, [k])`.
+    seed: u64,
     by_doc: bool, // key by doc (θ) or by word (per-word topic counts)
     /// true → finalize samples Dirichlet(prior + counts); false → finalize
     /// emits the raw summed counts (the φ path gathers counts first).
@@ -135,7 +143,7 @@ impl AggregateSpec for FactorAgg {
         let mut probs = vec![0.0; self.width];
         if self.sample {
             let alpha: Vec<f64> = counts.iter().map(|c| c + self.prior).collect();
-            sampling::sample_dirichlet(&mut *self.rng.lock(), &alpha, &mut probs);
+            sampling::sample_dirichlet(&mut keyed_rng(self.seed, &[*key]), &alpha, &mut probs);
         } else {
             probs.copy_from_slice(counts);
         }
@@ -157,7 +165,9 @@ pub struct PcLda {
     pub docs: usize,
     pub alpha: f64,
     pub beta: f64,
-    rng: SharedRng,
+    /// Driver-side stream: initial factors, one seed per iteration, and the
+    /// φ resampling, all drawn sequentially.
+    rng: StdRng,
     iter: usize,
 }
 
@@ -175,7 +185,7 @@ impl PcLda {
         beta: f64,
         seed: u64,
     ) -> PcResult<Self> {
-        let rng: SharedRng = Arc::new(Mutex::new(rand::rngs::StdRng::seed_from_u64(seed)));
+        let mut rng = StdRng::seed_from_u64(seed);
         client.create_or_clear_set(db, "triples")?;
         client.store(db, "triples", triples.len(), |i| {
             let (d, w, c) = &triples[i];
@@ -187,34 +197,28 @@ impl PcLda {
         })?;
         // θ rows.
         client.create_or_clear_set(db, "theta")?;
-        {
-            let rng = rng.clone();
-            client.store(db, "theta", docs, move |d| {
-                let mut probs = vec![0.0; topics];
-                sampling::sample_dirichlet(&mut *rng.lock(), &vec![1.0; topics], &mut probs);
-                let row = make_object::<DocProbs>()?;
-                row.v().set_doc(d as i64)?;
-                let pv = make_object::<PcVec<f64>>()?;
-                pv.extend_from_slice(&probs)?;
-                row.v().set_probs(pv)?;
-                Ok(row.erase())
-            })?;
-        }
+        client.store(db, "theta", docs, |d| {
+            let mut probs = vec![0.0; topics];
+            sampling::sample_dirichlet(&mut rng, &vec![1.0; topics], &mut probs);
+            let row = make_object::<DocProbs>()?;
+            row.v().set_doc(d as i64)?;
+            let pv = make_object::<PcVec<f64>>()?;
+            pv.extend_from_slice(&probs)?;
+            row.v().set_probs(pv)?;
+            Ok(row.erase())
+        })?;
         // φ columns (per word).
         client.create_or_clear_set(db, "phi_by_word")?;
-        {
-            let rng = rng.clone();
-            client.store(db, "phi_by_word", vocab, move |w| {
-                let mut probs = vec![0.0; topics];
-                sampling::sample_dirichlet(&mut *rng.lock(), &vec![1.0; topics], &mut probs);
-                let row = make_object::<WordProbs>()?;
-                row.v().set_word(w as i64)?;
-                let pv = make_object::<PcVec<f64>>()?;
-                pv.extend_from_slice(&probs)?;
-                row.v().set_probs(pv)?;
-                Ok(row.erase())
-            })?;
-        }
+        client.store(db, "phi_by_word", vocab, |w| {
+            let mut probs = vec![0.0; topics];
+            sampling::sample_dirichlet(&mut rng, &vec![1.0; topics], &mut probs);
+            let row = make_object::<WordProbs>()?;
+            row.v().set_word(w as i64)?;
+            let pv = make_object::<PcVec<f64>>()?;
+            pv.extend_from_slice(&probs)?;
+            row.v().set_probs(pv)?;
+            Ok(row.erase())
+        })?;
         Ok(PcLda {
             client: client.clone(),
             db: db.to_string(),
@@ -238,7 +242,7 @@ impl PcLda {
         let triples = self.client.set::<Triple>(&db, "triples");
         let theta = self.client.set::<DocProbs>(&db, "theta");
         let phi = self.client.set::<WordProbs>(&db, "phi_by_word");
-        let rng = self.rng.clone();
+        let seed: u64 = self.rng.random();
         triples
             .join3(
                 &theta,
@@ -263,7 +267,7 @@ impl PcLda {
                         .collect();
                     let mut counts = vec![0u32; k];
                     sampling::sample_multinomial(
-                        &mut *rng.lock(),
+                        &mut keyed_rng(seed, &[t.v().doc(), t.v().word()]),
                         &weights,
                         t.v().count() as u32,
                         &mut counts,
@@ -287,7 +291,7 @@ impl PcLda {
             .aggregate(FactorAgg {
                 width: k,
                 prior: self.alpha,
-                rng: self.rng.clone(),
+                seed,
                 by_doc: true,
                 sample: true,
             })
@@ -307,7 +311,7 @@ impl PcLda {
             .aggregate(FactorAgg {
                 width: k,
                 prior: 0.0,
-                rng: self.rng.clone(),
+                seed,
                 by_doc: false,
                 sample: false,
             })
@@ -323,21 +327,18 @@ impl PcLda {
         let mut phi_rows: Vec<Vec<f64>> = Vec::with_capacity(k);
         for counts in &per_topic {
             let mut probs = vec![0.0; self.vocab];
-            sampling::sample_dirichlet(&mut *self.rng.lock(), counts, &mut probs);
+            sampling::sample_dirichlet(&mut self.rng, counts, &mut probs);
             phi_rows.push(probs);
         }
         // Transpose to per-word form and redistribute.
         self.client.create_or_clear_set(&db, "phi_by_word")?;
-        let vocab = self.vocab;
-        let phi_rows = Arc::new(phi_rows);
-        let pr = phi_rows.clone();
-        self.client.store(&db, "phi_by_word", vocab, move |w| {
+        self.client.store(&db, "phi_by_word", self.vocab, |w| {
             let row = make_object::<WordProbs>()?;
             row.v().set_word(w as i64)?;
             let pv = make_object::<PcVec<f64>>()?;
             pv.reserve(k)?;
-            for t in 0..k {
-                pv.push(pr[t][w])?;
+            for topic in &phi_rows {
+                pv.push(topic[w])?;
             }
             row.v().set_probs(pv)?;
             Ok(row.erase())

@@ -15,6 +15,7 @@
 
 use crate::error::{PcError, PcResult};
 use crate::page::SealedPage;
+use crate::sync;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -119,7 +120,7 @@ impl MemoryBudget {
 
     /// Bytes currently reserved by live grants.
     pub fn reserved(&self) -> usize {
-        *self.inner.reserved.lock().unwrap()
+        *sync::lock(&self.inner.reserved)
     }
 
     /// Bytes still reservable.
@@ -152,7 +153,7 @@ impl MemoryBudget {
                 });
             }
         }
-        let mut reserved = self.inner.reserved.lock().unwrap();
+        let mut reserved = sync::lock(&self.inner.reserved);
         let after = reserved.saturating_add(bytes);
         if after > self.inner.total {
             return Err(PcError::MemoryPressure {
@@ -168,7 +169,7 @@ impl MemoryBudget {
         if bytes == 0 {
             return;
         }
-        let mut reserved = self.inner.reserved.lock().unwrap();
+        let mut reserved = sync::lock(&self.inner.reserved);
         *reserved = reserved.saturating_sub(bytes);
     }
 

@@ -42,6 +42,8 @@
 //! * [`containers`] — [`PcVec`], [`PcMap`], [`PcString`]: the built-in
 //!   generic container objects.
 //! * [`page`] — [`SealedPage`]: a detached, `Send`, byte-movable page.
+//! * [`sync`] — the workspace's lock policy: every `std::sync` lock is
+//!   taken through it, and a lock whose holder panicked is still usable.
 //! * [`pc_object!`](crate::pc_object) — declare user object types with
 //!   handle-aware fields (the analogue of deriving from PC's `Object`).
 
@@ -54,6 +56,7 @@ pub mod handle;
 pub mod hash;
 pub mod page;
 pub mod registry;
+pub mod sync;
 pub mod traits;
 
 #[macro_use]

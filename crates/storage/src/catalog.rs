@@ -7,9 +7,10 @@
 //! process-wide registry, and [`WorkerTypeCatalog`] reproduces the
 //! fetch-on-miss protocol (and its statistics) faithfully.
 
-use parking_lot::RwLock;
-use pc_object::{registry, PcError, PcResult, TypeCode};
+use pc_object::{registry, sync, PcError, PcResult, TypeCode};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// Metadata about one stored set.
 #[derive(Debug, Clone, Default)]
@@ -36,7 +37,7 @@ impl Catalog {
     }
 
     pub fn create_set(&self, db: &str, set: &str) -> PcResult<()> {
-        let mut sets = self.sets.write();
+        let mut sets = sync::write(&self.sets);
         let key = (db.to_string(), set.to_string());
         if sets.contains_key(&key) {
             return Err(PcError::Catalog(format!("set {db}.{set} already exists")));
@@ -53,7 +54,7 @@ impl Catalog {
     }
 
     pub fn ensure_set(&self, db: &str, set: &str) {
-        let mut sets = self.sets.write();
+        let mut sets = sync::write(&self.sets);
         sets.entry((db.to_string(), set.to_string()))
             .or_insert_with(|| SetMeta {
                 db: db.to_string(),
@@ -63,28 +64,21 @@ impl Catalog {
     }
 
     pub fn drop_set(&self, db: &str, set: &str) {
-        self.sets.write().remove(&(db.to_string(), set.to_string()));
+        sync::write(&self.sets).remove(&(db.to_string(), set.to_string()));
     }
 
     pub fn set_meta(&self, db: &str, set: &str) -> Option<SetMeta> {
-        self.sets
-            .read()
+        sync::read(&self.sets)
             .get(&(db.to_string(), set.to_string()))
             .cloned()
     }
 
     pub fn exists(&self, db: &str, set: &str) -> bool {
-        self.sets
-            .read()
-            .contains_key(&(db.to_string(), set.to_string()))
+        sync::read(&self.sets).contains_key(&(db.to_string(), set.to_string()))
     }
 
     pub fn record_append(&self, db: &str, set: &str, objects: u64, bytes: u64) {
-        if let Some(m) = self
-            .sets
-            .write()
-            .get_mut(&(db.to_string(), set.to_string()))
-        {
+        if let Some(m) = sync::write(&self.sets).get_mut(&(db.to_string(), set.to_string())) {
             m.pages += 1;
             m.objects += objects;
             m.bytes += bytes;
@@ -92,11 +86,7 @@ impl Catalog {
     }
 
     pub fn reset_set(&self, db: &str, set: &str) {
-        if let Some(m) = self
-            .sets
-            .write()
-            .get_mut(&(db.to_string(), set.to_string()))
-        {
+        if let Some(m) = sync::write(&self.sets).get_mut(&(db.to_string(), set.to_string())) {
             m.pages = 0;
             m.objects = 0;
             m.bytes = 0;
@@ -104,7 +94,7 @@ impl Catalog {
     }
 
     pub fn list_sets(&self) -> Vec<SetMeta> {
-        let mut v: Vec<SetMeta> = self.sets.read().values().cloned().collect();
+        let mut v: Vec<SetMeta> = sync::read(&self.sets).values().cloned().collect();
         v.sort_by(|a, b| (a.db.clone(), a.set.clone()).cmp(&(b.db.clone(), b.set.clone())));
         v
     }
@@ -115,7 +105,7 @@ impl Catalog {
 pub struct WorkerTypeCatalog {
     known: RwLock<HashSet<TypeCode>>,
     /// How many times a missing type had to be fetched from the master.
-    fetches: RwLock<u64>,
+    fetches: AtomicU64,
 }
 
 impl Default for WorkerTypeCatalog {
@@ -128,17 +118,17 @@ impl WorkerTypeCatalog {
     pub fn new() -> Self {
         WorkerTypeCatalog {
             known: RwLock::new(HashSet::new()),
-            fetches: RwLock::new(0),
+            fetches: AtomicU64::new(0),
         }
     }
 
     /// Resolves a type code: a hit on the local table is free; a miss
     /// "ships the .so" (consults the process registry) and caches it.
     pub fn resolve(&self, code: TypeCode) -> PcResult<&'static pc_object::TypeVTable> {
-        if !self.known.read().contains(&code) {
-            *self.fetches.write() += 1;
+        if !sync::read(&self.known).contains(&code) {
+            self.fetches.fetch_add(1, Ordering::Relaxed);
             let vt = registry::require_vtable(code)?;
-            self.known.write().insert(code);
+            sync::write(&self.known).insert(code);
             return Ok(vt);
         }
         registry::require_vtable(code)
@@ -146,7 +136,7 @@ impl WorkerTypeCatalog {
 
     /// Number of catalog fetches performed so far.
     pub fn fetches(&self) -> u64 {
-        *self.fetches.read()
+        self.fetches.load(Ordering::Relaxed)
     }
 }
 

@@ -14,12 +14,11 @@
 //! a [`SpillSet`] — a pool-managed spill namespace whose files are tracked
 //! internally, so an early abort can never leak them.
 
-use parking_lot::Mutex;
-use pc_object::{MemoryBudget, PageSpiller, PcError, PcResult, PressureSpec, SealedPage};
+use pc_object::{sync, MemoryBudget, PageSpiller, PcError, PcResult, PressureSpec, SealedPage};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Identifies one page of one set.
 pub type PageKey = (u64, usize); // (set id, page number)
@@ -146,7 +145,7 @@ impl BufferPool {
     /// Inserts a freshly produced page, evicting cold pages if needed.
     pub fn put(&self, key: PageKey, page: SealedPage) -> PcResult<Arc<SealedPage>> {
         let page = Arc::new(page);
-        let mut inner = self.shared.inner.lock();
+        let mut inner = sync::lock(&self.shared.inner);
         inner.track(key);
         inner.used_bytes += page.used();
         let stamp = inner.touch();
@@ -170,7 +169,7 @@ impl BufferPool {
     /// O(1): one hash lookup plus a generation-stamp bump.
     pub fn get(&self, key: PageKey) -> PcResult<Arc<SealedPage>> {
         {
-            let mut inner = self.shared.inner.lock();
+            let mut inner = sync::lock(&self.shared.inner);
             let stamp = inner.touch();
             if let Some(r) = inner.resident.get_mut(&key) {
                 r.stamp = stamp;
@@ -184,7 +183,7 @@ impl BufferPool {
         let bytes = std::fs::read(self.file_for(key))
             .map_err(|e| PcError::Catalog(format!("page {key:?} not on disk: {e}")))?;
         let page = Arc::new(SealedPage::from_bytes(&bytes)?);
-        let mut inner = self.shared.inner.lock();
+        let mut inner = sync::lock(&self.shared.inner);
         inner.track(key);
         inner.used_bytes += page.used();
         let stamp = inner.touch();
@@ -208,7 +207,7 @@ impl BufferPool {
     /// the pool's own key tracking — callers cannot under-report a count and
     /// strand files on disk.
     pub fn drop_set(&self, set_id: u64) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = sync::lock(&self.shared.inner);
         let Some(pages) = inner.set_keys.remove(&set_id) else {
             return;
         };
@@ -224,7 +223,7 @@ impl BufferPool {
     /// Forces every unpinned page out to files (cold-storage experiments),
     /// oldest first.
     pub fn flush_all(&self) -> PcResult<()> {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = sync::lock(&self.shared.inner);
         let mut keys: Vec<(u64, PageKey)> =
             inner.resident.iter().map(|(k, r)| (r.stamp, *k)).collect();
         keys.sort_unstable();
@@ -270,16 +269,17 @@ impl BufferPool {
             std::fs::write(&path, r.page.to_bytes())
                 .map_err(|e| PcError::Catalog(format!("evict write failed: {e}")))?;
         }
-        let r = inner.resident.remove(&key).unwrap();
-        inner.used_bytes -= r.page.used();
-        inner.stats.evictions += 1;
+        if let Some(r) = inner.resident.remove(&key) {
+            inner.used_bytes -= r.page.used();
+            inner.stats.evictions += 1;
+        }
         Ok(())
     }
 
     /// Writes a page straight to the file store without caching it
     /// (initial bulk loads in cold-storage experiments).
     pub fn write_through(&self, key: PageKey, page: &SealedPage) -> PcResult<()> {
-        self.shared.inner.lock().track(key);
+        sync::lock(&self.shared.inner).track(key);
         std::fs::write(self.file_for(key), page.to_bytes())
             .map_err(|e| PcError::Catalog(format!("write-through failed: {e}")))
     }
@@ -316,7 +316,7 @@ impl BufferPool {
     }
 
     pub fn stats(&self) -> PoolStats {
-        let inner = self.shared.inner.lock();
+        let inner = sync::lock(&self.shared.inner);
         PoolStats {
             resident_bytes: inner.used_bytes,
             resident_pages: inner.resident.len(),
@@ -347,7 +347,7 @@ impl PageSpiller for SpillSet {
         let n = self.next_page.fetch_add(1, Ordering::Relaxed);
         let key = (self.set_id, n);
         self.pool.write_through(key, page)?;
-        let mut inner = self.pool.shared.inner.lock();
+        let mut inner = sync::lock(&self.pool.shared.inner);
         inner.stats.spills += 1;
         inner.stats.bytes_spilled += page.used() as u64;
         Ok(n as u64)

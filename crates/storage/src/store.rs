@@ -2,12 +2,11 @@
 
 use crate::catalog::Catalog;
 use crate::pool::BufferPool;
-use parking_lot::RwLock;
-use pc_object::{PcError, PcResult, SealedPage};
+use pc_object::{sync, PcError, PcResult, SealedPage};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Numeric identity of a set inside one storage manager.
 pub type SetId = u64;
@@ -69,10 +68,10 @@ impl StorageManager {
 
     fn set_id(&self, db: &str, set: &str) -> SetId {
         let key = (db.to_string(), set.to_string());
-        if let Some(id) = self.inner.ids.read().get(&key) {
+        if let Some(id) = sync::read(&self.inner.ids).get(&key) {
             return *id;
         }
-        let mut ids = self.inner.ids.write();
+        let mut ids = sync::write(&self.inner.ids);
         *ids.entry(key)
             .or_insert_with(|| self.inner.next_id.fetch_add(1, Ordering::Relaxed))
     }
@@ -81,7 +80,7 @@ impl StorageManager {
     pub fn create_set(&self, db: &str, set: &str) -> PcResult<()> {
         self.inner.catalog.create_set(db, set)?;
         let id = self.set_id(db, set);
-        self.inner.pages.write().insert(id, 0);
+        sync::write(&self.inner.pages).insert(id, 0);
         Ok(())
     }
 
@@ -90,7 +89,7 @@ impl StorageManager {
         self.inner.catalog.ensure_set(db, set);
         self.inner.catalog.reset_set(db, set);
         let id = self.set_id(db, set);
-        self.inner.pages.write().insert(id, 0);
+        sync::write(&self.inner.pages).insert(id, 0);
         self.inner.pool.drop_set(id);
         Ok(())
     }
@@ -104,7 +103,7 @@ impl StorageManager {
         let bytes = page.used() as u64;
         let id = self.set_id(db, set);
         let n = {
-            let mut pages = self.inner.pages.write();
+            let mut pages = sync::write(&self.inner.pages);
             let slot = pages.entry(id).or_insert(0);
             let n = *slot;
             *slot += 1;
@@ -118,7 +117,7 @@ impl StorageManager {
     /// Number of pages stored for a set.
     pub fn page_count(&self, db: &str, set: &str) -> usize {
         let id = self.set_id(db, set);
-        self.inner.pages.read().get(&id).copied().unwrap_or(0)
+        sync::read(&self.inner.pages).get(&id).copied().unwrap_or(0)
     }
 
     /// Fetches one page of a set (pinning it while the `Arc` is held).
@@ -141,7 +140,7 @@ impl StorageManager {
     /// Drops a set and its pages.
     pub fn drop_set(&self, db: &str, set: &str) {
         let id = self.set_id(db, set);
-        self.inner.pages.write().remove(&id);
+        sync::write(&self.inner.pages).remove(&id);
         self.inner.pool.drop_set(id);
         self.inner.catalog.drop_set(db, set);
     }
@@ -154,11 +153,10 @@ fn count_objects(page: &SealedPage) -> u64 {
     // we just report zero objects for it.
     let bytes = page.payload();
     let root = page.root() as usize;
-    if root + 4 <= bytes.len() {
-        u32::from_le_bytes(bytes[root..root + 4].try_into().unwrap()) as u64
-    } else {
-        0
-    }
+    bytes
+        .get(root..root + 4)
+        .and_then(|len| len.try_into().ok())
+        .map_or(0, |len| u32::from_le_bytes(len) as u64)
 }
 
 #[cfg(test)]
