@@ -13,6 +13,15 @@
 //! into a [`SealedPage`], which re-opens on the far
 //! side as an *unmanaged* block (no reference counting — §6.4 type 3).
 //!
+//! A block's bytes are written before they are read, and no byte is zeroed
+//! that the block never hands out. A fresh block's buffer is uninitialized
+//! apart from its 16-byte header. The bump allocator zeroes each chunk's
+//! payload as it hands it out (including alignment padding), so every byte
+//! below `used` reads as a pre-zeroed page would; chunks reused from a free
+//! list or recycle list keep their old bytes, and containers zero what they
+//! need. Bytes at or above `used` are never read: the raw-I/O accessors
+//! assert (in debug builds) that they stay below `used`.
+//!
 //! [`SealedPage`]: crate::page::SealedPage
 
 use crate::error::{PcError, PcResult};
@@ -176,7 +185,7 @@ impl BlockRef {
             capacity < u32::MAX as usize,
             "block capacity must fit in u32"
         );
-        let buf = AlignedBuf::zeroed(capacity);
+        let buf = AlignedBuf::uninit(capacity);
         let raw = RawBlock {
             buf: BufStorage::Owned(buf),
             used: BLOCK_HEADER_SIZE,
@@ -196,7 +205,8 @@ impl BlockRef {
             inner: UnsafeCell::new(raw),
             id: next_block_id(),
         }));
-        b.write_u32(0, PAGE_MAGIC);
+        // `{magic, used, root, reserved}`; sealing fills in used and root.
+        b.write::<[u32; 4]>(0, [PAGE_MAGIC, 0, 0, 0]);
         b
     }
 
@@ -287,14 +297,14 @@ impl BlockRef {
     /// Reads a `Copy` value at byte offset `off`.
     #[inline]
     pub fn read<T: Copy>(&self, off: u32) -> T {
-        debug_assert!(off as usize + std::mem::size_of::<T>() <= self.capacity());
+        debug_assert!(off as usize + std::mem::size_of::<T>() <= self.used());
         unsafe { std::ptr::read_unaligned(self.base().add(off as usize) as *const T) }
     }
 
     /// Writes a `Copy` value at byte offset `off`.
     #[inline]
     pub fn write<T: Copy>(&self, off: u32, v: T) {
-        debug_assert!(off as usize + std::mem::size_of::<T>() <= self.capacity());
+        debug_assert!(off as usize + std::mem::size_of::<T>() <= self.used());
         unsafe { std::ptr::write_unaligned(self.base().add(off as usize) as *mut T, v) }
     }
 
@@ -316,32 +326,34 @@ impl BlockRef {
     /// stage invocation).
     #[inline]
     pub fn bytes(&self, off: u32, len: usize) -> &[u8] {
-        debug_assert!(off as usize + len <= self.capacity());
+        debug_assert!(off as usize + len <= self.used());
         unsafe { std::slice::from_raw_parts(self.base().add(off as usize), len) }
     }
 
     /// Copies bytes into page memory.
     #[inline]
     pub fn write_bytes(&self, off: u32, src: &[u8]) {
-        debug_assert!(off as usize + src.len() <= self.capacity());
+        debug_assert!(off as usize + src.len() <= self.used());
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.base().add(off as usize), src.len())
         }
     }
 
-    /// Zeroes `len` bytes at `off` (recycled chunks are dirty; containers
-    /// zero their tables before use).
+    /// Zeroes `len` bytes at `off`, which must lie below `used`. A
+    /// bump-allocated chunk already reads as zeroes; a chunk reused from a
+    /// free or recycle list is dirty, so containers and `init_at`
+    /// implementations zero what they need with this.
     #[inline]
     pub fn zero_range(&self, off: u32, len: usize) {
-        debug_assert!(off as usize + len <= self.capacity());
+        debug_assert!(off as usize + len <= self.used());
         unsafe { std::ptr::write_bytes(self.base().add(off as usize), 0, len) }
     }
 
     /// Copies `len` bytes from offset `src` to offset `dst` within the block.
     #[inline]
     pub fn copy_within(&self, src: u32, dst: u32, len: usize) {
-        debug_assert!(src as usize + len <= self.capacity());
-        debug_assert!(dst as usize + len <= self.capacity());
+        debug_assert!(src as usize + len <= self.used());
+        debug_assert!(dst as usize + len <= self.used());
         unsafe {
             std::ptr::copy(
                 self.base().add(src as usize),
@@ -355,7 +367,7 @@ impl BlockRef {
     #[inline]
     pub fn slice_f64(&self, off: u32, len: usize) -> &[f64] {
         debug_assert_eq!(off % 8, 0, "f64 view must be 8-aligned");
-        debug_assert!(off as usize + len * 8 <= self.capacity());
+        debug_assert!(off as usize + len * 8 <= self.used());
         unsafe { std::slice::from_raw_parts(self.base().add(off as usize) as *const f64, len) }
     }
 
@@ -363,7 +375,7 @@ impl BlockRef {
     #[inline]
     pub fn slice_i64(&self, off: u32, len: usize) -> &[i64] {
         debug_assert_eq!(off % 8, 0, "i64 view must be 8-aligned");
-        debug_assert!(off as usize + len * 8 <= self.capacity());
+        debug_assert!(off as usize + len * 8 <= self.used());
         unsafe { std::slice::from_raw_parts(self.base().add(off as usize) as *const i64, len) }
     }
 
@@ -375,7 +387,7 @@ impl BlockRef {
     #[allow(clippy::mut_from_ref)]
     pub fn slice_f64_mut(&self, off: u32, len: usize) -> &mut [f64] {
         debug_assert_eq!(off % 8, 0, "f64 view must be 8-aligned");
-        debug_assert!(off as usize + len * 8 <= self.capacity());
+        debug_assert!(off as usize + len * 8 <= self.used());
         unsafe { std::slice::from_raw_parts_mut(self.base().add(off as usize) as *mut f64, len) }
     }
 
@@ -470,6 +482,10 @@ impl BlockRef {
             }
             (*r).used = used + total;
             (*r).allocations += 1;
+            // These bytes are fresh from the allocator: zero everything the
+            // header does not cover (payload and alignment padding), so all
+            // of `[0, used)` stays initialized.
+            self.zero_range(used + OBJ_HEADER_SIZE, (total - OBJ_HEADER_SIZE) as usize);
             Ok(self.init_header(used, payload, code, flags, total))
         }
     }
@@ -714,5 +730,79 @@ impl Drop for AllocScope {
             popped.map(|b| b.same_block(&self.block)).unwrap_or(false),
             "AllocScope dropped out of order"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PcMap, PcString, PcVec};
+
+    crate::pc_object! {
+        /// Holds one of every way a page byte gets written.
+        pub struct Fixture / FixtureView {
+            (name, set_name): Handle<PcString>,
+            (vals, set_vals): Handle<PcVec<i64>>,
+            (map, set_map): Handle<PcMap<i64, i64>>,
+            (copy, set_copy): Handle<PcVec<Handle<PcString>>>,
+        }
+    }
+
+    /// Builds the same page from scratch: every byte below `used` must come
+    /// from the bump allocator's zeroing or an explicit write, never from
+    /// whatever the fresh buffer held.
+    fn build(policy: AllocPolicy) -> (SealedPage, BlockStats) {
+        let src = BlockRef::new(1 << 12, AllocPolicy::LightweightReuse);
+        let words = src.make_object::<PcVec<Handle<PcString>>>().unwrap();
+        for w in ["a", "bcd", "efghi"] {
+            words.push(PcString::make_on(&src, w).unwrap()).unwrap();
+        }
+
+        let b = BlockRef::new(1 << 14, policy);
+        let root = b.make_object::<Fixture>().unwrap();
+        b.set_root(&root);
+        // Freed and handed out again: the vector header comes back from the
+        // recycle list (Recycling) or a free list (LightweightReuse), its
+        // element array from a free list, both dirty.
+        let tmp = b.make_object::<PcVec<i64>>().unwrap();
+        tmp.extend_from_slice(&[7; 5]).unwrap();
+        drop(tmp);
+        let vals = b.make_object::<PcVec<i64>>().unwrap();
+        vals.extend_from_slice(&[1, 2, 3]).unwrap(); // capacity 4: one spare slot
+        root.v().set_vals(vals).unwrap();
+        // 4 + 3 bytes of payload: one byte of alignment padding.
+        root.v()
+            .set_name(PcString::make_on(&b, "odd").unwrap())
+            .unwrap();
+        let map = b.make_object::<PcMap<i64, i64>>().unwrap();
+        map.reserve(10).unwrap();
+        for k in 0..6 {
+            map.insert(k, k * k).unwrap();
+        }
+        assert!(map.remove(&2));
+        root.v().set_map(map).unwrap();
+        // A cross-block store: deep-copies the vector and its strings here.
+        root.v().set_copy(words).unwrap();
+        assert_eq!(root.v().name().as_str(), "odd");
+        assert_eq!((root.v().vals().len(), root.v().vals().capacity()), (3, 4));
+        assert_eq!(root.v().map().len(), 5);
+        assert_eq!(root.v().copy().get(2).as_str(), "efghi");
+        let stats = b.stats();
+        drop(root);
+        (b.try_seal().unwrap(), stats)
+    }
+
+    #[test]
+    fn the_same_page_built_twice_has_the_same_bytes() {
+        for policy in [AllocPolicy::LightweightReuse, AllocPolicy::Recycling] {
+            let (a, stats) = build(policy);
+            let (b, _) = build(policy);
+            assert!(stats.freelist_hits > 0, "{policy:?}: no free-list reuse");
+            assert_eq!(stats.deep_copies, 1, "{policy:?}: no deep copy");
+            if policy == AllocPolicy::Recycling {
+                assert!(stats.recycle_hits > 0, "no recycle hit");
+            }
+            assert_eq!(a.payload(), b.payload(), "{policy:?}: page bytes differ");
+        }
     }
 }

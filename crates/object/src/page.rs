@@ -7,16 +7,26 @@
 //! * moved to another thread (it is `Send`; the buffer changes hands with no
 //!   copy at all),
 //! * flattened to bytes and re-read (`to_bytes` / `from_bytes` — a pure
-//!   `memcpy`, standing in for disk and network movement), and
+//!   `memcpy`, standing in for disk and network movement; `read_from` reads
+//!   a file straight into the page's own buffer), and
 //! * re-opened as an *unmanaged* block whose handles are immediately valid.
 //!
 //! There is deliberately no encode/decode step anywhere in this module: the
 //! page's bytes are the one representation of the data.
+//!
+//! A page buffer costs what it holds. Buffers come from the allocator
+//! uninitialized; bytes `[0, used)` are always initialized (the block
+//! allocator zeroes each chunk it bump-allocates, and a re-materialized page
+//! copies or reads every byte of its buffer), and bytes above `used` are never
+//! read — [`SealedPage::payload`] and everything that moves a page stop at
+//! `used`. Debug builds fill each fresh buffer with a byte that changes from
+//! buffer to buffer, so a page byte that wrongly depends on fresh memory
+//! breaks the byte-identity tests instead of reading as a constant.
 
 use crate::block::BlockRef;
 use crate::error::{PcError, PcResult};
 use crate::handle::AnyHandle;
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 use std::sync::Arc;
 
@@ -27,60 +37,107 @@ pub const PAGE_MAGIC: u32 = 0x50435047;
 /// (f64/i64 slices) is valid after any whole-page move.
 pub const PAGE_ALIGN: usize = 16;
 
-/// A heap buffer with guaranteed 16-byte alignment.
-pub struct AlignedBuf {
+/// A heap buffer with guaranteed 16-byte alignment. Its owner tracks which
+/// prefix is initialized (a block's or page's `used`); nothing here hands out
+/// a reference to its bytes.
+pub(crate) struct AlignedBuf {
     ptr: NonNull<u8>,
     len: usize,
 }
 
 impl AlignedBuf {
-    /// Allocates a zeroed buffer of `len` bytes.
-    pub fn zeroed(len: usize) -> Self {
-        let layout = Layout::from_size_align(len.max(1), PAGE_ALIGN).expect("valid layout");
-        let ptr = unsafe { alloc_zeroed(layout) };
-        let ptr = NonNull::new(ptr).expect("page allocation failed");
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len.max(1), PAGE_ALIGN).expect("valid layout")
+    }
+
+    fn from_raw(ptr: *mut u8, len: usize) -> Self {
+        let ptr = NonNull::new(ptr).unwrap_or_else(|| handle_alloc_error(Self::layout(len)));
         AlignedBuf { ptr, len }
     }
 
-    /// Copies `src` into a fresh aligned buffer.
-    pub fn from_slice(src: &[u8]) -> Self {
-        let buf = Self::zeroed(src.len());
-        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), buf.ptr.as_ptr(), src.len()) };
+    /// Allocates `len` bytes without initializing them: the caller writes a
+    /// byte before anything reads it. In debug builds the bytes are filled
+    /// with a poison byte taken from a wrapping process-wide counter, so two
+    /// fresh buffers never share the same junk.
+    pub(crate) fn uninit(len: usize) -> Self {
+        // SAFETY: the layout has non-zero size (`len.max(1)`).
+        let buf = Self::from_raw(unsafe { alloc(Self::layout(len)) }, len);
+        #[cfg(debug_assertions)]
+        {
+            use std::sync::atomic::{AtomicU8, Ordering};
+            // `Relaxed`: the counter publishes nothing but itself.
+            static POISON: AtomicU8 = AtomicU8::new(0xA5);
+            let byte = POISON.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: `ptr` is valid for writes of `len` bytes, which this
+            // buffer uniquely owns.
+            unsafe { std::ptr::write_bytes(buf.ptr(), byte, len) };
+        }
+        buf
+    }
+
+    /// Allocates `len` zeroed bytes (a buffer some reader fills through a
+    /// `&mut [u8]`, which must never cover uninitialized memory).
+    pub(crate) fn zeroed(len: usize) -> Self {
+        // SAFETY: the layout has non-zero size (`len.max(1)`).
+        Self::from_raw(unsafe { alloc_zeroed(Self::layout(len)) }, len)
+    }
+
+    /// Copies `src` into a fresh aligned buffer: every byte is written once.
+    pub(crate) fn from_slice(src: &[u8]) -> Self {
+        let buf = Self::uninit(src.len());
+        // SAFETY: `buf` owns `src.len()` writable bytes that cannot overlap
+        // the borrowed `src`; afterwards all of them are initialized.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), buf.ptr(), src.len()) };
         buf
     }
 
     #[inline]
-    pub fn ptr(&self) -> *mut u8 {
+    pub(crate) fn ptr(&self) -> *mut u8 {
         self.ptr.as_ptr()
     }
 
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
-        let layout = Layout::from_size_align(self.len.max(1), PAGE_ALIGN).expect("valid layout");
-        unsafe { dealloc(self.ptr.as_ptr(), layout) };
+        // SAFETY: `ptr` was allocated by `alloc`/`alloc_zeroed` with this
+        // same layout and is freed exactly once, here.
+        unsafe { dealloc(self.ptr.as_ptr(), Self::layout(self.len)) };
     }
 }
 
 // SAFETY: AlignedBuf uniquely owns its allocation; moving it between threads
 // transfers ownership of plain bytes.
 unsafe impl Send for AlignedBuf {}
+// SAFETY: `&AlignedBuf` exposes only the pointer and length; writes through
+// the pointer are made by the single owner of a managed block, and a shared
+// (sealed) buffer is never written.
 unsafe impl Sync for AlignedBuf {}
+
+/// Checks a page header the way every re-materialization does and returns
+/// `(used, root)`: `bytes` must hold at least the header, start with
+/// [`PAGE_MAGIC`], and contain the `used` prefix it claims.
+fn parse_header(bytes: &[u8]) -> PcResult<(u32, u32)> {
+    if bytes.len() < 16 {
+        return Err(PcError::InvalidPage("shorter than page header".into()));
+    }
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let (magic, used, root) = (word(0), word(4), word(8));
+    if magic != PAGE_MAGIC {
+        return Err(PcError::InvalidPage(format!("bad magic {magic:#x}")));
+    }
+    if used as usize > bytes.len() {
+        return Err(PcError::InvalidPage(format!(
+            "used {used} exceeds buffer length {}",
+            bytes.len()
+        )));
+    }
+    Ok((used, root))
+}
 
 /// A sealed, self-contained page of PC objects.
 ///
@@ -108,6 +165,8 @@ impl SealedPage {
 
     fn write_header(&self) {
         let p = self.buf.ptr();
+        // SAFETY: a block's `used` never falls below its 16-byte header, so
+        // these 12 bytes lie inside the buffer; the page is not shared yet.
         unsafe {
             std::ptr::write_unaligned(p as *mut u32, PAGE_MAGIC);
             std::ptr::write_unaligned(p.add(4) as *mut u32, self.used);
@@ -131,7 +190,11 @@ impl SealedPage {
     /// The occupied bytes of the page. This *is* the wire format.
     #[inline]
     pub fn payload(&self) -> &[u8] {
-        &self.buf.as_slice()[..self.used as usize]
+        // SAFETY: bytes `[0, used)` of the buffer are initialized and
+        // `used <= buf.len()` (checked by every constructor); bytes above
+        // `used` are never read. The buffer is immutable once sealed and
+        // lives as long as `self`.
+        unsafe { std::slice::from_raw_parts(self.buf.ptr(), self.used as usize) }
     }
 
     /// Simulates network/disk movement: flatten to owned bytes (one memcpy).
@@ -144,23 +207,36 @@ impl SealedPage {
     ///
     /// [`to_bytes`]: SealedPage::to_bytes
     pub fn from_bytes(bytes: &[u8]) -> PcResult<Self> {
-        if bytes.len() < 16 {
-            return Err(PcError::InvalidPage("shorter than page header".into()));
-        }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        if magic != PAGE_MAGIC {
-            return Err(PcError::InvalidPage(format!("bad magic {magic:#x}")));
-        }
-        let used = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let root = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if used as usize > bytes.len() {
-            return Err(PcError::InvalidPage(format!(
-                "used {used} exceeds buffer length {}",
-                bytes.len()
-            )));
-        }
+        let (used, root) = parse_header(bytes)?;
         Ok(SealedPage {
             buf: Arc::new(AlignedBuf::from_slice(bytes)),
+            used,
+            root,
+        })
+    }
+
+    /// Reads a page of `len` bytes (as written from [`payload`]) from `r`
+    /// straight into the page's own buffer — one read, no intermediate
+    /// `Vec` — and checks its header exactly as [`from_bytes`] does. A short
+    /// read or a damaged header is an error, never a panic.
+    ///
+    /// [`payload`]: SealedPage::payload
+    /// [`from_bytes`]: SealedPage::from_bytes
+    pub fn read_from(r: &mut impl std::io::Read, len: usize) -> PcResult<Self> {
+        if len > u32::MAX as usize {
+            return Err(PcError::InvalidPage(format!(
+                "{len} bytes exceed the page size limit"
+            )));
+        }
+        let buf = AlignedBuf::zeroed(len);
+        // SAFETY: `zeroed` initialized all `len` bytes, and `buf` is owned
+        // here, so this is the only reference to them until it drops.
+        let bytes = unsafe { std::slice::from_raw_parts_mut(buf.ptr(), len) };
+        r.read_exact(bytes)
+            .map_err(|e| PcError::InvalidPage(format!("page read failed: {e}")))?;
+        let (used, root) = parse_header(bytes)?;
+        Ok(SealedPage {
+            buf: Arc::new(buf),
             used,
             root,
         })

@@ -179,10 +179,8 @@ impl BufferPool {
             }
             inner.stats.misses += 1;
         }
-        // Fault from file (one read + one memcpy; no decode).
-        let bytes = std::fs::read(self.file_for(key))
-            .map_err(|e| PcError::Catalog(format!("page {key:?} not on disk: {e}")))?;
-        let page = Arc::new(SealedPage::from_bytes(&bytes)?);
+        // Fault from file: one read into the page's own buffer, no decode.
+        let page = Arc::new(self.read_file(key, "page")?);
         let mut inner = sync::lock(&self.shared.inner);
         inner.track(key);
         inner.used_bytes += page.used();
@@ -266,7 +264,7 @@ impl BufferPool {
         }
         let path = self.file_for(key);
         if !path.exists() {
-            std::fs::write(&path, r.page.to_bytes())
+            std::fs::write(&path, r.page.payload())
                 .map_err(|e| PcError::Catalog(format!("evict write failed: {e}")))?;
         }
         if let Some(r) = inner.resident.remove(&key) {
@@ -276,11 +274,27 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Reads `key`'s file (written from [`SealedPage::payload`]) straight
+    /// into a page buffer; `what` names the page in a missing-file error. A
+    /// damaged file (truncated, or a header claiming more bytes than it
+    /// holds) is a [`PcError::InvalidPage`].
+    fn read_file(&self, key: PageKey, what: &str) -> PcResult<SealedPage> {
+        let open = || -> std::io::Result<(std::fs::File, u64)> {
+            let file = std::fs::File::open(self.file_for(key))?;
+            let len = file.metadata()?.len();
+            Ok((file, len))
+        };
+        let (mut file, len) =
+            open().map_err(|e| PcError::Catalog(format!("{what} {key:?} not on disk: {e}")))?;
+        // An oversized length is refused by `read_from` before it allocates.
+        SealedPage::read_from(&mut file, usize::try_from(len).unwrap_or(usize::MAX))
+    }
+
     /// Writes a page straight to the file store without caching it
     /// (initial bulk loads in cold-storage experiments).
     pub fn write_through(&self, key: PageKey, page: &SealedPage) -> PcResult<()> {
         sync::lock(&self.shared.inner).track(key);
-        std::fs::write(self.file_for(key), page.to_bytes())
+        std::fs::write(self.file_for(key), page.payload())
             .map_err(|e| PcError::Catalog(format!("write-through failed: {e}")))
     }
 
@@ -355,9 +369,7 @@ impl PageSpiller for SpillSet {
 
     fn reload(&self, token: u64) -> PcResult<SealedPage> {
         let key = (self.set_id, token as usize);
-        let bytes = std::fs::read(self.pool.file_for(key))
-            .map_err(|e| PcError::Catalog(format!("spilled page {key:?} not on disk: {e}")))?;
-        SealedPage::from_bytes(&bytes)
+        self.pool.read_file(key, "spilled page")
     }
 
     fn discard(&self, token: u64) {
@@ -522,6 +534,47 @@ mod tests {
         // reloaded (the early-abort shape).
         drop(spiller);
         assert_eq!(pool.leaked_spill_files(), 0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn damaged_page_files_are_errors_not_panics() {
+        let dir = std::env::temp_dir().join(format!("pcpool_damaged_{}", std::process::id()));
+        let pool = BufferPool::new(1 << 20, dir.clone()).unwrap();
+        let spiller = pool.spill_set();
+        let page = page_of(&[5.0; 64]);
+        let want = page.payload().to_vec();
+        let good = spiller.spill(&page).unwrap();
+        assert_eq!(spiller.reload(good).unwrap().payload(), &want[..]);
+        pool.write_through((4, 0), &page).unwrap();
+        assert_eq!(pool.get((4, 0)).unwrap().payload(), &want[..]);
+
+        let mut overclaims = want.clone();
+        overclaims[4..8].copy_from_slice(&(want.len() as u32 + 1).to_le_bytes());
+        let damaged = [
+            want[..want.len() / 2].to_vec(), // truncated mid-page
+            want[..10].to_vec(),             // truncated inside the header
+            overclaims,                      // header `used` exceeds the length
+        ];
+        for (i, bytes) in damaged.iter().enumerate() {
+            let token = spiller.spill(&page).unwrap();
+            std::fs::write(pool.file_for((spiller.set_id(), token as usize)), bytes).unwrap();
+            let reloaded = spiller.reload(token);
+            assert!(
+                matches!(reloaded, Err(PcError::InvalidPage(_))),
+                "reload of damaged file {i}: {reloaded:?}"
+            );
+            let key = (4, i + 1);
+            pool.write_through(key, &page).unwrap();
+            std::fs::write(pool.file_for(key), bytes).unwrap();
+            let faulted = pool.get(key);
+            assert!(
+                matches!(faulted, Err(PcError::InvalidPage(_))),
+                "get of damaged file {i}: {faulted:?}"
+            );
+        }
+        pool.drop_set(4);
+        drop(spiller);
         let _ = std::fs::remove_dir_all(dir);
     }
 }
