@@ -329,8 +329,22 @@ pub fn table2(quick: bool) {
     }
 }
 
+/// Panics unless PC's top-k names the baseline's customers in the same
+/// order with similarities within 1e-9 (PC ships them as fixed-point).
+fn assert_same_top_k(pc: &[(f64, i64)], base: &[(f64, i64)], n: usize) {
+    let ids = |v: &[(f64, i64)]| v.iter().map(|&(_, id)| id).collect::<Vec<_>>();
+    assert_eq!(ids(pc), ids(base), "top-k at {n} customers: ids differ");
+    for (&(p, id), &(b, _)) in pc.iter().zip(base) {
+        assert!(
+            (p - b).abs() <= 1e-9,
+            "top-k at {n} customers: customer {id} scores {p} in PC, {b} in the baseline"
+        );
+    }
+}
+
 /// Table 3: denormalized TPC-H, PC hot storage vs baseline hot-serialized
-/// vs baseline in-RAM deserialized, across scale points.
+/// vs baseline in-RAM deserialized, across scale points. Every row is
+/// printed only after PC's answer is checked against both baselines'.
 pub fn table3(quick: bool) {
     println!("Table 3: PC vs baseline for large-scale OO computation");
     let sizes: &[usize] = if quick {
@@ -361,10 +375,13 @@ pub fn table3(quick: bool) {
         let eng_ram = spark(StorageLevel::Deserialized);
         let rdd_ram = eng_ram.parallelize(baseline_impl::to_rows(&data)).cache();
 
-        let (_, t_pc) =
+        let (pc, t_pc) =
             time_once(|| pc_impl::customers_per_supplier(&client, "tpch", "customers").unwrap());
-        let (_, t_ser) = time_once(|| baseline_impl::customers_per_supplier(&rdd_ser));
-        let (_, t_ram) = time_once(|| baseline_impl::customers_per_supplier(&rdd_ram));
+        let (ser, t_ser) = time_once(|| baseline_impl::customers_per_supplier(&rdd_ser));
+        let (ram, t_ram) = time_once(|| baseline_impl::customers_per_supplier(&rdd_ram));
+        for base in [&ser, &ram] {
+            assert_eq!(&pc, base, "cps at {n} customers: PC and baseline differ");
+        }
         row(
             &[
                 "cps".into(),
@@ -378,10 +395,13 @@ pub fn table3(quick: bool) {
 
         let query = unique_parts(&data[0]);
         let k = (n / 50).max(4);
-        let (_, t_pc) =
+        let (pc, t_pc) =
             time_once(|| pc_impl::top_k_jaccard(&client, "tpch", "customers", &query, k).unwrap());
-        let (_, t_ser) = time_once(|| baseline_impl::top_k_jaccard(&rdd_ser, &query, k));
-        let (_, t_ram) = time_once(|| baseline_impl::top_k_jaccard(&rdd_ram, &query, k));
+        let (ser, t_ser) = time_once(|| baseline_impl::top_k_jaccard(&rdd_ser, &query, k));
+        let (ram, t_ram) = time_once(|| baseline_impl::top_k_jaccard(&rdd_ram, &query, k));
+        for base in [&ser, &ram] {
+            assert_same_top_k(&pc, base, n);
+        }
         row(
             &[
                 "topk".into(),

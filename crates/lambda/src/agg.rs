@@ -147,7 +147,7 @@ impl AggKey for (i32, i32) {
 impl AggKey for String {
     type Stored = Handle<PcString>;
     fn hash(&self) -> u64 {
-        pc_hash::fnv1a(self.as_bytes())
+        pc_hash::hash_bytes(self.as_bytes())
     }
     fn matches(&self, b: &BlockRef, slot: u32) -> bool {
         let (off, _code) = b.read::<(u32, u32)>(slot);

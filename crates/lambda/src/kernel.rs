@@ -478,7 +478,7 @@ impl ColumnKernel for HashKernel {
             Column::I64(v) => over(v, sel, |x| pc_hash::hash_i64(*x)),
             Column::U64(v) => over(v, sel, |x| pc_hash::mix64(*x)),
             Column::F64(v) => over(v, sel, |x| pc_hash::hash_f64(*x)),
-            Column::Str(v) => over(v, sel, |x| pc_hash::fnv1a(x.as_bytes())),
+            Column::Str(v) => over(v, sel, |x| pc_hash::hash_bytes(x.as_bytes())),
             Column::Bool(v) => over(v, sel, |x| pc_hash::mix64(*x as u64)),
             Column::Obj(_) => {
                 return Err(pc_object::PcError::Catalog(
@@ -550,6 +550,21 @@ mod tests {
         let h = h.as_u64().unwrap();
         assert_eq!(h[0], h[2]);
         assert_ne!(h[0], h[1]);
+    }
+
+    #[test]
+    fn every_string_hash_site_agrees() {
+        use crate::AggKey;
+        use pc_object::{AllocScope, PcKey, PcString};
+        let _scope = AllocScope::new(4096);
+        let keys = ["", "Supplier#0007", "Customer#001999", "é"];
+        let col = Column::Str(keys.iter().map(|&k| k.into()).collect());
+        let kernel = HashKernel.apply(&[&col], None, &mut ctx()).unwrap();
+        for (k, &h) in keys.iter().zip(kernel.as_u64().unwrap()) {
+            assert_eq!(k.to_string().hash(), h, "AggKey for String, {k:?}");
+            assert_eq!(PcString::make(k).unwrap().hash_val(), h, "PcString, {k:?}");
+            assert_eq!(pc_hash::hash_bytes(k.as_bytes()), h, "hash_bytes, {k:?}");
+        }
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub const ALIGN: u32 = 8;
 
 /// Number of size-class free lists (bucket `i` holds chunks with
 /// `floor(log2(size)) == i`, following Appendix B's "bucket log2(n)" scheme).
+/// One bit per bucket in `RawBlock::nonempty`, so at most 64.
 const N_BUCKETS: usize = 33;
+const _: () = assert!(N_BUCKETS <= 64);
 
 // Object flag bits.
 pub(crate) const FLAG_NO_REFCOUNT: u32 = 1;
@@ -128,6 +130,9 @@ struct RawBlock {
     managed: bool,
     active_objects: u32,
     freelists: [u32; N_BUCKETS],
+    /// Bit `b` is set exactly when `freelists[b] != 0`, so `alloc` finds
+    /// the non-empty size classes without reading every head.
+    nonempty: u64,
     recycle: HashMap<TypeCode, u32>,
     allocations: u64,
     frees: u64,
@@ -194,6 +199,7 @@ impl BlockRef {
             managed: true,
             active_objects: 0,
             freelists: [0; N_BUCKETS],
+            nonempty: 0,
             recycle: HashMap::new(),
             allocations: 0,
             frees: 0,
@@ -222,6 +228,7 @@ impl BlockRef {
             managed: false,
             active_objects: 0,
             freelists: [0; N_BUCKETS],
+            nonempty: 0,
             recycle: HashMap::new(),
             allocations: 0,
             frees: 0,
@@ -452,23 +459,29 @@ impl BlockRef {
                     }
                 }
             }
-            // Lightweight reuse: scan the size-class free lists.
+            // Lightweight reuse: visit the non-empty size classes from
+            // `bucket_of(total)` up, in ascending order — the same heads a
+            // scan of every bucket would test, without reading the empty
+            // ones.
             if (*r).policy != AllocPolicy::NoReuse {
-                let start = bucket_of(total);
-                for b in start..N_BUCKETS {
+                let mut candidates = (*r).nonempty & (!0u64 << bucket_of(total));
+                while candidates != 0 {
+                    let b = candidates.trailing_zeros() as usize;
+                    candidates &= candidates - 1;
                     let head = (*r).freelists[b];
-                    if head != 0 {
-                        let chunk_size = self.read_u32(head + 4);
-                        if chunk_size >= total {
-                            let next = self.read_u32(head);
-                            (*r).freelists[b] = next;
-                            (*r).freelist_hits += 1;
-                            (*r).allocations += 1;
-                            return Ok(self.init_header(head, payload, code, flags, chunk_size));
+                    let chunk_size = self.read_u32(head + 4);
+                    if chunk_size >= total {
+                        let next = self.read_u32(head);
+                        (*r).freelists[b] = next;
+                        if next == 0 {
+                            (*r).nonempty &= !(1 << b);
                         }
-                        // Head chunk too small for this bucket's request;
-                        // try the next bucket rather than scanning the list.
+                        (*r).freelist_hits += 1;
+                        (*r).allocations += 1;
+                        return Ok(self.init_header(head, payload, code, flags, chunk_size));
                     }
+                    // Head chunk too small for this bucket's request; try the
+                    // next bucket rather than scanning the list.
                 }
             }
             // Bump allocation.
@@ -534,6 +547,7 @@ impl BlockRef {
                     self.write_u32(chunk_start, head);
                     self.write_u32(chunk_start + 4, chunk);
                     (*r).freelists[b] = chunk_start;
+                    (*r).nonempty |= 1 << b;
                 }
             }
         }
@@ -804,5 +818,65 @@ mod tests {
             }
             assert_eq!(a.payload(), b.payload(), "{policy:?}: page bytes differ");
         }
+    }
+
+    /// Bit `b` of the mask is set exactly when free list `b` has a head.
+    fn assert_mask_matches_heads(b: &BlockRef) {
+        // SAFETY: blocks are single-threaded and nothing mutates this one
+        // while the shared borrow lives.
+        let r = unsafe { &*b.raw() };
+        for (i, &head) in r.freelists.iter().enumerate() {
+            assert_eq!(r.nonempty >> i & 1 == 1, head != 0, "bucket {i}");
+        }
+        assert_eq!(r.nonempty >> N_BUCKETS, 0, "bits past the last bucket");
+    }
+
+    /// The chunk the allocator picked before the mask: scan every bucket from
+    /// `bucket_of(total)` up and take the first head that fits, else bump.
+    fn linear_scan_pick(b: &BlockRef, payload: u32) -> u32 {
+        let total = OBJ_HEADER_SIZE + align_up(payload.max(1), ALIGN);
+        // SAFETY: a copy of the heads, read on the block's only thread.
+        let heads = unsafe { (*b.raw()).freelists };
+        for &head in &heads[bucket_of(total)..] {
+            if head != 0 && b.read_u32(head + 4) >= total {
+                return head + OBJ_HEADER_SIZE;
+            }
+        }
+        b.used() as u32 + OBJ_HEADER_SIZE
+    }
+
+    #[test]
+    fn the_free_list_mask_picks_the_chunk_a_linear_scan_picks() {
+        let b = BlockRef::new(1 << 25, AllocPolicy::LightweightReuse);
+        let mut live: Vec<u32> = Vec::new();
+        let mut state = 42u64;
+        let mut allocs = 0;
+        for _ in 0..20_000 {
+            state = crate::hash::mix64(state);
+            let r = state >> 8;
+            if live.is_empty() || r % 100 < 55 {
+                // Mostly small payloads with a tail up to 16 KiB, so requests
+                // land in most buckets and often meet a head too small for
+                // them.
+                let payload = match r % 8 {
+                    0..=4 => (r >> 8) % 64,
+                    5 | 6 => (r >> 8) % 1024,
+                    _ => (r >> 8) % 16384,
+                } as u32;
+                let want = linear_scan_pick(&b, payload);
+                let off = b.alloc(payload, TypeCode(1), 0).unwrap();
+                assert_eq!(off, want, "alloc #{allocs} of {payload} bytes");
+                live.push(off);
+                allocs += 1;
+            } else {
+                let i = (r >> 8) as usize % live.len();
+                b.free_object(live.swap_remove(i));
+            }
+            assert_mask_matches_heads(&b);
+        }
+        assert!(allocs >= 10_000, "only {allocs} allocs");
+        let stats = b.stats();
+        assert!(stats.freelist_hits > 2_000, "{stats:?}");
+        assert!(stats.frees > 5_000, "{stats:?}");
     }
 }

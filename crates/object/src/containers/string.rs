@@ -97,9 +97,11 @@ impl Handle<PcString> {
     }
 
     /// Hash of the contents (computed on the fly — never cached, §8.4.3).
+    /// Equal to [`crate::hash::hash_bytes`] over [`Self::as_bytes`], as every
+    /// string-key hash in the engine is.
     #[inline]
     pub fn hash_bytes(&self) -> u64 {
-        crate::hash::fnv1a(self.as_bytes())
+        crate::hash::hash_bytes(self.as_bytes())
     }
 }
 

@@ -5,7 +5,8 @@
 //! this out as a space-for-time trade) — hashes here are always computed on
 //! the fly from the stored bytes.
 
-/// FNV-1a 64-bit hash over a byte slice.
+/// FNV-1a 64-bit hash over a byte slice. Type codes are minted from it; it
+/// does not avalanche, so keys hash with [`hash_bytes`] instead.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -23,6 +24,16 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
+}
+
+/// Hash a string key's bytes: FNV-1a, then the [`mix64`] finalizer. FNV-1a
+/// alone leaves its high bits — the partition bits — the same across keys
+/// that differ only in their last few bytes (`Supplier#0000` ..
+/// `Supplier#0049` all share bits 32–33); the finalizer makes every output
+/// bit depend on every input byte.
+#[inline]
+pub fn hash_bytes(bytes: &[u8]) -> u64 {
+    mix64(fnv1a(bytes))
 }
 
 /// Hash an `i64` key.
@@ -62,6 +73,44 @@ mod tests {
         for i in 0..10_000u64 {
             assert!(seen.insert(mix64(i)), "collision at {i}");
         }
+    }
+
+    /// Share of `keys` whose partition (bits 32.. of the hash, masked to
+    /// `parts`, as the aggregation and join sinks select it) is each `p`.
+    fn partition_shares(keys: &[String], parts: u64, hash: fn(&[u8]) -> u64) -> Vec<f64> {
+        let mut counts = vec![0usize; parts as usize];
+        for k in keys {
+            counts[((hash(k.as_bytes()) >> 32) & (parts - 1)) as usize] += 1;
+        }
+        counts
+            .iter()
+            .map(|&c| c as f64 / keys.len() as f64)
+            .collect()
+    }
+
+    #[test]
+    fn string_hashes_spread_tpch_names_over_every_partition() {
+        // The generator's key shapes: `Supplier#{id:04}`, `Customer#{c:06}`.
+        let suppliers: Vec<String> = (0..50).map(|i| format!("Supplier#{i:04}")).collect();
+        let customers: Vec<String> = (0..2000).map(|i| format!("Customer#{i:06}")).collect();
+        // Every partition gets at least 40 % of its fair share: 10 % of the
+        // keys at 4 partitions, 5 % at 8 (50 keys over 8 partitions spread by
+        // about 4.7 points around 12.5 %, so a tighter floor would test luck).
+        for keys in [&suppliers, &customers] {
+            for parts in [4, 8] {
+                let shares = partition_shares(keys, parts, hash_bytes);
+                let floor = 0.4 / parts as f64;
+                assert!(
+                    shares.iter().all(|&s| s >= floor),
+                    "{} keys over {parts} partitions: {shares:?}",
+                    keys[0]
+                );
+            }
+        }
+        // Why the finalizer is there: raw FNV-1a sends every supplier to one
+        // of four partitions.
+        let raw = partition_shares(&suppliers, 4, fnv1a);
+        assert!(raw.contains(&1.0), "{raw:?}");
     }
 
     #[test]

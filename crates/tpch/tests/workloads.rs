@@ -23,6 +23,29 @@ fn pc_customers_per_supplier_matches_reference() {
     assert_eq!(counts, want_counts);
 }
 
+/// The supplier names must hash into both of `local_small`'s aggregation
+/// partitions, so the combine stage ships one merged page per partition.
+/// Under a hash whose partition bit is the same for every `Supplier#NNNN`
+/// the whole aggregation runs in one partition and ships a single page.
+#[test]
+fn customers_per_supplier_uses_every_aggregation_partition() {
+    let data = generate(&TpchConfig {
+        customers: 80,
+        ..Default::default()
+    });
+    let client = PcClient::local_small().unwrap();
+    pc_impl::load(&client, "skew", "customers", &data).unwrap();
+    let before = client.cluster().stats_snapshot().pages_shuffled;
+    let counts = pc_impl::customers_per_supplier(&client, "skew", "customers").unwrap();
+    let shipped = client.cluster().stats_snapshot().pages_shuffled - before;
+    assert_eq!(shipped, 2, "combined pages shipped");
+    let want: Vec<(String, usize)> = reference_customers_per_supplier(&data)
+        .iter()
+        .map(|(s, m)| (s.clone(), m.len()))
+        .collect();
+    assert_eq!(counts, want);
+}
+
 #[test]
 fn pc_top_k_matches_reference() {
     let data = generate(&TpchConfig {
