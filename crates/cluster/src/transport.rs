@@ -39,7 +39,7 @@
 
 use crate::cluster::unique_suffix;
 use crate::wire::{self, Decoded, FrameKind, WireFrame};
-use pc_object::{sync, PcError, PcResult, SealedPage};
+use pc_object::{sync, PageWriter, PcError, PcResult, SealedPage};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -403,6 +403,10 @@ impl Transport for LocalTransport {
     }
 
     fn send(&self, _src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
+        // Two copies where one would do, on purpose: sending from
+        // `payload()` directly measured 13 % slower on a one-worker join →
+        // aggregation (the transient `Vec` changes how glibc's heap grows
+        // and trims around the 1 MiB page buffers; see DESIGN.md).
         let bytes = page.to_bytes();
         let seq = self.inbox.register_send(dst);
         let arrived = SealedPage::from_bytes(&bytes)?;
@@ -422,48 +426,112 @@ impl Transport for LocalTransport {
 
 // ---------------------------------------------------------------- frames
 
-/// Splits a page's bytes into encoded, checksummed data frames.
+/// Appends a page's bytes to `out` as encoded, checksummed data frames of
+/// `chunk_bytes` payload each: every page byte is copied once, straight from
+/// the page into `out`.
 fn encode_page_frames(
+    out: &mut Vec<u8>,
     epoch: u64,
     src: NodeId,
     dst: NodeId,
     seq: u64,
     bytes: &[u8],
     chunk_bytes: usize,
-) -> Vec<Vec<u8>> {
-    let chunks: Vec<&[u8]> = bytes.chunks(chunk_bytes.max(1)).collect();
-    let total = chunks.len() as u32;
-    chunks
-        .into_iter()
-        .enumerate()
-        .map(|(idx, c)| {
-            WireFrame::data(
-                epoch,
-                src as u64,
-                dst as u64,
-                seq,
-                idx as u32,
-                total,
-                c.to_vec(),
-            )
-            .encode()
-        })
-        .collect()
+) {
+    let chunk_bytes = chunk_bytes.max(1);
+    let total = bytes.len().div_ceil(chunk_bytes);
+    out.reserve(bytes.len() + total * wire::frame_len(0));
+    for (idx, c) in bytes.chunks(chunk_bytes).enumerate() {
+        WireFrame::data(
+            epoch,
+            src as u64,
+            dst as u64,
+            seq,
+            idx as u32,
+            total as u32,
+            c,
+        )
+        .encode_into(out);
+    }
 }
 
-/// Chunk reassembly for one inbound TCP connection: collects data frames
-/// per (dst, seq), validates completed pages, and delivers them — or poisons
-/// the destination's inbox with a typed [`PcError::Transport`] when the
-/// frame map is inconsistent or the page is torn. One per connection is
-/// enough: a page's frames all travel on one connection, and a redial
-/// resends every frame of the page. The receive side never panics; recovery
-/// answers the failed collect with a stage replay.
+/// Flips one seed-chosen bit in one seed-chosen frame of the frames
+/// [`encode_page_frames`] wrote into `out` for a `len`-byte page; with
+/// `retransmit` a clean copy of that frame follows the mangled one.
+fn corrupt_one_frame(
+    out: &mut Vec<u8>,
+    len: usize,
+    chunk_bytes: usize,
+    seed: u64,
+    retransmit: bool,
+) {
+    let chunk = chunk_bytes.max(1);
+    let total = len.div_ceil(chunk);
+    let victim = (mix(seed, total as u64, 0xC0F) as usize) % total;
+    // Every frame before the victim carries a full chunk.
+    let start = victim * wire::frame_len(chunk);
+    let end = start + wire::frame_len(chunk.min(len - victim * chunk));
+    let clean = out[start..end].to_vec();
+    wire::flip_payload_bit(&mut out[start..end], seed);
+    if retransmit {
+        out.splice(end..end, clean);
+    }
+}
+
+/// Chunk reassembly for one inbound TCP connection: appends data frames per
+/// (dst, seq) into the page they rebuild, validates completed pages, and
+/// delivers them — or poisons the destination's inbox with a typed
+/// [`PcError::Transport`] when the frame map is inconsistent or the page is
+/// torn. One per connection is enough: a page's frames all travel on one
+/// connection, in order, and a redial resends every frame of the page. The
+/// receive side never panics; recovery answers the failed collect with a
+/// stage replay.
 struct Reassembler {
     partial: HashMap<(NodeId, u64), PartialPage>,
 }
 
-/// The epoch a partial page started under, plus its chunk slots.
-type PartialPage = (u64, Vec<Option<Vec<u8>>>);
+/// A page whose chunks are still arriving.
+struct PartialPage {
+    /// The epoch its first chunk arrived under.
+    epoch: u64,
+    /// Its chunk count, as every one of its frames must state.
+    total: u32,
+    /// Chunks `0..next` are in `page`, in order.
+    next: u32,
+    /// The page being rebuilt, sized `total` × chunk 0's length when chunk
+    /// 0 arrives: every chunk but the last is that long, so each chunk is
+    /// copied exactly once, straight to its place.
+    page: Option<PageWriter>,
+    /// Chunks that arrived ahead of `next` — those behind a checksum-rejected
+    /// frame — held until a retransmit fills the gap, or scrapped with the
+    /// page.
+    ahead: BTreeMap<u32, Vec<u8>>,
+}
+
+impl PartialPage {
+    /// Bytes received for this page so far.
+    fn held(&self) -> usize {
+        self.page.as_ref().map_or(0, PageWriter::filled)
+            + self.ahead.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// Appends chunk `next` and every held chunk that follows it.
+    fn append(&mut self, chunk: &[u8]) -> PcResult<()> {
+        let page = match &mut self.page {
+            Some(page) => page,
+            None => self.page.insert(PageWriter::with_capacity(
+                chunk.len().saturating_mul(self.total as usize),
+            )?),
+        };
+        page.append(chunk)?;
+        self.next += 1;
+        while let Some(held) = self.ahead.remove(&self.next) {
+            page.append(&held)?;
+            self.next += 1;
+        }
+        Ok(())
+    }
+}
 
 impl Reassembler {
     fn new() -> Self {
@@ -474,43 +542,53 @@ impl Reassembler {
 
     /// Drops partial pages left over from aborted-stage epochs.
     fn retain_epoch(&mut self, now: u64) {
-        self.partial.retain(|_, (e, _)| *e == now);
+        self.partial.retain(|_, p| p.epoch == now);
     }
 
     /// The connection is gone: whatever it left half-assembled was wire
     /// waste (the sender's redial, or the stage replay, sends the whole
     /// page again).
     fn scrap(self, meter: &TransportMeter) {
-        for (_, chunks) in self.partial.into_values() {
-            meter.on_failed_attempt(chunks.iter().flatten().map(Vec::len).sum());
+        for p in self.partial.into_values() {
+            meter.on_failed_attempt(p.held());
         }
     }
 
-    fn accept(&mut self, frame: WireFrame, meter: &TransportMeter, inbox: &Inbox) {
+    fn accept<P: AsRef<[u8]>>(
+        &mut self,
+        frame: WireFrame<P>,
+        meter: &TransportMeter,
+        inbox: &Inbox,
+    ) {
         let dst = frame.dst as usize;
         let seq = frame.seq;
-        let total = frame.total as usize;
+        let total = frame.total;
+        let payload = frame.payload.as_ref();
         // A replay reuses sequence numbers from zero, so a partial page
         // left over from an aborted epoch must not absorb this epoch's
         // chunks: scrap it (its bytes were waste) and start clean.
-        if let Some((e, chunks)) = self.partial.get(&(dst, seq)) {
-            if *e != frame.epoch {
-                let wasted: usize = chunks.iter().flatten().map(Vec::len).sum();
-                meter.on_failed_attempt(wasted);
+        if let Some(stale) = self.partial.get(&(dst, seq)) {
+            if stale.epoch != frame.epoch {
+                meter.on_failed_attempt(stale.held());
                 self.partial.remove(&(dst, seq));
             }
         }
         let entry = self
             .partial
             .entry((dst, seq))
-            .or_insert_with(|| (frame.epoch, vec![None; total]));
-        if entry.1.len() != total {
+            .or_insert_with(|| PartialPage {
+                epoch: frame.epoch,
+                total,
+                next: 0,
+                page: None,
+                ahead: BTreeMap::new(),
+            });
+        if entry.total != total {
             // Two checksum-valid frames of one page disagree about its
             // shape: the stream is damaged beyond what per-frame CRCs can
             // localize. Poison the destination instead of guessing.
-            let wasted: usize = entry.1.iter().flatten().map(Vec::len).sum();
-            let slots = entry.1.len();
-            meter.on_failed_attempt(wasted + frame.payload.len());
+            let slots = entry.total;
+            meter.on_failed_attempt(entry.held() + payload.len());
             self.partial.remove(&(dst, seq));
             inbox.fail(
                 dst,
@@ -518,36 +596,42 @@ impl Reassembler {
             );
             return;
         }
-        entry.1[frame.idx as usize] = Some(frame.payload);
-        if entry.1.iter().all(Option::is_some) {
-            // Defensive extraction: a map inconsistency here becomes a
-            // typed transport error on the destination, never a panic in
-            // the demux thread.
-            let Some((_, chunks)) = self.partial.remove(&(dst, seq)) else {
-                inbox.fail(dst, format!("page {seq}: reassembly entry vanished"));
-                return;
-            };
-            let mut whole = Vec::new();
-            for c in chunks {
-                match c {
-                    Some(bytes) => whole.extend_from_slice(&bytes),
-                    None => {
-                        meter.on_failed_attempt(whole.len());
-                        inbox.fail(dst, format!("page {seq}: frame map missing chunks"));
-                        return;
-                    }
-                }
+        let appended = match frame.idx.cmp(&entry.next) {
+            // A resent chunk already in place: its bytes are the same.
+            std::cmp::Ordering::Less => Ok(()),
+            std::cmp::Ordering::Equal => entry.append(payload),
+            std::cmp::Ordering::Greater => {
+                entry.ahead.insert(frame.idx, payload.to_vec());
+                Ok(())
             }
-            match SealedPage::from_bytes(&whole) {
-                Ok(page) => {
-                    meter.on_delivered(whole.len());
-                    inbox.deliver(dst, seq, page);
-                }
-                Err(e) => {
-                    // A torn page never reaches the inbox.
-                    meter.on_failed_attempt(whole.len());
-                    inbox.fail(dst, format!("page {seq} reassembled torn: {e}"));
-                }
+        };
+        if let Err(e) = appended {
+            // A chunk longer than chunk 0, or a page past the size limit:
+            // the chunks cannot form the page the sender split.
+            meter.on_failed_attempt(entry.held() + payload.len());
+            self.partial.remove(&(dst, seq));
+            inbox.fail(dst, format!("page {seq}: inconsistent chunk sizes: {e}"));
+            return;
+        }
+        if entry.next < total {
+            return;
+        }
+        // Defensive extraction: a map inconsistency here becomes a typed
+        // transport error on the destination, never a panic in the reader.
+        let Some(page) = self.partial.remove(&(dst, seq)).and_then(|p| p.page) else {
+            inbox.fail(dst, format!("page {seq}: reassembly entry vanished"));
+            return;
+        };
+        let len = page.filled();
+        match page.seal() {
+            Ok(page) => {
+                meter.on_delivered(len);
+                inbox.deliver(dst, seq, page);
+            }
+            Err(e) => {
+                // A torn page never reaches the inbox.
+                meter.on_failed_attempt(len);
+                inbox.fail(dst, format!("page {seq} reassembled torn: {e}"));
             }
         }
     }
@@ -583,6 +667,12 @@ impl Default for TcpConfig {
 /// Per-socket write deadline: how long a sender may stay blocked on a full
 /// socket buffer before the link counts as failed.
 const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+/// A reader's initial receive buffer: a quarter of a default page, so most
+/// reads take whatever the socket holds in one call.
+const READ_BUF: usize = 256 << 10;
+/// The least free space a reader offers the socket per read; below it the
+/// undecoded tail moves to the front of the buffer.
+const READ_MIN: usize = 64 << 10;
 /// First redial delay; doubles per attempt.
 const BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Ceiling on the exponential redial delay.
@@ -698,10 +788,19 @@ struct Receiver {
     shutdown: Arc<AtomicBool>,
 }
 
+/// One pooled outbound link: the connection (when up) and the buffer a
+/// page's frames are encoded into, reused from page to page.
+#[derive(Default)]
+struct Link {
+    stream: Option<std::net::TcpStream>,
+    frames: Vec<u8>,
+}
+
 /// Sealed pages over real `std::net` TCP sockets.
 ///
 /// Every node (each worker plus the master) owns a loopback listener. A
-/// `send(src, dst, ..)` writes checksummed wire frames on the pooled
+/// `send(src, dst, ..)` encodes the page's checksummed wire frames into the
+/// pooled link's buffer and hands them to the socket in one write, on the
 /// connection into `dst` — one per destination node, re-dialed with
 /// bounded, jittered exponential backoff when the link drops. The receive
 /// side is plain blocking I/O: one acceptor thread per listener, one reader
@@ -729,7 +828,7 @@ pub struct TcpTransport {
     addrs: Vec<SocketAddr>,
     /// One pooled outbound link per destination node, indexed like `addrs`
     /// and shared by every sender in the process.
-    conns: Vec<Mutex<Option<std::net::TcpStream>>>,
+    conns: Vec<Mutex<Link>>,
     beats: Arc<BeatBoard>,
     alive: Arc<Vec<AtomicBool>>,
     shutdown: Arc<AtomicBool>,
@@ -772,7 +871,7 @@ impl TcpTransport {
             epoch: rx.epoch.clone(),
             workers,
             addrs,
-            conns: (0..=workers).map(|_| Mutex::new(None)).collect(),
+            conns: (0..=workers).map(|_| Mutex::default()).collect(),
             beats: rx.beats.clone(),
             alive: Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect()),
             shutdown: rx.shutdown.clone(),
@@ -813,10 +912,11 @@ impl TcpTransport {
         Ok(t)
     }
 
-    /// Writes a page's frames on the pooled connection to `dst`, re-dialing
-    /// with bounded exponential backoff (jittered, capped, metered) when
-    /// the link is down or drops mid-write.
-    fn write_frames(&self, dst: NodeId, frames: &[Vec<u8>]) -> PcResult<()> {
+    /// Encodes a page's frames with `encode` into the pooled link's buffer
+    /// and writes them to `dst` in one call, re-dialing with bounded
+    /// exponential backoff (jittered, capped, metered) when the link is
+    /// down or drops mid-write.
+    fn write_frames(&self, dst: NodeId, encode: impl FnOnce(&mut Vec<u8>)) -> PcResult<()> {
         let node = if dst == MASTER { self.workers } else { dst };
         let (Some(slot), Some(addr)) = (self.conns.get(node), self.addrs.get(node)) else {
             return Err(PcError::Transport(format!(
@@ -824,7 +924,13 @@ impl TcpTransport {
                 node_name(dst)
             )));
         };
-        let mut conn = sync::lock(slot);
+        let mut link = sync::lock(slot);
+        let Link {
+            stream: conn,
+            frames,
+        } = &mut *link;
+        frames.clear();
+        encode(frames);
         let mut attempt = 0u32;
         let mut had_failure = false;
         loop {
@@ -854,18 +960,15 @@ impl TcpTransport {
                     }
                 },
             };
-            let wrote = frames
-                .iter()
-                .try_for_each(|f| stream.write_all(f))
-                .and_then(|()| stream.flush());
+            let wrote = stream.write_all(frames).and_then(|()| stream.flush());
             match wrote {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     // The link dropped mid-page: reconnect and resend every
-                    // frame. Duplicate chunks are idempotent on the
-                    // receiver (same seq/idx overwrites), and a frame torn
-                    // by the dead connection is caught by its checksum or
-                    // the truncation check.
+                    // frame. The new connection gets a fresh reassembler,
+                    // the old one's partial page is metered as waste, and a
+                    // frame torn by the dead connection is caught by its
+                    // checksum or the truncation check.
                     *conn = None;
                     had_failure = true;
                     attempt += 1;
@@ -889,11 +992,12 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
-        let bytes = page.to_bytes();
         let seq = self.inbox.register_send(dst);
         let epoch = *sync::lock(&self.epoch);
-        let frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
-        self.write_frames(dst, &frames)
+        let chunk = self.config.chunk_bytes;
+        self.write_frames(dst, |out| {
+            encode_page_frames(out, epoch, src, dst, seq, page.payload(), chunk);
+        })
     }
 
     fn collect(&self, dst: NodeId) -> PcResult<Vec<SealedPage>> {
@@ -921,17 +1025,14 @@ impl Transport for TcpTransport {
         flip_seed: u64,
         retransmit: bool,
     ) -> PcResult<()> {
-        let bytes = page.to_bytes();
         let seq = self.inbox.register_send(dst);
         let epoch = *sync::lock(&self.epoch);
-        let mut frames = encode_page_frames(epoch, src, dst, seq, &bytes, self.config.chunk_bytes);
-        let victim = (mix(flip_seed, frames.len() as u64, 0xC0F) as usize) % frames.len();
-        let clean = frames[victim].clone();
-        wire::flip_payload_bit(&mut frames[victim], flip_seed);
-        if retransmit {
-            frames.insert(victim + 1, clean);
-        }
-        self.write_frames(dst, &frames)
+        let chunk = self.config.chunk_bytes;
+        self.write_frames(dst, |out| {
+            let bytes = page.payload();
+            encode_page_frames(out, epoch, src, dst, seq, bytes, chunk);
+            corrupt_one_frame(out, bytes.len(), chunk, flip_seed, retransmit);
+        })
     }
 
     fn kill(&self, w: NodeId) {
@@ -942,7 +1043,7 @@ impl Transport for TcpTransport {
         // also what ends its reader); senders will re-dial (with backoff)
         // once it is revived.
         if let Some(slot) = self.conns.get(w) {
-            sync::lock(slot).take();
+            sync::lock(slot).stream = None;
         }
     }
 
@@ -1007,41 +1108,62 @@ impl Receiver {
     /// sender half, a dropped transport) or the framing breaks.
     fn read_loop(&self, mut stream: std::net::TcpStream) {
         let mut reasm = Reassembler::new();
-        let mut buf = Vec::new();
-        let mut scratch = [0u8; 64 << 10];
+        // The socket reads straight into `buf`; frames are decoded where
+        // they land, `start..end` holds the bytes not yet decoded.
+        let mut buf = vec![0u8; READ_BUF];
+        let (mut start, mut end) = (0, 0);
         let framing_broken = loop {
-            match stream.read(&mut scratch) {
+            if buf.len() - end < READ_MIN {
+                // Move the undecoded tail (at most one partial frame) to
+                // the front; grow only for a frame longer than the buffer.
+                buf.copy_within(start..end, 0);
+                end -= start;
+                start = 0;
+                if buf.len() - end < READ_MIN {
+                    buf.resize(buf.len() * 2, 0);
+                }
+            }
+            match stream.read(&mut buf[end..]) {
                 Ok(0) => break false,
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
+                Ok(n) => end += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => break false,
             }
-            if self.drain_frames(&mut buf, &mut reasm) {
-                break true;
+            match self.drain_frames(&buf[start..end], &mut reasm) {
+                Some(consumed) => start += consumed,
+                None => break true,
+            }
+            if start == end {
+                (start, end) = (0, 0);
             }
         };
-        if !framing_broken && !buf.is_empty() {
+        let stranded = &buf[start..end];
+        if !framing_broken && !stranded.is_empty() {
             // The peer vanished mid-frame: a truncated page. Surface a
             // typed error on the destination if the stranded header
             // still names one; either way the bytes were waste.
-            self.meter.on_failed_attempt(buf.len());
-            if let Some(dst) = wire::stranded_dst(&buf) {
+            self.meter.on_failed_attempt(stranded.len());
+            if let Some(dst) = wire::stranded_dst(stranded) {
                 self.inbox.fail(
                     dst as NodeId,
-                    format!("connection closed mid-frame ({} bytes stranded)", buf.len()),
+                    format!(
+                        "connection closed mid-frame ({} bytes stranded)",
+                        stranded.len()
+                    ),
                 );
             }
         }
         reasm.scrap(&self.meter);
     }
 
-    /// Decodes every complete frame buffered on a connection. Returns true
-    /// when the framing itself broke (the connection must be dropped).
-    fn drain_frames(&self, buf: &mut Vec<u8>, reasm: &mut Reassembler) -> bool {
+    /// Decodes every complete frame at the head of `buf` and returns the
+    /// bytes they took, or `None` when the framing itself broke (the
+    /// connection must be dropped).
+    fn drain_frames(&self, buf: &[u8], reasm: &mut Reassembler) -> Option<usize> {
         let mut consumed_total = 0;
-        let broken = loop {
+        loop {
             match wire::decode(&buf[consumed_total..]) {
-                Ok(Decoded::Need) => break false,
+                Ok(Decoded::Need) => return Some(consumed_total),
                 Ok(Decoded::Frame { frame, consumed }) => {
                     consumed_total += consumed;
                     match frame.kind {
@@ -1078,12 +1200,10 @@ impl Receiver {
                             "wire framing broken on an inbound connection".to_string(),
                         );
                     }
-                    break true;
+                    return None;
                 }
             }
-        };
-        buf.drain(..consumed_total);
-        broken
+        }
     }
 }
 
@@ -1399,9 +1519,8 @@ impl Transport for FaultyTransport {
                 Some(FaultKind::Drop) => {
                     let cap = self.spec.max_drops_per_send.max(1) as u64;
                     let drops = 1 + mix(self.spec.seed, n, 2) % cap;
-                    let len = page.to_bytes().len();
                     for _ in 0..drops {
-                        self.meter.on_failed_attempt(len);
+                        self.meter.on_failed_attempt(page.used());
                     }
                     if !self.spec.retries {
                         return Err(PcError::Transport(format!(
@@ -1689,6 +1808,113 @@ mod tests {
         assert_eq!(meter.pages_shuffled(), 0, "nothing was delivered");
         assert_eq!(meter.bytes_retransmitted(), 16, "both frames were waste");
         assert!(reasm.partial.is_empty(), "the damaged page is forgotten");
+    }
+
+    /// A page's frames encoded one `Vec` per chunk, each chunk copied out
+    /// first: the frame stream `encode_page_frames` must reproduce.
+    fn frames_one_by_one(seq: u64, bytes: &[u8], chunk: usize) -> Vec<Vec<u8>> {
+        let chunks: Vec<&[u8]> = bytes.chunks(chunk).collect();
+        let total = chunks.len() as u32;
+        chunks
+            .iter()
+            .enumerate()
+            .map(|(idx, c)| WireFrame::data(3, 1, 2, seq, idx as u32, total, c.to_vec()).encode())
+            .collect()
+    }
+
+    #[test]
+    fn a_page_encodes_to_the_same_frame_bytes_in_one_buffer() {
+        let p = page(4);
+        let bytes = p.payload();
+        for chunk in [1, 7, 64, 4 << 10, bytes.len(), bytes.len() + 1] {
+            let mut out = vec![0xEE; 5]; // appends after what is there
+            encode_page_frames(&mut out, 3, 1, 2, 9, bytes, chunk);
+            let want = frames_one_by_one(9, bytes, chunk);
+            assert_eq!(&out[..5], &[0xEE; 5]);
+            assert_eq!(
+                out[5..],
+                want.concat(),
+                "chunk {chunk}: frame bytes changed"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupting_in_the_buffer_matches_corrupting_a_frame_list() {
+        // The chaos suite's byte streams depend on which frame is mangled
+        // and which bit flips: the in-buffer surgery must pick the same.
+        let p = page(6);
+        let bytes = p.payload();
+        for chunk in [64, 300, bytes.len()] {
+            for seed in 0..40u64 {
+                for retransmit in [false, true] {
+                    let mut frames = frames_one_by_one(0, bytes, chunk);
+                    let victim = (mix(seed, frames.len() as u64, 0xC0F) as usize) % frames.len();
+                    let clean = frames[victim].clone();
+                    wire::flip_payload_bit(&mut frames[victim], seed);
+                    if retransmit {
+                        frames.insert(victim + 1, clean);
+                    }
+                    let mut out = Vec::new();
+                    encode_page_frames(&mut out, 3, 1, 2, 0, bytes, chunk);
+                    corrupt_one_frame(&mut out, bytes.len(), chunk, seed, retransmit);
+                    assert_eq!(out, frames.concat(), "chunk {chunk} seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reassembler_takes_chunks_in_any_order_and_skips_resent_ones() {
+        let meter = TransportMeter::default();
+        let inbox = Inbox::new();
+        let mut reasm = Reassembler::new();
+        let p = page(5);
+        let seq = inbox.register_send(1);
+        let frames = data_frames(0, 1, seq, &p);
+        let n = frames.len();
+        assert!(n >= 4, "the test needs at least four chunks");
+        // Chunk 1 ahead of chunk 0, chunk 0 twice, then the rest backwards.
+        let order = [1, 0, 0].into_iter().chain((2..n).rev());
+        for i in order {
+            reasm.accept(frames[i].clone(), &meter, &inbox);
+        }
+        let got = inbox.collect(1, None, None).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].to_bytes(), p.to_bytes());
+        assert_eq!(meter.pages_shuffled(), 1);
+        assert_eq!(meter.bytes_shuffled(), p.used() as u64);
+        assert_eq!(meter.bytes_retransmitted(), 0);
+        assert!(reasm.partial.is_empty());
+    }
+
+    #[test]
+    fn reassembler_poisons_dst_when_a_chunk_outgrows_chunk_zero() {
+        // The page is sized total × chunk 0's length; a longer later chunk
+        // cannot be part of the page the sender split.
+        let meter = TransportMeter::default();
+        let inbox = Inbox::new();
+        let mut reasm = Reassembler::new();
+        inbox.register_send(2);
+        reasm.accept(
+            WireFrame::data(0, 0, 2, 0, 0, 3, vec![1; 8]),
+            &meter,
+            &inbox,
+        );
+        reasm.accept(
+            WireFrame::data(0, 0, 2, 0, 1, 3, vec![2; 20]),
+            &meter,
+            &inbox,
+        );
+        match inbox.collect(2, None, None) {
+            Err(PcError::Transport(why)) => {
+                assert!(why.contains("inconsistent chunk sizes"), "{why}")
+            }
+            other => panic!("expected a typed transport error, got {other:?}"),
+        }
+        assert_eq!(meter.bytes_retransmitted(), 28, "both chunks were waste");
+        assert_eq!(meter.pages_shuffled(), 0);
+        assert!(reasm.partial.is_empty());
     }
 
     #[test]

@@ -62,9 +62,11 @@ pub enum FrameKind {
     Heartbeat,
 }
 
-/// One decoded wire frame.
+/// One wire frame. The payload is owned (`Vec<u8>`, the default) or
+/// borrowed: [`decode`] hands out frames whose payload borrows the receive
+/// buffer, and the sender encodes frames whose payload borrows the page.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFrame {
+pub struct WireFrame<P = Vec<u8>> {
     /// Data chunk or heartbeat.
     pub kind: FrameKind,
     /// Delivery epoch: frames from aborted stage attempts are stale.
@@ -80,10 +82,10 @@ pub struct WireFrame {
     /// Total chunks in the page.
     pub total: u32,
     /// Chunk bytes (empty for heartbeats).
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl WireFrame {
+impl<P> WireFrame<P> {
     /// A data frame carrying chunk `idx` of `total` of page `seq`.
     pub fn data(
         epoch: u64,
@@ -92,7 +94,7 @@ impl WireFrame {
         seq: u64,
         idx: u32,
         total: u32,
-        payload: Vec<u8>,
+        payload: P,
     ) -> Self {
         WireFrame {
             kind: FrameKind::Data,
@@ -105,7 +107,9 @@ impl WireFrame {
             payload,
         }
     }
+}
 
+impl WireFrame {
     /// Heartbeat number `beat` from worker `src` to `dst`.
     pub fn heartbeat(src: u64, dst: u64, beat: u64) -> Self {
         WireFrame {
@@ -119,10 +123,22 @@ impl WireFrame {
             payload: Vec::new(),
         }
     }
+}
 
+impl<P: AsRef<[u8]>> WireFrame<P> {
     /// Serializes the frame: magic, header, payload, CRC-32 trailer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + TRAILER_LEN);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded frame to `out`: the payload is copied once,
+    /// straight into place, and checksummed where it lands.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let payload = self.payload.as_ref();
+        let start = out.len();
+        out.reserve(frame_len(payload.len()));
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.push(match self.kind {
             FrameKind::Data => 1,
@@ -134,24 +150,28 @@ impl WireFrame {
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.idx.to_le_bytes());
         out.extend_from_slice(&self.total.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        debug_assert_eq!(out.len(), HEADER_LEN + self.payload.len());
-        let crc = crc32(&out[4..]);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        debug_assert_eq!(out.len() - start, HEADER_LEN + payload.len());
+        let crc = crc32(&out[start + 4..]);
         out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
+}
+
+/// Bytes one frame with a `payload_len`-byte payload occupies on the wire.
+pub const fn frame_len(payload_len: usize) -> usize {
+    HEADER_LEN + payload_len + TRAILER_LEN
 }
 
 /// The outcome of trying to decode one frame from the head of a buffer.
 #[derive(Debug)]
-pub enum Decoded {
+pub enum Decoded<'a> {
     /// Not enough bytes buffered yet; read more and retry.
     Need,
     /// One complete, checksum-verified frame; consume `consumed` bytes.
     Frame {
-        /// The decoded frame.
-        frame: WireFrame,
+        /// The decoded frame; its payload borrows the decoded buffer.
+        frame: WireFrame<&'a [u8]>,
         /// Bytes the frame occupied on the wire.
         consumed: usize,
     },
@@ -206,7 +226,7 @@ impl Header {
 /// `Err` means the framing itself can no longer be trusted (bad magic or an
 /// absurd length): the caller must drop the connection — the data lost with
 /// it surfaces as a typed transport error, never as a garbage page.
-pub fn decode(buf: &[u8]) -> PcResult<Decoded> {
+pub fn decode(buf: &[u8]) -> PcResult<Decoded<'_>> {
     let Some(h) = Header::read(buf) else {
         return Ok(Decoded::Need);
     };
@@ -222,7 +242,7 @@ pub fn decode(buf: &[u8]) -> PcResult<Decoded> {
             "wire framing broken: frame payload length {len} exceeds {MAX_PAYLOAD}"
         )));
     }
-    let frame_len = HEADER_LEN + len + TRAILER_LEN;
+    let frame_len = frame_len(len);
     let Some(want) = le(buf, HEADER_LEN + len, u32::from_le_bytes) else {
         return Ok(Decoded::Need);
     };
@@ -257,7 +277,7 @@ pub fn decode(buf: &[u8]) -> PcResult<Decoded> {
         seq: h.seq,
         idx: h.idx,
         total: h.total,
-        payload: buf[HEADER_LEN..HEADER_LEN + len].to_vec(),
+        payload: &buf[HEADER_LEN..HEADER_LEN + len],
     };
     Ok(Decoded::Frame {
         frame,
@@ -302,8 +322,12 @@ fn splitmix(seed: u64) -> u64 {
 
 // ---------------------------------------------------------------- crc32
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial. `T[0]` is the
+/// classic bytewise table; `T[k][b]` is the CRC contribution of byte `b`
+/// followed by `k` zero bytes, so eight lookups fold eight input bytes in
+/// one step.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -316,19 +340,43 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -344,17 +392,76 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bytewise definition the sliced loop must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..4096u64).map(|i| splitmix(i) as u8).collect();
+        // Every length across several multiples of the 8-byte step, from
+        // every starting alignment, so each remainder path runs.
+        for start in 0..8 {
+            for len in 0..80 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
+        assert_eq!(crc32(&[0xFF; 1000]), crc32_bytewise(&[0xFF; 1000]));
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let f = WireFrame::data(3, 1, 2, 40, 5, 9, vec![7u8; 300]);
         let bytes = f.encode();
         match decode(&bytes).unwrap() {
             Decoded::Frame { frame, consumed } => {
-                assert_eq!(frame, f);
+                let payload = frame.payload.to_vec();
+                let WireFrame {
+                    kind,
+                    epoch,
+                    src,
+                    dst,
+                    seq,
+                    idx,
+                    total,
+                    ..
+                } = frame;
+                let owned = WireFrame {
+                    kind,
+                    epoch,
+                    src,
+                    dst,
+                    seq,
+                    idx,
+                    total,
+                    payload,
+                };
+                assert_eq!(owned, f);
                 assert_eq!(consumed, bytes.len());
             }
             other => panic!("expected a frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_frame_encode_returns() {
+        let a = WireFrame::data(1, 2, 3, 4, 0, 2, vec![9u8; 100]);
+        let b = WireFrame::data(1, 2, 3, 4, 1, 2, &[5u8; 17][..]);
+        let mut out = vec![0xEE; 3];
+        a.encode_into(&mut out);
+        b.encode_into(&mut out);
+        let mut want = vec![0xEE; 3];
+        want.extend(a.encode());
+        want.extend(b.encode());
+        assert_eq!(out, want);
+        assert_eq!(out.len(), 3 + frame_len(100) + frame_len(17));
     }
 
     #[test]
@@ -370,7 +477,7 @@ mod tests {
 
     #[test]
     fn payload_bit_flip_is_detected_and_skippable() {
-        let f = WireFrame::data(0, 0, 1, 0, 0, 1, (0..64).collect());
+        let f = WireFrame::data(0, 0, 1, 0, 0, 1, (0..64).collect::<Vec<u8>>());
         let tail = WireFrame::heartbeat(1, u64::MAX, 1).encode();
         for seed in 0..32u64 {
             let mut bytes = f.encode();

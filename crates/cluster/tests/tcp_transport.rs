@@ -52,6 +52,51 @@ fn sockets_deliver_exactly_once_in_order() {
     assert_eq!(meter.bytes_retransmitted(), 0);
 }
 
+/// A page of `n` `i64`s on a 4 MiB page.
+fn big_page(tag: i64, n: i64) -> SealedPage {
+    let mut w = SetWriter::new(4 << 20);
+    w.write_with(|| {
+        let v = make_object::<PcVec<i64>>()?;
+        for i in 0..n {
+            v.push(tag * 10_000_000 + i)?;
+        }
+        Ok(v.erase())
+    })
+    .unwrap();
+    w.finish().unwrap().into_iter().next().unwrap()
+}
+
+#[test]
+fn pages_larger_than_the_read_buffer_arrive_intact() {
+    // Over 10 MB through one link: the reader's buffer wraps many times at
+    // the default 4 KiB chunks, and under a 2 MiB chunk size a single frame
+    // is longer than the buffer itself.
+    let pages: Vec<SealedPage> = (0..6).map(|t| big_page(t, 120_000)).collect();
+    assert!(pages[0].used() > 1 << 20);
+    for chunk_bytes in [TcpConfig::default().chunk_bytes, 2 << 20] {
+        let meter = Arc::new(TransportMeter::default());
+        let config = TcpConfig {
+            chunk_bytes,
+            ..quick_config()
+        };
+        let t = TcpTransport::new(meter.clone(), config, 2).unwrap();
+        for p in &pages {
+            t.send(MASTER, 0, p).unwrap();
+        }
+        let got = t.collect(0).unwrap();
+        assert_eq!(got.len(), pages.len());
+        for (g, want) in got.iter().zip(&pages) {
+            assert!(
+                g.payload() == want.payload(),
+                "chunk {chunk_bytes}: torn page"
+            );
+        }
+        let want_bytes: usize = pages.iter().map(SealedPage::used).sum();
+        assert_eq!(meter.bytes_shuffled(), want_bytes as u64);
+        assert_eq!(meter.bytes_retransmitted(), 0);
+    }
+}
+
 #[test]
 fn heartbeat_liveness_detects_death_before_the_deadline() {
     let meter = Arc::new(TransportMeter::default());

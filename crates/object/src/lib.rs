@@ -68,7 +68,7 @@ pub use budget::{MemoryBudget, MemoryGrant, PageSpiller, PressureSpec};
 pub use containers::{PcMap, PcString, PcVec};
 pub use error::{PcError, PcResult};
 pub use handle::{AnyHandle, Handle};
-pub use page::SealedPage;
+pub use page::{PageWriter, SealedPage};
 pub use registry::{
     ensure_builtins_registered, lookup_vtable, register_type, TypeCode, TypeVTable,
 };

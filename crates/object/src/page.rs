@@ -8,7 +8,9 @@
 //!   copy at all),
 //! * flattened to bytes and re-read (`to_bytes` / `from_bytes` — a pure
 //!   `memcpy`, standing in for disk and network movement; `read_from` reads
-//!   a file straight into the page's own buffer), and
+//!   a file straight into the page's own buffer, and a [`PageWriter`]
+//!   rebuilds a page from the chunks a socket delivers, copying each byte
+//!   once), and
 //! * re-opened as an *unmanaged* block whose handles are immediately valid.
 //!
 //! There is deliberately no encode/decode step anywhere in this module: the
@@ -273,6 +275,76 @@ impl SealedPage {
     /// know the type statically).
     pub fn open_block(&self) -> BlockRef {
         BlockRef::from_shared(self.buf.clone(), self.used, self.root)
+    }
+}
+
+/// A page arriving in pieces (a network receiver's chunks): an aligned
+/// buffer of fixed capacity, filled front to back, that seals into a
+/// [`SealedPage`] with no further copy. Each byte is copied in exactly once,
+/// by [`append`](PageWriter::append), and only the filled prefix is ever
+/// read.
+pub struct PageWriter {
+    buf: AlignedBuf,
+    filled: usize,
+}
+
+impl PageWriter {
+    /// An empty page of room for `capacity` bytes, refused past the page
+    /// size limit before anything is allocated.
+    pub fn with_capacity(capacity: usize) -> PcResult<Self> {
+        if capacity > u32::MAX as usize {
+            return Err(PcError::InvalidPage(format!(
+                "{capacity} bytes exceed the page size limit"
+            )));
+        }
+        Ok(PageWriter {
+            buf: AlignedBuf::uninit(capacity),
+            filled: 0,
+        })
+    }
+
+    /// Bytes appended so far.
+    #[inline]
+    pub fn filled(&self) -> usize {
+        self.filled
+    }
+
+    /// Copies `bytes` in after what is already there; an error, with
+    /// nothing written, if they do not fit.
+    pub fn append(&mut self, bytes: &[u8]) -> PcResult<()> {
+        if bytes.len() > self.buf.len() - self.filled {
+            return Err(PcError::InvalidPage(format!(
+                "{} more bytes overflow a {}-byte page holding {}",
+                bytes.len(),
+                self.buf.len(),
+                self.filled
+            )));
+        }
+        // SAFETY: `[filled, filled + bytes.len())` lies inside the buffer
+        // (checked above), which this writer owns and `bytes` cannot alias.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                bytes.as_ptr(),
+                self.buf.ptr().add(self.filled),
+                bytes.len(),
+            )
+        };
+        self.filled += bytes.len();
+        Ok(())
+    }
+
+    /// The finished page, its header checked over the filled bytes exactly
+    /// as [`SealedPage::from_bytes`] checks a whole byte string.
+    pub fn seal(self) -> PcResult<SealedPage> {
+        // SAFETY: `append` initialized `[0, filled)`, and nothing else
+        // references the buffer while this writer owns it.
+        let bytes = unsafe { std::slice::from_raw_parts(self.buf.ptr(), self.filled) };
+        let (used, root) = parse_header(bytes)?;
+        Ok(SealedPage {
+            buf: Arc::new(self.buf),
+            used,
+            root,
+        })
     }
 }
 

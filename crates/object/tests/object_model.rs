@@ -3,7 +3,7 @@
 
 use pc_object::{
     make_object, make_object_with_policy, pc_flat, pc_object, AllocPolicy, AllocScope, BlockRef,
-    Handle, ObjectPolicy, PcMap, PcString, PcVec, SealedPage,
+    Handle, ObjectPolicy, PageWriter, PcMap, PcString, PcVec, SealedPage,
 };
 
 pc_object! {
@@ -257,6 +257,41 @@ fn page_survives_byte_level_movement() {
     let roster = root.downcast::<PcVec<Handle<Emp>>>().unwrap();
     assert_eq!(roster.len(), 3);
     assert_eq!(roster.get(2).v().name().as_str(), "carol");
+}
+
+#[test]
+fn page_writer_reassembles_a_page_from_pieces() {
+    // A network receiver's path: chunks appended in order into one buffer
+    // sized up front (here larger than the page), sealed without a copy.
+    let page = build_employee_page();
+    let wire = page.to_bytes();
+    let mut w = PageWriter::with_capacity(wire.len() + 100).unwrap();
+    for piece in wire.chunks(7) {
+        w.append(piece).unwrap();
+    }
+    assert_eq!(w.filled(), wire.len());
+    let received = w.seal().unwrap();
+    assert_eq!(received.to_bytes(), wire);
+    assert_eq!(received.root(), page.root());
+    let (_b, root) = received.open().unwrap();
+    let roster = root.downcast::<PcVec<Handle<Emp>>>().unwrap();
+    assert_eq!(roster.get(1).v().name().as_str(), "bob");
+
+    // Overflow is refused with nothing written; a short or damaged page
+    // fails its header check like `from_bytes` does.
+    use pc_object::PcError;
+    let mut w = PageWriter::with_capacity(8).unwrap();
+    assert!(matches!(w.append(&wire[..9]), Err(PcError::InvalidPage(_))));
+    assert_eq!(w.filled(), 0);
+    w.append(&wire[..8]).unwrap();
+    assert!(matches!(w.seal(), Err(PcError::InvalidPage(_))));
+    let mut w = PageWriter::with_capacity(wire.len()).unwrap();
+    w.append(&wire[..wire.len() - 1]).unwrap();
+    assert!(
+        matches!(w.seal(), Err(PcError::InvalidPage(_))),
+        "used exceeds the bytes"
+    );
+    assert!(PageWriter::with_capacity(u32::MAX as usize + 1).is_err());
 }
 
 #[test]
