@@ -39,6 +39,7 @@
 
 use crate::cluster::unique_suffix;
 use crate::wire::{self, Decoded, FrameKind, WireFrame};
+use pc_object::hash::mix;
 use pc_object::{sync, PageWriter, PcError, PcResult, SealedPage};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{Read, Write};
@@ -1351,17 +1352,6 @@ impl FaultSpec {
             max_faults: u64::MAX,
         }
     }
-}
-
-/// SplitMix64: a stateless, order-independent hash of (seed, send index,
-/// salt) — the same send index always draws the same fault decision, so
-/// schedules replay exactly from the seed.
-fn mix(seed: u64, n: u64, salt: u64) -> u64 {
-    let mut z =
-        seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-destination reorder bookkeeping: `perm[inner_idx]` is the logical

@@ -22,6 +22,7 @@
 //!
 //! [`TcpTransport`]: crate::transport::TcpTransport
 
+use pc_object::hash::mix64;
 use pc_object::{PcError, PcResult};
 
 /// Frame magic: `b"PCW1"` little-endian.
@@ -306,18 +307,11 @@ pub fn flip_payload_bit(encoded: &mut [u8], seed: u64) -> (usize, u8) {
     } else {
         (SEQ_AT, 8)
     };
-    let bit = splitmix(seed) % (span as u64 * 8);
+    let bit = mix64(seed) % (span as u64 * 8);
     let byte = base + (bit / 8) as usize;
     let mask = 1u8 << (bit % 8);
     encoded[byte] ^= mask;
     (byte, bit as u8 % 8)
-}
-
-fn splitmix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------- crc32
@@ -403,7 +397,7 @@ mod tests {
 
     #[test]
     fn sliced_crc32_equals_the_bytewise_loop_at_every_length_and_offset() {
-        let data: Vec<u8> = (0..4096u64).map(|i| splitmix(i) as u8).collect();
+        let data: Vec<u8> = (0..4096u64).map(|i| mix64(i) as u8).collect();
         // Every length across several multiples of the 8-byte step, from
         // every starting alignment, so each remainder path runs.
         for start in 0..8 {

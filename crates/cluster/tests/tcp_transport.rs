@@ -31,7 +31,6 @@ fn quick_config() -> TcpConfig {
         heartbeat_interval: Duration::from_millis(20),
         suspect_after: 3,
         collect_deadline: Duration::from_secs(5),
-        ..TcpConfig::default()
     }
 }
 

@@ -1,8 +1,8 @@
 //! The `PcClient`.
 
-use pc_cluster::{ClusterConfig, ClusterStats, PcCluster};
+use pc_cluster::{ClusterConfig, PcCluster};
 use pc_exec::ExecConfig;
-use pc_lambda::{compile, ComputationGraph, SetWriter};
+use pc_lambda::SetWriter;
 use pc_object::{AnyHandle, Handle, PcObjType, PcResult, PcVec};
 use std::sync::Arc;
 
@@ -120,15 +120,6 @@ impl PcClient {
             w.write_with(|| make(i))?;
         }
         self.cluster.send_pages(db, set, w.finish()?)
-    }
-
-    /// Compiles (lambda → TCAP), optimizes, plans, and executes a lowered
-    /// computation graph across the cluster. Internal: user code builds
-    /// queries through [`Dataset`](crate::dataset::Dataset) /
-    /// [`Job`](crate::dataset::Job), which lower to this.
-    pub(crate) fn execute_graph(&self, graph: &ComputationGraph) -> PcResult<ClusterStats> {
-        let q = compile(graph)?;
-        self.cluster.execute(&q)
     }
 
     /// Gathers every object of a set to the client, typed. The downcast is

@@ -10,14 +10,13 @@
 //! projection over the wrong element type is a *compile* error, not a
 //! runtime surprise.
 //!
-//! Nothing executes while a chain is built. Each operator appends to an
-//! immutable, structurally shared plan DAG (`Arc` links); terminals lower
-//! the DAG through the stable internal layer — `ComputationGraph` →
-//! TCAP compilation → optimization → physical planning — and run it on the
-//! cluster. When a [`Job`] carries several sinks whose chains share an
-//! upstream prefix, the shared nodes lower to a *single* computation: the
-//! planner materializes the multi-consumer edge once and the shared stage
-//! executes exactly once.
+//! Nothing executes while a chain is built. Each operator adds one node to
+//! an immutable, structurally shared [`Computation`] graph (`Arc` links);
+//! terminals hand the graph to [`pc_lambda::compile`] — TCAP compilation →
+//! optimization → physical planning — and run it on the cluster. When a
+//! [`Job`] carries several sinks whose chains share an upstream prefix, the
+//! shared nodes compile to a *single* computation: the planner materializes
+//! the multi-consumer edge once and the shared stage executes exactly once.
 //!
 //! ```
 //! use pc_core::prelude::*;
@@ -50,92 +49,23 @@ use pc_cluster::ClusterStats;
 use pc_lambda::kernel::FlatMap1;
 use pc_lambda::{
     make_lambda, make_lambda2, make_lambda3, make_lambda_from_member, make_lambda_from_method,
-    make_lambda_from_self, AggregateSpec, ColValue, ComputationGraph, ErasedAgg, FlatMapKernel,
-    Lambda, LambdaTerm, NodeId,
+    make_lambda_from_self, AggregateSpec, ColValue, CompKind, CompiledQuery, Computation, Lambda,
 };
 use pc_object::{AnyHandle, Handle, PcError, PcObjType, PcResult};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// ---------------------------------------------------------------- the plan
-
-/// One operator of the immutable plan DAG behind a [`Dataset`].
-enum PlanKind {
-    /// Scan of a stored set.
-    Read { db: String, set: String },
-    /// Relational selection + projection (`SelectionComp`).
-    Selection { pred: LambdaTerm, proj: LambdaTerm },
-    /// Set-valued projection (`MultiSelectionComp`).
-    FlatMap {
-        label: String,
-        kernel: Arc<dyn FlatMapKernel>,
-    },
-    /// N-ary join; the predicate carries the equality conjuncts the system
-    /// extracts join keys from.
-    Join { pred: LambdaTerm, proj: LambdaTerm },
-    /// Aggregation by a typed spec, erased at construction.
-    Aggregate { agg: Arc<dyn ErasedAgg> },
-}
-
-/// A node of the shared plan DAG. Identity (the `Arc` pointer) doubles as
-/// the deduplication key when a multi-sink [`Job`] lowers: the same node
-/// reachable from two sinks lowers to one computation.
-struct PlanNode {
-    kind: PlanKind,
-    inputs: Vec<Arc<PlanNode>>,
-}
-
-impl PlanNode {
-    fn leaf(kind: PlanKind) -> Arc<PlanNode> {
-        Arc::new(PlanNode {
-            kind,
-            inputs: Vec::new(),
-        })
+/// Collects every reader's `(db, set)` reachable from `node`.
+fn sources(node: &Computation, out: &mut Vec<(String, String)>) {
+    if let CompKind::Reader { db, set } = &node.kind {
+        out.push((db.clone(), set.clone()));
     }
-
-    /// Lowers this node (and its inputs) into `g`, deduplicating shared
-    /// subgraphs through `memo`.
-    fn lower(self: &Arc<Self>, g: &mut ComputationGraph, memo: &mut Memo) -> NodeId {
-        let key = Arc::as_ptr(self) as usize;
-        if let Some(&id) = memo.get(&key) {
-            return id;
-        }
-        let inputs: Vec<NodeId> = self.inputs.iter().map(|i| i.lower(g, memo)).collect();
-        let id = match &self.kind {
-            PlanKind::Read { db, set } => g.reader(db, set),
-            PlanKind::Selection { pred, proj } => g.selection::<AnyHandle>(
-                inputs[0],
-                Lambda::from_term(pred.clone()),
-                Lambda::from_term(proj.clone()),
-            ),
-            PlanKind::FlatMap { label, kernel } => {
-                g.multi_selection(inputs[0], None, label, kernel.clone())
-            }
-            PlanKind::Join { pred, proj } => g.join::<AnyHandle>(
-                &inputs,
-                Lambda::from_term(pred.clone()),
-                Lambda::from_term(proj.clone()),
-            ),
-            PlanKind::Aggregate { agg } => g.aggregate_erased(inputs[0], agg.clone()),
-        };
-        memo.insert(key, id);
-        id
-    }
-
-    /// Collects every `Read { db, set }` pair reachable from this node.
-    fn sources(&self, out: &mut Vec<(String, String)>) {
-        if let PlanKind::Read { db, set } = &self.kind {
-            out.push((db.clone(), set.clone()));
-        }
-        for i in &self.inputs {
-            i.sources(out);
-        }
+    for i in &node.inputs {
+        sources(i, out);
     }
 }
-
-type Memo = HashMap<usize, NodeId>;
 
 // ------------------------------------------------------------------- vars
 
@@ -216,7 +146,7 @@ fn const_true<T: PcObjType>() -> Lambda<bool> {
 /// [`write_to`](Dataset::write_to) + [`Job::run`], or
 /// [`collect`](Dataset::collect).
 pub struct Dataset<T: PcObjType> {
-    plan: Arc<PlanNode>,
+    plan: Arc<Computation>,
     client: Option<PcClient>,
     _pd: PhantomData<fn() -> T>,
 }
@@ -234,9 +164,12 @@ impl<T: PcObjType> Clone for Dataset<T> {
 impl<T: PcObjType> Dataset<T> {
     pub(crate) fn stored(client: Option<PcClient>, db: &str, set: &str) -> Dataset<T> {
         Dataset {
-            plan: PlanNode::leaf(PlanKind::Read {
-                db: db.to_string(),
-                set: set.to_string(),
+            plan: Arc::new(Computation {
+                kind: CompKind::Reader {
+                    db: db.to_string(),
+                    set: set.to_string(),
+                },
+                inputs: Vec::new(),
             }),
             client,
             _pd: PhantomData,
@@ -251,9 +184,9 @@ impl<T: PcObjType> Dataset<T> {
         Dataset::stored(None, db, set)
     }
 
-    fn derive<R: PcObjType>(&self, kind: PlanKind, inputs: Vec<Arc<PlanNode>>) -> Dataset<R> {
+    fn derive<R: PcObjType>(&self, kind: CompKind, inputs: Vec<Arc<Computation>>) -> Dataset<R> {
         Dataset {
-            plan: Arc::new(PlanNode { kind, inputs }),
+            plan: Arc::new(Computation { kind, inputs }),
             client: self.client.clone(),
             _pd: PhantomData,
         }
@@ -264,9 +197,9 @@ impl<T: PcObjType> Dataset<T> {
     /// `.gt_const()`, `.and()`, ... — the optimizer sees every term.
     pub fn filter(&self, pred: impl FnOnce(Var<T>) -> Lambda<bool>) -> Dataset<T> {
         self.derive(
-            PlanKind::Selection {
-                pred: pred(Var::new(0)).term,
-                proj: Var::<T>::new(0).this().term,
+            CompKind::Selection {
+                selection: pred(Var::new(0)).term,
+                projection: Var::<T>::new(0).this().term,
             },
             vec![self.plan.clone()],
         )
@@ -281,9 +214,9 @@ impl<T: PcObjType> Dataset<T> {
         f: impl Fn(&Handle<T>) -> PcResult<Handle<R>> + Send + Sync + 'static,
     ) -> Dataset<R> {
         self.derive(
-            PlanKind::Selection {
-                pred: const_true::<T>().term,
-                proj: make_lambda::<T, AnyHandle>(0, label, move |h| Ok(f(h)?.erase())).term,
+            CompKind::Selection {
+                selection: const_true::<T>().term,
+                projection: make_lambda::<T, AnyHandle>(0, label, move |h| Ok(f(h)?.erase())).term,
             },
             vec![self.plan.clone()],
         )
@@ -301,9 +234,9 @@ impl<T: PcObjType> Dataset<T> {
             _pd: PhantomData,
         };
         self.derive(
-            PlanKind::FlatMap {
+            CompKind::MultiSelection {
+                flatmap: Arc::new(kernel),
                 label: label.to_string(),
-                kernel: Arc::new(kernel),
             },
             vec![self.plan.clone()],
         )
@@ -322,9 +255,9 @@ impl<T: PcObjType> Dataset<T> {
         proj: impl Fn(&Handle<T>, &Handle<U>) -> PcResult<Handle<R>> + Send + Sync + 'static,
     ) -> Dataset<R> {
         let mut out: Dataset<R> = self.derive(
-            PlanKind::Join {
-                pred: on(Var::new(0), Var::new(1)).term,
-                proj: make_lambda2::<T, U, AnyHandle>((0, 1), label, move |a, b| {
+            CompKind::Join {
+                selection: on(Var::new(0), Var::new(1)).term,
+                projection: make_lambda2::<T, U, AnyHandle>((0, 1), label, move |a, b| {
                     Ok(proj(a, b)?.erase())
                 })
                 .term,
@@ -348,9 +281,9 @@ impl<T: PcObjType> Dataset<T> {
         proj: impl Fn(&Handle<T>, &Handle<U>, &Handle<V>) -> PcResult<Handle<R>> + Send + Sync + 'static,
     ) -> Dataset<R> {
         let mut out: Dataset<R> = self.derive(
-            PlanKind::Join {
-                pred: on(Var::new(0), Var::new(1), Var::new(2)).term,
-                proj: make_lambda3::<T, U, V, AnyHandle>((0, 1, 2), label, move |x, y, z| {
+            CompKind::Join {
+                selection: on(Var::new(0), Var::new(1), Var::new(2)).term,
+                projection: make_lambda3::<T, U, V, AnyHandle>((0, 1, 2), label, move |x, y, z| {
                     Ok(proj(x, y, z)?.erase())
                 })
                 .term,
@@ -370,7 +303,7 @@ impl<T: PcObjType> Dataset<T> {
     /// mismatched spec is a compile error.
     pub fn aggregate<S: AggregateSpec<In = T>>(&self, spec: S) -> Dataset<S::Out> {
         self.derive(
-            PlanKind::Aggregate {
+            CompKind::Aggregate {
                 agg: Arc::new(pc_lambda::agg::AggEngine::new(spec)),
             },
             vec![self.plan.clone()],
@@ -400,7 +333,7 @@ impl<T: PcObjType> Dataset<T> {
             )
         })?;
         // A bare stored set gathers directly — no copy through a query.
-        if let PlanKind::Read { db, set } = &self.plan.kind {
+        if let CompKind::Reader { db, set } = &self.plan.kind {
             return client.iterate_set::<T>(db, set);
         }
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -420,7 +353,7 @@ impl<T: PcObjType> Dataset<T> {
 /// [`Dataset::write_to`]).
 #[derive(Clone)]
 pub struct Sink {
-    plan: Arc<PlanNode>,
+    plan: Arc<Computation>,
     db: String,
     set: String,
 }
@@ -434,8 +367,8 @@ impl Sink {
 }
 
 /// A multi-sink query: several [`Sink`]s executed as *one* computation
-/// graph. Plan nodes shared between sinks are deduplicated during lowering,
-/// so a common upstream subgraph executes exactly once (asserted by the
+/// graph. Nodes shared between sinks compile once, so a common upstream
+/// subgraph executes exactly once (asserted by the
 /// `dataset_api` integration test via [`pc_exec::ExecStats`]).
 #[derive(Default)]
 pub struct Job {
@@ -455,32 +388,39 @@ impl Job {
         self
     }
 
-    /// Lowers every sink into one deduplicated [`ComputationGraph`].
-    fn lower(&self) -> PcResult<ComputationGraph> {
+    /// Checks the sinks and compiles every one into one TCAP program.
+    fn lower(&self) -> PcResult<CompiledQuery> {
         if self.sinks.is_empty() {
             return Err(PcError::Catalog("a Job needs at least one sink".into()));
         }
         // A sink that overwrites one of the job's own sources would clear
-        // the data it is about to read.
-        let mut sources = Vec::new();
+        // the data it is about to read; two sinks naming one set would merge
+        // their rows.
+        let mut read = Vec::new();
         for s in &self.sinks {
-            s.plan.sources(&mut sources);
+            sources(&s.plan, &mut read);
         }
+        let mut written = HashSet::new();
         for s in &self.sinks {
-            if sources.iter().any(|(db, set)| *db == s.db && *set == s.set) {
+            if read.iter().any(|(db, set)| *db == s.db && *set == s.set) {
                 return Err(PcError::Catalog(format!(
                     "job sink {}.{} is also one of its sources",
                     s.db, s.set
                 )));
             }
+            if !written.insert((&s.db, &s.set)) {
+                return Err(PcError::Catalog(format!(
+                    "two sinks of one job write {}.{}",
+                    s.db, s.set
+                )));
+            }
         }
-        let mut g = ComputationGraph::new();
-        let mut memo = Memo::new();
-        for s in &self.sinks {
-            let id = s.plan.lower(&mut g, &mut memo);
-            g.write(id, &s.db, &s.set);
-        }
-        Ok(g)
+        let sinks: Vec<_> = self
+            .sinks
+            .iter()
+            .map(|s| (&s.plan, s.db.as_str(), s.set.as_str()))
+            .collect();
+        pc_lambda::compile(&sinks)
     }
 
     /// Compiles the job down to TCAP plus its stage library, without
@@ -491,21 +431,21 @@ impl Job {
     /// verifier before it is handed out: a lowering bug surfaces here as
     /// [`PcError::PlanRejected`] with rendered diagnostics, not as a
     /// mystery misbehavior deep inside the executor.
-    pub fn compile(&self) -> PcResult<pc_lambda::CompiledQuery> {
-        let q = pc_lambda::compile(&self.lower()?)?;
+    pub fn compile(&self) -> PcResult<CompiledQuery> {
+        let q = self.lower()?;
         pc_tcap::verify::require_clean(&q.tcap).map_err(PcError::PlanRejected)?;
         Ok(q)
     }
 
-    /// Executes the job on `client`: every sink's destination set is
-    /// created or cleared, then the single deduplicated graph compiles,
+    /// Executes the job on `client`: the graph compiles, every sink's
+    /// destination set is created or cleared, then the compiled query
     /// optimizes, plans, and runs across the cluster.
     pub fn run(&self, client: &PcClient) -> PcResult<ClusterStats> {
-        let g = self.lower()?;
+        let q = self.lower()?;
         for s in &self.sinks {
             client.create_or_clear_set(&s.db, &s.set)?;
         }
-        client.execute_graph(&g)
+        client.cluster().execute(&q)
     }
 }
 
@@ -529,11 +469,13 @@ mod tests {
         let job = Job::new()
             .add(base.write_to("db", "a"))
             .add(base.write_to("db", "b"));
-        let g = job.lower().unwrap();
+        let tcap = job.lower().unwrap().tcap.to_string();
         // One reader + one selection + two writers — the filter node is not
         // duplicated.
-        assert_eq!(g.nodes.len(), 4);
-        assert_eq!(g.writers().len(), 2);
+        let count = |op: &str| tcap.matches(op).count();
+        assert_eq!(count("<= INPUT("), 1);
+        assert_eq!(count("<= FILTER("), 1);
+        assert_eq!(count("<= OUTPUT("), 2);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! One-stop imports for PlinyCompute applications.
 //!
 //! Queries are built through the typed fluent API — [`Dataset`], [`Job`],
-//! [`Sink`], [`Var`] — which lowers internally to the lambda/TCAP stack.
-//! The raw `ComputationGraph` layer is no longer part of the prelude; it
-//! remains a stable *internal* surface inside `pc-lambda`.
+//! [`Sink`], [`Var`] — whose `Computation` graph compiles to TCAP.
 
 pub use crate::client::PcClient;
 pub use crate::dataset::{Dataset, Job, Sink, Var};

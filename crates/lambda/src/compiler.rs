@@ -1,6 +1,6 @@
-//! The TCAP compiler (§5): lowers a [`ComputationGraph`] into a
-//! [`TcapProgram`] plus a *stage library* binding every `(computation,
-//! stage)` name pair to its compiled kernel.
+//! The TCAP compiler (§5): lowers the [`Computation`] graphs under a job's
+//! sinks into one [`TcapProgram`] plus a *stage library* binding every
+//! `(computation, stage)` name pair to its compiled kernel.
 //!
 //! Join planning happens here in the spirit of §4: the user never names a
 //! join order or algorithm. The compiler analyzes the join's selection
@@ -11,7 +11,7 @@
 //! single-input conjuncts back below the join.
 
 use crate::agg::ErasedAgg;
-use crate::computation::{CompKind, ComputationGraph};
+use crate::computation::{CompKind, Computation};
 use crate::kernel::{
     BinaryKernel, ColumnKernel, ConstCmpKernel, FlatMapKernel, HashKernel, NotKernel,
 };
@@ -71,6 +71,11 @@ struct Compiler {
     stages: StageLibrary,
     aggs: HashMap<String, Arc<dyn ErasedAgg>>,
     lists: usize,
+    /// Node ids handed out so far.
+    nodes: usize,
+    /// (list name, object column) produced by each compiled node, keyed by
+    /// `Arc` identity.
+    outputs: HashMap<*const Computation, (String, String)>,
 }
 
 impl Compiler {
@@ -312,24 +317,87 @@ fn key_conjunct(t: &LambdaTerm) -> Option<(usize, usize, &LambdaTerm, &LambdaTer
     None
 }
 
-/// Compiles a computation graph to TCAP plus its stage library.
-pub fn compile(graph: &ComputationGraph) -> PcResult<CompiledQuery> {
+/// Compiles the graphs under `sinks` to TCAP plus its stage library. Each
+/// sink is a root computation and the `db`/`set` it is written to.
+///
+/// Nodes are numbered in memoized post-order on `Arc` identity — every
+/// input before its consumer, each writer right after its sink's nodes —
+/// and named `Reader_/Sel_/MSel_/Join_/Agg_/Writer_{id}`. A node shared by
+/// several sinks compiles once.
+pub fn compile(sinks: &[(&Arc<Computation>, &str, &str)]) -> PcResult<CompiledQuery> {
     let mut c = Compiler {
         stmts: Vec::new(),
         stages: StageLibrary::default(),
         aggs: HashMap::new(),
         lists: 0,
+        nodes: 0,
+        outputs: HashMap::new(),
     };
-    // (list name, object column) produced by each node.
-    let mut outputs: Vec<Option<(String, String)>> = vec![None; graph.nodes.len()];
+    for (root, db, set) in sinks {
+        let (in_list, in_col) = c.node(root)?;
+        let id = c.next_node();
+        c.stmts.push(TcapStmt {
+            output: VecListDecl {
+                name: format!("Out_{id}"),
+                cols: vec![],
+            },
+            op: TcapOp::Output {
+                input: ColRef {
+                    list: in_list,
+                    cols: vec![in_col],
+                },
+                db: db.to_string(),
+                set: set.to_string(),
+                computation: format!("Writer_{id}"),
+                meta: vec![],
+            },
+        });
+    }
+    Ok(CompiledQuery {
+        tcap: TcapProgram::new(c.stmts),
+        stages: c.stages,
+        aggs: c.aggs,
+    })
+}
 
-    for (id, node) in graph.nodes.iter().enumerate() {
-        let comp = node.name.clone();
-        match &node.kind {
+impl Compiler {
+    fn next_node(&mut self) -> usize {
+        self.nodes += 1;
+        self.nodes - 1
+    }
+
+    /// Compiles `node` after its inputs, once per node, and returns the
+    /// list and object column holding its output.
+    fn node(&mut self, node: &Arc<Computation>) -> PcResult<(String, String)> {
+        let key = Arc::as_ptr(node);
+        if let Some(out) = self.outputs.get(&key) {
+            return Ok(out.clone());
+        }
+        let inputs = node
+            .inputs
+            .iter()
+            .map(|i| self.node(i))
+            .collect::<PcResult<Vec<_>>>()?;
+        let id = self.next_node();
+        let (prefix, arity_ok) = match node.kind {
+            CompKind::Reader { .. } => ("Reader", inputs.is_empty()),
+            CompKind::Selection { .. } => ("Sel", inputs.len() == 1),
+            CompKind::MultiSelection { .. } => ("MSel", inputs.len() == 1),
+            CompKind::Join { .. } => ("Join", inputs.len() >= 2),
+            CompKind::Aggregate { .. } => ("Agg", inputs.len() == 1),
+        };
+        let comp = format!("{prefix}_{id}");
+        if !arity_ok {
+            return Err(PcError::Catalog(format!(
+                "computation {comp} cannot take {} inputs",
+                inputs.len()
+            )));
+        }
+        let out = match &node.kind {
             CompKind::Reader { db, set } => {
                 let list = format!("In_{id}");
                 let col = format!("in{id}");
-                c.stmts.push(TcapStmt {
+                self.stmts.push(TcapStmt {
                     output: VecListDecl {
                         name: list.clone(),
                         cols: vec![col.clone()],
@@ -341,63 +409,41 @@ pub fn compile(graph: &ComputationGraph) -> PcResult<CompiledQuery> {
                         meta: vec![],
                     },
                 });
-                outputs[id] = Some((list, col));
+                (list, col)
             }
             CompKind::Selection {
-                input,
                 selection,
                 projection,
             } => {
-                let (in_list, in_col) = outputs[*input].clone().ok_or_else(|| dangling(*input))?;
+                let (in_list, in_col) = inputs[0].clone();
                 let mut cur = CurList {
                     name: in_list,
                     cols: vec![in_col.clone()],
                 };
                 let mut n = 0;
-                let col_of = {
-                    let in_col = in_col.clone();
-                    move |_i: usize| in_col.clone()
-                };
-                let bl = c.emit_term(selection, &comp, &mut n, &mut cur, &col_of)?;
-                c.filter(&mut cur, &comp, &bl, &[in_col.clone()]);
-                let out_col = c.emit_term(projection, &comp, &mut n, &mut cur, &col_of)?;
-                outputs[id] = Some((cur.name, out_col));
+                let col_of = |_i: usize| in_col.clone();
+                let bl = self.emit_term(selection, &comp, &mut n, &mut cur, &col_of)?;
+                self.filter(&mut cur, &comp, &bl, std::slice::from_ref(&in_col));
+                let out_col = self.emit_term(projection, &comp, &mut n, &mut cur, &col_of)?;
+                (cur.name, out_col)
             }
-            CompKind::MultiSelection {
-                input,
-                selection,
-                flatmap,
-                label,
-            } => {
-                let (in_list, in_col) = outputs[*input].clone().ok_or_else(|| dangling(*input))?;
-                let mut cur = CurList {
-                    name: in_list,
-                    cols: vec![in_col.clone()],
-                };
-                let mut n = 0;
-                let col_of = {
-                    let in_col = in_col.clone();
-                    move |_i: usize| in_col.clone()
-                };
-                if let Some(sel) = selection {
-                    let bl = c.emit_term(sel, &comp, &mut n, &mut cur, &col_of)?;
-                    c.filter(&mut cur, &comp, &bl, &[in_col.clone()]);
-                }
+            CompKind::MultiSelection { flatmap, label } => {
+                let (in_list, in_col) = inputs[0].clone();
                 let stage = "flat_1".to_string();
                 let out_col = format!("out{id}");
-                let out = c.fresh_list("FM");
-                c.stmts.push(TcapStmt {
+                let out = self.fresh_list("FM");
+                self.stmts.push(TcapStmt {
                     output: VecListDecl {
                         name: out.clone(),
                         cols: vec![out_col.clone()],
                     },
                     op: TcapOp::FlatMap {
                         input: ColRef {
-                            list: cur.name.clone(),
-                            cols: vec![in_col.clone()],
+                            list: in_list.clone(),
+                            cols: vec![in_col],
                         },
                         copy: ColRef {
-                            list: cur.name.clone(),
+                            list: in_list,
                             cols: vec![],
                         },
                         computation: comp.clone(),
@@ -408,24 +454,19 @@ pub fn compile(graph: &ComputationGraph) -> PcResult<CompiledQuery> {
                         ],
                     },
                 });
-                c.stages
+                self.stages
                     .register(&comp, &stage, StageKernel::FlatMap(flatmap.clone()));
-                outputs[id] = Some((out, out_col));
+                (out, out_col)
             }
             CompKind::Join {
-                inputs,
                 selection,
                 projection,
-            } => {
-                let compiled =
-                    compile_join(&mut c, id, &comp, inputs, selection, projection, &outputs)?;
-                outputs[id] = Some(compiled);
-            }
-            CompKind::Aggregate { input, agg } => {
-                let (in_list, in_col) = outputs[*input].clone().ok_or_else(|| dangling(*input))?;
+            } => compile_join(self, &comp, &inputs, selection, projection)?,
+            CompKind::Aggregate { agg } => {
+                let (in_list, in_col) = inputs[0].clone();
                 let out = format!("Ag_{id}");
                 let out_col = format!("out{id}");
-                c.stmts.push(TcapStmt {
+                self.stmts.push(TcapStmt {
                     output: VecListDecl {
                         name: out.clone(),
                         cols: vec![out_col.clone()],
@@ -443,55 +484,26 @@ pub fn compile(graph: &ComputationGraph) -> PcResult<CompiledQuery> {
                         meta: vec![("outType".into(), agg.out_type())],
                     },
                 });
-                c.aggs.insert(comp.clone(), agg.clone());
-                outputs[id] = Some((out, out_col));
+                self.aggs.insert(comp, agg.clone());
+                (out, out_col)
             }
-            CompKind::Writer { db, set, input } => {
-                let (in_list, in_col) = outputs[*input].clone().ok_or_else(|| dangling(*input))?;
-                c.stmts.push(TcapStmt {
-                    output: VecListDecl {
-                        name: format!("Out_{id}"),
-                        cols: vec![],
-                    },
-                    op: TcapOp::Output {
-                        input: ColRef {
-                            list: in_list,
-                            cols: vec![in_col],
-                        },
-                        db: db.clone(),
-                        set: set.clone(),
-                        computation: comp,
-                        meta: vec![],
-                    },
-                });
-            }
-        }
+        };
+        self.outputs.insert(key, out.clone());
+        Ok(out)
     }
-
-    Ok(CompiledQuery {
-        tcap: TcapProgram::new(c.stmts),
-        stages: c.stages,
-        aggs: c.aggs,
-    })
-}
-
-fn dangling(input: usize) -> PcError {
-    PcError::Catalog(format!("computation input {input} has no compiled output"))
 }
 
 /// Plans and emits an n-ary hash join: key extraction + HASH per side, a
 /// left-deep JOIN cascade, then all conjuncts re-checked post-join, then
-/// the projection.
+/// the projection. `side` holds each input position's (list, object column).
 fn compile_join(
     c: &mut Compiler,
-    id: usize,
     comp: &str,
-    inputs: &[usize],
+    side: &[(String, String)],
     selection: &LambdaTerm,
     projection: &LambdaTerm,
-    outputs: &[Option<(String, String)>],
 ) -> PcResult<(String, String)> {
-    let n_in = inputs.len();
+    let n_in = side.len();
     let conjuncts = selection.conjuncts();
     let mut keys: Vec<(usize, usize, &LambdaTerm, &LambdaTerm)> = Vec::new();
     for t in &conjuncts {
@@ -505,17 +517,6 @@ fn compile_join(
         )));
     }
 
-    // Object column name for each join input position.
-    let in_cols: Vec<String> = (0..n_in).map(|p| format!("j{id}i{p}")).collect();
-    // Rebind each input's column to a join-local alias via a SelfRef apply?
-    // Simpler: reuse the producer's column name directly.
-    let mut side: Vec<(String, String)> = Vec::new(); // (list, obj col) per position
-    for (p, node) in inputs.iter().enumerate() {
-        let (l, col) = outputs[*node].clone().ok_or_else(|| dangling(*node))?;
-        let _ = &in_cols[p];
-        side.push((l, col));
-    }
-
     let mut n = 0usize;
     // Left-deep planning: start from position 0.
     let mut joined: BTreeSet<usize> = BTreeSet::from([0]);
@@ -525,7 +526,7 @@ fn compile_join(
         name: side[0].0.clone(),
         cols: vec![side[0].1.clone()],
     };
-    let col_of_pos = |side: &[(String, String)], p: usize| side[p].1.clone();
+    let col_of = |p: usize| side[p].1.clone();
 
     while joined.len() < n_in {
         // Pick an unused key conjunct connecting the joined set to a new input.
@@ -540,17 +541,14 @@ fn compile_join(
             )));
         };
         used_keys.push(ki);
-        let (in_joined, newcomer, jt, nt) = if joined.contains(&l) {
-            (l, r, lt, rt)
+        let (newcomer, jt, nt) = if joined.contains(&l) {
+            (r, lt, rt)
         } else {
-            (r, l, rt, lt)
+            (l, rt, lt)
         };
-        let _ = in_joined;
 
         // Build side (the already-joined composite): extract key + hash.
-        let side_ref = side.clone();
-        let colmap = move |i: usize| col_of_pos(&side_ref, i);
-        let lk = c.emit_term(jt, comp, &mut n, &mut cur, &colmap)?;
+        let lk = c.emit_term(jt, comp, &mut n, &mut cur, &col_of)?;
         let lh = c.hash(&mut cur, comp, &lk, &mut n);
         let left_list = cur.name.clone();
         let left_objs: Vec<String> = joined.iter().map(|p| side[*p].1.clone()).collect();
@@ -560,9 +558,7 @@ fn compile_join(
             name: side[newcomer].0.clone(),
             cols: vec![side[newcomer].1.clone()],
         };
-        let side_ref = side.clone();
-        let colmap = move |i: usize| col_of_pos(&side_ref, i);
-        let rk = c.emit_term(nt, comp, &mut n, &mut rcur, &colmap)?;
+        let rk = c.emit_term(nt, comp, &mut n, &mut rcur, &col_of)?;
         let rh = c.hash(&mut rcur, comp, &rk, &mut n);
 
         // JOIN statement.
@@ -605,11 +601,9 @@ fn compile_join(
     // Residual: re-check every conjunct post-join (hash collisions and
     // non-key predicates); single-input conjuncts get pushed down later by
     // the optimizer.
-    let side_ref = side.clone();
-    let colmap = move |i: usize| col_of_pos(&side_ref, i);
     let mut bl: Option<String> = None;
     for t in &conjuncts {
-        let b = c.emit_term(t, comp, &mut n, &mut cur, &colmap)?;
+        let b = c.emit_term(t, comp, &mut n, &mut cur, &col_of)?;
         bl = Some(match bl {
             None => b,
             Some(prev) => {
@@ -638,12 +632,36 @@ fn compile_join(
             }
         });
     }
-    let objcols: Vec<String> = (0..n_in).map(|p| side[p].1.clone()).collect();
+    let objcols: Vec<String> = side.iter().map(|(_, col)| col.clone()).collect();
     c.filter(&mut cur, comp, &bl.unwrap(), &objcols);
 
     // Projection.
-    let side_ref = side.clone();
-    let colmap = move |i: usize| col_of_pos(&side_ref, i);
-    let out_col = c.emit_term(projection, comp, &mut n, &mut cur, &colmap)?;
+    let out_col = c.emit_term(projection, comp, &mut n, &mut cur, &col_of)?;
     Ok((cur.name, out_col))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lambda::make_lambda_from_self;
+
+    #[test]
+    fn a_node_with_the_wrong_number_of_inputs_is_an_error() {
+        let reader = Arc::new(Computation {
+            kind: CompKind::Reader {
+                db: "db".into(),
+                set: "xs".into(),
+            },
+            inputs: Vec::new(),
+        });
+        let join = Arc::new(Computation {
+            kind: CompKind::Join {
+                selection: make_lambda_from_self(0).term,
+                projection: make_lambda_from_self(0).term,
+            },
+            inputs: vec![reader],
+        });
+        let err = compile(&[(&join, "db", "out")]).err();
+        assert!(matches!(err, Some(PcError::Catalog(_))), "got {err:?}");
+    }
 }

@@ -1,193 +1,48 @@
-//! The `Computation` graph a PC user builds (§4): readers, writers,
-//! selections, multi-selections, joins, aggregations.
+//! The `Computation` graph a PC user builds (§4): readers, selections,
+//! multi-selections, joins, aggregations. Nodes link to their inputs by
+//! `Arc`, so a graph is immutable, structurally shared, and cannot name an
+//! input that does not exist; writers are not nodes but the `(root, db,
+//! set)` sinks handed to [`compile`](crate::compile).
 //!
 //! Unlike a Spark-style dataflow DAG, the join here is a *single* n-ary
 //! computation customized by lambda terms — the system, not the user,
 //! decides join order and algorithms (§1's "declarative in the large").
 
-use crate::agg::{AggEngine, AggregateSpec, ErasedAgg};
-use crate::column::ColValue;
+use crate::agg::ErasedAgg;
 use crate::kernel::FlatMapKernel;
-use crate::lambda::{Lambda, LambdaTerm};
+use crate::lambda::LambdaTerm;
 use std::sync::Arc;
 
-/// Index of a computation in a [`ComputationGraph`].
-pub type NodeId = usize;
-
-/// One computation node.
+/// One computation node and the nodes it reads. A node reachable from
+/// several sinks (the same `Arc`) compiles to one computation.
 pub struct Computation {
-    /// Unique name, e.g. `Sel_2`, `Join_3` — referenced from TCAP.
-    pub name: String,
     pub kind: CompKind,
+    pub inputs: Vec<Arc<Computation>>,
 }
 
-/// The computation families of §4.
+/// The computation families of §4. Lambda input indices refer to positions
+/// in the node's `inputs`.
 pub enum CompKind {
-    /// Scans a stored set (`ObjectReader`).
+    /// Scans a stored set (`ObjectReader`); has no inputs.
     Reader { db: String, set: String },
-    /// Writes a set (`Writer`).
-    Writer {
-        db: String,
-        set: String,
-        input: NodeId,
-    },
     /// Relational selection + projection (`SelectionComp`).
     Selection {
-        input: NodeId,
         selection: LambdaTerm,
         projection: LambdaTerm,
     },
-    /// Selection with a set-valued projection (`MultiSelectionComp`).
+    /// Set-valued projection (`MultiSelectionComp`): `flatmap` emits zero or
+    /// more output objects per input object.
     MultiSelection {
-        input: NodeId,
-        selection: Option<LambdaTerm>,
         flatmap: Arc<dyn FlatMapKernel>,
         label: String,
     },
-    /// N-ary join (`JoinComp`): the selection lambda supplies both the join
-    /// keys (equality conjuncts linking two inputs) and residual predicates.
+    /// N-ary join (`JoinComp`) over two or more inputs: the selection lambda
+    /// supplies both the join keys (equality conjuncts linking two inputs)
+    /// and residual predicates.
     Join {
-        inputs: Vec<NodeId>,
         selection: LambdaTerm,
         projection: LambdaTerm,
     },
     /// Aggregation (`AggregateComp`).
-    Aggregate {
-        input: NodeId,
-        agg: Arc<dyn ErasedAgg>,
-    },
-}
-
-/// A user-assembled graph of computations.
-#[derive(Default)]
-pub struct ComputationGraph {
-    pub nodes: Vec<Computation>,
-}
-
-impl ComputationGraph {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn push(&mut self, prefix: &str, kind: CompKind) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes.push(Computation {
-            name: format!("{prefix}_{id}"),
-            kind,
-        });
-        id
-    }
-
-    /// Adds a set reader.
-    pub fn reader(&mut self, db: &str, set: &str) -> NodeId {
-        self.push(
-            "Reader",
-            CompKind::Reader {
-                db: db.to_string(),
-                set: set.to_string(),
-            },
-        )
-    }
-
-    /// Adds a `SelectionComp` with `selection` predicate and `projection`
-    /// (input index 0 refers to the node's single input).
-    pub fn selection<R: ColValue>(
-        &mut self,
-        input: NodeId,
-        selection: Lambda<bool>,
-        projection: Lambda<R>,
-    ) -> NodeId {
-        assert!(input < self.nodes.len(), "selection input out of range");
-        self.push(
-            "Sel",
-            CompKind::Selection {
-                input,
-                selection: selection.term,
-                projection: projection.term,
-            },
-        )
-    }
-
-    /// Adds a `MultiSelectionComp`: `flatmap` emits zero or more output
-    /// objects per input object.
-    pub fn multi_selection(
-        &mut self,
-        input: NodeId,
-        selection: Option<Lambda<bool>>,
-        label: &str,
-        flatmap: Arc<dyn FlatMapKernel>,
-    ) -> NodeId {
-        assert!(
-            input < self.nodes.len(),
-            "multi-selection input out of range"
-        );
-        self.push(
-            "MSel",
-            CompKind::MultiSelection {
-                input,
-                selection: selection.map(|l| l.term),
-                flatmap,
-                label: label.to_string(),
-            },
-        )
-    }
-
-    /// Adds an n-ary `JoinComp`. Lambda input indices refer to positions in
-    /// `inputs`. The selection must contain at least one equality conjunct
-    /// per join step linking two inputs; PC extracts join keys from it.
-    pub fn join<R: ColValue>(
-        &mut self,
-        inputs: &[NodeId],
-        selection: Lambda<bool>,
-        projection: Lambda<R>,
-    ) -> NodeId {
-        assert!(inputs.len() >= 2, "a join needs at least two inputs");
-        for &i in inputs {
-            assert!(i < self.nodes.len(), "join input out of range");
-        }
-        self.push(
-            "Join",
-            CompKind::Join {
-                inputs: inputs.to_vec(),
-                selection: selection.term,
-                projection: projection.term,
-            },
-        )
-    }
-
-    /// Adds an `AggregateComp` from a typed [`AggregateSpec`].
-    pub fn aggregate<S: AggregateSpec>(&mut self, input: NodeId, spec: S) -> NodeId {
-        self.aggregate_erased(input, Arc::new(AggEngine::new(spec)))
-    }
-
-    /// Adds an `AggregateComp` from an already-erased engine (the lowering
-    /// path of the typed `Dataset` layer, which erases the spec when the
-    /// element types are still in scope).
-    pub fn aggregate_erased(&mut self, input: NodeId, agg: Arc<dyn ErasedAgg>) -> NodeId {
-        assert!(input < self.nodes.len(), "aggregate input out of range");
-        self.push("Agg", CompKind::Aggregate { input, agg })
-    }
-
-    /// Adds a set writer (a query sink).
-    pub fn write(&mut self, input: NodeId, db: &str, set: &str) -> NodeId {
-        assert!(input < self.nodes.len(), "writer input out of range");
-        self.push(
-            "Writer",
-            CompKind::Writer {
-                db: db.to_string(),
-                set: set.to_string(),
-                input,
-            },
-        )
-    }
-
-    /// All writer node ids (the roots the scheduler executes).
-    pub fn writers(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.kind, CompKind::Writer { .. }))
-            .map(|(i, _)| i)
-            .collect()
-    }
+    Aggregate { agg: Arc<dyn ErasedAgg> },
 }

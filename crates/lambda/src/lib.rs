@@ -2,11 +2,12 @@
 //!
 //! This crate implements §4 of the paper: the domain-specific lambda
 //! calculus a PC programmer uses to *describe* computations (not run them),
-//! the `Computation` graph types (`SelectionComp`, `JoinComp`,
-//! `AggregateComp`, `MultiSelectionComp`), and the **TCAP compiler** that
-//! lowers a computation graph into a [`pc_tcap::TcapProgram`] plus a *stage
-//! library* mapping every TCAP stage name to compiled, vectorized kernel
-//! code.
+//! the [`Computation`] graph (`SelectionComp`, `JoinComp`, `AggregateComp`,
+//! `MultiSelectionComp` and readers, linked to their inputs by `Arc`), and
+//! the **TCAP [`compile`]r** that lowers the graphs under a job's sinks into
+//! a [`pc_tcap::TcapProgram`] plus a *stage library* mapping every TCAP
+//! stage name to compiled, vectorized kernel code. `pc-core`'s typed
+//! `Dataset` builds the graph; nothing copies it before compilation.
 //!
 //! A lambda term is built from the paper's abstraction families —
 //! [`make_lambda_from_member`], [`make_lambda_from_method`],
@@ -37,7 +38,7 @@ pub use agg::{
 };
 pub use column::{ColValue, Column, ColumnPool};
 pub use compiler::{compile, CompiledQuery, StageKernel, StageLibrary};
-pub use computation::{CompKind, Computation, ComputationGraph, NodeId};
+pub use computation::{CompKind, Computation};
 pub use kernel::{for_each_sel, sel_len, ColumnKernel, ExecCtx, FlatMapKernel};
 pub use lambda::{
     make_lambda, make_lambda2, make_lambda3, make_lambda_from_member, make_lambda_from_method,

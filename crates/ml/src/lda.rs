@@ -346,15 +346,12 @@ impl PcLda {
         Ok(())
     }
 
-    fn retype_rows<T: PcObjType>(
+    fn retype_rows<T: PcObjType + 'static>(
         &self,
         rows: Vec<Handle<FactorRow>>,
         to: &str,
         fill: impl Fn(&Handle<T>, i64, Handle<PcVec<f64>>) -> PcResult<()> + Send + Sync + 'static,
-    ) -> PcResult<()>
-    where
-        T: 'static,
-    {
+    ) -> PcResult<()> {
         self.client.create_or_clear_set(&self.db, to)?;
         self.client.store(&self.db, to, rows.len(), |i| {
             let r = &rows[i];

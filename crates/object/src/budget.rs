@@ -14,20 +14,11 @@
 //! `seed × i`, so a failing run replays exactly from its seed.
 
 use crate::error::{PcError, PcResult};
+use crate::hash::mix;
 use crate::page::SealedPage;
 use crate::sync;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// SplitMix64-style mixer: identical construction to the transport fault
-/// injector's, so one seed convention covers the whole chaos suite.
-fn mix(seed: u64, n: u64, salt: u64) -> u64 {
-    let mut z =
-        seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 const PRESSURE_SALT: u64 = 0x00B0_D9E7;
 

@@ -26,6 +26,19 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// SplitMix64 over `(seed, n, salt)`: a stateless, order-independent draw,
+/// so the `n`-th decision of a seeded schedule replays exactly from its
+/// seed. The transport fault injector and memory-pressure budgets share it,
+/// so one seed convention covers the whole chaos suite.
+#[inline]
+pub fn mix(seed: u64, n: u64, salt: u64) -> u64 {
+    let mut z =
+        seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Hash a string key's bytes: FNV-1a, then the [`mix64`] finalizer. FNV-1a
 /// alone leaves its high bits — the partition bits — the same across keys
 /// that differ only in their last few bytes (`Supplier#0000` ..

@@ -95,7 +95,7 @@ impl Catalog {
 
     pub fn list_sets(&self) -> Vec<SetMeta> {
         let mut v: Vec<SetMeta> = sync::read(&self.sets).values().cloned().collect();
-        v.sort_by(|a, b| (a.db.clone(), a.set.clone()).cmp(&(b.db.clone(), b.set.clone())));
+        v.sort_by(|a, b| a.db.cmp(&b.db).then_with(|| a.set.cmp(&b.set)));
         v
     }
 }

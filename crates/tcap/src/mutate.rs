@@ -15,7 +15,8 @@
 
 use crate::ir::{ColRef, TcapOp, TcapProgram};
 
-/// SplitMix64-style mixer: one seed convention across the chaos suites.
+/// SplitMix64-style mixer: one seed convention across the chaos suites. A
+/// copy of `pc_object::hash::mix`, because this crate has no dependencies.
 fn mix(seed: u64, n: u64, salt: u64) -> u64 {
     let mut z =
         seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);

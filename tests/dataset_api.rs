@@ -282,3 +282,105 @@ fn drop_set_clears_the_catalog() {
     // The name is free again.
     client.create_set("shop", "sales").unwrap();
 }
+
+#[test]
+fn two_sinks_naming_one_set_are_rejected() {
+    let client = PcClient::local_small().unwrap();
+    load_sales(&client, 15);
+    let sales = client.set::<Sale>("shop", "sales");
+    let lo = sales.filter(|s| s.member("amount", |s| s.v().amount()).lt_const(500i64));
+    let hi = sales.filter(|s| s.member("amount", |s| s.v().amount()).ge_const(500i64));
+
+    // Two sinks writing one set would silently merge their rows.
+    let err = Job::new()
+        .add(lo.write_to("shop", "out"))
+        .add(hi.write_to("shop", "out"))
+        .run(&client)
+        .unwrap_err();
+    assert!(
+        matches!(err, PcError::Catalog(_)),
+        "want Catalog, got {err:?}"
+    );
+    let err = Job::new()
+        .add(lo.write_to("shop", "out"))
+        .add(lo.write_to("shop", "out"))
+        .compile()
+        .err()
+        .expect("the same sink added twice is rejected too");
+    assert!(
+        matches!(err, PcError::Catalog(_)),
+        "want Catalog, got {err:?}"
+    );
+}
+
+/// The TCAP text of a two-sink job whose sinks share an upstream `filter`
+/// and `flat_map`, feeding a three-way join over an aggregation. Pins node
+/// numbering, list names and statement order of the compiler's output.
+const GOLDEN_TCAP: &str = "\
+In_0(in0) <= INPUT('shop', 'sales', 'Reader_0', []);\n\
+W_1(in0,mt1) <= APPLY(In_0(in0), In_0(in0), 'Sel_1', 'att_acc_1', [('type', 'attAccess'), ('attName', 'amount')]);\n\
+W_2(in0,mt1,bl2) <= APPLY(W_1(mt1), W_1(in0,mt1), 'Sel_1', '>=c_2', [('type', 'const_comparison'), ('op', '>='), ('value', '500')]);\n\
+Flt_3(in0) <= FILTER(W_2(bl2), W_2(in0), 'Sel_1', []);\n\
+FM_4(out2) <= FLATMAP(Flt_3(in0), Flt_3(), 'MSel_2', 'flat_1', [('type', 'multiSelect'), ('label', 'explode')]);\n\
+Out_3() <= OUTPUT(FM_4(out2), 'shop', 'tagged', 'Writer_3', []);\n\
+Ag_4(out4) <= AGGREGATE(Flt_3(in0), Flt_3(in0), 'Agg_4', [('outType', 'RegionStat')]);\n\
+In_5(in5) <= INPUT('shop', 'names', 'Reader_5', []);\n\
+W_5(out4,mt1) <= APPLY(Ag_4(out4), Ag_4(out4), 'Join_6', 'att_acc_1', [('type', 'attAccess'), ('attName', 'region')]);\n\
+H_6(out4,mt1,hash2) <= HASH(W_5(mt1), W_5(out4,mt1), 'Join_6', [('type', 'hashOne')]);\n\
+W_7(in5,mt3) <= APPLY(In_5(in5), In_5(in5), 'Join_6', 'att_acc_3', [('type', 'attAccess'), ('attName', 'id')]);\n\
+H_8(in5,mt3,hash4) <= HASH(W_7(mt3), W_7(in5,mt3), 'Join_6', [('type', 'hashOne')]);\n\
+J_9(out4,in5) <= JOIN(H_6(hash2), H_6(out4), H_8(hash4), H_8(in5), 'Join_6', []);\n\
+W_10(out4,in5,mt5) <= APPLY(J_9(in5), J_9(out4,in5), 'Join_6', 'att_acc_5', [('type', 'attAccess'), ('attName', 'id')]);\n\
+H_11(out4,in5,mt5,hash6) <= HASH(W_10(mt5), W_10(out4,in5,mt5), 'Join_6', [('type', 'hashOne')]);\n\
+W_12(out2,mt7) <= APPLY(FM_4(out2), FM_4(out2), 'Join_6', 'att_acc_7', [('type', 'attAccess'), ('attName', 'region')]);\n\
+H_13(out2,mt7,hash8) <= HASH(W_12(mt7), W_12(out2,mt7), 'Join_6', [('type', 'hashOne')]);\n\
+J_14(out4,in5,out2) <= JOIN(H_11(hash6), H_11(out4,in5), H_13(hash8), H_13(out2), 'Join_6', []);\n\
+W_15(out4,in5,out2,mt9) <= APPLY(J_14(out4), J_14(out4,in5,out2), 'Join_6', 'att_acc_9', [('type', 'attAccess'), ('attName', 'region')]);\n\
+W_16(out4,in5,out2,mt9,mt10) <= APPLY(W_15(in5), W_15(out4,in5,out2,mt9), 'Join_6', 'att_acc_10', [('type', 'attAccess'), ('attName', 'id')]);\n\
+W_17(out4,in5,out2,mt9,mt10,bl11) <= APPLY(W_16(mt9,mt10), W_16(out4,in5,out2,mt9,mt10), 'Join_6', '==_11', [('type', 'equalityCheck'), ('op', '==')]);\n\
+W_18(out4,in5,out2,mt9,mt10,bl11,mt12) <= APPLY(W_17(in5), W_17(out4,in5,out2,mt9,mt10,bl11), 'Join_6', 'att_acc_12', [('type', 'attAccess'), ('attName', 'id')]);\n\
+W_19(out4,in5,out2,mt9,mt10,bl11,mt12,mt13) <= APPLY(W_18(out2), W_18(out4,in5,out2,mt9,mt10,bl11,mt12), 'Join_6', 'att_acc_13', [('type', 'attAccess'), ('attName', 'region')]);\n\
+W_20(out4,in5,out2,mt9,mt10,bl11,mt12,mt13,bl14) <= APPLY(W_19(mt12,mt13), W_19(out4,in5,out2,mt9,mt10,bl11,mt12,mt13), 'Join_6', '==_14', [('type', 'equalityCheck'), ('op', '==')]);\n\
+W_21(out4,in5,out2,mt9,mt10,bl11,mt12,mt13,bl14,bl15) <= APPLY(W_20(bl11,bl14), W_20(out4,in5,out2,mt9,mt10,bl11,mt12,mt13,bl14), 'Join_6', '&&_15', [('type', 'bool_and'), ('op', '&&')]);\n\
+Flt_22(out4,in5,out2) <= FILTER(W_21(bl15), W_21(out4,in5,out2), 'Join_6', []);\n\
+W_23(out4,in5,out2,mt16) <= APPLY(Flt_22(out4,in5,out2), Flt_22(out4,in5,out2), 'Join_6', 'native_16', [('type', 'native'), ('label', 'mkRow')]);\n\
+Out_7() <= OUTPUT(W_23(mt16), 'shop', 'rows', 'Writer_7', []);\n\
+";
+
+#[test]
+fn compiled_tcap_is_pinned() {
+    let big = Dataset::<Sale>::scan("shop", "sales")
+        .filter(|s| s.member("amount", |s| s.v().amount()).ge_const(500i64));
+    let tagged = big.flat_map("explode", |s| {
+        let t = make_object::<Tagged>()?;
+        t.v().set_region(s.v().region())?;
+        t.v().set_bucket(s.v().amount() / 250)?;
+        Ok(vec![t])
+    });
+    let rows = big.aggregate(StatAgg).join3(
+        &Dataset::<RegionName>::scan("shop", "names"),
+        &tagged,
+        |s, n, t| {
+            s.member("region", |s| s.v().region())
+                .eq(n.member("id", |n| n.v().id()))
+                .and(
+                    n.member("id", |n| n.v().id())
+                        .eq(t.member("region", |t| t.v().region())),
+                )
+        },
+        "mkRow",
+        |s, n, t| {
+            let v = make_object::<PcVec<i64>>()?;
+            v.push(n.v().id())?;
+            v.push(s.v().total())?;
+            v.push(t.v().bucket())?;
+            Ok(v)
+        },
+    );
+    let q = Job::new()
+        .add(tagged.write_to("shop", "tagged"))
+        .add(rows.write_to("shop", "rows"))
+        .compile()
+        .unwrap();
+    assert_eq!(q.tcap.to_string(), GOLDEN_TCAP);
+}
