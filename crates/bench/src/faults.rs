@@ -1,7 +1,9 @@
-//! `repro faults` — the transport & recovery demonstration.
+//! `repro faults` — the transport & recovery demonstration, and the chaos
+//! fixture it shares with the `faults` test suite (`bench/tests/faults.rs`):
+//! the Emp/Dept schemas, the aggregation-shuffle and broadcast-join jobs,
+//! and the clusters they run on.
 //!
-//! Runs the chaos matrix from `cluster/tests/faults.rs` as a visible
-//! experiment: every fault kind ({drop, delay, reorder, corrupt,
+//! Runs the chaos matrix as a visible experiment: every fault kind ({drop, delay, reorder, corrupt,
 //! worker-death}) against both transport-heavy stage shapes (aggregation
 //! shuffle, broadcast join), over a fixed seed set plus any `--seed N`
 //! extras (CI passes a seed rotated from the commit hash). The chaos rides
@@ -10,7 +12,7 @@
 //! in-process (`Local`) run, how many workers were recovered and stages
 //! replayed, how many wire bytes were wasted on retransmission, and the
 //! wire's missed heartbeats and metered reconnects. Any non-identical cell
-//! prints its full fault schedule and fails the process.
+//! prints its `FaultSpec` (a one-line reproduction) and fails the process.
 
 use crate::util::row;
 use pc_cluster::{
@@ -24,6 +26,7 @@ use pc_object::{
 };
 
 pc_object! {
+    /// An employee: the fact table of both chaos jobs.
     pub struct FEmp / FEmpView {
         (salary, set_salary): i64,
         (dept_id, set_dept_id): i64,
@@ -32,6 +35,7 @@ pc_object! {
 }
 
 pc_object! {
+    /// A department: the broadcast join's build side.
     pub struct FDept / FDeptView {
         (id, set_id): i64,
         (dname, set_dname): Handle<PcString>,
@@ -39,6 +43,7 @@ pc_object! {
 }
 
 pc_object! {
+    /// One department's aggregate.
     pub struct FDeptStat / FDeptStatView {
         (dept, set_dept): i64,
         (count, set_count): i64,
@@ -46,9 +51,11 @@ pc_object! {
     }
 }
 
-const WORKERS: usize = 3;
+/// Workers in every chaos cluster.
+pub const WORKERS: usize = 3;
 
-struct SumAgg;
+/// Per-department head count and salary total.
+pub struct SumAgg;
 
 impl AggregateSpec for SumAgg {
     type In = FEmp;
@@ -87,7 +94,9 @@ impl AggregateSpec for SumAgg {
     }
 }
 
-fn cluster_with(transport: TransportKind) -> PcCluster {
+/// A chaos-sized cluster (small pages, batches and morsels, so a few
+/// hundred rows cross the transport as many pages) over `transport`.
+pub fn cluster_with(transport: TransportKind) -> PcCluster {
     PcCluster::new(ClusterConfig {
         workers: WORKERS,
         exec: ExecConfig {
@@ -125,17 +134,20 @@ fn cluster_pressured(seed: u64) -> PcCluster {
     .unwrap()
 }
 
-fn faulty(spec: FaultSpec) -> TransportKind {
+/// Fault injection over the socket transport: the realistic stack —
+/// chunked frames on the wire underneath, chaos on top.
+pub fn faulty(spec: FaultSpec) -> TransportKind {
     TransportKind::Faulty {
-        inner: Box::new(TransportKind::Tcp(TcpConfig {
-            chunk_bytes: 1 << 10,
+        tcp: TcpConfig {
+            chunk_bytes: 1 << 10, // several frames per page
             ..TcpConfig::default()
-        })),
+        },
         spec,
     }
 }
 
-fn load_emps(c: &PcCluster, n: usize) {
+/// Loads `n` employees over 7 departments into `db.emps`.
+pub fn load_emps(c: &PcCluster, n: usize) {
     c.create_or_clear_set("db", "emps").unwrap();
     let mut w = SetWriter::new(1 << 14);
     for i in 0..n {
@@ -151,7 +163,8 @@ fn load_emps(c: &PcCluster, n: usize) {
     c.send_pages("db", "emps", w.finish().unwrap()).unwrap();
 }
 
-fn load_depts(c: &PcCluster) {
+/// Loads the 7 departments into `db.depts`.
+pub fn load_depts(c: &PcCluster) {
     c.create_or_clear_set("db", "depts").unwrap();
     let mut w = SetWriter::new(1 << 14);
     for d in 0..7i64 {
@@ -166,7 +179,10 @@ fn load_depts(c: &PcCluster) {
     c.send_pages("db", "depts", w.finish().unwrap()).unwrap();
 }
 
-fn run_agg(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
+/// The aggregation-shuffle job over `n` employees: faults land on the
+/// combined-page shuffle to partition owners (Appendix D.2). Returns the
+/// output's sorted page bytes and the job's stats.
+pub fn run_agg(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
     load_emps(c, n);
     c.create_or_clear_set("db", "stats").unwrap();
     let ds = Dataset::<FEmp>::scan("db", "emps").aggregate(SumAgg);
@@ -181,7 +197,9 @@ fn run_agg(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
     )
 }
 
-fn run_join(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
+/// The broadcast-join job over `n` employees: faults land on the
+/// JoinBuild gather and the build-table broadcast (§8.3.2).
+pub fn run_join(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
     load_emps(c, n);
     load_depts(c);
     c.create_or_clear_set("db", "pairs").unwrap();
@@ -260,13 +278,12 @@ pub fn faults(quick: bool, extra_seeds: &[u64]) {
                     spec.death_at = Some(seed % 6);
                     spec.victim = Some(seed as usize % WORKERS);
                 }
-                let c = cluster_with(faulty(spec));
-                let schedule = c.transport().fault_summary().unwrap_or_default();
+                let c = cluster_with(faulty(spec.clone()));
                 let (got, stats) = job(&c, rows);
                 let identical =
                     got == baseline && stats.bytes_shuffled == base_stats.bytes_shuffled;
                 if !identical {
-                    failures.push(format!("{name} under {kind:?}: {schedule}"));
+                    failures.push(format!("{name} under {spec:?}"));
                 }
                 row(
                     &[

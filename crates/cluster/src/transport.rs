@@ -28,9 +28,12 @@
 //!   carrying a deadline, continuous worker heartbeats feeding a
 //!   master-side liveness monitor, and crash-restart reconnection with
 //!   bounded, jittered exponential backoff.
-//! * [`FaultyTransport`] — a decorator over either that injects drops,
-//!   delays, reorders, payload corruption, and whole-worker deaths from a
-//!   reproducible seed-driven schedule.
+//! * [`FaultyTransport`] — a decorator over [`TcpTransport`] that injects
+//!   drops, delays, reorders, payload corruption, and whole-worker deaths
+//!   from a reproducible seed-driven schedule. It drives the wire through
+//!   the socket transport's own fault hooks ([`TcpTransport::kill`],
+//!   [`TcpTransport::send_corrupted`]), which is why those are not on the
+//!   trait.
 //!
 //! Wire failures never panic and never surface garbage pages: checksum
 //! rejects, truncated frames, and incomplete reassembly all become typed
@@ -174,9 +177,6 @@ impl TransportMeter {
 /// The single boundary for inter-node page movement. See the module docs
 /// for the delivery contract.
 pub trait Transport: Send + Sync {
-    /// Implementation name (reported by `repro faults`).
-    fn name(&self) -> &'static str;
-
     /// Queue one sealed page from `src` for delivery to `dst`'s inbox.
     /// May return before the page has arrived (the socket transport overlaps
     /// delivery with the caller's next work).
@@ -192,8 +192,8 @@ pub trait Transport: Send + Sync {
     /// the aborted attempt can never leak into the replay.
     fn reset(&self);
 
-    /// Clear fault state for worker `w`: its backend restarted. No-op for
-    /// reliable transports.
+    /// Clear fault state for worker `w`: its backend restarted. Recovery
+    /// calls it on every transport; a no-op where nothing can die.
     fn revive(&self, _w: NodeId) {}
 
     /// Enable fault injection (no-op for reliable transports). The cluster
@@ -203,45 +203,6 @@ pub trait Transport: Send + Sync {
 
     /// Disable fault injection.
     fn disarm(&self) {}
-
-    /// Human-readable injected-fault schedule, for one-line reproduction
-    /// of a failing chaos seed.
-    fn fault_summary(&self) -> Option<String> {
-        None
-    }
-
-    /// Wire-corruption hook for fault injection: performs the logical send
-    /// of `page`, but one seed-chosen frame goes out with a bit flipped
-    /// *after* its checksum was computed. With `retransmit` the clean frame
-    /// follows (modeling link-level retransmission after a checksum
-    /// reject), so the page still arrives exactly once; without it the page
-    /// is lost on the wire and surfaces as a typed transport error at
-    /// collect, which stage replay recovers.
-    ///
-    /// Transports without a wire (the in-process copy) deliver normally
-    /// under `retransmit` — there is nothing between encode and decode to
-    /// corrupt — and refuse otherwise.
-    fn send_corrupted(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        page: &SealedPage,
-        _flip_seed: u64,
-        retransmit: bool,
-    ) -> PcResult<()> {
-        if retransmit {
-            return self.send(src, dst, page);
-        }
-        Err(PcError::Transport(format!(
-            "{} has no wire to corrupt",
-            self.name()
-        )))
-    }
-
-    /// Crash worker `w`'s backend endpoint: heartbeats stop and its
-    /// connections die. No-op for transports without liveness machinery
-    /// (fault decorators model death themselves and forward this inward).
-    fn kill(&self, _w: NodeId) {}
 
     /// Workers the failure detector currently suspects (missed-heartbeat
     /// count at or past the threshold). Empty for transports without
@@ -399,10 +360,6 @@ impl LocalTransport {
 }
 
 impl Transport for LocalTransport {
-    fn name(&self) -> &'static str {
-        "local"
-    }
-
     fn send(&self, _src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
         // Two copies where one would do, on purpose: sending from
         // `payload()` directly measured 13 % slower on a one-worker join →
@@ -985,13 +942,46 @@ impl TcpTransport {
             }
         }
     }
+
+    /// Wire-corruption hook for fault injection: performs the logical send
+    /// of `page`, but one seed-chosen frame goes out with a bit flipped
+    /// *after* its checksum was computed. With `retransmit` the clean frame
+    /// follows (modeling link-level retransmission after a checksum
+    /// reject), so the page still arrives exactly once; without it the page
+    /// is lost on the wire and surfaces as a typed transport error at
+    /// collect, which stage replay recovers.
+    pub fn send_corrupted(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        page: &SealedPage,
+        flip_seed: u64,
+        retransmit: bool,
+    ) -> PcResult<()> {
+        let seq = self.inbox.register_send(dst);
+        let epoch = *sync::lock(&self.epoch);
+        let chunk = self.config.chunk_bytes;
+        self.write_frames(dst, |out| {
+            let bytes = page.payload();
+            encode_page_frames(out, epoch, src, dst, seq, bytes, chunk);
+            corrupt_one_frame(out, bytes.len(), chunk, flip_seed, retransmit);
+        })
+    }
+
+    /// Crash worker `w`'s backend endpoint: its heartbeats stop and the
+    /// link into it is severed (closing the sender half is also what ends
+    /// its reader). Senders re-dial, with backoff, once it is revived.
+    pub fn kill(&self, w: NodeId) {
+        if w < self.workers {
+            self.alive[w].store(false, Ordering::Relaxed);
+        }
+        if let Some(slot) = self.conns.get(w) {
+            sync::lock(slot).stream = None;
+        }
+    }
 }
 
 impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn send(&self, src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
         let seq = self.inbox.register_send(dst);
         let epoch = *sync::lock(&self.epoch);
@@ -1016,36 +1006,6 @@ impl Transport for TcpTransport {
         let mut epoch = sync::lock(&self.epoch);
         *epoch += 1;
         self.inbox.reset();
-    }
-
-    fn send_corrupted(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        page: &SealedPage,
-        flip_seed: u64,
-        retransmit: bool,
-    ) -> PcResult<()> {
-        let seq = self.inbox.register_send(dst);
-        let epoch = *sync::lock(&self.epoch);
-        let chunk = self.config.chunk_bytes;
-        self.write_frames(dst, |out| {
-            let bytes = page.payload();
-            encode_page_frames(out, epoch, src, dst, seq, bytes, chunk);
-            corrupt_one_frame(out, bytes.len(), chunk, flip_seed, retransmit);
-        })
-    }
-
-    fn kill(&self, w: NodeId) {
-        if w < self.workers {
-            self.alive[w].store(false, Ordering::Relaxed);
-        }
-        // Sever the link into the dead node (closing the sender half is
-        // also what ends its reader); senders will re-dial (with backoff)
-        // once it is revived.
-        if let Some(slot) = self.conns.get(w) {
-            sync::lock(slot).stream = None;
-        }
     }
 
     fn revive(&self, w: NodeId) {
@@ -1298,21 +1258,9 @@ pub enum FaultKind {
     WorkerDeath,
 }
 
-impl FaultKind {
-    fn tag(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Delay => "delay",
-            FaultKind::Reorder => "reorder",
-            FaultKind::Corrupt => "corrupt",
-            FaultKind::WorkerDeath => "worker-death",
-        }
-    }
-}
-
 /// A reproducible fault schedule: everything the [`FaultyTransport`]
-/// injects is a pure function of this spec, so a failing chaos seed is a
-/// one-line repro.
+/// injects is a pure function of this spec, so its `Debug` form is a
+/// one-line repro of a failing chaos seed.
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
     /// Seed driving every per-send decision.
@@ -1365,15 +1313,14 @@ struct ChanState {
     holdback: Option<(usize, Vec<u8>)>,
 }
 
-/// Decorates any [`Transport`] with seed-driven fault injection. Despite
-/// the chaos underneath, the decorated transport still satisfies the full
-/// delivery contract (exactly-once, order-restored) whenever `retries` is
-/// on and no death fires — and recovery restores it end-to-end otherwise.
+/// Decorates the [`TcpTransport`] with seed-driven fault injection.
+/// Despite the chaos underneath, the decorated transport still satisfies
+/// the full delivery contract (exactly-once, order-restored) whenever
+/// `retries` is on and no death fires — and recovery restores it
+/// end-to-end otherwise.
 pub struct FaultyTransport {
-    inner: Arc<dyn Transport>,
+    inner: TcpTransport,
     spec: FaultSpec,
-    workers: usize,
-    meter: Arc<TransportMeter>,
     armed: AtomicBool,
     sends: AtomicU64,
     faults_injected: AtomicU64,
@@ -1383,18 +1330,12 @@ pub struct FaultyTransport {
 }
 
 impl FaultyTransport {
-    /// Wraps `inner`, injecting faults over a cluster of `workers` nodes.
-    pub fn new(
-        inner: Arc<dyn Transport>,
-        meter: Arc<TransportMeter>,
-        spec: FaultSpec,
-        workers: usize,
-    ) -> Self {
+    /// Wraps `inner`, injecting faults over its workers and metering into
+    /// its meter.
+    pub fn new(inner: TcpTransport, spec: FaultSpec) -> Self {
         FaultyTransport {
             inner,
             spec,
-            workers: workers.max(1),
-            meter,
             armed: AtomicBool::new(false),
             sends: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
@@ -1415,7 +1356,7 @@ impl FaultyTransport {
         let victim = self
             .spec
             .victim
-            .unwrap_or_else(|| (mix(self.spec.seed, 1, 0xDEAD) as usize) % self.workers);
+            .unwrap_or_else(|| (mix(self.spec.seed, 1, 0xDEAD) as usize) % self.inner.workers);
         Some((at, victim))
     }
 
@@ -1470,10 +1411,6 @@ impl FaultyTransport {
 }
 
 impl Transport for FaultyTransport {
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-
     fn send(&self, src: NodeId, dst: NodeId, page: &SealedPage) -> PcResult<()> {
         let armed = self.armed.load(Ordering::Relaxed);
         // Assign the logical index first: order restoration is defined by
@@ -1493,10 +1430,10 @@ impl Transport for FaultyTransport {
             if let Some((at, victim)) = self.death_point() {
                 if n >= at && !self.death_fired.swap(true, Ordering::Relaxed) {
                     sync::lock(&self.dead).insert(victim);
-                    // Let the wire see the death too: a real-socket inner
-                    // transport severs the victim's connections and stops
-                    // its heartbeats, so the master's liveness monitor
-                    // detects the crash the same way it would a real one.
+                    // Let the wire see the death too: the socket transport
+                    // severs the victim's connections and stops its
+                    // heartbeats, so the master's liveness monitor detects
+                    // the crash the same way it would a real one.
                     self.inner.kill(victim);
                 }
             }
@@ -1510,7 +1447,7 @@ impl Transport for FaultyTransport {
                     let cap = self.spec.max_drops_per_send.max(1) as u64;
                     let drops = 1 + mix(self.spec.seed, n, 2) % cap;
                     for _ in 0..drops {
-                        self.meter.on_failed_attempt(page.used());
+                        self.inner.meter.on_failed_attempt(page.used());
                     }
                     if !self.spec.retries {
                         return Err(PcError::Transport(format!(
@@ -1608,11 +1545,6 @@ impl Transport for FaultyTransport {
         self.inner.revive(w);
     }
 
-    fn kill(&self, w: NodeId) {
-        sync::lock(&self.dead).insert(w);
-        self.inner.kill(w);
-    }
-
     fn suspects(&self) -> Vec<NodeId> {
         self.inner.suspects()
     }
@@ -1623,24 +1555,6 @@ impl Transport for FaultyTransport {
 
     fn disarm(&self) {
         self.armed.store(false, Ordering::Relaxed);
-    }
-
-    fn fault_summary(&self) -> Option<String> {
-        let kinds: Vec<&str> = self.spec.kinds.iter().map(|k| k.tag()).collect();
-        let death = self
-            .death_point()
-            .map(|(at, v)| format!(" death@send{at}->worker{v}"))
-            .unwrap_or_default();
-        Some(format!(
-            "seed={:#x} kinds=[{}] rate={}/256 max_drops={} retries={}{} over {}",
-            self.spec.seed,
-            kinds.join(","),
-            self.spec.rate,
-            self.spec.max_drops_per_send,
-            self.spec.retries,
-            death,
-            self.inner.name()
-        ))
     }
 }
 
@@ -1657,10 +1571,10 @@ pub enum TransportKind {
     /// Real loopback TCP sockets with heartbeat liveness and backoff
     /// reconnection.
     Tcp(TcpConfig),
-    /// Fault injection decorating another transport.
+    /// Fault injection decorating the TCP transport.
     Faulty {
-        /// The transport actually moving bytes underneath.
-        inner: Box<TransportKind>,
+        /// The socket transport actually moving bytes underneath.
+        tcp: TcpConfig,
         /// The seed-driven schedule.
         spec: FaultSpec,
     },
@@ -1677,10 +1591,10 @@ impl TransportKind {
         Ok(match self {
             TransportKind::Local => Arc::new(LocalTransport::new(meter)),
             TransportKind::Tcp(cfg) => Arc::new(TcpTransport::new(meter, cfg.clone(), workers)?),
-            TransportKind::Faulty { inner, spec } => {
-                let base = inner.build(meter.clone(), workers)?;
-                Arc::new(FaultyTransport::new(base, meter, spec.clone(), workers))
-            }
+            TransportKind::Faulty { tcp, spec } => Arc::new(FaultyTransport::new(
+                TcpTransport::new(meter, tcp.clone(), workers)?,
+                spec.clone(),
+            )),
         })
     }
 }
@@ -1989,15 +1903,12 @@ mod tests {
     #[test]
     fn faulty_reorder_is_invisible_after_collect() {
         let meter = Arc::new(TransportMeter::default());
-        let inner: Arc<dyn Transport> = Arc::new(LocalTransport::new(meter.clone()));
         let t = FaultyTransport::new(
-            inner,
-            meter,
+            TcpTransport::new(meter, TcpConfig::default(), 3).unwrap(),
             FaultSpec {
                 rate: 256, // reorder every send
                 ..FaultSpec::seeded(7, &[FaultKind::Reorder])
             },
-            3,
         );
         t.arm();
         for i in 0..7 {
@@ -2013,15 +1924,12 @@ mod tests {
     #[test]
     fn faulty_drops_meter_retransmission_not_shuffle() {
         let meter = Arc::new(TransportMeter::default());
-        let inner: Arc<dyn Transport> = Arc::new(LocalTransport::new(meter.clone()));
         let t = FaultyTransport::new(
-            inner,
-            meter.clone(),
+            TcpTransport::new(meter.clone(), TcpConfig::default(), 3).unwrap(),
             FaultSpec {
                 rate: 256,
                 ..FaultSpec::seeded(11, &[FaultKind::Drop])
             },
-            3,
         );
         t.arm();
         for i in 0..4 {
@@ -2037,16 +1945,13 @@ mod tests {
     #[test]
     fn worker_death_fails_sends_until_revived() {
         let meter = Arc::new(TransportMeter::default());
-        let inner: Arc<dyn Transport> = Arc::new(LocalTransport::new(meter.clone()));
         let t = FaultyTransport::new(
-            inner,
-            meter,
+            TcpTransport::new(meter, TcpConfig::default(), 3).unwrap(),
             FaultSpec {
                 death_at: Some(2),
                 victim: Some(1),
                 ..FaultSpec::seeded(3, &[FaultKind::WorkerDeath])
             },
-            3,
         );
         t.arm();
         t.send(MASTER, 1, &page(0)).unwrap();

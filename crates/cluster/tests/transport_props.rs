@@ -107,17 +107,15 @@ proptest! {
         rate in 0u16..=256,
     ) {
         let meter = Arc::new(TransportMeter::default());
-        let inner: Arc<dyn Transport> = Arc::new(
-            TcpTransport::new(
-                meter.clone(),
-                TcpConfig {
-                    chunk_bytes: 96,
-                    ..TcpConfig::default()
-                },
-                WORKERS,
-            )
-            .unwrap(),
-        );
+        let inner = TcpTransport::new(
+            meter.clone(),
+            TcpConfig {
+                chunk_bytes: 96,
+                ..TcpConfig::default()
+            },
+            WORKERS,
+        )
+        .unwrap();
         let spec = FaultSpec {
             rate,
             ..FaultSpec::seeded(
@@ -130,7 +128,7 @@ proptest! {
                 ],
             )
         };
-        let t = FaultyTransport::new(inner, meter.clone(), spec, WORKERS);
+        let t = FaultyTransport::new(inner, spec);
         t.arm();
         check_delivery(&t, &batch)?;
         // Exactly-once at the meter too: logical traffic counts each page
