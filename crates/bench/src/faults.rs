@@ -3,11 +3,12 @@
 //! the Emp/Dept schemas, the aggregation-shuffle and broadcast-join jobs,
 //! and the clusters they run on.
 //!
-//! Runs the chaos matrix as a visible experiment: every fault kind ({drop, delay, reorder, corrupt,
-//! worker-death}) against both transport-heavy stage shapes (aggregation
-//! shuffle, broadcast join), over a fixed seed set plus any `--seed N`
-//! extras (CI passes a seed rotated from the commit hash). The chaos rides
-//! on real loopback sockets (`TcpTransport`). Each cell reports whether
+//! Runs the chaos matrix as a visible experiment: every fault kind ({drop,
+//! delay, reorder, corrupt, worker-death}) against both transport-heavy
+//! stage shapes (aggregation shuffle, broadcast join), over a fixed seed
+//! set plus any `--seed N` extras (CI passes a seed rotated from the
+//! commit hash). The chaos rides on real loopback sockets
+//! (`TcpTransport`). Each cell reports whether
 //! the run under faults produced output **byte-identical** to a fault-free
 //! in-process (`Local`) run, how many workers were recovered and stages
 //! replayed, how many wire bytes were wasted on retransmission, and the
@@ -55,7 +56,7 @@ pc_object! {
 pub const WORKERS: usize = 3;
 
 /// Per-department head count and salary total.
-pub struct SumAgg;
+struct SumAgg;
 
 impl AggregateSpec for SumAgg {
     type In = FEmp;
@@ -164,7 +165,7 @@ pub fn load_emps(c: &PcCluster, n: usize) {
 }
 
 /// Loads the 7 departments into `db.depts`.
-pub fn load_depts(c: &PcCluster) {
+fn load_depts(c: &PcCluster) {
     c.create_or_clear_set("db", "depts").unwrap();
     let mut w = SetWriter::new(1 << 14);
     for d in 0..7i64 {

@@ -7,12 +7,14 @@
 //!
 //! Faithfulness notes (see DESIGN.md for the full substitution table):
 //!
-//! * All inter-node movement goes through one [`Transport`] as
-//!   `SealedPage::to_bytes` / `from_bytes` — an in-process byte copy
-//!   (`Local`, the default and the reference) or checksummed frames over
+//! * All inter-node movement goes through one [`Transport`]: an
+//!   in-process byte copy (`Local`, the default and the reference:
+//!   `SealedPage::to_bytes` then `from_bytes`) or checksummed frames over
 //!   real loopback TCP sockets (`Tcp`: blocking `std::net`, an acceptor
-//!   thread per node and a reader thread per connection). Pages arrive
-//!   valid with zero per-object work, and the cluster counts every
+//!   thread per node and a reader thread per connection; frames are
+//!   encoded straight from the page's `payload()` and reassembled into a
+//!   `PageWriter`). `Faulty` injects seeded faults on top of `Tcp`. Pages
+//!   arrive valid with zero per-object work, and the cluster counts every
 //!   shuffled byte.
 //! * Distributed aggregation follows Appendix D.2: per-worker pipelining
 //!   threads pre-aggregate into hash-partitioned `Map` pages, pages flow
