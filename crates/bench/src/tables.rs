@@ -87,9 +87,6 @@ fn baseline_gram(eng: &SparkLike, rows: &Rdd<Vec<f64>>, d: usize) -> Vec<f64> {
         for r in &part {
             for i in 0..d {
                 let ri = r[i];
-                if ri == 0.0 {
-                    continue;
-                }
                 for j in 0..d {
                     acc[i * d + j] += ri * r[j];
                 }
@@ -106,6 +103,18 @@ fn baseline_gram(eng: &SparkLike, rows: &Rdd<Vec<f64>>, d: usize) -> Vec<f64> {
             a
         })
         .unwrap_or_else(|| vec![0.0; d * d])
+}
+
+/// Panics unless `got` equals `want` element-wise within `tol` (a NaN
+/// anywhere fails).
+fn assert_close(what: &str, got: &[f64], want: &[f64], tol: f64) {
+    assert_eq!(got.len(), want.len(), "{what}: lengths differ");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            (g - w).abs() <= tol,
+            "{what}: element {i} is {g}, the reference {w} (tolerance {tol})"
+        );
+    }
 }
 
 /// Table 2: distributed linear algebra (Gram, least squares, nearest
@@ -161,14 +170,14 @@ pub fn table2(quick: bool) {
         );
 
         // ---- Gram matrix ----
-        let (_, t_pc) = time_once(|| dx.transpose_multiply(&dx).unwrap());
-        let (_, t_rdd) = time_once(|| baseline_gram(&eng, &rows_rdd, d));
-        let (_, t_local) = time_once(|| {
+        let (pc, t_pc) = time_once(|| dx.transpose_multiply(&dx).unwrap());
+        let (rdd, t_rdd) = time_once(|| baseline_gram(&eng, &rows_rdd, d));
+        let (local, t_local) = time_once(|| {
             let mut acc = vec![0.0; d * d];
             kernels::matmul_at_b(&x.data, &x.data, &mut acc, n, d, d);
             acc
         });
-        let (_, t_chunk) = time_once(|| {
+        let (chunk, t_chunk) = time_once(|| {
             chunked
                 .map(move |block| {
                     let rows = block.len() / d;
@@ -183,6 +192,12 @@ pub fn table2(quick: bool) {
                     a
                 })
         });
+        let tol = 1e-8 * n as f64;
+        let pc = pc.to_dense().unwrap().data;
+        assert_close(&format!("gram d={d}: PC"), &pc, &local, tol);
+        assert_close(&format!("gram d={d}: row-RDD"), &rdd, &local, tol);
+        let chunk = chunk.expect("chunked Gram has partitions");
+        assert_close(&format!("gram d={d}: chunked"), &chunk, &local, tol);
         row(
             &[
                 "gram".into(),
@@ -200,7 +215,7 @@ pub fn table2(quick: bool) {
         la.load("X", dx.clone());
         la.load("y", dy.clone());
         let (_, t_pc) = time_once(|| la.run("beta = (X '* X)^-1 %*% (X '* y)").unwrap());
-        let (_, t_rdd) = time_once(|| {
+        let (rdd, t_rdd) = time_once(|| {
             let g = baseline_gram(&eng, &rows_rdd, d);
             let xty = xy
                 .map_partitions(move |part| {
@@ -231,7 +246,7 @@ pub fn table2(quick: bool) {
                 data: xty,
             })
         });
-        let (_, t_local) = time_once(|| {
+        let (local, t_local) = time_once(|| {
             let mut g = vec![0.0; d * d];
             kernels::matmul_at_b(&x.data, &x.data, &mut g, n, d, d);
             let mut xty = vec![0.0; d];
@@ -249,6 +264,14 @@ pub fn table2(quick: bool) {
                 data: xty,
             })
         });
+        let pc = la.get("beta").expect("beta assigned").to_dense().unwrap();
+        assert_close(&format!("linreg d={d}: PC"), &pc.data, &local.data, 1e-6);
+        assert_close(
+            &format!("linreg d={d}: row-RDD"),
+            &rdd.data,
+            &local.data,
+            1e-6,
+        );
         row(
             &[
                 "linreg".into(),
@@ -264,7 +287,7 @@ pub fn table2(quick: bool) {
         // ---- nearest neighbor (Euclidean metric: A = I) ----
         let query: Vec<f64> = x.data[0..d].to_vec();
         let q1 = query.clone();
-        let (_, t_pc) = time_once(|| {
+        let ((pc, _), t_pc) = time_once(|| {
             // Distributed scan over MatrixBlocks: min distance per chunk,
             // then a driver min — the scan shape lilLinAlg compiles to.
             let blocks = client
@@ -290,7 +313,7 @@ pub fn table2(quick: bool) {
             best
         });
         let q2 = query.clone();
-        let (_, t_rdd) = time_once(|| {
+        let (rdd, t_rdd) = time_once(|| {
             rows_rdd
                 .map_partitions(move |part| {
                     let mut best = f64::INFINITY;
@@ -303,7 +326,7 @@ pub fn table2(quick: bool) {
                 .reduce(f64::min)
         });
         let q3 = query.clone();
-        let (_, t_local) = time_once(|| {
+        let (local, t_local) = time_once(|| {
             let mut best = f64::INFINITY;
             for i in 0..n {
                 let dist: f64 = x.data[i * d..(i + 1) * d]
@@ -315,6 +338,12 @@ pub fn table2(quick: bool) {
             }
             best
         });
+        assert_eq!(pc, local, "nn d={d}: PC and local minimum distances differ");
+        assert_eq!(
+            rdd,
+            Some(local),
+            "nn d={d}: row-RDD and local minimum distances differ"
+        );
         row(
             &[
                 "nn".into(),

@@ -3,9 +3,32 @@
 //! Two matrix-multiply implementations reproduce Table 8's axis: the naive
 //! triple loop (standing in for GSL's reference BLAS) and a cache-blocked,
 //! transposed-operand kernel (standing in for Eigen / netlib-backed
-//! breeze). Both operate on raw `&[f64]` row-major buffers, so they run
-//! equally well over page-resident `PcVec<f64>` data and driver-side
-//! `DenseMatrix` storage.
+//! breeze). All kernels operate on raw `&[f64]` row-major buffers, so they
+//! run equally well over page-resident `PcVec<f64>` data and driver-side
+//! `DenseMatrix` storage, and none skips a zero operand: `0 × ∞` is NaN in
+//! each of them, as IEEE 754 and the naive loop have it.
+//!
+//! [`matmul_at_b`] (the `'*` operator, and with it every Gram matrix) is
+//! the one kernel tuned past cache blocking, in the GotoBLAS manner. It
+//! walks the shared `m` dimension in panels of `KC` rows. Per panel it
+//! copies `A`'s `MR`-wide column strips and `B`'s `NR`-wide ones into
+//! contiguous, zero-padded scratch, then computes each `MR×NR` tile of `C`
+//! in an accumulator that stays in registers for the whole panel and is
+//! added into `C` once, clipped at ragged edges: `C` moves through memory
+//! once per panel instead of once per input row.
+//!
+//! One generic body is compiled twice: a portable instantiation, and on
+//! x86-64 an AVX2 one chosen at run time. Both use a plain multiply then
+//! an add (never `mul_add`, and Rust does not contract the two into an
+//! FMA), and each element of `C` sums each panel's products in row order
+//! from zero, so only `KC` fixes the rounding: every CPU path gives the
+//! same bits.
+//!
+//! Calls with fewer rows than one tile keep the streaming loop, whose
+//! packing would not pay for itself. That is the shape of the row-RDD
+//! baseline's Gram (`m = 1` per row, mllib's `dspr` rank-1 update), so the
+//! baseline keeps the loop mllib itself runs and Table 2 compares PC's
+//! block kernels with it rather than with a tiled kernel it never calls.
 
 /// Naive row-major triple loop: `C[m×n] += A[m×k] · B[k×n]`.
 /// Reference-BLAS-like ("GSL" in Table 8).
@@ -43,9 +66,6 @@ pub fn matmul_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n
                 for i in ib..imax {
                     for l in lb..lmax {
                         let av = a[i * k + l];
-                        if av == 0.0 {
-                            continue;
-                        }
                         let brow = &b[l * n + jb..l * n + jmax];
                         let crow = &mut c[i * n + jb..i * n + jmax];
                         for (cv, bv) in crow.iter_mut().zip(brow) {
@@ -63,23 +83,131 @@ pub fn matmul_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n
 
 /// `C[k×n] += Aᵀ[k×m] · B[m×n]` where `a` is stored `m×k` (transpose-
 /// multiply, the `'*` operator — used without materializing Aᵀ).
+///
+/// Calls with at least one tile's rows (4) take the packed,
+/// register-tiled path; shorter ones (the row-RDD baseline's `m = 1`
+/// rank-1 update) keep the streaming loop, which has no packing to
+/// amortize. See the module doc.
 pub fn matmul_at_b(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(c.len(), k * n);
+    // An empty `C` (k or n zero) has no strips to pack.
+    if m < MR || k == 0 || n == 0 {
+        at_b_streaming(a, b, c, m, k, n);
+    } else {
+        at_b_tiled(a, b, c, m, k, n);
+    }
+}
+
+/// One pass over all of `C` per row of `A` and `B`: a rank-1 update each.
+fn at_b_streaming(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     for row in 0..m {
         let arow = &a[row * k..(row + 1) * k];
         let brow = &b[row * n..(row + 1) * n];
         for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let crow = &mut c[i * n..(i + 1) * n];
             for (cv, bv) in crow.iter_mut().zip(brow) {
                 *cv += av * bv;
             }
         }
     }
+}
+
+/// Rows of `C` per register tile.
+const MR: usize = 4;
+/// Columns of `C` per register tile.
+const NR: usize = 8;
+/// Rows of `A` and `B` per packed panel. Every element of `C` sums each
+/// panel's products in row order from zero and then adds that into `C`,
+/// so `KC` alone fixes the rounding.
+const KC: usize = 256;
+
+/// Picks the widest instantiation of `tiled` the CPU runs. Both give
+/// the same bits: neither contracts a multiply and an add into an FMA,
+/// and the sum order does not depend on the vector width.
+fn at_b_tiled(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `at_b_tiled_avx2` requires AVX2, which the CPU was
+        // just checked for. It is an `unsafe fn` only because safe
+        // `#[target_feature]` functions need Rust 1.86, past the MSRV.
+        return unsafe { at_b_tiled_avx2(a, b, c, m, k, n) };
+    }
+    at_b_tiled_portable(a, b, c, m, k, n);
+}
+
+fn at_b_tiled_portable(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    tiled(a, b, c, m, k, n);
+}
+
+/// `tiled` compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn at_b_tiled_avx2(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    tiled(a, b, c, m, k, n);
+}
+
+/// GotoBLAS-style `C += AᵀB`: per `KC`-row panel, copy `A`'s `MR`-wide
+/// column strips and `B`'s `NR`-wide ones into zero-padded contiguous
+/// scratch, then sweep every `MR×NR` tile of `C` through `tile`.
+#[inline(always)]
+fn tiled(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    let (a_strips, b_strips) = (k.div_ceil(MR), n.div_ceil(NR));
+    let rows = m.min(KC);
+    let mut pa = vec![0.0; a_strips * rows * MR];
+    let mut pb = vec![0.0; b_strips * rows * NR];
+    for p0 in (0..m).step_by(KC) {
+        let kc = KC.min(m - p0);
+        pack::<MR>(&a[p0 * k..(p0 + kc) * k], k, rows, &mut pa);
+        pack::<NR>(&b[p0 * n..(p0 + kc) * n], n, rows, &mut pb);
+        for (is, pa_strip) in pa.chunks_exact(rows * MR).enumerate() {
+            let i0 = is * MR;
+            for (js, pb_strip) in pb.chunks_exact(rows * NR).enumerate() {
+                let j0 = js * NR;
+                let acc = tile(&pa_strip[..kc * MR], &pb_strip[..kc * NR]);
+                for (ii, acc_row) in acc.iter().enumerate().take(k - i0) {
+                    let crow = &mut c[(i0 + ii) * n + j0..(i0 + ii + 1) * n];
+                    for (cv, av) in crow.iter_mut().zip(acc_row) {
+                        *cv += av;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Copies the rows of row-major `src` (`cols` wide) into `W`-wide column
+/// strips of `dst`, strip `s` holding row `r` at `(s * rows + r) * W`;
+/// the last strip is zero-padded.
+#[inline(always)]
+fn pack<const W: usize>(src: &[f64], cols: usize, rows: usize, dst: &mut [f64]) {
+    for (r, srow) in src.chunks_exact(cols).enumerate() {
+        for (s, chunk) in srow.chunks(W).enumerate() {
+            let d = &mut dst[(s * rows + r) * W..(s * rows + r + 1) * W];
+            d[..chunk.len()].copy_from_slice(chunk);
+            d[chunk.len()..].fill(0.0);
+        }
+    }
+}
+
+/// The register tile: `Σ_r pa[r]ᵀ · pb[r]` over one panel's packed rows,
+/// summed in row order from zero.
+#[inline(always)]
+fn tile(pa: &[f64], pb: &[f64]) -> [[f64; NR]; MR] {
+    let mut acc = [[0.0; NR]; MR];
+    for (ar, br) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)) {
+        for (acc_row, &av) in acc.iter_mut().zip(ar) {
+            for (cv, &bv) in acc_row.iter_mut().zip(br) {
+                *cv += av * bv;
+            }
+        }
+    }
+    acc
 }
 
 /// Out-of-place transpose: `B[n×m] = Aᵀ` for `A[m×n]`.
@@ -254,16 +382,79 @@ mod tests {
         }
     }
 
+    /// Every ragged edge of the tile and the panel, from a non-zero `C`
+    /// (the `+=` contract): within 1e-12·m of the naive kernel on the
+    /// explicit transpose, and, on the tiled path, bit-identical to the
+    /// portable instantiation (on an AVX2 host the dispatch picks the
+    /// other one, so this compares the two).
     #[test]
     fn at_b_matches_explicit_transpose() {
-        let a = rand_mat(30, 7, 3);
-        let b = rand_mat(30, 5, 4);
-        let mut c1 = vec![0.0; 7 * 5];
-        matmul_at_b(&a.data, &b.data, &mut c1, 30, 7, 5);
-        let c2 = a.transposed().matmul(&b);
-        for (x, y) in c1.iter().zip(&c2.data) {
-            assert!((x - y).abs() < 1e-9);
+        let dims = [1, 3, MR - 1, MR + 1, NR - 1, NR + 1, 513];
+        for m in [0, 1, MR - 1, MR, KC - 1, KC + 1, 2 * KC + 3] {
+            for k in dims {
+                for n in dims {
+                    // 513 × 513 at every panel count would take most of
+                    // a debug test run; one count covers both edges.
+                    if k == 513 && n == 513 && m > MR {
+                        continue;
+                    }
+                    let a = rand_mat(m, k, 3);
+                    let b = rand_mat(m, n, 4);
+                    let c0 = rand_mat(k, n, 5).data;
+                    let mut got = c0.clone();
+                    matmul_at_b(&a.data, &b.data, &mut got, m, k, n);
+                    let mut want = c0.clone();
+                    let at = a.transposed();
+                    matmul_naive(&at.data, &b.data, &mut want, k, m, n);
+                    let tol = 1e-12 * m.max(1) as f64;
+                    for (x, y) in got.iter().zip(&want) {
+                        assert!(
+                            (x - y).abs() <= tol * y.abs().max(1.0),
+                            "m={m} k={k} n={n}: {x} vs {y}"
+                        );
+                    }
+                    if m >= MR {
+                        let mut portable = c0;
+                        at_b_tiled_portable(&a.data, &b.data, &mut portable, m, k, n);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&portable), "m={m} k={k} n={n}");
+                    }
+                }
+            }
         }
+    }
+
+    /// `0 × ∞` is NaN in every kernel and on both `at_b` paths, as in
+    /// the naive triple loop: no kernel may skip a zero operand.
+    #[test]
+    fn zero_times_infinity_is_nan_in_every_kernel() {
+        let same = |x: &[f64], y: &[f64]| {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|(p, q)| p == q || (p.is_nan() && q.is_nan()))
+        };
+        // A[m×2] has a zero where B[m×2] has an infinity.
+        for m in [1, MR] {
+            let mut a = vec![1.0; m * 2];
+            let mut b = vec![1.0; m * 2];
+            a[0] = 0.0;
+            b[0] = f64::INFINITY;
+            let mut at = vec![0.0; m * 2];
+            transpose(&a, &mut at, m, 2);
+            let mut want = vec![0.0; 4];
+            matmul_naive(&at, &b, &mut want, 2, m, 2);
+            assert!(want[0].is_nan());
+            let mut got = vec![0.0; 4];
+            matmul_at_b(&a, &b, &mut got, m, 2, 2);
+            assert!(same(&got, &want), "at_b m={m}: {got:?} vs {want:?}");
+        }
+        let a = [0.0, 1.0];
+        let b = [f64::INFINITY, 1.0];
+        let (mut want, mut got) = ([0.0], [0.0]);
+        matmul_naive(&a, &b, &mut want, 1, 2, 1);
+        matmul_blocked(&a, &b, &mut got, 1, 2, 1);
+        assert!(want[0].is_nan() && got[0].is_nan(), "blocked: {got:?}");
     }
 
     #[test]
