@@ -334,10 +334,31 @@ mod tests {
         assert!(d.max_abs_diff(&DenseMatrix::zeros(12, 12)) < 1e-12);
     }
 
+    /// Unknown names, and operands whose shapes or block grids do not
+    /// line up, are errors, not panics or wrong answers.
     #[test]
     fn unknown_variable_is_an_error() {
         let client = PcClient::local_small().unwrap();
-        let mut la = LilLinAlg::new(client);
+        let mut la = LilLinAlg::new(client.clone());
         assert!(la.run("B = missing %*% missing").is_err());
+        let load = |la: &mut LilLinAlg, name: &str, r: usize, c: usize, b: usize| {
+            let m = DistMatrix::from_dense(&client, "la", name, &rand_dense(r, c, 3), b, b);
+            la.load(name, m.unwrap());
+        };
+        load(&mut la, "X", 10, 6, 4);
+        load(&mut la, "A", 12, 12, 8);
+        load(&mut la, "B", 12, 12, 5);
+        for bad in [
+            "C = X %*% X",
+            "C = X '* A",
+            "C = X + A",
+            "C = X - A",
+            "C = A %*% B",
+            "C = A '* B",
+            "C = A + B",
+        ] {
+            assert!(la.run(bad).is_err(), "{bad}");
+        }
+        la.run("C = A %*% A; D = X '* X").unwrap();
     }
 }

@@ -1,34 +1,43 @@
 //! Dense numeric kernels.
 //!
-//! Two matrix-multiply implementations reproduce Table 8's axis: the naive
-//! triple loop (standing in for GSL's reference BLAS) and a cache-blocked,
-//! transposed-operand kernel (standing in for Eigen / netlib-backed
-//! breeze). All kernels operate on raw `&[f64]` row-major buffers, so they
+//! Two matrix multiplies reproduce Table 8's axis: the naive triple loop
+//! [`matmul_naive`] (standing in for GSL's reference BLAS) and one packed,
+//! register-tiled GEMM (standing in for Eigen / netlib-backed breeze) with
+//! two entry points: [`matmul`] (`C += A·B`, the DSL's `%*%`) and
+//! [`matmul_at_b`] (`C += AᵀB`, the `'*` operator and with it every Gram
+//! matrix). All kernels operate on raw `&[f64]` row-major buffers, so they
 //! run equally well over page-resident `PcVec<f64>` data and driver-side
 //! `DenseMatrix` storage, and none skips a zero operand: `0 × ∞` is NaN in
 //! each of them, as IEEE 754 and the naive loop have it.
 //!
-//! [`matmul_at_b`] (the `'*` operator, and with it every Gram matrix) is
-//! the one kernel tuned past cache blocking, in the GotoBLAS manner. It
-//! walks the shared `m` dimension in panels of `KC` rows. Per panel it
-//! copies `A`'s `MR`-wide column strips and `B`'s `NR`-wide ones into
-//! contiguous, zero-padded scratch, then computes each `MR×NR` tile of `C`
-//! in an accumulator that stays in registers for the whole panel and is
-//! added into `C` once, clipped at ragged edges: `C` moves through memory
-//! once per panel instead of once per input row.
+//! The two entry points differ only in how `A(i, l)` (row `i` of `C`,
+//! shared index `l`) is addressed: `a[i * k + l]` for `A·B`, `a[l * m + i]`
+//! for `AᵀB` (`ASlice`). The GEMM walks the shared dimension in panels
+//! of `KC` rows, GotoBLAS-style. Per panel it copies `A` into `MR`-wide
+//! strips of `C`'s rows (the only step the addressing changes) and `B`
+//! into `NR`-wide column strips, both contiguous and zero-padded, then
+//! computes each `MR×NR` tile of `C` in an accumulator that stays in
+//! registers for the whole panel and is added into `C` once, clipped at
+//! ragged edges: `C` moves through memory once per panel instead of once
+//! per shared index.
 //!
 //! One generic body is compiled twice: a portable instantiation, and on
 //! x86-64 an AVX2 one chosen at run time. Both use a plain multiply then
 //! an add (never `mul_add`, and Rust does not contract the two into an
-//! FMA), and each element of `C` sums each panel's products in row order
-//! from zero, so only `KC` fixes the rounding: every CPU path gives the
-//! same bits.
+//! FMA), and each element of `C` sums each panel's products in shared-index
+//! order from zero, so only `KC` fixes the rounding: every CPU path gives
+//! the same bits.
 //!
-//! Calls with fewer rows than one tile keep the streaming loop, whose
-//! packing would not pay for itself. That is the shape of the row-RDD
-//! baseline's Gram (`m = 1` per row, mllib's `dspr` rank-1 update), so the
-//! baseline keeps the loop mllib itself runs and Table 2 compares PC's
-//! block kernels with it rather than with a tiled kernel it never calls.
+//! Two small shapes keep a streaming loop instead, decided by the shape
+//! alone:
+//! - `AᵀB` with fewer shared rows than one tile (`m < MR`). That is the
+//!   row-RDD baseline's Gram (`m = 1` per row, mllib's `dspr` rank-1
+//!   update), so the baseline keeps the loop mllib itself runs and Table 2
+//!   compares PC's block kernels with it rather than with a tiled kernel it
+//!   never calls.
+//! - `A·B` with fewer rows of `C` than one tile (`m < MR`). The zero-padded
+//!   `A` strip would make every tile do `MR / m` times the useful work: one
+//!   output row ran 3× slower tiled, and the two broke even at 3 rows.
 
 /// Naive row-major triple loop: `C[m×n] += A[m×k] · B[k×n]`.
 /// Reference-BLAS-like ("GSL" in Table 8).
@@ -47,37 +56,18 @@ pub fn matmul_naive(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: 
     }
 }
 
-/// Cache-blocked multiply with i-k-j loop order (unit-stride inner loop):
-/// `C[m×n] += A[m×k] · B[k×n]`. The "Eigen/breeze" kernel of Table 8.
-pub fn matmul_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+/// `C[m×n] += A[m×k] · B[k×n]` on the packed GEMM (the "Eigen/breeze"
+/// kernel of Table 8). Calls with fewer than `MR` (4) rows of `C` stream;
+/// see the module doc.
+pub fn matmul(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    const BS: usize = 64;
-    let mut ib = 0;
-    while ib < m {
-        let imax = (ib + BS).min(m);
-        let mut lb = 0;
-        while lb < k {
-            let lmax = (lb + BS).min(k);
-            let mut jb = 0;
-            while jb < n {
-                let jmax = (jb + BS).min(n);
-                for i in ib..imax {
-                    for l in lb..lmax {
-                        let av = a[i * k + l];
-                        let brow = &b[l * n + jb..l * n + jmax];
-                        let crow = &mut c[i * n + jb..i * n + jmax];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += av * bv;
-                        }
-                    }
-                }
-                jb += BS;
-            }
-            lb += BS;
-        }
-        ib += BS;
+    // An empty `C` (n zero) has no strips to pack.
+    if m < MR || n == 0 {
+        streaming(ASlice::RowMajor(a), b, c, m, k, n);
+    } else {
+        tiled_dispatch(ASlice::RowMajor(a), b, c, m, k, n);
     }
 }
 
@@ -94,18 +84,31 @@ pub fn matmul_at_b(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: u
     debug_assert_eq!(c.len(), k * n);
     // An empty `C` (k or n zero) has no strips to pack.
     if m < MR || k == 0 || n == 0 {
-        at_b_streaming(a, b, c, m, k, n);
+        streaming(ASlice::Transposed(a), b, c, k, m, n);
     } else {
-        at_b_tiled(a, b, c, m, k, n);
+        tiled_dispatch(ASlice::Transposed(a), b, c, k, m, n);
     }
 }
 
-/// One pass over all of `C` per row of `A` and `B`: a rank-1 update each.
-fn at_b_streaming(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    for row in 0..m {
-        let arow = &a[row * k..(row + 1) * k];
-        let brow = &b[row * n..(row + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
+/// The left factor of `C[m×n] += A[m×k] · B[k×n]` (the names every
+/// function below uses), by how `A(i, l)` is addressed.
+#[derive(Clone, Copy)]
+enum ASlice<'a> {
+    /// `a` is `A`, `m×k`: `A(i, l) = a[i * k + l]`.
+    RowMajor(&'a [f64]),
+    /// `a` is `Aᵀ`, `k×m`: `A(i, l) = a[l * m + i]`.
+    Transposed(&'a [f64]),
+}
+
+/// One pass over all of `C` per shared index: a rank-1 update each.
+fn streaming(a: ASlice, b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    for l in 0..k {
+        let brow = &b[l * n..(l + 1) * n];
+        for i in 0..m {
+            let av = match a {
+                ASlice::RowMajor(a) => a[i * k + l],
+                ASlice::Transposed(a) => a[l * m + i],
+            };
             let crow = &mut c[i * n..(i + 1) * n];
             for (cv, bv) in crow.iter_mut().zip(brow) {
                 *cv += av * bv;
@@ -118,26 +121,26 @@ fn at_b_streaming(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: us
 const MR: usize = 4;
 /// Columns of `C` per register tile.
 const NR: usize = 8;
-/// Rows of `A` and `B` per packed panel. Every element of `C` sums each
-/// panel's products in row order from zero and then adds that into `C`,
-/// so `KC` alone fixes the rounding.
+/// Shared indices per packed panel. Every element of `C` sums each
+/// panel's products in order from zero and then adds that into `C`, so
+/// `KC` alone fixes the rounding.
 const KC: usize = 256;
 
 /// Picks the widest instantiation of `tiled` the CPU runs. Both give
 /// the same bits: neither contracts a multiply and an add into an FMA,
 /// and the sum order does not depend on the vector width.
-fn at_b_tiled(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+fn tiled_dispatch(a: ASlice, b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: `at_b_tiled_avx2` requires AVX2, which the CPU was
-        // just checked for. It is an `unsafe fn` only because safe
+        // SAFETY: `tiled_avx2` requires AVX2, which the CPU was just
+        // checked for. It is an `unsafe fn` only because safe
         // `#[target_feature]` functions need Rust 1.86, past the MSRV.
-        return unsafe { at_b_tiled_avx2(a, b, c, m, k, n) };
+        return unsafe { tiled_avx2(a, b, c, m, k, n) };
     }
-    at_b_tiled_portable(a, b, c, m, k, n);
+    tiled_portable(a, b, c, m, k, n);
 }
 
-fn at_b_tiled_portable(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+fn tiled_portable(a: ASlice, b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     tiled(a, b, c, m, k, n);
 }
 
@@ -148,29 +151,32 @@ fn at_b_tiled_portable(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, 
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn at_b_tiled_avx2(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+unsafe fn tiled_avx2(a: ASlice, b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     tiled(a, b, c, m, k, n);
 }
 
-/// GotoBLAS-style `C += AᵀB`: per `KC`-row panel, copy `A`'s `MR`-wide
-/// column strips and `B`'s `NR`-wide ones into zero-padded contiguous
+/// GotoBLAS-style `C += A·B`: per `KC`-deep panel, copy `A`'s `MR`-row
+/// strips and `B`'s `NR`-wide column strips into zero-padded contiguous
 /// scratch, then sweep every `MR×NR` tile of `C` through `tile`.
 #[inline(always)]
-fn tiled(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    let (a_strips, b_strips) = (k.div_ceil(MR), n.div_ceil(NR));
-    let rows = m.min(KC);
-    let mut pa = vec![0.0; a_strips * rows * MR];
-    let mut pb = vec![0.0; b_strips * rows * NR];
-    for p0 in (0..m).step_by(KC) {
-        let kc = KC.min(m - p0);
-        pack::<MR>(&a[p0 * k..(p0 + kc) * k], k, rows, &mut pa);
-        pack::<NR>(&b[p0 * n..(p0 + kc) * n], n, rows, &mut pb);
-        for (is, pa_strip) in pa.chunks_exact(rows * MR).enumerate() {
+fn tiled(a: ASlice, b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    let (a_strips, b_strips) = (m.div_ceil(MR), n.div_ceil(NR));
+    let depth = k.min(KC);
+    let mut pa = vec![0.0; a_strips * depth * MR];
+    let mut pb = vec![0.0; b_strips * depth * NR];
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        match a {
+            ASlice::RowMajor(a) => pack_rows(a, k, p0, kc, depth, &mut pa),
+            ASlice::Transposed(a) => pack::<MR>(&a[p0 * m..(p0 + kc) * m], m, depth, &mut pa),
+        }
+        pack::<NR>(&b[p0 * n..(p0 + kc) * n], n, depth, &mut pb);
+        for (is, pa_strip) in pa.chunks_exact(depth * MR).enumerate() {
             let i0 = is * MR;
-            for (js, pb_strip) in pb.chunks_exact(rows * NR).enumerate() {
+            for (js, pb_strip) in pb.chunks_exact(depth * NR).enumerate() {
                 let j0 = js * NR;
                 let acc = tile(&pa_strip[..kc * MR], &pb_strip[..kc * NR]);
-                for (ii, acc_row) in acc.iter().enumerate().take(k - i0) {
+                for (ii, acc_row) in acc.iter().enumerate().take(m - i0) {
                     let crow = &mut c[(i0 + ii) * n + j0..(i0 + ii + 1) * n];
                     for (cv, av) in crow.iter_mut().zip(acc_row) {
                         *cv += av;
@@ -191,6 +197,20 @@ fn pack<const W: usize>(src: &[f64], cols: usize, rows: usize, dst: &mut [f64]) 
             let d = &mut dst[(s * rows + r) * W..(s * rows + r + 1) * W];
             d[..chunk.len()].copy_from_slice(chunk);
             d[chunk.len()..].fill(0.0);
+        }
+    }
+}
+
+/// `pack::<MR>` of the transpose of columns `p0..p0 + kc` of row-major
+/// `a` (`cols` wide): row `i` of `a` is lane `i % MR` of strip `i / MR`,
+/// its column `p0 + r` at `((i / MR) * rows + r) * MR + i % MR`. Lanes
+/// past `a`'s last row are never written, so they keep `dst`'s zeroes.
+#[inline(always)]
+fn pack_rows(a: &[f64], cols: usize, p0: usize, kc: usize, rows: usize, dst: &mut [f64]) {
+    for (i, arow) in a.chunks_exact(cols).enumerate() {
+        let strip = &mut dst[(i / MR) * rows * MR..(i / MR + 1) * rows * MR];
+        for (r, &v) in arow[p0..p0 + kc].iter().enumerate() {
+            strip[r * MR + i % MR] = v;
         }
     }
 }
@@ -267,7 +287,7 @@ impl DenseMatrix {
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.rows);
         let mut c = DenseMatrix::zeros(self.rows, other.cols);
-        matmul_blocked(
+        matmul(
             &self.data,
             &other.data,
             &mut c.data,
@@ -369,27 +389,19 @@ mod tests {
         }
     }
 
+    /// Both entry points over every ragged edge of the tile and the
+    /// panel, from a non-zero `C` (the `+=` contract). `matmul_at_b(A, B)`
+    /// and `matmul(Aᵀ, B)` compute the same product with the shared
+    /// dimension `m`, so one sweep drives both: each must be within
+    /// 1e-12·m of the naive kernel on the explicit transpose, and, on the
+    /// tiled path, bit-identical to the portable instantiation (on an AVX2
+    /// host the dispatch picks the other one, so this compares the two).
+    /// `k` (the rows of `C`) and `m` each take 1, `MR - 1` and `MR`, so both
+    /// streaming rules are crossed.
     #[test]
-    fn blocked_matches_naive() {
-        let a = rand_mat(37, 23, 1);
-        let b = rand_mat(23, 41, 2);
-        let mut c1 = vec![0.0; 37 * 41];
-        let mut c2 = vec![0.0; 37 * 41];
-        matmul_naive(&a.data, &b.data, &mut c1, 37, 23, 41);
-        matmul_blocked(&a.data, &b.data, &mut c2, 37, 23, 41);
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    /// Every ragged edge of the tile and the panel, from a non-zero `C`
-    /// (the `+=` contract): within 1e-12·m of the naive kernel on the
-    /// explicit transpose, and, on the tiled path, bit-identical to the
-    /// portable instantiation (on an AVX2 host the dispatch picks the
-    /// other one, so this compares the two).
-    #[test]
-    fn at_b_matches_explicit_transpose() {
-        let dims = [1, 3, MR - 1, MR + 1, NR - 1, NR + 1, 513];
+    fn packed_entry_points_match_naive() {
+        let dims = [1, MR - 1, MR, MR + 1, NR - 1, NR + 1, 513];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for m in [0, 1, MR - 1, MR, KC - 1, KC + 1, 2 * KC + 3] {
             for k in dims {
                 for n in dims {
@@ -399,33 +411,42 @@ mod tests {
                         continue;
                     }
                     let a = rand_mat(m, k, 3);
+                    let at = a.transposed();
                     let b = rand_mat(m, n, 4);
                     let c0 = rand_mat(k, n, 5).data;
-                    let mut got = c0.clone();
-                    matmul_at_b(&a.data, &b.data, &mut got, m, k, n);
                     let mut want = c0.clone();
-                    let at = a.transposed();
                     matmul_naive(&at.data, &b.data, &mut want, k, m, n);
                     let tol = 1e-12 * m.max(1) as f64;
-                    for (x, y) in got.iter().zip(&want) {
-                        assert!(
-                            (x - y).abs() <= tol * y.abs().max(1.0),
-                            "m={m} k={k} n={n}: {x} vs {y}"
-                        );
-                    }
-                    if m >= MR {
-                        let mut portable = c0;
-                        at_b_tiled_portable(&a.data, &b.data, &mut portable, m, k, n);
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&got), bits(&portable), "m={m} k={k} n={n}");
+                    let runs = [
+                        ("at_b", ASlice::Transposed(&a.data), m >= MR),
+                        ("matmul", ASlice::RowMajor(&at.data), k >= MR),
+                    ];
+                    for (name, slice, is_tiled) in runs {
+                        let mut got = c0.clone();
+                        match slice {
+                            ASlice::Transposed(a) => matmul_at_b(a, &b.data, &mut got, m, k, n),
+                            ASlice::RowMajor(a) => matmul(a, &b.data, &mut got, k, m, n),
+                        }
+                        for (x, y) in got.iter().zip(&want) {
+                            assert!(
+                                (x - y).abs() <= tol * y.abs().max(1.0),
+                                "{name} m={m} k={k} n={n}: {x} vs {y}"
+                            );
+                        }
+                        if is_tiled {
+                            let mut portable = c0.clone();
+                            tiled_portable(slice, &b.data, &mut portable, k, m, n);
+                            assert_eq!(bits(&got), bits(&portable), "{name} m={m} k={k} n={n}");
+                        }
                     }
                 }
             }
         }
     }
 
-    /// `0 × ∞` is NaN in every kernel and on both `at_b` paths, as in
-    /// the naive triple loop: no kernel may skip a zero operand.
+    /// `0 × ∞` is NaN in every kernel, on the streaming (`m = 1`) and the
+    /// tiled (`m = MR`) path of both entry points, as in the naive triple
+    /// loop: no kernel may skip a zero operand.
     #[test]
     fn zero_times_infinity_is_nan_in_every_kernel() {
         let same = |x: &[f64], y: &[f64]| {
@@ -434,8 +455,8 @@ mod tests {
                     .zip(y)
                     .all(|(p, q)| p == q || (p.is_nan() && q.is_nan()))
         };
-        // A[m×2] has a zero where B[m×2] has an infinity.
         for m in [1, MR] {
+            // A[m×2] has a zero where B[m×2] has an infinity.
             let mut a = vec![1.0; m * 2];
             let mut b = vec![1.0; m * 2];
             a[0] = 0.0;
@@ -448,13 +469,15 @@ mod tests {
             let mut got = vec![0.0; 4];
             matmul_at_b(&a, &b, &mut got, m, 2, 2);
             assert!(same(&got, &want), "at_b m={m}: {got:?} vs {want:?}");
+            // A[m×2] · B[2×2] with the infinity under A's zero.
+            let b = [f64::INFINITY, 1.0, 1.0, 1.0];
+            let mut want = vec![0.0; m * 2];
+            matmul_naive(&a, &b, &mut want, m, 2, 2);
+            assert!(want[0].is_nan());
+            let mut got = vec![0.0; m * 2];
+            matmul(&a, &b, &mut got, m, 2, 2);
+            assert!(same(&got, &want), "matmul m={m}: {got:?} vs {want:?}");
         }
-        let a = [0.0, 1.0];
-        let b = [f64::INFINITY, 1.0];
-        let (mut want, mut got) = ([0.0], [0.0]);
-        matmul_naive(&a, &b, &mut want, 1, 2, 1);
-        matmul_blocked(&a, &b, &mut got, 1, 2, 1);
-        assert!(want[0].is_nan() && got[0].is_nan(), "blocked: {got:?}");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   products) — the paper's `LAMultiplyJoin` / `LAMultiplyAggregate`.
 //! * [`dsl`] parses the Matlab-like surface syntax, e.g. the paper's least
 //!   squares one-liner `beta = (X '* X)^-1 %*% (X '* y)`.
-//! * [`kernels`] provides the dense math (naive and cache-blocked matmul —
-//!   the "GSL vs Eigen" axis of Table 8 — plus Gauss-Jordan inversion).
+//! * [`kernels`] provides the dense math (a naive matmul and one packed,
+//!   register-tiled GEMM serving both `A·B` and `AᵀB` — the "GSL vs Eigen"
+//!   axis of Table 8 — plus Gauss-Jordan inversion).
 
 pub mod dsl;
 pub mod kernels;

@@ -18,7 +18,28 @@ pc_object! {
     }
 }
 
-/// Builds a `MatrixBlock` on the active allocation block.
+/// Builds a `MatrixBlock` on the active allocation block with its
+/// `height × width` values zeroed on the page, for a kernel to write in
+/// place (§6.1: kernels address page memory).
+fn zeroed_matrix_block(
+    chunk_row: i64,
+    chunk_col: i64,
+    height: usize,
+    width: usize,
+) -> PcResult<Handle<MatrixBlock>> {
+    let blk = make_object::<MatrixBlock>()?;
+    blk.v().set_chunk_row(chunk_row)?;
+    blk.v().set_chunk_col(chunk_col)?;
+    blk.v().set_height(height as i64)?;
+    blk.v().set_width(width as i64)?;
+    let vals = make_object::<PcVec<f64>>()?;
+    vals.extend_zeroed(height * width)?;
+    blk.v().set_values(vals)?;
+    Ok(blk)
+}
+
+/// Builds a `MatrixBlock` holding a copy of `data` on the active
+/// allocation block.
 pub fn make_matrix_block(
     chunk_row: i64,
     chunk_col: i64,
@@ -26,15 +47,8 @@ pub fn make_matrix_block(
     width: usize,
     data: &[f64],
 ) -> PcResult<Handle<MatrixBlock>> {
-    debug_assert_eq!(data.len(), height * width);
-    let blk = make_object::<MatrixBlock>()?;
-    blk.v().set_chunk_row(chunk_row)?;
-    blk.v().set_chunk_col(chunk_col)?;
-    blk.v().set_height(height as i64)?;
-    blk.v().set_width(width as i64)?;
-    let vals = make_object::<PcVec<f64>>()?;
-    vals.extend_from_slice(data)?;
-    blk.v().set_values(vals)?;
+    let blk = zeroed_matrix_block(chunk_row, chunk_col, height, width)?;
+    blk.v().values().as_mut_slice().copy_from_slice(data);
     Ok(blk)
 }
 
@@ -120,29 +134,25 @@ impl DistMatrix {
         block_rows: usize,
         block_cols: usize,
     ) -> PcResult<DistMatrix> {
-        client.create_or_clear_set(db, set)?;
-        let mut chunks: Vec<(i64, i64, usize, usize, Vec<f64>)> = Vec::new();
-        let mut r = 0;
-        while r < dense.rows {
-            let h = block_rows.min(dense.rows - r);
-            let mut c = 0;
-            while c < dense.cols {
-                let w = block_cols.min(dense.cols - c);
-                let mut data = Vec::with_capacity(h * w);
-                for i in 0..h {
-                    for j in 0..w {
-                        data.push(dense.at(r + i, c + j));
-                    }
-                }
-                chunks.push(((r / block_rows) as i64, (c / block_cols) as i64, h, w, data));
-                c += w;
-            }
-            r += h;
+        if block_rows == 0 || block_cols == 0 {
+            return Err(PcError::Catalog(format!(
+                "from_dense: {block_rows}×{block_cols} blocks must be at least 1×1"
+            )));
         }
-        let total = chunks.len();
+        client.create_or_clear_set(db, set)?;
+        let grid_cols = dense.cols.div_ceil(block_cols);
+        let total = dense.rows.div_ceil(block_rows) * grid_cols;
         client.store(db, set, total, |i| {
-            let (cr, cc, h, w, data) = &chunks[i];
-            Ok(make_matrix_block(*cr, *cc, *h, *w, data)?.erase())
+            let (br, bc) = (i / grid_cols, i % grid_cols);
+            let (r0, c0) = (br * block_rows, bc * block_cols);
+            let h = block_rows.min(dense.rows - r0);
+            let w = block_cols.min(dense.cols - c0);
+            let blk = zeroed_matrix_block(br as i64, bc as i64, h, w)?;
+            let vals = blk.v().values();
+            for (i, row) in vals.as_mut_slice().chunks_exact_mut(w).enumerate() {
+                row.copy_from_slice(&dense.data[(r0 + i) * dense.cols + c0..][..w]);
+            }
+            Ok(blk.erase())
         })?;
         Ok(DistMatrix {
             client: client.clone(),
@@ -185,6 +195,34 @@ impl DistMatrix {
         }
     }
 
+    /// `(rows, rows per block)`. A block taller than the matrix splits it
+    /// as one exactly as tall would, so it counts as that.
+    fn row_split(&self) -> (usize, usize) {
+        (self.rows, self.block_rows.min(self.rows))
+    }
+
+    /// `(columns, columns per block)`, as `row_split`.
+    fn col_split(&self) -> (usize, usize) {
+        (self.cols, self.block_cols.min(self.cols))
+    }
+
+    /// Errors unless `ok`: `op`'s operands' shapes or block grids differ
+    /// along an axis the operation pairs, so their blocks would not line
+    /// up.
+    fn conform(&self, other: &DistMatrix, op: &str, ok: bool) -> PcResult<()> {
+        ok.then_some(()).ok_or_else(|| {
+            let grid = |m: &DistMatrix| {
+                let (r, c, br, bc) = (m.rows, m.cols, m.block_rows, m.block_cols);
+                format!("{r}×{c} in {br}×{bc} blocks")
+            };
+            PcError::Catalog(format!(
+                "{op}: {} and {} do not line up",
+                grid(self),
+                grid(other)
+            ))
+        })
+    }
+
     /// The typed dataset over this matrix's stored blocks.
     fn blocks(&self) -> pc_core::Dataset<MatrixBlock> {
         self.client.set::<MatrixBlock>(&self.db, &self.set)
@@ -194,7 +232,7 @@ impl DistMatrix {
     /// index feeding an aggregation, exactly the paper's
     /// `LAMultiplyJoin` + `LAMultiplyAggregate` pair.
     pub fn multiply(&self, other: &DistMatrix) -> PcResult<DistMatrix> {
-        assert_eq!(self.cols, other.rows, "dimension mismatch in multiply");
+        self.conform(other, "%*%", self.col_split() == other.row_split())?;
         let out = tmp_set();
         self.blocks()
             .join(
@@ -208,26 +246,13 @@ impl DistMatrix {
                     let (m, k) = (x.v().height() as usize, x.v().width() as usize);
                     let n = y.v().width() as usize;
                     debug_assert_eq!(k, y.v().height() as usize);
-                    let out = make_matrix_block(
-                        x.v().chunk_row(),
-                        y.v().chunk_col(),
-                        m,
-                        n,
-                        &vec![0.0; m * n],
-                    )?;
+                    let out = zeroed_matrix_block(x.v().chunk_row(), y.v().chunk_col(), m, n)?;
                     let xv = x.v().values();
                     let yv = y.v().values();
                     let ov = out.v().values();
                     // Numeric work happens directly on page memory (the
                     // c_ptr trick).
-                    kernels::matmul_blocked(
-                        xv.as_slice(),
-                        yv.as_slice(),
-                        ov.as_mut_slice(),
-                        m,
-                        k,
-                        n,
-                    );
+                    kernels::matmul(xv.as_slice(), yv.as_slice(), ov.as_mut_slice(), m, k, n);
                     Ok(out)
                 },
             )
@@ -246,10 +271,7 @@ impl DistMatrix {
     /// Distributed transpose-multiply `selfᵀ · other` (the DSL's `'*`):
     /// joins on the *row* block index, so a Gram matrix is a self-join.
     pub fn transpose_multiply(&self, other: &DistMatrix) -> PcResult<DistMatrix> {
-        assert_eq!(
-            self.rows, other.rows,
-            "dimension mismatch in transpose-multiply"
-        );
+        self.conform(other, "'*", self.row_split() == other.row_split())?;
         let out = tmp_set();
         self.blocks()
             .join(
@@ -263,13 +285,7 @@ impl DistMatrix {
                     let (m, k) = (x.v().height() as usize, x.v().width() as usize);
                     let n = y.v().width() as usize;
                     debug_assert_eq!(m, y.v().height() as usize);
-                    let out = make_matrix_block(
-                        x.v().chunk_col(),
-                        y.v().chunk_col(),
-                        k,
-                        n,
-                        &vec![0.0; k * n],
-                    )?;
+                    let out = zeroed_matrix_block(x.v().chunk_col(), y.v().chunk_col(), k, n)?;
                     let xv = x.v().values();
                     let yv = y.v().values();
                     let ov = out.v().values();
@@ -296,11 +312,8 @@ impl DistMatrix {
         label: &str,
         f: fn(f64, f64) -> f64,
     ) -> PcResult<DistMatrix> {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "shape mismatch"
-        );
+        let same = (self.row_split(), self.col_split()) == (other.row_split(), other.col_split());
+        self.conform(other, label, same)?;
         let out = tmp_set();
         let grid = |m: &Handle<MatrixBlock>| m.v().chunk_row() * 1_000_003 + m.v().chunk_col();
         self.blocks()
@@ -310,13 +323,7 @@ impl DistMatrix {
                 label,
                 move |x, y| {
                     let (h, w) = (x.v().height() as usize, x.v().width() as usize);
-                    let out = make_matrix_block(
-                        x.v().chunk_row(),
-                        x.v().chunk_col(),
-                        h,
-                        w,
-                        &vec![0.0; h * w],
-                    )?;
+                    let out = zeroed_matrix_block(x.v().chunk_row(), x.v().chunk_col(), h, w)?;
                     let xs = x.v().values();
                     let ys = y.v().values();
                     let ov = out.v().values();
@@ -346,13 +353,7 @@ impl DistMatrix {
         self.blocks()
             .select("blockScale", move |x| {
                 let (h, w) = (x.v().height() as usize, x.v().width() as usize);
-                let out = make_matrix_block(
-                    x.v().chunk_row(),
-                    x.v().chunk_col(),
-                    h,
-                    w,
-                    &vec![0.0; h * w],
-                )?;
+                let out = zeroed_matrix_block(x.v().chunk_row(), x.v().chunk_col(), h, w)?;
                 let xs = x.v().values();
                 let ov = out.v().values();
                 for (o, v) in ov.as_mut_slice().iter_mut().zip(xs.as_slice()) {
@@ -372,13 +373,7 @@ impl DistMatrix {
         self.blocks()
             .select("blockTranspose", |x| {
                 let (h, w) = (x.v().height() as usize, x.v().width() as usize);
-                let out = make_matrix_block(
-                    x.v().chunk_col(),
-                    x.v().chunk_row(),
-                    w,
-                    h,
-                    &vec![0.0; h * w],
-                )?;
+                let out = zeroed_matrix_block(x.v().chunk_col(), x.v().chunk_row(), w, h)?;
                 let xs = x.v().values();
                 let ov = out.v().values();
                 kernels::transpose(xs.as_slice(), ov.as_mut_slice(), h, w);
@@ -397,7 +392,7 @@ impl DistMatrix {
         self.blocks()
             .select("chunkRowSum", |x| {
                 let (h, w) = (x.v().height() as usize, x.v().width() as usize);
-                let out = make_matrix_block(x.v().chunk_row(), 0, h, 1, &vec![0.0; h])?;
+                let out = zeroed_matrix_block(x.v().chunk_row(), 0, h, 1)?;
                 let xs = x.v().values();
                 let s = xs.as_slice();
                 let ov = out.v().values();
@@ -533,5 +528,15 @@ mod tests {
         assert!(doubled.max_abs_diff(&scaled) < 1e-12);
         let t = da.transpose().unwrap().to_dense().unwrap();
         assert_eq!(t, a.transposed());
+    }
+
+    /// A zero block dimension never advanced the chunking loop.
+    #[test]
+    fn empty_blocks_are_an_error() {
+        let client = PcClient::local_small().unwrap();
+        let a = rand_dense(3, 3, 6);
+        for (br, bc) in [(0, 2), (2, 0), (0, 0)] {
+            assert!(DistMatrix::from_dense(&client, "la", "z", &a, br, bc).is_err());
+        }
     }
 }

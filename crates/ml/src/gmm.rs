@@ -46,11 +46,10 @@ impl GmmModel {
 
     /// Soft assignment in log space: responsibilities of each component.
     pub fn responsibilities(&self, x: &[f64], out: &mut [f64]) {
-        let k = self.weights.len();
         let mut mx = f64::NEG_INFINITY;
-        for c in 0..k {
-            out[c] = self.log_comp(c, x);
-            mx = mx.max(out[c]);
+        for (c, o) in out.iter_mut().enumerate().take(self.weights.len()) {
+            *o = self.log_comp(c, x);
+            mx = mx.max(*o);
         }
         let mut sum = 0.0;
         for o in out.iter_mut() {
@@ -134,8 +133,7 @@ impl AggregateSpec for GmmAgg {
         let k = self.model.weights.len();
         let d = self.model.means[0].len();
         let v = b.make_object::<PcVec<f64>>()?;
-        v.reserve(k * (1 + 2 * d))?;
-        v.extend_from_slice(&vec![0.0; k * (1 + 2 * d)])?;
+        v.extend_zeroed(k * (1 + 2 * d))?;
         // fold the first record immediately
         let data = rec.v().data();
         fold_point(&self.model, data.as_slice(), v.as_mut_slice());

@@ -276,6 +276,17 @@ macro_rules! flat_views {
                 b.write_u32(self.offset() + OFF_LEN, (len + src.len()) as u32);
                 Ok(())
             }
+
+            /// Appends `n` zeroes. Chunks reused from a free or recycle
+            /// list keep their old bytes, so the fill is explicit.
+            pub fn extend_zeroed(&self, n: usize) -> PcResult<()> {
+                let len = self.len();
+                self.reserve(len + n)?;
+                let b = self.block();
+                b.zero_range(self.slot(len), n * std::mem::size_of::<$t>());
+                b.write_u32(self.offset() + OFF_LEN, (len + n) as u32);
+                Ok(())
+            }
         }
     };
 }
