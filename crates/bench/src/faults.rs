@@ -198,20 +198,21 @@ pub fn run_agg(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
     )
 }
 
-/// The broadcast-join job over `n` employees: faults land on the
-/// JoinBuild gather and the build-table broadcast (§8.3.2).
+/// The broadcast-join job over `n` employees: the employees stream and
+/// probe, the departments build, so faults land on the JoinBuild gather and
+/// the build-table broadcast (§8.3.2).
 pub fn run_join(c: &PcCluster, n: usize) -> (Vec<Vec<u8>>, ClusterStats) {
     load_emps(c, n);
     load_depts(c);
     c.create_or_clear_set("db", "pairs").unwrap();
-    let joined = Dataset::<FDept>::scan("db", "depts").join(
-        &Dataset::<FEmp>::scan("db", "emps"),
-        |d, e| {
-            d.member("id", |d| d.v().id())
-                .eq(e.member("deptId", |e| e.v().dept_id()))
+    let joined = Dataset::<FEmp>::scan("db", "emps").join(
+        &Dataset::<FDept>::scan("db", "depts"),
+        |e, d| {
+            e.member("deptId", |e| e.v().dept_id())
+                .eq(d.member("id", |d| d.v().id()))
         },
         "pair",
-        |d, e| {
+        |e, d| {
             let v = make_object::<PcVec<i64>>()?;
             v.push(d.v().id())?;
             v.push(e.v().dept_id())?;

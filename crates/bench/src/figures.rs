@@ -92,8 +92,8 @@ pub fn figure3() {
     for d in describe_decompositions(&q.tcap) {
         println!("{d}");
     }
-    println!("(the executor runs the first decomposition: composite sides build,");
-    println!(" the last input streams through every probe — Appendix D.3)");
+    println!("(the executor runs the first decomposition: each later input builds,");
+    println!(" the first input streams through every probe — Appendix D.3)");
 }
 
 /// Figure 4: the live component topology of a running cluster.

@@ -131,13 +131,14 @@ fn key_of(r: Var<BenchRec>) -> Lambda<i64> {
     r.member("key", |r| r.v().key())
 }
 
-/// The workload: a high-cardinality build side joined against a one-row-
-/// per-key dim side, aggregated by key. The build table *and* the
-/// aggregation state are both ~dataset-sized, so a pool 10× smaller forces
-/// both operators out of core. Ending in an aggregation matters: the
-/// second-pass wave schedule changes join output *order* with the budget,
-/// and the canonical (hash-sorted) aggregation finalize is what makes the
-/// final bytes comparable across budgets at all.
+/// The workload: a high-cardinality input streamed and probed against a
+/// one-row-per-key dim side, which builds the join table, aggregated by key.
+/// The build table and the aggregation state are each a large share of the
+/// dataset, so a pool 10× smaller forces both operators out of core. Ending
+/// in an aggregation matters: the second-pass wave schedule changes join
+/// output *order* with the budget, and the canonical (hash-sorted)
+/// aggregation finalize is what makes the final bytes comparable across
+/// budgets at all.
 fn run_ooc(
     threads: usize,
     n: usize,

@@ -251,16 +251,16 @@ fn distributed_broadcast_join() {
     c.send_pages("db", "depts", w.finish().unwrap()).unwrap();
     c.create_or_clear_set("db", "pairs").unwrap();
 
-    // depts (small) is the left dataset → the build side; emps streams
-    // and probes.
-    let joined = Dataset::<Dept>::scan("db", "depts").join(
-        &Dataset::<Emp>::scan("db", "emps"),
-        |d, e| {
-            d.member("id", |d| d.v().id())
-                .eq(e.member("deptId", |e| e.v().dept_id()))
+    // emps is the first dataset, so it streams and probes; depts (small)
+    // is the build side.
+    let joined = Dataset::<Emp>::scan("db", "emps").join(
+        &Dataset::<Dept>::scan("db", "depts"),
+        |e, d| {
+            e.member("deptId", |e| e.v().dept_id())
+                .eq(d.member("id", |d| d.v().id()))
         },
         "pair",
-        |d, e| {
+        |e, d| {
             let v = make_object::<PcVec<i64>>()?;
             v.push(d.v().id())?;
             v.push(e.v().dept_id())?;

@@ -245,8 +245,8 @@ impl<T: PcObjType> Dataset<T> {
     /// Joins with `other`. `on` supplies the join predicate over both typed
     /// inputs — it must contain at least one equality conjunct linking the
     /// two sides, from which the system extracts join keys and plans the
-    /// algorithm itself (§4: the user never names a join order). `self` is
-    /// the build side, `other` streams and probes.
+    /// algorithm itself (§4: the user never names a join order). `self`
+    /// streams and probes; `other` is hashed. Put the largest input first.
     pub fn join<U: PcObjType, R: PcObjType>(
         &self,
         other: &Dataset<U>,
@@ -272,6 +272,8 @@ impl<T: PcObjType> Dataset<T> {
 
     /// Three-way join (e.g. LDA's triples ⋈ θ ⋈ φ): one `JoinComp` whose
     /// predicate links all three inputs; the compiler plans the cascade.
+    /// `self` streams and probes through tables built on `b` and `c`. Put
+    /// the largest input first.
     pub fn join3<U: PcObjType, V: PcObjType, R: PcObjType>(
         &self,
         b: &Dataset<U>,

@@ -12,9 +12,12 @@
 //! * an edge with more than one consumer (forced materialization, as §C
 //!   prescribes).
 //!
-//! Build/probe side choice follows Appendix D.3 (the first n−1 inputs
-//! build, the last probes); [`describe_decompositions`] enumerates the
-//! alternative pipelinings of Figure 3 for inspection.
+//! Build/probe side choice follows Appendix D.3: n−1 inputs build and one
+//! probes through all of their tables. A `JOIN`'s `lhs` builds and its `rhs`
+//! probes; the compiler puts each later declared input on `lhs` and the
+//! running composite on `rhs`, so the first declared input is the one that
+//! streams. [`describe_decompositions`] enumerates the alternative
+//! pipelinings of Figure 3 for inspection.
 
 use pc_lambda::{ColumnKernel, FlatMapKernel, StageKernel, StageLibrary};
 use pc_object::{PcError, PcResult};
@@ -576,7 +579,7 @@ pub fn plan(prog: &TcapProgram) -> PcResult<PhysicalPlan> {
                     } => {
                         if cur_list == lhs_hash.list {
                             // Build side: pipeline ends here (Appendix D.3
-                            // builds from the first n-1 inputs).
+                            // builds from every input but the streamed one).
                             break Sink::JoinBuild {
                                 table: s.output.name.clone(),
                                 hash_col: lhs_hash.cols[0].clone(),
@@ -722,8 +725,9 @@ fn order_pipelines(pipelines: &mut Vec<PipelineSpec>) -> PcResult<()> {
 
 /// Enumerates alternative pipeline decompositions of a TCAP program by
 /// flipping which join side builds (Figure 3's (b)/(c) variants). Returns
-/// human-readable summaries; the executor always runs the default
-/// (left/composite side builds, per Appendix D.3).
+/// human-readable summaries; the executor always runs the default,
+/// decomposition 0: each `JOIN`'s `lhs` (a later input) builds and the first
+/// input streams through every probe, per Appendix D.3.
 pub fn describe_decompositions(prog: &TcapProgram) -> Vec<String> {
     let joins: Vec<&pc_tcap::ir::TcapStmt> = prog
         .stmts

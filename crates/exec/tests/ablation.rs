@@ -3,7 +3,7 @@
 //! and demands identical output sets. Also pins down planner shapes.
 
 use pc_core::{ClusterConfig, Dataset, Job, PcCluster};
-use pc_exec::{plan, ExecConfig, PipeOp, Sink};
+use pc_exec::{plan, ExecConfig, PipeOp, Sink, Source};
 use pc_object::{make_object, pc_object, AnyObj, Handle, PcVec, SealedPage};
 use pc_tcap::{optimize_with, OptimizerRule};
 
@@ -155,15 +155,22 @@ fn optimization_shrinks_the_program() {
 #[test]
 fn planner_shapes_match_appendix_c() {
     // A join query plans into: build pipeline (ends JoinBuild), probe
-    // pipeline (runs THROUGH the join to OUTPUT).
+    // pipeline (runs THROUGH the join to OUTPUT). The later input (tags)
+    // builds; the first (items) streams and probes.
     let mut q = query().compile().unwrap();
     pc_tcap::optimize(&mut q.tcap);
     let physical = plan(&q.tcap).unwrap();
     assert_eq!(physical.pipelines.len(), 2);
+    let source_set = |p: &pc_exec::PipelineSpec| match &p.source {
+        Source::Set { set, .. } => set.clone(),
+        other => panic!("pipeline {} reads {other:?}", p.id),
+    };
     let build = &physical.pipelines[0];
     assert!(matches!(build.sink, Sink::JoinBuild { .. }));
+    assert_eq!(source_set(build), "tags");
     let probe = &physical.pipelines[1];
     assert!(matches!(probe.sink, Sink::Output { .. }));
+    assert_eq!(source_set(probe), "items");
     assert!(
         probe
             .ops

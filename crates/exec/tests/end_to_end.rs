@@ -2,7 +2,7 @@
 //! vectorized execution, verified against straight-line Rust computations.
 
 use pc_core::{ClusterConfig, Dataset, Job, PcCluster};
-use pc_exec::ExecConfig;
+use pc_exec::{ExecConfig, PipeOp, Sink, Source};
 use pc_lambda::AggregateSpec;
 use pc_object::{
     make_object, pc_object, AnyObj, BlockRef, Handle, PcResult, PcString, PcVec, SealedPage,
@@ -31,6 +31,15 @@ pc_object! {
         (emp_name, set_emp_name): Handle<PcString>,
         (dept_name, set_dept_name): Handle<PcString>,
         (salary, set_salary): i64,
+    }
+}
+
+pc_object! {
+    /// A row of the three-way join tests: an id and two join keys.
+    pub struct Node / NodeView {
+        (id, set_id): i64,
+        (k1, set_k1): i64,
+        (k2, set_k2): i64,
     }
 }
 
@@ -113,6 +122,42 @@ fn read_all<T: pc_object::PcObjType>(ex: &PcCluster, db: &str, set: &str) -> Vec
         }
     }
     out
+}
+
+/// Asserts Appendix D.3's sides for a join query: the `JoinBuild`
+/// pipelines read exactly `build_sets`, and the one pipeline that probes
+/// starts at `probe_set` and runs through one table per build.
+fn assert_join_sides(tcap: &pc_tcap::ir::TcapProgram, probe_set: &str, build_sets: &[&str]) {
+    let mut tcap = tcap.clone();
+    pc_tcap::optimize(&mut tcap);
+    let physical = pc_exec::plan(&tcap).unwrap();
+    let set_of = |src: &Source| match src {
+        Source::Set { set, .. } => set.clone(),
+        Source::Intermediate { list, .. } => format!("__tmp:{list}"),
+    };
+    let mut builds: Vec<String> = physical
+        .pipelines
+        .iter()
+        .filter(|p| matches!(p.sink, Sink::JoinBuild { .. }))
+        .map(|p| set_of(&p.source))
+        .collect();
+    builds.sort();
+    let mut want: Vec<String> = build_sets.iter().map(|s| s.to_string()).collect();
+    want.sort();
+    assert_eq!(builds, want, "build pipelines:\n{physical}");
+    let is_probe = |op: &PipeOp| matches!(op, PipeOp::Probe { .. });
+    let probes: Vec<_> = physical
+        .pipelines
+        .iter()
+        .filter(|p| p.ops.iter().any(is_probe))
+        .collect();
+    assert_eq!(probes.len(), 1, "one probe pipeline:\n{physical}");
+    assert_eq!(set_of(&probes[0].source), probe_set, "{physical}");
+    assert_eq!(
+        probes[0].ops.iter().filter(|op| is_probe(op)).count(),
+        build_sets.len(),
+        "the probe runs through every table:\n{physical}"
+    );
 }
 
 /// Expected salaries per the generator above.
@@ -203,23 +248,33 @@ fn two_way_join_with_pushdown() {
         q.tcap
     );
 
-    ex.execute(&q).unwrap();
-    let got = read_all::<Placement>(&ex, "db", "placements");
-    let expected: Vec<(i64, i64)> = expected_salaries(300)
+    // The first input (emps) streams and probes; depts builds.
+    assert_join_sides(&q.tcap, "emps", &["depts"]);
+
+    let stats = ex.execute(&q).unwrap().exec;
+    let depts: std::collections::HashMap<i64, String> =
+        (0..7).map(|d| (d, format!("dept{d}"))).collect();
+    let mut want: Vec<(String, String, i64)> = expected_salaries(300)
         .into_iter()
-        .filter(|(s, _)| *s > 60_000)
+        .enumerate()
+        .filter(|(_, (s, _))| *s > 60_000)
+        .map(|(i, (s, d))| (format!("emp{i}"), depts[&d].clone(), s))
         .collect();
-    assert_eq!(
-        got.len(),
-        expected.len(),
-        "one match per qualifying employee"
-    );
-    for p in &got {
-        assert!(p.v().salary() > 60_000);
-        // dept name must correspond to the employee's department
-        let dn = p.v().dept_name();
-        assert!(dn.as_str().starts_with("dept"), "{}", dn.as_str());
-    }
+    want.sort();
+    let mut got: Vec<(String, String, i64)> = read_all::<Placement>(&ex, "db", "placements")
+        .iter()
+        .map(|p| {
+            (
+                p.v().emp_name().as_str().to_string(),
+                p.v().dept_name().as_str().to_string(),
+                p.v().salary(),
+            )
+        })
+        .collect();
+    got.sort();
+    assert_eq!(got, want);
+    // Every probe row is an employee that passed the pushed-down filter.
+    assert_eq!(stats.rows_probed, want.len() as u64);
 }
 
 struct DeptAgg;
@@ -325,57 +380,97 @@ fn multi_selection_flatmap() {
     }
 }
 
+fn load_nodes(ex: &PcCluster, set: &str, rows: &[(i64, i64, i64)]) {
+    ex.create_or_clear_set("db", set).unwrap();
+    let mut w = pc_lambda::SetWriter::new(1 << 16);
+    for &(id, k1, k2) in rows {
+        w.write_with(|| {
+            let n = make_object::<Node>()?;
+            n.v().set_id(id)?;
+            n.v().set_k1(k1)?;
+            n.v().set_k2(k2)?;
+            Ok(n.erase())
+        })
+        .unwrap();
+    }
+    ex.send_pages("db", set, w.finish().unwrap()).unwrap();
+}
+
+/// A big input `a` joined with two small ones, `b` on `k1` and `c` on `k2`:
+/// a star takes both keys from `a`, a chain takes `c`'s key from `b`.
 #[test]
 fn three_way_join_cascades() {
     let ex = setup();
-    // Three tiny sets keyed to each other.
-    for (set, n) in [("a", 10usize), ("b", 10), ("c", 10)] {
-        ex.create_or_clear_set("db", set).unwrap();
-        let mut w = pc_lambda::SetWriter::new(1 << 16);
-        for i in 0..n {
-            w.write_with(|| {
-                let e = make_object::<Emp>()?;
-                e.v().set_salary(i as i64 * 10)?;
-                e.v().set_dept_id((i % 5) as i64)?;
-                e.v().set_name(PcString::make(&format!("{set}{i}"))?)?;
-                Ok(e.erase())
-            })
+    let a: Vec<(i64, i64, i64)> = (0..60).map(|i| (i, i % 5, i % 4)).collect();
+    let b: Vec<(i64, i64, i64)> = (0..10).map(|i| (100 + i, i % 5, i % 3)).collect();
+    let c: Vec<(i64, i64, i64)> = (0..6).map(|i| (200 + i, 0, i % 4)).collect();
+    load_nodes(&ex, "a", &a);
+    load_nodes(&ex, "b", &b);
+    load_nodes(&ex, "c", &c);
+
+    for star in [true, false] {
+        ex.create_or_clear_set("db", "triples").unwrap();
+        let k1 = |n: &Handle<Node>| n.v().k1();
+        let k2 = |n: &Handle<Node>| n.v().k2();
+        let triples = Dataset::<Node>::scan("db", "a").join3(
+            &Dataset::<Node>::scan("db", "b"),
+            &Dataset::<Node>::scan("db", "c"),
+            move |x, y, z| {
+                let second = if star {
+                    x.member("k2", k2)
+                } else {
+                    y.member("k2", k2)
+                };
+                x.member("k1", k1)
+                    .eq(y.member("k1", k1))
+                    .and(second.eq(z.member("k2", k2)))
+            },
+            "mkTriple",
+            |x, y, z| {
+                let v = make_object::<PcVec<i64>>()?;
+                v.push(x.v().id())?;
+                v.push(y.v().id())?;
+                v.push(z.v().id())?;
+                Ok(v)
+            },
+        );
+        let q = Job::new()
+            .add(triples.write_to("db", "triples"))
+            .compile()
             .unwrap();
+        assert_join_sides(&q.tcap, "a", &["b", "c"]);
+        let stats = ex.execute(&q).unwrap().exec;
+
+        // Hash-map reference: b by k1, c by k2.
+        let mut b_by_k1: std::collections::HashMap<i64, Vec<(i64, i64)>> = Default::default();
+        for &(id, k1, k2) in &b {
+            b_by_k1.entry(k1).or_default().push((id, k2));
         }
-        ex.send_pages("db", set, w.finish().unwrap()).unwrap();
-    }
-    ex.create_or_clear_set("db", "triples").unwrap();
-
-    let key = |e: &Handle<Emp>| e.v().dept_id();
-    let triples = Dataset::<Emp>::scan("db", "a").join3(
-        &Dataset::<Emp>::scan("db", "b"),
-        &Dataset::<Emp>::scan("db", "c"),
-        |a, b, c| {
-            a.member("deptId", key)
-                .eq(b.member("deptId", key))
-                .and(b.member("deptId", key).eq(c.member("deptId", key)))
-        },
-        "mkTriple",
-        |x, y, z| {
-            let v = make_object::<PcVec<i64>>()?;
-            v.push(x.v().dept_id())?;
-            v.push(y.v().dept_id())?;
-            v.push(z.v().dept_id())?;
-            Ok(v)
-        },
-    );
-    let q = Job::new()
-        .add(triples.write_to("db", "triples"))
-        .compile()
-        .unwrap();
-    ex.execute(&q).unwrap();
-
-    let got = read_all::<PcVec<i64>>(&ex, "db", "triples");
-    // Each dept 0..5 has 2 members in each set: 5 * 2^3 = 40 triples.
-    assert_eq!(got.len(), 40);
-    for v in &got {
-        assert_eq!(v.get(0), v.get(1));
-        assert_eq!(v.get(1), v.get(2));
+        let mut c_by_k2: std::collections::HashMap<i64, Vec<i64>> = Default::default();
+        for &(id, _, k2) in &c {
+            c_by_k2.entry(k2).or_default().push(id);
+        }
+        let mut a_join_b = 0u64;
+        let mut want: Vec<(i64, i64, i64)> = Vec::new();
+        for &(ai, ak1, ak2) in &a {
+            for &(bi, bk2) in b_by_k1.get(&ak1).into_iter().flatten() {
+                a_join_b += 1;
+                let key = if star { ak2 } else { bk2 };
+                for &ci in c_by_k2.get(&key).into_iter().flatten() {
+                    want.push((ai, bi, ci));
+                }
+            }
+        }
+        want.sort_unstable();
+        let mut got: Vec<(i64, i64, i64)> = read_all::<PcVec<i64>>(&ex, "db", "triples")
+            .iter()
+            .map(|v| (v.get(0), v.get(1), v.get(2)))
+            .collect();
+        got.sort_unstable();
+        assert!(!want.is_empty());
+        assert_eq!(got, want, "star: {star}");
+        // `a` probes b's table, then the a ⋈ b rows probe c's.
+        assert_eq!(stats.rows_probed, a.len() as u64 + a_join_b, "star: {star}");
     }
 }
 

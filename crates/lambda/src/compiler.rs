@@ -496,6 +496,12 @@ impl Compiler {
 /// Plans and emits an n-ary hash join: key extraction + HASH per side, a
 /// left-deep JOIN cascade, then all conjuncts re-checked post-join, then
 /// the projection. `side` holds each input position's (list, object column).
+///
+/// Appendix D.3 with the probe named by declaration order: input 0 streams,
+/// and each later input builds a table. Every `JOIN` takes the newcomer as
+/// `lhs` (the side the planner builds) and the running composite as `rhs`
+/// (the side that probes), so the composite's pipeline starts at input 0
+/// and runs through one table per newcomer.
 fn compile_join(
     c: &mut Compiler,
     comp: &str,
@@ -547,23 +553,23 @@ fn compile_join(
             (l, rt, lt)
         };
 
-        // Build side (the already-joined composite): extract key + hash.
-        let lk = c.emit_term(jt, comp, &mut n, &mut cur, &col_of)?;
-        let lh = c.hash(&mut cur, comp, &lk, &mut n);
-        let left_list = cur.name.clone();
-        let left_objs: Vec<String> = joined.iter().map(|p| side[*p].1.clone()).collect();
+        // Probe side (the already-joined composite): extract key + hash.
+        let pk = c.emit_term(jt, comp, &mut n, &mut cur, &col_of)?;
+        let ph = c.hash(&mut cur, comp, &pk, &mut n);
+        let probe_list = cur.name.clone();
+        let probe_objs: Vec<String> = joined.iter().map(|p| side[*p].1.clone()).collect();
 
-        // Probe side (the newcomer input).
-        let mut rcur = CurList {
+        // Build side (the newcomer input).
+        let mut bcur = CurList {
             name: side[newcomer].0.clone(),
             cols: vec![side[newcomer].1.clone()],
         };
-        let rk = c.emit_term(nt, comp, &mut n, &mut rcur, &col_of)?;
-        let rh = c.hash(&mut rcur, comp, &rk, &mut n);
+        let bk = c.emit_term(nt, comp, &mut n, &mut bcur, &col_of)?;
+        let bh = c.hash(&mut bcur, comp, &bk, &mut n);
 
-        // JOIN statement.
+        // JOIN statement: `lhs` builds, `rhs` probes.
         let out = c.fresh_list("J");
-        let mut out_cols = left_objs.clone();
+        let mut out_cols = probe_objs.clone();
         out_cols.push(side[newcomer].1.clone());
         c.stmts.push(TcapStmt {
             output: VecListDecl {
@@ -572,20 +578,20 @@ fn compile_join(
             },
             op: TcapOp::Join {
                 lhs_hash: ColRef {
-                    list: left_list.clone(),
-                    cols: vec![lh],
+                    list: bcur.name.clone(),
+                    cols: vec![bh],
                 },
                 lhs_copy: ColRef {
-                    list: left_list,
-                    cols: left_objs,
+                    list: bcur.name.clone(),
+                    cols: vec![side[newcomer].1.clone()],
                 },
                 rhs_hash: ColRef {
-                    list: rcur.name.clone(),
-                    cols: vec![rh],
+                    list: probe_list.clone(),
+                    cols: vec![ph],
                 },
                 rhs_copy: ColRef {
-                    list: rcur.name.clone(),
-                    cols: vec![side[newcomer].1.clone()],
+                    list: probe_list,
+                    cols: probe_objs,
                 },
                 computation: comp.to_string(),
                 meta: vec![],

@@ -505,8 +505,9 @@ impl BaselineLda {
             out
         });
 
-        // θ update.
-        let doc_counts = assignments
+        // θ update. `reduce_by_key` emits in hash-map order, so sort by doc
+        // before drawing: θ must be a function of the seed alone.
+        let mut doc_counts = assignments
             .map(|(d, (_w, counts))| (d, counts))
             .reduce_by_key(|mut a, b| {
                 for (x, y) in a.iter_mut().zip(&b) {
@@ -515,6 +516,7 @@ impl BaselineLda {
                 a
             })
             .collect();
+        doc_counts.sort_unstable_by_key(|(d, _)| *d);
         for (d, counts) in doc_counts {
             let alpha: Vec<f64> = counts.iter().map(|c| c + self.alpha).collect();
             sampling::sample_dirichlet(&mut self.rng, &alpha, &mut self.theta[d as usize]);
@@ -539,9 +541,9 @@ impl BaselineLda {
         for (t, counts) in per_topic.iter().enumerate() {
             sampling::sample_dirichlet(&mut self.rng, counts, &mut phi_rows[t]);
         }
-        for w in 0..self.vocab {
-            for t in 0..k {
-                self.phi_by_word[w][t] = phi_rows[t][w];
+        for (w, probs) in self.phi_by_word.iter_mut().enumerate() {
+            for (p, row) in probs.iter_mut().zip(&phi_rows) {
+                *p = row[w];
             }
         }
         let _ = self.docs;
@@ -566,7 +568,7 @@ pub fn synthetic_corpus(
     let mut triples = Vec::new();
     for d in 0..docs {
         let topic = d % true_topics;
-        let mut counts: std::collections::HashMap<i64, i64> = Default::default();
+        let mut counts: std::collections::BTreeMap<i64, i64> = Default::default();
         for _ in 0..words_per_doc {
             let w = (topic * pool + rng.random_range(0..pool)) as i64;
             *counts.entry(w).or_insert(0) += 1;
@@ -607,6 +609,33 @@ mod tests {
         }
         let sharp = topic_sharpness(&theta);
         assert!(sharp > 0.65, "topics should concentrate, sharpness {sharp}");
+    }
+
+    #[test]
+    fn baseline_lda_is_a_function_of_its_seed() {
+        let triples = synthetic_corpus(30, 40, 2, 25, 5);
+        assert_eq!(triples, synthetic_corpus(30, 40, 2, 25, 5));
+        for tuning in [
+            LdaTuning::Vanilla,
+            LdaTuning::JoinHint,
+            LdaTuning::ForcedPersist,
+            LdaTuning::HandCodedSampler,
+        ] {
+            let run = || {
+                let eng = SparkLike::new(SparkConfig {
+                    partitions: 2,
+                    storage: StorageLevel::Serialized,
+                    ..Default::default()
+                });
+                let mut lda =
+                    BaselineLda::init(&eng, tuning, triples.clone(), 30, 40, 2, 0.1, 0.1, 9);
+                for _ in 0..3 {
+                    lda.iterate();
+                }
+                lda.theta().to_vec()
+            };
+            assert_eq!(run(), run(), "{tuning:?}: same seed, different θ");
+        }
     }
 
     #[test]

@@ -315,7 +315,9 @@ fn two_sinks_naming_one_set_are_rejected() {
 
 /// The TCAP text of a two-sink job whose sinks share an upstream `filter`
 /// and `flat_map`, feeding a three-way join over an aggregation. Pins node
-/// numbering, list names and statement order of the compiler's output.
+/// numbering, list names and statement order of the compiler's output, and
+/// each `JOIN`'s sides: the later input is `lhs` and builds, the running
+/// composite that starts at the aggregation is `rhs` and probes.
 const GOLDEN_TCAP: &str = "\
 In_0(in0) <= INPUT('shop', 'sales', 'Reader_0', []);\n\
 W_1(in0,mt1) <= APPLY(In_0(in0), In_0(in0), 'Sel_1', 'att_acc_1', [('type', 'attAccess'), ('attName', 'amount')]);\n\
@@ -329,12 +331,12 @@ W_5(out4,mt1) <= APPLY(Ag_4(out4), Ag_4(out4), 'Join_6', 'att_acc_1', [('type', 
 H_6(out4,mt1,hash2) <= HASH(W_5(mt1), W_5(out4,mt1), 'Join_6', [('type', 'hashOne')]);\n\
 W_7(in5,mt3) <= APPLY(In_5(in5), In_5(in5), 'Join_6', 'att_acc_3', [('type', 'attAccess'), ('attName', 'id')]);\n\
 H_8(in5,mt3,hash4) <= HASH(W_7(mt3), W_7(in5,mt3), 'Join_6', [('type', 'hashOne')]);\n\
-J_9(out4,in5) <= JOIN(H_6(hash2), H_6(out4), H_8(hash4), H_8(in5), 'Join_6', []);\n\
+J_9(out4,in5) <= JOIN(H_8(hash4), H_8(in5), H_6(hash2), H_6(out4), 'Join_6', []);\n\
 W_10(out4,in5,mt5) <= APPLY(J_9(in5), J_9(out4,in5), 'Join_6', 'att_acc_5', [('type', 'attAccess'), ('attName', 'id')]);\n\
 H_11(out4,in5,mt5,hash6) <= HASH(W_10(mt5), W_10(out4,in5,mt5), 'Join_6', [('type', 'hashOne')]);\n\
 W_12(out2,mt7) <= APPLY(FM_4(out2), FM_4(out2), 'Join_6', 'att_acc_7', [('type', 'attAccess'), ('attName', 'region')]);\n\
 H_13(out2,mt7,hash8) <= HASH(W_12(mt7), W_12(out2,mt7), 'Join_6', [('type', 'hashOne')]);\n\
-J_14(out4,in5,out2) <= JOIN(H_11(hash6), H_11(out4,in5), H_13(hash8), H_13(out2), 'Join_6', []);\n\
+J_14(out4,in5,out2) <= JOIN(H_13(hash8), H_13(out2), H_11(hash6), H_11(out4,in5), 'Join_6', []);\n\
 W_15(out4,in5,out2,mt9) <= APPLY(J_14(out4), J_14(out4,in5,out2), 'Join_6', 'att_acc_9', [('type', 'attAccess'), ('attName', 'region')]);\n\
 W_16(out4,in5,out2,mt9,mt10) <= APPLY(W_15(in5), W_15(out4,in5,out2,mt9), 'Join_6', 'att_acc_10', [('type', 'attAccess'), ('attName', 'id')]);\n\
 W_17(out4,in5,out2,mt9,mt10,bl11) <= APPLY(W_16(mt9,mt10), W_16(out4,in5,out2,mt9,mt10), 'Join_6', '==_11', [('type', 'equalityCheck'), ('op', '==')]);\n\
