@@ -26,7 +26,8 @@ pc_object! {
 /// The §5.2 three-way-join chain, compiled and printed (Figure 1: the
 /// first stages extract `Dep.deptName` and `Emp::getDeptName()`, compare,
 /// and filter). Built over *unbound* datasets — compiling a job needs no
-/// live cluster.
+/// live cluster. It keeps the paper's Dep, Emp, Sup order, so `deps` is
+/// the input that streams.
 fn join_job() -> Job {
     let dep = Dataset::<Dep>::scan("db", "deps");
     let emp = Dataset::<Emp>::scan("db", "emps");

@@ -103,14 +103,14 @@ fn flatmap_job() -> Job {
 }
 
 fn join_job() -> Job {
-    let pairs = Dataset::<VDept>::scan("db", "depts").join(
-        &Dataset::<VEmp>::scan("db", "emps"),
-        |d, e| {
+    let pairs = Dataset::<VEmp>::scan("db", "emps").join(
+        &Dataset::<VDept>::scan("db", "depts"),
+        |e, d| {
             d.member("id", |d| d.v().id())
                 .eq(e.member("deptId", |e| e.v().dept_id()))
         },
         "pair",
-        |d, _e| Ok(d.clone()),
+        |_e, d| Ok(d.clone()),
     );
     Job::new().add(pairs.write_to("db", "pairs"))
 }
@@ -119,10 +119,10 @@ fn join3_job() -> Job {
     let dep = Dataset::<VDept>::scan("db", "depts");
     let emp = Dataset::<VEmp>::scan("db", "emps");
     let sup = Dataset::<VEmp>::scan("db", "sups");
-    let joined = dep.join3(
-        &emp,
+    let joined = emp.join3(
+        &dep,
         &sup,
-        |d, e, s| {
+        |e, d, s| {
             d.member("id", |d| d.v().id())
                 .eq(e.method("getDeptId", |e| e.v().dept_id()))
                 .and(
@@ -131,7 +131,7 @@ fn join3_job() -> Job {
                 )
         },
         "mkResult",
-        |d, _e, _s| Ok(d.clone()),
+        |_e, d, _s| Ok(d.clone()),
     );
     Job::new().add(joined.write_to("db", "out"))
 }

@@ -66,7 +66,8 @@ fn load(c: &PcCluster, n: usize, layout: &[(usize, u8)], seed: u64) {
         }
         c.send_pages("db", "recs", w.finish().unwrap()).unwrap();
     }
-    // The probe side for the join: one row per possible key.
+    // The join's first input, which streams and probes: one row per
+    // possible key.
     c.create_or_clear_set("db", "dim").unwrap();
     let mut w = SetWriter::new(1 << 13);
     for d in 0..97i64 {
@@ -111,13 +112,13 @@ fn run_case(
         Ok(out)
     });
 
-    // Join-build lane: the big seeded set is the LEFT dataset, so it feeds
-    // the parallel build sink; `dim` streams and probes.
-    let joined = Dataset::<Rec>::scan("db", "recs").join(
-        &Dataset::<Rec>::scan("db", "dim"),
-        |a, b| key_of(a).eq(key_of(b)),
+    // Join-build lane: the big seeded set is the LATER input, so it feeds
+    // the parallel build sink; `dim` comes first, streams and probes.
+    let joined = Dataset::<Rec>::scan("db", "dim").join(
+        &Dataset::<Rec>::scan("db", "recs"),
+        |b, a| key_of(a).eq(key_of(b)),
         "mkPair",
-        |a, b| {
+        |b, a| {
             let v = make_object::<PcVec<i64>>()?;
             v.push(a.v().key())?;
             v.push(a.v().val() + b.v().val())?;

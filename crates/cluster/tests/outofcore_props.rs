@@ -119,11 +119,12 @@ impl AggregateSpec for SumAgg {
 fn run_query(c: &PcCluster, poison_after: Option<i64>) -> PcResult<(Vec<Vec<u8>>, ClusterStats)> {
     c.create_or_clear_set("db", "sums").unwrap();
     let poison_budget = poison_after.map(AtomicI64::new);
-    let joined = Dataset::<Rec>::scan("db", "big").join(
-        &Dataset::<Rec>::scan("db", "dim"),
-        |a, b| key_of(a).eq(key_of(b)),
+    // `dim` comes first and streams; `big` is the later input, so it builds.
+    let joined = Dataset::<Rec>::scan("db", "dim").join(
+        &Dataset::<Rec>::scan("db", "big"),
+        |b, a| key_of(a).eq(key_of(b)),
         "oocPair",
-        move |a, b| {
+        move |b, a| {
             if let Some(left) = &poison_budget {
                 if left.fetch_sub(1, Ordering::Relaxed) <= 0 {
                     return Err(PcError::Catalog("injected mid-stage abort".into()));
@@ -193,6 +194,10 @@ proptest! {
         prop_assert!(
             stats.exec.join_partitions_spilled + stats.exec.agg_pages_spilled > 0,
             "[{}] budgeted run never spilled", label
+        );
+        prop_assert!(
+            stats.exec.join_partitions_spilled > 0,
+            "[{}] join build never spilled", label
         );
         let (leaked, reserved) = leaked_and_reserved(&c);
         prop_assert_eq!(leaked, 0, "[{}] leaked spill files", &label);
