@@ -74,15 +74,16 @@ pub fn figure2() {
     println!("  [5] Reader(theta)       ──┼─> [7] JoinComp (triples ⋈ theta on doc)");
     println!("  [6] Reader(phi_by_word) ──┘       ⋈ phi on word (3-way cascade)");
     println!("  [8] projection: multinomial assignment sampler (native lambda)");
-    println!("  [9] Writer(assignments)");
-    println!("  [10] Reader(assignments) ─> [11] AggregateComp by doc  ─> [12] Writer(theta_rows)");
-    println!("  [13] retype theta_rows -> theta (Selection)");
-    println!("  [14] Reader(assignments) ─> [15] AggregateComp by word ─> Writer(word_counts)");
-    println!("  [16] driver: Dirichlet(beta + per-topic counts) ─> Writer(phi_by_word)");
+    println!("  [9] Writer(assignments)                 (end of job 1)");
+    println!("  [10] Reader(assignments)                (job 2: one job, two sinks)");
+    println!("       ├─> [11] AggregateComp by doc  ─> [12] Writer(theta)");
+    println!("       └─> [13] AggregateComp by word ─> [14] Writer(word_counts)");
+    println!("  [15] driver: Dirichlet(beta + per-topic counts) ─> Writer(phi_by_word)");
     println!();
-    println!("15+ computations per round trip, matching the paper's count;");
-    println!("each iteration runs a 3-way JoinComp, a MultiSelection-style");
-    println!("sampler, and two AggregateComps, as in Figure 2 of the paper.");
+    println!("Two engine jobs per iteration: a 3-way JoinComp whose projection is");
+    println!("the multinomial sampler, then two AggregateComps over one reader of");
+    println!("its output, as in Figure 2 of the paper. The θ aggregation emits");
+    println!("DocProbs rows straight into `theta`; the driver draws φ (K is tiny).");
 }
 
 /// Figure 3: alternative pipeline decompositions of a 3-join TCAP DAG.

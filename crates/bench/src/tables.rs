@@ -444,7 +444,40 @@ pub fn table3(quick: bool) {
     }
 }
 
+/// The bar `pc-ml`'s `baseline_ladder_all_rungs_agree_statistically` sets
+/// for the mean of each document's largest topic probability.
+const LDA_SHARPNESS: f64 = 0.7;
+
+/// Gibbs sweeps every Table 4 system has run when its θ is checked: the
+/// full-size corpus first clears [`LDA_SHARPNESS`] after about 12.
+const LDA_SWEEPS: usize = 16;
+
+/// Mean of each θ row's largest probability, after asserting every row sums
+/// to 1; panics unless it clears [`LDA_SHARPNESS`].
+fn lda_sharpness<'a>(system: &str, theta: impl ExactSizeIterator<Item = &'a [f64]>) -> f64 {
+    let docs = theta.len();
+    let mut sum = 0.0;
+    for (d, p) in theta.enumerate() {
+        let total: f64 = p.iter().sum();
+        assert!(
+            (total - 1.0).abs() < 1e-9,
+            "{system}: θ row {d} sums to {total}"
+        );
+        sum += p.iter().cloned().fold(0.0, f64::max);
+    }
+    let sharp = sum / docs as f64;
+    assert!(
+        sharp > LDA_SHARPNESS,
+        "{system}: topic sharpness {sharp:.3} is not above {LDA_SHARPNESS}"
+    );
+    sharp
+}
+
 /// Table 4: LDA per-iteration times, PC vs the baseline tuning ladder.
+/// After [`LDA_SWEEPS`] sweeps (the untimed ones follow the timed ones),
+/// every system's θ must be a distribution per document and clear the
+/// sharpness bar, or the table panics. The corpus draws each document from
+/// one of `topics` word pools, so a converged θ row is nearly one-hot.
 pub fn table4(quick: bool) {
     println!("Table 4: PC vs baseline for LDA (per-iteration average)");
     let (docs, vocab, topics, wpd, iters) = if quick {
@@ -452,9 +485,12 @@ pub fn table4(quick: bool) {
     } else {
         (400, 2000, 20, 120, 3)
     };
-    let triples = synthetic_corpus(docs, vocab, 4, wpd, 11);
-    let w = [26usize, 14];
-    row(&["system".into(), "per-iteration".into()], &w);
+    let triples = synthetic_corpus(docs, vocab, topics, wpd, 11);
+    let w = [26usize, 14, 10];
+    row(
+        &["system".into(), "per-iteration".into(), "sharpness".into()],
+        &w,
+    );
 
     let client = bench_client();
     let mut pc = PcLda::init(&client, "lda", &triples, docs, vocab, topics, 0.1, 0.1, 5).unwrap();
@@ -464,7 +500,20 @@ pub fn table4(quick: bool) {
             pc.iterate().unwrap();
         }
     });
-    row(&["PlinyCompute".into(), fmt_dur(t / iters as u32)], &w);
+    for _ in iters + 1..LDA_SWEEPS {
+        pc.iterate().unwrap();
+    }
+    let theta = pc.theta().unwrap();
+    assert_eq!(theta.len(), docs, "PlinyCompute: θ rows");
+    let sharp = lda_sharpness("PlinyCompute", theta.iter().map(|(_, p)| &p[..]));
+    row(
+        &[
+            "PlinyCompute".into(),
+            fmt_dur(t / iters as u32),
+            format!("{sharp:.3}"),
+        ],
+        &w,
+    );
 
     for (name, tuning) in [
         ("base 1: vanilla", LdaTuning::Vanilla),
@@ -490,7 +539,18 @@ pub fn table4(quick: bool) {
                 lda.iterate();
             }
         });
-        row(&[name.into(), fmt_dur(t / iters as u32)], &w);
+        for _ in iters + 1..LDA_SWEEPS {
+            lda.iterate();
+        }
+        let sharp = lda_sharpness(name, lda.theta().iter().map(|p| &p[..]));
+        row(
+            &[
+                name.into(),
+                fmt_dur(t / iters as u32),
+                format!("{sharp:.3}"),
+            ],
+            &w,
+        );
     }
 }
 

@@ -1,20 +1,21 @@
 //! Word-based, non-collapsed Gibbs LDA (§8.5.1, Figure 2).
 //!
 //! The fundamental records are `(docID, wordID, count)` triples. Each
-//! iteration:
+//! iteration runs two engine jobs:
 //!
 //! 1. a **three-way join** pairs every triple with its document's topic
 //!    probabilities θ_d and its word's per-topic probabilities φ_{·,w}
 //!    (the "many-to-one join between words and the
 //!    topic-probability-per-document vectors" the paper calls out as the
-//!    hard part);
-//! 2. the join projection samples the word's topic assignments from a
-//!    multinomial over θ_d ⊙ φ_{·,w};
-//! 3. aggregations rebuild both factors: per-document topic counts →
-//!    θ'_d ~ Dirichlet(α + counts), per-topic word counts →
-//!    φ'_k ~ Dirichlet(β + counts);
-//! 4. a multi-selection + aggregation transposes φ back to per-word form
-//!    for the next iteration's join.
+//!    hard part). Its projection samples the word's topic assignments from
+//!    a multinomial over θ_d ⊙ φ_{·,w}, and the job stores them in
+//!    `assignments`;
+//! 2. one job runs two aggregations over `assignments`: per-document
+//!    topic counts → θ'_d ~ Dirichlet(α + counts), written straight to
+//!    `theta`, and per-word topic counts, written to `word_counts`;
+//! 3. the driver reads `word_counts`, draws φ'_k ~ Dirichlet(β + counts)
+//!    for each of the K topics, and stores the per-word transpose in
+//!    `phi_by_word` for the next iteration's join.
 //!
 //! The baseline implementation exposes Table 4's tuning ladder via
 //! [`LdaTuning`]: vanilla shuffle joins with a generic allocation-heavy
@@ -27,6 +28,7 @@ use pc_core::prelude::*;
 use pc_object::PcValue;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::marker::PhantomData;
 
 pc_object! {
     /// One (docID, wordID, count) triple.
@@ -47,7 +49,8 @@ pc_object! {
 
 pc_object! {
     /// φ_{·,w}: one word's probability under each topic (the transposed
-    /// factor used by the join).
+    /// factor used by the join). The `word_counts` set reuses it for one
+    /// word's raw topic counts.
     pub struct WordProbs / WordProbsView {
         (word, set_word): i64,
         (probs, set_probs): Handle<PcVec<f64>>,
@@ -63,14 +66,6 @@ pc_object! {
     }
 }
 
-pc_object! {
-    /// A resampled factor row (doc→θ or topic→φ).
-    pub struct FactorRow / FactorRowView {
-        (id, set_id): i64,
-        (probs, set_probs): Handle<PcVec<f64>>,
-    }
-}
-
 /// The generator for one keyed draw of one iteration. Every join row and
 /// every aggregated key draws from its own stream, so what it samples does
 /// not depend on which thread runs it or in what order.
@@ -81,31 +76,72 @@ fn keyed_rng(seed: u64, key: &[i64]) -> StdRng {
     )
 }
 
-/// Aggregation rebuilding a factor: sums count vectors per key, then
-/// samples Dirichlet(prior + counts) in finalize.
-struct FactorAgg {
-    width: usize,
-    prior: f64,
-    /// The iteration seed: finalize draws key `k` from `keyed_rng(seed, [k])`.
-    seed: u64,
-    by_doc: bool, // key by doc (θ) or by word (per-word topic counts)
-    /// true → finalize samples Dirichlet(prior + counts); false → finalize
-    /// emits the raw summed counts (the φ path gathers counts first).
-    sample: bool,
+/// A factor row keyed by one id of an [`Assignment`]: θ rows by doc, the
+/// per-word topic counts by word.
+trait Factor: PcObjType + Sized {
+    fn key(a: &Handle<Assignment>) -> i64;
+    fn row(id: i64, values: &[f64]) -> PcResult<Handle<Self>>;
 }
 
-impl AggregateSpec for FactorAgg {
+impl Factor for DocProbs {
+    fn key(a: &Handle<Assignment>) -> i64 {
+        a.v().doc()
+    }
+
+    fn row(id: i64, values: &[f64]) -> PcResult<Handle<Self>> {
+        let row = make_object::<DocProbs>()?;
+        row.v().set_doc(id)?;
+        let pv = make_object::<PcVec<f64>>()?;
+        pv.extend_from_slice(values)?;
+        row.v().set_probs(pv)?;
+        Ok(row)
+    }
+}
+
+impl Factor for WordProbs {
+    fn key(a: &Handle<Assignment>) -> i64 {
+        a.v().word()
+    }
+
+    fn row(id: i64, values: &[f64]) -> PcResult<Handle<Self>> {
+        let row = make_object::<WordProbs>()?;
+        row.v().set_word(id)?;
+        let pv = make_object::<PcVec<f64>>()?;
+        pv.extend_from_slice(values)?;
+        row.v().set_probs(pv)?;
+        Ok(row)
+    }
+}
+
+/// Aggregation rebuilding a factor: sums count vectors per key into one
+/// `O` row.
+struct FactorAgg<O> {
+    width: usize,
+    /// `Some((prior, seed))`: finalize draws key `k`'s row from
+    /// Dirichlet(prior + counts) with `keyed_rng(seed, [k])`. `None`: the
+    /// row holds the raw summed counts.
+    dirichlet: Option<(f64, u64)>,
+    out: PhantomData<fn() -> O>,
+}
+
+impl<O> FactorAgg<O> {
+    fn new(width: usize, dirichlet: Option<(f64, u64)>) -> Self {
+        FactorAgg {
+            width,
+            dirichlet,
+            out: PhantomData,
+        }
+    }
+}
+
+impl<O: Factor> AggregateSpec for FactorAgg<O> {
     type In = Assignment;
     type Key = i64;
     type Val = Handle<PcVec<f64>>;
-    type Out = FactorRow;
+    type Out = O;
 
     fn key_of(&self, rec: &Handle<Assignment>) -> PcResult<i64> {
-        Ok(if self.by_doc {
-            rec.v().doc()
-        } else {
-            rec.v().word()
-        })
+        Ok(O::key(rec))
     }
 
     fn init(&self, b: &BlockRef, rec: &Handle<Assignment>) -> PcResult<Handle<PcVec<f64>>> {
@@ -137,22 +173,16 @@ impl AggregateSpec for FactorAgg {
         Ok(())
     }
 
-    fn finalize(&self, key: &i64, b: &BlockRef, slot: u32) -> PcResult<Handle<FactorRow>> {
+    fn finalize(&self, key: &i64, b: &BlockRef, slot: u32) -> PcResult<Handle<O>> {
         let acc = <Handle<PcVec<f64>> as PcValue>::load(b, slot);
         let counts = acc.as_slice();
+        let Some((prior, seed)) = self.dirichlet else {
+            return O::row(*key, counts);
+        };
+        let alpha: Vec<f64> = counts.iter().map(|c| c + prior).collect();
         let mut probs = vec![0.0; self.width];
-        if self.sample {
-            let alpha: Vec<f64> = counts.iter().map(|c| c + self.prior).collect();
-            sampling::sample_dirichlet(&mut keyed_rng(self.seed, &[*key]), &alpha, &mut probs);
-        } else {
-            probs.copy_from_slice(counts);
-        }
-        let out = make_object::<FactorRow>()?;
-        out.v().set_id(*key)?;
-        let pv = make_object::<PcVec<f64>>()?;
-        pv.extend_from_slice(&probs)?;
-        out.v().set_probs(pv)?;
-        Ok(out)
+        sampling::sample_dirichlet(&mut keyed_rng(seed, &[*key]), &alpha, &mut probs);
+        O::row(*key, &probs)
     }
 }
 
@@ -168,11 +198,13 @@ pub struct PcLda {
     /// Driver-side stream: initial factors, one seed per iteration, and the
     /// φ resampling, all drawn sequentially.
     rng: StdRng,
-    iter: usize,
 }
 
 impl PcLda {
-    /// Loads triples and Dirichlet-initializes both factors.
+    /// Loads triples and Dirichlet-initializes both factors. A triple whose
+    /// doc is outside `0..docs` or whose word is outside `0..vocab` is an
+    /// error, since the join would silently drop it; so is a count the
+    /// sampler cannot draw as a `u32`.
     #[allow(clippy::too_many_arguments)]
     pub fn init(
         client: &PcClient,
@@ -185,6 +217,20 @@ impl PcLda {
         beta: f64,
         seed: u64,
     ) -> PcResult<Self> {
+        for &(d, w, c) in triples {
+            let bad = if !(0..docs as i64).contains(&d) {
+                format!("doc {d} is outside 0..{docs}")
+            } else if !(0..vocab as i64).contains(&w) {
+                format!("word {w} is outside 0..{vocab}")
+            } else if u32::try_from(c).is_err() {
+                format!("count {c} is outside 0..={}", u32::MAX)
+            } else {
+                continue;
+            };
+            return Err(PcError::Catalog(format!(
+                "LDA triple ({d}, {w}, {c}): {bad}"
+            )));
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         client.create_or_clear_set(db, "triples")?;
         client.store(db, "triples", triples.len(), |i| {
@@ -195,29 +241,18 @@ impl PcLda {
             t.v().set_count(*c)?;
             Ok(t.erase())
         })?;
-        // θ rows.
+        let mut draw = || {
+            let mut probs = vec![0.0; topics];
+            sampling::sample_dirichlet(&mut rng, &vec![1.0; topics], &mut probs);
+            probs
+        };
         client.create_or_clear_set(db, "theta")?;
         client.store(db, "theta", docs, |d| {
-            let mut probs = vec![0.0; topics];
-            sampling::sample_dirichlet(&mut rng, &vec![1.0; topics], &mut probs);
-            let row = make_object::<DocProbs>()?;
-            row.v().set_doc(d as i64)?;
-            let pv = make_object::<PcVec<f64>>()?;
-            pv.extend_from_slice(&probs)?;
-            row.v().set_probs(pv)?;
-            Ok(row.erase())
+            Ok(DocProbs::row(d as i64, &draw())?.erase())
         })?;
-        // φ columns (per word).
         client.create_or_clear_set(db, "phi_by_word")?;
         client.store(db, "phi_by_word", vocab, |w| {
-            let mut probs = vec![0.0; topics];
-            sampling::sample_dirichlet(&mut rng, &vec![1.0; topics], &mut probs);
-            let row = make_object::<WordProbs>()?;
-            row.v().set_word(w as i64)?;
-            let pv = make_object::<PcVec<f64>>()?;
-            pv.extend_from_slice(&probs)?;
-            row.v().set_probs(pv)?;
-            Ok(row.erase())
+            Ok(WordProbs::row(w as i64, &draw())?.erase())
         })?;
         Ok(PcLda {
             client: client.clone(),
@@ -228,17 +263,15 @@ impl PcLda {
             alpha,
             beta,
             rng,
-            iter: 0,
         })
     }
 
-    /// One Gibbs iteration.
+    /// One Gibbs iteration: two engine jobs, then the φ draw on the driver.
     pub fn iterate(&mut self) -> PcResult<()> {
-        self.iter += 1;
         let db = self.db.clone();
         let k = self.topics;
 
-        // --- assignment sampling: 3-way join + multinomial projection ---
+        // --- job 1: 3-way join + multinomial projection → assignments ---
         let triples = self.client.set::<Triple>(&db, "triples");
         let theta = self.client.set::<DocProbs>(&db, "theta");
         let phi = self.client.set::<WordProbs>(&db, "phi_by_word");
@@ -285,82 +318,46 @@ impl PcLda {
             .write_to(&db, "assignments")
             .run(&self.client)?;
 
-        // --- θ resampling: aggregate assignment counts per doc ---
+        // --- job 2: both aggregations over the stored assignments ---
+        // θ'_d ~ Dirichlet(α + per-doc counts) goes straight to `theta`,
+        // which this job does not read; the per-word topic counts go to
+        // `word_counts`.
         let assignments = self.client.set::<Assignment>(&db, "assignments");
-        let theta_rows = assignments
-            .aggregate(FactorAgg {
-                width: k,
-                prior: self.alpha,
-                seed,
-                by_doc: true,
-                sample: true,
-            })
-            .collect()?;
-        // FactorRow → DocProbs (re-typing the rows for the next join).
-        self.retype_rows::<DocProbs>(theta_rows, "theta", |row, id, pv| {
-            row.v().set_doc(id)?;
-            row.v().set_probs(pv)
-        })?;
+        Job::new()
+            .add(
+                assignments
+                    .aggregate(FactorAgg::<DocProbs>::new(k, Some((self.alpha, seed))))
+                    .write_to(&db, "theta"),
+            )
+            .add(
+                assignments
+                    .aggregate(FactorAgg::<WordProbs>::new(k, None))
+                    .write_to(&db, "word_counts"),
+            )
+            .run(&self.client)?;
 
-        // --- φ resampling: per-word topic counts, then per-topic Dirichlet ---
-        // Gather per-word counts, resample topic rows on the driver (the
-        // topic count K is tiny), and redistribute the per-word transpose —
-        // the driver-side model update step the paper's GMM/LDA loops do.
+        // --- φ'_k ~ Dirichlet(β + per-topic word counts), on the driver ---
+        // The topic count K is tiny, so the driver draws each topic's row
+        // and stores the per-word transpose the next join reads.
         let mut per_topic: Vec<Vec<f64>> = vec![vec![self.beta; self.vocab]; k];
-        let word_counts = assignments
-            .aggregate(FactorAgg {
-                width: k,
-                prior: 0.0,
-                seed,
-                by_doc: false,
-                sample: false,
-            })
-            .collect()?;
-        for row in word_counts {
-            let w = row.v().id() as usize;
-            let pv = row.v().probs();
-            // sample=false rows hold the raw per-word topic counts.
-            for (t, c) in pv.as_slice().iter().enumerate() {
+        for row in self.client.iterate_set::<WordProbs>(&db, "word_counts")? {
+            let w = row.v().word() as usize;
+            for (t, c) in row.v().probs().as_slice().iter().enumerate() {
                 per_topic[t][w] += c;
             }
         }
-        let mut phi_rows: Vec<Vec<f64>> = Vec::with_capacity(k);
-        for counts in &per_topic {
-            let mut probs = vec![0.0; self.vocab];
-            sampling::sample_dirichlet(&mut self.rng, counts, &mut probs);
-            phi_rows.push(probs);
-        }
-        // Transpose to per-word form and redistribute.
+        let phi_rows: Vec<Vec<f64>> = per_topic
+            .iter()
+            .map(|counts| {
+                let mut probs = vec![0.0; self.vocab];
+                sampling::sample_dirichlet(&mut self.rng, counts, &mut probs);
+                probs
+            })
+            .collect();
         self.client.create_or_clear_set(&db, "phi_by_word")?;
         self.client.store(&db, "phi_by_word", self.vocab, |w| {
-            let row = make_object::<WordProbs>()?;
-            row.v().set_word(w as i64)?;
-            let pv = make_object::<PcVec<f64>>()?;
-            pv.reserve(k)?;
-            for topic in &phi_rows {
-                pv.push(topic[w])?;
-            }
-            row.v().set_probs(pv)?;
-            Ok(row.erase())
-        })?;
-        Ok(())
-    }
-
-    fn retype_rows<T: PcObjType + 'static>(
-        &self,
-        rows: Vec<Handle<FactorRow>>,
-        to: &str,
-        fill: impl Fn(&Handle<T>, i64, Handle<PcVec<f64>>) -> PcResult<()> + Send + Sync + 'static,
-    ) -> PcResult<()> {
-        self.client.create_or_clear_set(&self.db, to)?;
-        self.client.store(&self.db, to, rows.len(), |i| {
-            let r = &rows[i];
-            let out = make_object::<T>()?;
-            let pv = make_object::<PcVec<f64>>()?;
-            let src = r.v().probs();
-            pv.extend_from_slice(src.as_slice())?;
-            fill(&out, r.v().id(), pv)?;
-            Ok(out.erase())
+            let probs: Vec<f64> = phi_rows.iter().map(|topic| topic[w]).collect();
+            Ok(WordProbs::row(w as i64, &probs)?.erase())
         })
     }
 
