@@ -8,8 +8,9 @@
 //! Faithfulness notes (see DESIGN.md for the full substitution table):
 //!
 //! * All inter-node movement goes through one [`Transport`]: an
-//!   in-process byte copy (`Local`, the default and the reference:
-//!   `SealedPage::to_bytes` then `from_bytes`) or checksummed frames over
+//!   in-process hand-over by reference (`Local`, the default and the
+//!   reference: the receiver gets a clone of the sender's sealed page,
+//!   sharing its immutable buffer) or checksummed frames over
 //!   real loopback TCP sockets (`Tcp`: blocking `std::net`, an acceptor
 //!   thread per node and a reader thread per connection; frames are
 //!   encoded straight from the page's `payload()` and reassembled into a

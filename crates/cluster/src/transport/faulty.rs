@@ -79,7 +79,7 @@ impl FaultSpec {
 struct ChanState {
     perm: Vec<usize>,
     next_logical: usize,
-    holdback: Option<(usize, Vec<u8>)>,
+    holdback: Option<(usize, SealedPage)>,
 }
 
 /// Decorates the [`TcpTransport`] with seed-driven fault injection.
@@ -230,9 +230,10 @@ impl Transport for FaultyTransport {
                     let mut chans = sync::lock(&self.chans);
                     let c = chans.entry(dst).or_default();
                     if c.holdback.is_none() {
-                        // Stash this page; it goes out after the next send
-                        // to the same destination (or at collect).
-                        c.holdback = Some((logical, page.to_bytes()));
+                        // Stash this page (a reference: sealed bytes never
+                        // change); it goes out after the next send to the
+                        // same destination (or at collect).
+                        c.holdback = Some((logical, page.clone()));
                         return Ok(());
                     }
                     // A stash is already pending: deliver normally below.
@@ -267,8 +268,7 @@ impl Transport for FaultyTransport {
             let mut chans = sync::lock(&self.chans);
             chans.entry(dst).or_default().holdback.take()
         };
-        if let Some((held_logical, bytes)) = stashed {
-            let held = SealedPage::from_bytes(&bytes)?;
+        if let Some((held_logical, held)) = stashed {
             self.deliver(src, dst, &held, held_logical)?;
         }
         Ok(())
@@ -280,9 +280,8 @@ impl Transport for FaultyTransport {
             let mut chans = sync::lock(&self.chans);
             chans.entry(dst).or_default().holdback.take()
         };
-        if let Some((held_logical, bytes)) = stashed {
+        if let Some((held_logical, held)) = stashed {
             self.check_alive(MASTER, dst)?;
-            let held = SealedPage::from_bytes(&bytes)?;
             self.deliver(MASTER, dst, &held, held_logical)?;
         }
         let inner_order = self.inner.collect(dst)?;

@@ -18,9 +18,10 @@
 //!
 //! Three implementations:
 //!
-//! * [`LocalTransport`] — the synchronous in-process byte copy (the
-//!   default), and the reference every wire run is compared to byte for
-//!   byte.
+//! * [`LocalTransport`] — the synchronous in-process hand-over (the
+//!   default): the receiver gets the sender's immutable sealed buffer by
+//!   reference, with no copy. It is the reference every wire run is
+//!   compared to byte for byte.
 //! * [`TcpTransport`] — the wire: sealed pages chunked into CRC-checksummed
 //!   frames ([`crate::wire`]) over real `std::net` TCP sockets — one
 //!   listener and acceptor thread per node, one blocking reader thread per
@@ -111,7 +112,7 @@ pub trait Transport: Send + Sync {
 /// without touching construction code.
 #[derive(Debug, Clone, Default)]
 pub enum TransportKind {
-    /// The synchronous in-process byte copy.
+    /// The synchronous in-process hand-over, by reference.
     #[default]
     Local,
     /// Real loopback TCP sockets with heartbeat liveness and backoff

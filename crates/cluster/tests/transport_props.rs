@@ -1,11 +1,11 @@
 //! Property tests for the transport delivery contract: arbitrary page
-//! batches pushed through chunking/reassembly — and through seeded fault
-//! injection with retries — come out **exactly once, in send order, with
-//! no torn pages** (byte-identical `SealedPage`s).
+//! batches handed over in process, pushed through chunking/reassembly, and
+//! through seeded fault injection with retries come out **exactly once, in
+//! send order, with no torn pages** (byte-identical `SealedPage`s).
 
 use pc_cluster::{
-    FaultKind, FaultSpec, FaultyTransport, TcpConfig, TcpTransport, Transport, TransportMeter,
-    MASTER,
+    FaultKind, FaultSpec, FaultyTransport, LocalTransport, TcpConfig, TcpTransport, Transport,
+    TransportMeter, MASTER,
 };
 use pc_lambda::SetWriter;
 use pc_object::{make_object, PcVec, SealedPage};
@@ -79,6 +79,15 @@ fn check_delivery(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn local_hand_over_delivers_exactly_once_in_order(batch in batch_strategy()) {
+        let meter = Arc::new(TransportMeter::default());
+        let t = LocalTransport::new(meter.clone());
+        check_delivery(&t, &batch)?;
+        prop_assert_eq!(meter.pages_shuffled(), batch.len() as u64);
+        prop_assert_eq!(meter.bytes_retransmitted(), 0);
+    }
 
     #[test]
     fn tcp_chunking_reassembles_exactly_once_in_order(

@@ -5,7 +5,8 @@
 //! object. It can be
 //!
 //! * moved to another thread (it is `Send`; the buffer changes hands with no
-//!   copy at all),
+//!   copy at all) or shared by reference (`clone` shares the immutable
+//!   buffer — how pages cross the in-process transport),
 //! * flattened to bytes and re-read (`to_bytes` / `from_bytes` — a pure
 //!   `memcpy`, standing in for disk and network movement; `read_from` reads
 //!   a file straight into the page's own buffer, and a [`PageWriter`]
@@ -25,7 +26,7 @@
 //! buffer to buffer, so a page byte that wrongly depends on fresh memory
 //! breaks the byte-identity tests instead of reading as a constant.
 
-use crate::block::BlockRef;
+use crate::block::{BlockRef, BLOCK_HEADER_SIZE, OBJ_HEADER_SIZE};
 use crate::error::{PcError, PcResult};
 use crate::handle::AnyHandle;
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
@@ -122,9 +123,11 @@ unsafe impl Sync for AlignedBuf {}
 
 /// Checks a page header the way every re-materialization does and returns
 /// `(used, root)`: `bytes` must hold at least the header, start with
-/// [`PAGE_MAGIC`], and contain the `used` prefix it claims.
+/// [`PAGE_MAGIC`], and contain the `used` prefix it claims, which covers the
+/// header itself; a nonzero `root` must have its whole object header inside
+/// `[BLOCK_HEADER_SIZE, used)`, so opening the page never reads outside it.
 fn parse_header(bytes: &[u8]) -> PcResult<(u32, u32)> {
-    if bytes.len() < 16 {
+    if bytes.len() < BLOCK_HEADER_SIZE as usize {
         return Err(PcError::InvalidPage("shorter than page header".into()));
     }
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
@@ -138,6 +141,16 @@ fn parse_header(bytes: &[u8]) -> PcResult<(u32, u32)> {
             bytes.len()
         )));
     }
+    if used < BLOCK_HEADER_SIZE {
+        return Err(PcError::InvalidPage(format!(
+            "used {used} is smaller than the {BLOCK_HEADER_SIZE}-byte page header"
+        )));
+    }
+    if root != 0 && (root < BLOCK_HEADER_SIZE + OBJ_HEADER_SIZE || root > used) {
+        return Err(PcError::InvalidPage(format!(
+            "root {root} puts its object header outside [{BLOCK_HEADER_SIZE}, {used})"
+        )));
+    }
     Ok((used, root))
 }
 
@@ -145,7 +158,10 @@ fn parse_header(bytes: &[u8]) -> PcResult<(u32, u32)> {
 ///
 /// The underlying buffer is `Arc`-shared so many readers (worker threads)
 /// can [`open_view`](SealedPage::open_view) the same immutable page with no
-/// copy at all.
+/// copy at all, and [`clone`](Clone::clone) hands out another reference to
+/// the same bytes: a sealed buffer is never written again, so a clone is as
+/// good as a copy and costs one reference-count increment.
+#[derive(Clone)]
 pub struct SealedPage {
     buf: Arc<AlignedBuf>,
     used: u32,

@@ -294,6 +294,102 @@ fn page_writer_reassembles_a_page_from_pieces() {
     assert!(PageWriter::with_capacity(u32::MAX as usize + 1).is_err());
 }
 
+/// A `len`-byte page image whose header claims `used` and `root`; every
+/// byte past the header is zero.
+fn crafted_page(len: usize, used: u32, root: u32) -> Vec<u8> {
+    let mut bytes = vec![0u8; len];
+    bytes[0..4].copy_from_slice(&pc_object::page::PAGE_MAGIC.to_le_bytes());
+    bytes[4..8].copy_from_slice(&used.to_le_bytes());
+    bytes[8..12].copy_from_slice(&root.to_le_bytes());
+    bytes
+}
+
+/// The same bytes through each path that lets bytes into the process: a
+/// byte string, a file read (spill reload) and a socket's chunks.
+fn admit_every_way(bytes: &[u8]) -> [pc_object::PcResult<SealedPage>; 3] {
+    let via_writer = PageWriter::with_capacity(bytes.len()).and_then(|mut w| {
+        for piece in bytes.chunks(5) {
+            w.append(piece)?;
+        }
+        w.seal()
+    });
+    [
+        SealedPage::from_bytes(bytes),
+        SealedPage::read_from(&mut std::io::Cursor::new(bytes), bytes.len()),
+        via_writer,
+    ]
+}
+
+#[test]
+fn crafted_header_with_a_root_inside_the_page_header_is_invalid() {
+    // `root - 24` would underflow when the page is opened.
+    for root in [8, 16, 39] {
+        for got in admit_every_way(&crafted_page(64, 64, root)) {
+            assert!(
+                matches!(got, Err(pc_object::PcError::InvalidPage(_))),
+                "root {root}: {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn crafted_header_with_a_root_past_used_is_invalid() {
+    for root in [65, 72, 4096] {
+        for got in admit_every_way(&crafted_page(128, 64, root)) {
+            assert!(
+                matches!(got, Err(pc_object::PcError::InvalidPage(_))),
+                "root {root}: {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn crafted_header_with_used_below_the_header_is_invalid() {
+    for used in [0, 4, 15] {
+        for got in admit_every_way(&crafted_page(64, used, 0)) {
+            assert!(
+                matches!(got, Err(pc_object::PcError::InvalidPage(_))),
+                "used {used}: {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn crafted_header_at_the_bounds_is_admitted_and_opens_to_an_error() {
+    // The smallest legal root: its object header is bytes [16, 40), whose
+    // zero type code names no registered type.
+    for got in admit_every_way(&crafted_page(64, 64, 40)) {
+        let page = got.unwrap();
+        assert!(matches!(
+            page.open_view(),
+            Err(pc_object::PcError::TypeNotRegistered(0))
+        ));
+    }
+    // A header-only page with no root is valid and has nothing to open.
+    for got in admit_every_way(&crafted_page(16, 16, 0)) {
+        assert!(matches!(
+            got.unwrap().open_view(),
+            Err(pc_object::PcError::NoRoot)
+        ));
+    }
+}
+
+#[test]
+fn a_cloned_page_shares_its_buffer() {
+    let page = build_employee_page();
+    let shared = page.clone();
+    assert_eq!(shared.payload().as_ptr(), page.payload().as_ptr());
+    let wire = page.to_bytes();
+    drop(page);
+    assert_eq!(shared.to_bytes(), wire);
+    let (_b, root) = shared.open_view().unwrap();
+    let roster = root.downcast::<PcVec<Handle<Emp>>>().unwrap();
+    assert_eq!(roster.get(0).v().name().as_str(), "alice");
+}
+
 #[test]
 fn page_crosses_threads_without_reencoding() {
     let page = build_employee_page();
