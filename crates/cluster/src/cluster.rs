@@ -177,17 +177,6 @@ impl PcCluster {
         }
     }
 
-    /// Worker `w`'s per-stage exec config: the cluster-wide knobs with the
-    /// worker's own pool armed as the spill target (unless the caller
-    /// already provided one).
-    pub(crate) fn worker_exec_config(&self, w: usize) -> ExecConfig {
-        let mut cfg = self.config.exec.clone();
-        if cfg.spill.is_none() {
-            cfg.spill = Some(self.worker_spill_ctx(w));
-        }
-        cfg
-    }
-
     /// Sum of every worker pool's counters (for before/after run deltas).
     fn pool_stats_sum(&self) -> pc_storage::PoolStats {
         let mut sum = pc_storage::PoolStats::default();

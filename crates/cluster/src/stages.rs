@@ -5,15 +5,19 @@
 //! (`pc_exec::run_stage_morsels`): its local pages are carved into
 //! fixed-size morsels pulled by `exec.threads` work-stealing pipelining
 //! threads, and the per-morsel outputs merge in morsel order so worker
-//! output is byte-identical for every thread count. What happens to the
-//! sink output depends on its kind:
+//! output is byte-identical for every thread count. The worker's own
+//! buffer pool is the stage's out-of-core context (`SpillCtx`): its memory
+//! budget and a fresh spill set, passed to `run_stage_morsels`. What
+//! happens to the sink output depends on its kind:
 //!
 //! * **Output / Materialize** — pages stay on the producing worker: stored
 //!   sets are distributed.
-//! * **JoinBuild** — per-worker tables are sealed and **broadcast**: every
-//!   worker receives every build page (the paper's broadcast join). The
-//!   paper hash-partitions large build sides per D.3 instead; this
-//!   simulation broadcasts every build side.
+//! * **JoinBuild** — per-morsel tables are sealed into partition-tagged
+//!   pages and **broadcast**: every worker receives every build page (the
+//!   paper's broadcast join). The gather builds the table's tag filters
+//!   once and reserves its bytes against a budget, spilling partitions
+//!   that do not fit. The paper hash-partitions large build sides per D.3
+//!   instead; this simulation broadcasts every build side.
 //! * **AggProduce** — the two-stage distributed aggregation of D.2 /
 //!   Figure 5: pipelining threads pre-aggregate into hash-partitioned map
 //!   pages and push them through a zero-copy pointer queue to combining
@@ -23,7 +27,7 @@
 use crate::cluster::PcCluster;
 use crate::transport::MASTER;
 use pc_exec::{
-    fan_out, run_stage_morsels, ExecStats, JoinTable, MorselOutput, PipelineSpec, SharedTable, Sink,
+    fan_out, run_stage_morsels, ExecStats, MorselOutput, PipelineSpec, SharedTable, Sink,
 };
 use pc_lambda::{AggPage, ErasedAgg, SetWriter, StageLibrary};
 use pc_object::{PcError, PcResult, SealedPage};
@@ -62,8 +66,9 @@ pub fn run_stage_distributed(
         // work-stealing queue; each probe thread opens its own zero-copy
         // view of any broadcast join tables. The worker's own pool backs
         // its memory budget and spill store.
-        let exec_cfg = cluster.worker_exec_config(w);
-        run_stage_morsels(&exec_cfg, p, &pages, stages, aggs, tables_ref)
+        let spill = cluster.worker_spill_ctx(w);
+        let exec = &cluster.config.exec;
+        run_stage_morsels(exec, p, &pages, stages, aggs, tables_ref, &spill)
     });
 
     let mut stats = ExecStats::default();
@@ -86,9 +91,7 @@ pub fn run_stage_distributed(
                 }
             }
         }
-        Sink::JoinBuild {
-            table, obj_cols, ..
-        } => {
+        Sink::JoinBuild { table, .. } => {
             // Gather every worker's partition-tagged build pages at the
             // master and broadcast. Per-morsel builds fold together
             // partition-wise: a page tagged `p` joins every other worker's
@@ -97,19 +100,11 @@ pub fn run_stage_distributed(
             let transport = cluster.transport();
             let mut parts_in_send_order: Vec<usize> = Vec::new();
             let mut src_in_send_order: Vec<usize> = Vec::new();
-            let mut partitions = JoinTable::round_partitions(cluster.config.exec.join_partitions);
             for (w, outs) in per_worker_outputs.into_iter().enumerate() {
                 for out in outs {
-                    let MorselOutput::TablePages {
-                        groups,
-                        partitions: parts,
-                        pages,
-                    } = out
-                    else {
+                    let MorselOutput::TablePages(pages) = out else {
                         unreachable!()
                     };
-                    stats.join_groups += groups;
-                    partitions = parts;
                     for (part, page) in pages {
                         // Queue for the master; the partition tag and the
                         // producer ride side-band in send order, which
@@ -145,12 +140,10 @@ pub fn run_stage_distributed(
             // it reserves against a budget and sheds partitions that do not
             // fit (this in-process cluster shares one broadcast table, so
             // worker 0's pool stands in for the per-worker copy).
-            let spill = cluster.worker_spill_ctx(0);
             let st = SharedTable::from_tagged_pages_budgeted(
-                obj_cols.len(),
-                partitions,
+                cluster.config.exec.join_partitions,
                 gathered,
-                Some(&spill),
+                &cluster.worker_spill_ctx(0),
             )?;
             stats.join_partitions_spilled += st.spilled_partitions() as u64;
             stats.join_bytes_spilled += st.spilled_bytes() as u64;

@@ -33,7 +33,6 @@ fn cluster(threads: usize, morsel_rows: usize) -> PcCluster {
             join_partitions: 4,
             morsel_rows,
             threads,
-            ..ExecConfig::default()
         },
         ..ClusterConfig::default()
     })

@@ -1,27 +1,34 @@
 //! Join hash tables (Appendix D.3): `Map<unsigned_t, Vector<Object>>`
 //! objects living on pages — radix-partitioned and built batch-at-a-time.
 //!
-//! A build-side entry stores `arity` object handles per match group (one
-//! per object column of a composite build side). Inserting deep-copies the
-//! objects onto the table's page — the same movement the original system
-//! performs when repartition sinks write `Map<unsigned_t, Vector<Object>>`
-//! pages. Probing walks the bucket in `arity`-sized groups; hash collisions
-//! are resolved by the residual predicate the compiler re-emits post-join.
+//! A join builds from one input (the compiler streams the first declared
+//! input and builds from each later one), so a bucket stores one object
+//! handle per build row. Inserting deep-copies the object onto the table's
+//! page — the same movement the original system performs when repartition
+//! sinks write `Map<unsigned_t, Vector<Object>>` pages. Probing returns
+//! every object in the key's bucket; hash collisions are resolved by the
+//! residual predicate the compiler re-emits post-join.
 //!
 //! The table mirrors the vectorized aggregation sink's layout: the key's
 //! slot hash is computed once per row, its **high** bits select one of a
 //! power-of-two set of partitions (a shift and mask — disjoint from the low
 //! bits the partition maps consume for masked probing), and each partition
-//! owns its own chain of map pages. The build path ([`JoinTable::insert_batch`])
-//! radix-partitions a whole selection-filtered batch and folds each bucket
-//! into its partition's open page with one grouped bulk upsert; the probe
-//! path routes a key to its owning partition's chain only — never a full
-//! table scan — after a compact 16-bit tag filter (built from the stored
-//! hashes when the build seals) has rejected miss probes without touching
-//! any map. The pre-vectorization row-at-a-time build and the unrouted
-//! full-scan probe survive, compiled for this crate's tests only, as
-//! `insert_rowwise` and `probe_into_scan`: the references the differential
-//! tests here and in `join_vectorized` compare the batch paths against.
+//! owns its own chain of map pages.
+//!
+//! A table has one lifecycle. A build sink folds batches in
+//! ([`JoinTable::insert_batch`]: radix-partition a whole selection-filtered
+//! batch, then one bulk upsert per partition) and seals its pages
+//! ([`JoinTable::into_pages`]). Where the build's pages are gathered, each
+//! partition's compact 16-bit tag filter is built once from the stored
+//! hashes ([`JoinTable::build_shared_tag_filters`]), and every probing
+//! thread reopens a zero-copy view over the pages with those filters
+//! ([`JoinTable::from_shared_pages`]). A probe routes its key to the owning
+//! partition's chain only — never a full table scan — after the tag filter
+//! has rejected misses without touching any map. The pre-vectorization
+//! row-at-a-time build and the unrouted full-scan probe survive, compiled
+//! for this crate's tests only, as `insert_rowwise` and `probe_into_scan`:
+//! the references the differential tests here compare the batch paths
+//! against.
 
 use pc_object::{
     AllocPolicy, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcKey, PcMap, PcResult, PcVec,
@@ -37,10 +44,10 @@ type TableMap = PcMap<u64, Bucket>;
 pub const DEFAULT_JOIN_PARTITIONS: usize = 8;
 
 /// A partition's probe-side tag filter: a blocked Bloom filter with 16-bit
-/// blocks, sized at seal time from the partition's entry count. Shared
-/// (`Arc`) so a broadcast table's filters are built once and reopened by
-/// every pipelining thread without rescanning the maps. Empty = not built
-/// (probes go straight to the maps); any insert invalidates it.
+/// blocks, sized from the partition's entry count. Shared (`Arc`) so a
+/// broadcast table's filters are built once and reopened by every
+/// pipelining thread without rescanning the maps. Empty = none (probes go
+/// straight to the maps): a table that is still building has none.
 pub type TagFilter = std::sync::Arc<Vec<u16>>;
 
 /// One radix partition: its chain of map pages (the last one is open for
@@ -73,20 +80,19 @@ struct BuildScratch {
 /// One join input's hash table: a power-of-two set of radix partitions,
 /// each spanning one or more pages.
 pub struct JoinTable {
-    arity: usize,
     page_size: usize,
     partitions: usize,
     parts: Vec<Partition>,
     scratch: BuildScratch,
-    /// Total object groups inserted.
+    /// Total build rows inserted.
     pub groups: u64,
     /// Probe keys the tag filters rejected without a map probe.
     tag_rejects: Cell<u64>,
 }
 
 impl JoinTable {
-    pub fn new(arity: usize, page_size: usize) -> Self {
-        Self::with_partitions(arity, page_size, DEFAULT_JOIN_PARTITIONS)
+    pub fn new(page_size: usize) -> Self {
+        Self::with_partitions(page_size, DEFAULT_JOIN_PARTITIONS)
     }
 
     /// The partition-count rounding every table applies: at least one, and
@@ -98,10 +104,9 @@ impl JoinTable {
 
     /// A table with an explicit hash-partition count (rounded by
     /// [`Self::round_partitions`]).
-    pub fn with_partitions(arity: usize, page_size: usize, partitions: usize) -> Self {
+    pub fn with_partitions(page_size: usize, partitions: usize) -> Self {
         let partitions = Self::round_partitions(partitions);
         JoinTable {
-            arity,
             page_size,
             partitions,
             parts: (0..partitions)
@@ -114,14 +119,6 @@ impl JoinTable {
             groups: 0,
             tag_rejects: Cell::new(0),
         }
-    }
-
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    pub fn partitions(&self) -> usize {
-        self.partitions
     }
 
     /// Partition of a slot hash: high bits, masked. The map probe consumes
@@ -160,16 +157,15 @@ impl JoinTable {
     /// The vectorized build sink: inserts every selection-live row of a
     /// batch in three phases — (1) slot hashes for the whole batch into
     /// reusable scratch, (2) a counting radix scatter of row indices by the
-    /// hash's high bits, (3) one grouped bulk upsert per non-empty
-    /// partition, so consecutive probes stay on that partition's hot table.
-    /// `cols[k][row]` is the `k`-th build-side object of base row `row`.
+    /// hash's high bits, (3) one bulk upsert per non-empty partition, so
+    /// consecutive probes stay on that partition's hot table. `objs[row]`
+    /// is the build-side object of base row `row`.
     pub fn insert_batch(
         &mut self,
         hashes: &[u64],
         sel: Option<&[u32]>,
-        cols: &[&[AnyHandle]],
+        objs: &[AnyHandle],
     ) -> PcResult<()> {
-        debug_assert_eq!(cols.len(), self.arity);
         // Phase 1: extract base rows, join hashes, and slot hashes.
         let mut s = std::mem::take(&mut self.scratch);
         s.rows.clear();
@@ -223,8 +219,8 @@ impl JoinTable {
             s.bucket_hashes[at] = h;
         }
 
-        // Phase 3: grouped bulk insert, one partition at a time. `groups`
-        // counts per completed partition, so it stays consistent with the
+        // Phase 3: bulk insert, one partition at a time. `groups` counts
+        // per completed partition, so it stays consistent with the
         // probe-visible contents even when a later partition errors out.
         let mut result = Ok(());
         for part in 0..p {
@@ -238,7 +234,7 @@ impl JoinTable {
                 &s.bucket_hashes[lo..hi],
                 &s.rows,
                 &s.jhashes,
-                cols,
+                objs,
             );
             if result.is_err() {
                 break;
@@ -250,13 +246,12 @@ impl JoinTable {
     }
 
     /// Folds one partition's bucket of rows into its open map page with a
-    /// grouped bulk upsert: table geometry is hoisted out of the row loop
-    /// (inside `upsert_batch_by`), the map is `reserve`-pre-sized for the
-    /// burst, and the `done` cursor makes the fold resumable — on
-    /// `BlockFull` the full page stays in the chain (buckets may span
-    /// pages) and the fold continues on a fresh page exactly where it
-    /// stopped. Each group appends atomically: a fault mid-group rolls the
-    /// bucket back before propagating, so no torn `arity`-frame survives.
+    /// bulk upsert: table geometry is hoisted out of the row loop (inside
+    /// `upsert_batch_by`), the map is `reserve`-pre-sized for the burst,
+    /// and the `done` cursor makes the fold resumable — on `BlockFull` the
+    /// full page stays in the chain (buckets may span pages) and the fold
+    /// continues on a fresh page exactly where it stopped. A row's append
+    /// is one `push`, which changes nothing when it faults.
     fn bulk_insert(
         &mut self,
         part: usize,
@@ -264,20 +259,23 @@ impl JoinTable {
         bhashes: &[u64],
         rows: &[u32],
         jhashes: &[u64],
-        cols: &[&[AnyHandle]],
+        objs: &[AnyHandle],
     ) -> PcResult<()> {
         // The chain's last page is the open one.
         let mut map = match self.parts[part].pages.last() {
             Some((_block, map)) => map.clone(),
             None => self.add_page(part, self.page_size)?,
         };
-        // Inserts invalidate any probe-side filter built earlier.
-        self.parts[part].tags = TagFilter::default();
+        let obj = |j: usize| {
+            objs[rows[order[j] as usize] as usize]
+                .typed_ref::<AnyObj>()
+                .clone()
+        };
         let mut done = 0usize;
-        // Escalation is local to the faulting group: a fresh page that still
-        // cannot hold one group doubles until it does, and the configured
+        // Escalation is local to the faulting row: a fresh page that still
+        // cannot hold one row doubles until it does, and the configured
         // size is restored as soon as the fold progresses — one oversized
-        // group no longer inflates every subsequent table page.
+        // object does not inflate every later table page.
         let mut page_size = self.page_size;
         let mut stall = 0u32;
         loop {
@@ -293,17 +291,15 @@ impl JoinTable {
                 |j, b, slot| b.read::<u64>(slot) == jhashes[order[j] as usize],
                 |j, _b| Ok(jhashes[order[j] as usize]),
                 |j, b| {
-                    // First group under this key on this page: materialize
-                    // the bucket and append the group in place.
+                    // First row under this key on this page: materialize
+                    // the bucket and append the row's object in place.
                     let bucket = b.make_object::<PcVec<Handle<AnyObj>>>()?;
-                    let row = rows[order[j] as usize] as usize;
-                    bucket.push_group(cols.iter().map(|c| &c[row]))?;
+                    bucket.push(obj(j))?;
                     Ok(bucket)
                 },
                 |j, b, slot| {
                     let bucket: Bucket = pc_object::PcValue::load(b, slot);
-                    let row = rows[order[j] as usize] as usize;
-                    bucket.push_group(cols.iter().map(|c| &c[row]))
+                    bucket.push(obj(j))
                 },
             );
             match r {
@@ -330,31 +326,6 @@ impl JoinTable {
         }
     }
 
-    /// Transitions the table to the probe phase: builds each partition's
-    /// 16-bit tag filter from the stored entry hashes of its map pages (no
-    /// key is rehashed). Called once the build sink finishes — and by
-    /// [`Self::from_shared_pages`] when a shipped table reopens — so miss
-    /// probes are rejected before touching any map. Inserting again
-    /// invalidates the affected partition's filter.
-    pub fn finish_build(&mut self) {
-        for part in self.parts.iter_mut() {
-            let entries: usize = part.pages.iter().map(|(_b, m)| m.len()).sum();
-            if entries == 0 {
-                part.tags = TagFilter::default();
-                continue;
-            }
-            let len = (entries * 2).next_power_of_two().max(16);
-            let mut tags = vec![0u16; len];
-            for (_block, map) in &part.pages {
-                map.for_each_stored_hash(|h| {
-                    let (i, bit) = Self::tag_pos(h, len);
-                    tags[i] |= bit;
-                });
-            }
-            part.tags = TagFilter::new(tags);
-        }
-    }
-
     // -------------------------------------------------------------- probing
 
     /// Routes a probe's slot hash to its owning partition, or `None` when
@@ -375,21 +346,20 @@ impl JoinTable {
 
     /// The pipeline's probe fast path: appends each match for `hash`
     /// directly into the caller's reusable buffers — `probe_row` once per
-    /// match group into `idx` (the gather-index vector) and the group's
-    /// handles into `built[k]` (one buffer per build-side object column) —
-    /// with no per-group closure call or `Vec` allocation. The slot hash is
-    /// computed once: its high bits route to the owning partition (only
-    /// that partition's page chain is walked — never the whole table), the
-    /// tag filter rejects misses before any map probe, and the maps probe
-    /// by the precomputed hash. Returns the number of match groups.
+    /// match into `idx` (the gather-index vector) and the matched build
+    /// object into `built` — with no per-match closure call or allocation.
+    /// The slot hash is computed once: its high bits route to the owning
+    /// partition (only that partition's page chain is walked — never the
+    /// whole table), the tag filter rejects misses before any map probe,
+    /// and the maps probe by the precomputed hash. Returns the number of
+    /// matches.
     pub fn probe_into(
         &self,
         hash: u64,
         probe_row: u32,
         idx: &mut Vec<u32>,
-        built: &mut [Vec<AnyHandle>],
+        built: &mut Vec<AnyHandle>,
     ) -> usize {
-        debug_assert_eq!(built.len(), self.arity);
         let shash = PcKey::hash_val(&hash);
         let Some(part) = self.route(shash) else {
             return 0;
@@ -397,7 +367,7 @@ impl JoinTable {
         let mut matches = 0;
         for (_block, map) in &part.pages {
             if let Some(bucket) = map.get_hashed(shash, &hash) {
-                matches += push_matches(&bucket, self.arity, probe_row, idx, built);
+                matches += push_matches(&bucket, probe_row, idx, built);
             }
         }
         matches
@@ -418,7 +388,7 @@ impl JoinTable {
     }
 
     /// Page capacities across all partitions (diagnostics; the escalation
-    /// test asserts oversized groups don't inflate later pages).
+    /// test asserts oversized objects don't inflate later pages).
     pub fn page_capacities(&self) -> Vec<usize> {
         self.parts
             .iter()
@@ -444,11 +414,11 @@ impl JoinTable {
         Ok(out)
     }
 
-    /// Builds the per-partition tag filters of a sealed, shipped table
-    /// **once** from the stored entry hashes. The broadcast path calls this
-    /// at gather time and ships the `Arc`s alongside the pages, so every
-    /// reopening pipelining thread shares the filters instead of rescanning
-    /// all table entries per thread.
+    /// Builds the per-partition tag filters of a sealed, gathered table
+    /// **once** from the stored entry hashes (no key is rehashed). The
+    /// broadcast path calls this at gather time and ships the `Arc`s
+    /// alongside the pages, so every reopening pipelining thread shares
+    /// the filters instead of rescanning all table entries per thread.
     pub fn build_shared_tag_filters(
         partitions: usize,
         pages: &[(usize, std::sync::Arc<SealedPage>)],
@@ -488,30 +458,25 @@ impl JoinTable {
         Ok(filters.into_iter().map(TagFilter::new).collect())
     }
 
-    /// Opens a read-only table over shipped partition-tagged pages
-    /// (zero-copy views). `filters` are the shared tag filters built once
-    /// by [`Self::build_shared_tag_filters`]; when absent (one entry per
-    /// partition is required) the table rebuilds them locally. Used by
-    /// every worker after a broadcast; `insert` must not be called on it.
+    /// Opens a read-only table over gathered partition-tagged pages
+    /// (zero-copy views) with the tag filters built once over them by
+    /// [`Self::build_shared_tag_filters`], one per partition. Used by every
+    /// probing thread; `insert_batch` must not be called on it.
     pub fn from_shared_pages(
-        arity: usize,
         page_size: usize,
         partitions: usize,
         pages: &[(usize, std::sync::Arc<SealedPage>)],
         filters: &[TagFilter],
     ) -> PcResult<Self> {
-        let mut t = JoinTable::with_partitions(arity, page_size, partitions);
+        let mut t = JoinTable::with_partitions(page_size, partitions);
+        debug_assert_eq!(filters.len(), t.partitions, "one tag filter per partition");
         for (part, p) in pages {
             let (block, root) = p.open_view()?;
             let map = root.downcast::<TableMap>()?;
             t.parts[*part].pages.push((block, map));
         }
-        if filters.len() == t.partitions {
-            for (part, f) in t.parts.iter_mut().zip(filters) {
-                part.tags = f.clone();
-            }
-        } else {
-            t.finish_build();
+        for (part, f) in t.parts.iter_mut().zip(filters) {
+            part.tags = f.clone();
         }
         Ok(t)
     }
@@ -521,51 +486,41 @@ impl JoinTable {
     }
 }
 
-/// Appends every `arity`-group of `bucket` into the caller's probe buffers.
+/// Appends every object of `bucket` into the caller's probe buffers.
 #[inline]
 fn push_matches(
     bucket: &Bucket,
-    arity: usize,
     probe_row: u32,
     idx: &mut Vec<u32>,
-    built: &mut [Vec<AnyHandle>],
+    built: &mut Vec<AnyHandle>,
 ) -> usize {
     let len = bucket.len();
-    debug_assert_eq!(len % arity, 0);
-    let mut matches = 0;
-    let mut i = 0;
-    while i < len {
+    for i in 0..len {
         idx.push(probe_row);
-        for (k, b) in built.iter_mut().enumerate() {
-            b.push(bucket.get(i + k).erase());
-        }
-        i += arity;
-        matches += 1;
+        built.push(bucket.get(i).erase());
     }
-    matches
+    len
 }
 
 /// The row-at-a-time references the batch paths are tested against. Test
 /// builds only: nothing in the engine calls them.
 #[cfg(test)]
 impl JoinTable {
-    /// The pre-vectorization build path, kept verbatim as the reference for
-    /// parity tests: one closure-driven `upsert_by`, a redundant `map.get`
-    /// re-probe, and a per-element push loop per group. Routes through the
-    /// same partitions so its tables probe identically.
-    fn insert_rowwise(&mut self, hash: u64, objs: &[AnyHandle]) -> PcResult<()> {
-        debug_assert_eq!(objs.len(), self.arity);
+    /// The pre-vectorization build path, kept as the reference for parity
+    /// tests: one closure-driven `upsert_by`, a redundant `map.get`
+    /// re-probe, and a push per row. Routes through the same partitions so
+    /// its tables probe identically.
+    fn insert_rowwise(&mut self, hash: u64, obj: &AnyHandle) -> PcResult<()> {
         let part = self.part_of(PcKey::hash_val(&hash));
         if self.parts[part].pages.is_empty() {
             self.add_page(part, self.page_size)?;
         }
-        self.parts[part].tags = TagFilter::default();
         let mut on_fresh_page = false;
-        // Escalate locally for the faulting group, leaving the configured
+        // Escalate locally for the faulting row, leaving the configured
         // `self.page_size` untouched for later pages (see `bulk_insert`).
         let mut page_size = self.page_size;
         for _ in 0..24 {
-            match self.try_insert_last(part, hash, objs) {
+            match self.try_insert_last(part, hash, obj) {
                 Ok(()) => {
                     self.groups += 1;
                     return Ok(());
@@ -573,7 +528,7 @@ impl JoinTable {
                 Err(PcError::BlockFull { .. }) => {
                     // Page full: start a new page in the partition's chain
                     // (buckets may span pages). A fault on a just-created
-                    // page means the group itself exceeds the page size:
+                    // page means the object itself exceeds the page size:
                     // escalate before retrying.
                     if on_fresh_page {
                         page_size = (page_size * 2).min(256 << 20);
@@ -589,7 +544,7 @@ impl JoinTable {
         ))
     }
 
-    fn try_insert_last(&mut self, part: usize, hash: u64, objs: &[AnyHandle]) -> PcResult<()> {
+    fn try_insert_last(&mut self, part: usize, hash: u64, obj: &AnyHandle) -> PcResult<()> {
         let (block, map) = self.parts[part].pages.last().unwrap();
         // Probe with the key's canonical slot hash (PcKey::hash_val) so the
         // typed `get` path finds the same entry.
@@ -600,46 +555,10 @@ impl JoinTable {
             |_b| block.make_object::<PcVec<Handle<AnyObj>>>(),
             |_b, _slot| Ok(()),
         )?;
-        // Fetch the bucket and append the group (deep copies objects from
-        // the probe/input page onto the table page — §6.4's rule). The
-        // append must be atomic per group: a BlockFull fault after a partial
-        // push would tear the bucket's arity framing, so roll back before
-        // propagating the fault.
+        // Fetch the bucket and append the object (deep copies it from the
+        // probe/input page onto the table page — §6.4's rule).
         let bucket = map.get(&hash).expect("bucket just ensured");
-        let before = bucket.len();
-        for h in objs {
-            if let Err(e) = bucket.push(h.downcast_unchecked::<AnyObj>()) {
-                bucket.truncate(before);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Calls `f` with each match group for `hash` (partition-routed like
-    /// [`Self::probe_into`]).
-    fn probe(&self, hash: u64, mut f: impl FnMut(&[AnyHandle]) -> PcResult<()>) -> PcResult<()> {
-        let shash = PcKey::hash_val(&hash);
-        let Some(part) = self.route(shash) else {
-            return Ok(());
-        };
-        for (_block, map) in &part.pages {
-            if let Some(bucket) = map.get_hashed(shash, &hash) {
-                let len = bucket.len();
-                debug_assert_eq!(len % self.arity, 0);
-                let mut group: Vec<AnyHandle> = Vec::with_capacity(self.arity);
-                let mut i = 0;
-                while i < len {
-                    group.clear();
-                    for k in 0..self.arity {
-                        group.push(bucket.get(i + k).erase());
-                    }
-                    f(&group)?;
-                    i += self.arity;
-                }
-            }
-        }
-        Ok(())
+        bucket.push(obj.downcast_unchecked::<AnyObj>())
     }
 
     /// The retained pre-partitioning probe: walks **every** table page for
@@ -651,19 +570,33 @@ impl JoinTable {
         hash: u64,
         probe_row: u32,
         idx: &mut Vec<u32>,
-        built: &mut [Vec<AnyHandle>],
+        built: &mut Vec<AnyHandle>,
     ) -> usize {
-        debug_assert_eq!(built.len(), self.arity);
         let mut matches = 0;
         for part in &self.parts {
             for (_block, map) in &part.pages {
                 if let Some(bucket) = map.get(&hash) {
-                    matches += push_matches(&bucket, self.arity, probe_row, idx, built);
+                    matches += push_matches(&bucket, probe_row, idx, built);
                 }
             }
         }
         matches
     }
+}
+
+/// Seals a built table and reopens it the way the engine does: sealed
+/// pages, tag filters built once over them, a zero-copy probe view.
+#[cfg(test)]
+fn reopen(t: JoinTable) -> JoinTable {
+    let (page_size, partitions) = (t.page_size, t.partitions);
+    let pages: Vec<(usize, std::sync::Arc<SealedPage>)> = t
+        .into_pages()
+        .unwrap()
+        .into_iter()
+        .map(|(part, page)| (part, std::sync::Arc::new(page)))
+        .collect();
+    let filters = JoinTable::build_shared_tag_filters(partitions, &pages).unwrap();
+    JoinTable::from_shared_pages(page_size, partitions, &pages, &filters).unwrap()
 }
 
 #[cfg(test)]
@@ -681,37 +614,38 @@ mod tests {
             .collect()
     }
 
+    /// First element of each probed object.
+    fn firsts(built: &[AnyHandle]) -> Vec<i64> {
+        built
+            .iter()
+            .map(|h| {
+                h.downcast_unchecked::<AnyObj>()
+                    .assume::<PcVec<i64>>()
+                    .get(0)
+            })
+            .collect()
+    }
+
     #[test]
     fn insert_and_probe_with_collisions_across_pages() {
         let _s = AllocScope::new(1 << 18);
-        let mut t = JoinTable::new(1, 4096); // tiny pages force spanning
+        let mut t = JoinTable::new(4096); // tiny pages force spanning
         let sources = sources(200);
         for (i, v) in sources.iter().enumerate() {
             // Two logical keys, heavy bucket fan-in.
             let hash = (i % 2) as u64 + 1;
-            t.insert_rowwise(hash, &[v.erase()]).unwrap();
+            t.insert_rowwise(hash, &v.erase()).unwrap();
         }
         assert!(
             t.page_count() > 1,
             "tiny pages must span ({} page)",
             t.page_count()
         );
-        let mut seen = 0;
-        t.probe(1, |group| {
-            let v: Handle<PcVec<i64>> = group[0].downcast_unchecked::<AnyObj>().assume();
-            assert_eq!(v.get(0) % 2, 0);
-            seen += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(seen, 100);
-        let mut none = 0;
-        t.probe(99, |_| {
-            none += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(none, 0);
+        let t = reopen(t);
+        let (mut idx, mut built) = (Vec::new(), Vec::new());
+        assert_eq!(t.probe_into(1, 0, &mut idx, &mut built), 100);
+        assert!(firsts(&built).iter().all(|v| v % 2 == 0));
+        assert_eq!(t.probe_into(99, 0, &mut idx, &mut built), 0);
     }
 
     #[test]
@@ -720,34 +654,24 @@ mod tests {
         let srcs = sources(300);
         let objs: Vec<AnyHandle> = srcs.iter().map(|v| v.erase()).collect();
         let hashes: Vec<u64> = (0..300u64).map(|i| i % 7).collect();
-        let mut vectorized = JoinTable::new(1, 4096);
-        vectorized
-            .insert_batch(&hashes, None, &[objs.as_slice()])
-            .unwrap();
-        vectorized.finish_build();
-        let mut rowwise = JoinTable::new(1, 4096);
+        let mut vectorized = JoinTable::new(4096);
+        vectorized.insert_batch(&hashes, None, &objs).unwrap();
+        let mut rowwise = JoinTable::new(4096);
         for (h, o) in hashes.iter().zip(&objs) {
-            rowwise.insert_rowwise(*h, std::slice::from_ref(o)).unwrap();
+            rowwise.insert_rowwise(*h, o).unwrap();
         }
         assert_eq!(vectorized.groups, 300);
         assert_eq!(rowwise.groups, 300);
+        let (vectorized, rowwise) = (reopen(vectorized), reopen(rowwise));
         for key in 0..9u64 {
             let collect = |t: &JoinTable, scan: bool| {
-                let mut idx = Vec::new();
-                let mut built: Vec<Vec<AnyHandle>> = vec![Vec::new()];
+                let (mut idx, mut built) = (Vec::new(), Vec::new());
                 if scan {
                     t.probe_into_scan(key, 0, &mut idx, &mut built);
                 } else {
                     t.probe_into(key, 0, &mut idx, &mut built);
                 }
-                let mut vals: Vec<i64> = built[0]
-                    .iter()
-                    .map(|h| {
-                        h.downcast_unchecked::<AnyObj>()
-                            .assume::<PcVec<i64>>()
-                            .get(0)
-                    })
-                    .collect();
+                let mut vals = firsts(&built);
                 vals.sort_unstable();
                 vals
             };
@@ -762,42 +686,31 @@ mod tests {
     #[test]
     fn probe_into_fills_reusable_buffers_across_pages() {
         let _s = AllocScope::new(1 << 18);
-        let mut t = JoinTable::new(1, 4096); // tiny pages force bucket spanning
+        let mut t = JoinTable::new(4096); // tiny pages force bucket spanning
         let sources = sources(200);
         for (i, v) in sources.iter().enumerate() {
-            t.insert_rowwise((i % 2) as u64 + 1, &[v.erase()]).unwrap();
+            t.insert_rowwise((i % 2) as u64 + 1, &v.erase()).unwrap();
         }
         assert!(t.page_count() > 1, "bucket must span pages");
+        let t = reopen(t);
         // The closure-free path: one idx entry + one handle per match, all
         // appended into caller-owned buffers.
         let mut idx: Vec<u32> = Vec::new();
-        let mut built: Vec<Vec<AnyHandle>> = vec![Vec::new()];
+        let mut built: Vec<AnyHandle> = Vec::new();
         let n = t.probe_into(1, 7, &mut idx, &mut built);
         assert_eq!(n, 100);
         assert_eq!(idx.len(), 100);
         assert!(idx.iter().all(|&r| r == 7), "idx carries the probe row");
-        assert_eq!(built[0].len(), 100);
-        for h in &built[0] {
-            let v: Handle<PcVec<i64>> = h.downcast_unchecked::<AnyObj>().assume();
-            assert_eq!(v.get(0) % 2, 0);
-        }
+        assert_eq!(built.len(), 100);
+        assert!(firsts(&built).iter().all(|v| v % 2 == 0));
         // A second probe appends after the first (buffer reuse contract).
         let n2 = t.probe_into(2, 9, &mut idx, &mut built);
         assert_eq!(n2, 100);
         assert_eq!(idx.len(), 200);
-        assert_eq!(built[0].len(), 200);
+        assert_eq!(built.len(), 200);
         // Misses append nothing.
         assert_eq!(t.probe_into(99, 0, &mut idx, &mut built), 0);
         assert_eq!(idx.len(), 200);
-        // probe_into agrees with the closure API group for group.
-        let mut via_closure = 0;
-        t.probe(1, |g| {
-            assert_eq!(g.len(), 1);
-            via_closure += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(via_closure, n);
     }
 
     #[test]
@@ -805,38 +718,35 @@ mod tests {
         let _s = AllocScope::new(1 << 20);
         // Many keys over few partitions with tiny pages: every partition
         // grows a multi-page chain.
-        let mut t = JoinTable::with_partitions(1, 2048, 4);
+        let mut t = JoinTable::with_partitions(2048, 4);
         let srcs = sources(512);
         let objs: Vec<AnyHandle> = srcs.iter().map(|v| v.erase()).collect();
         let hashes: Vec<u64> = (0..512u64).collect();
-        t.insert_batch(&hashes, None, &[objs.as_slice()]).unwrap();
-        t.finish_build();
+        t.insert_batch(&hashes, None, &objs).unwrap();
+        let t = reopen(t);
         assert!(
-            t.page_count() > t.partitions(),
+            t.page_count() > t.partitions,
             "need multi-page chains ({} pages)",
             t.page_count()
         );
         // Routing: a probe may only touch its own partition's chain, which
         // is strictly smaller than the whole table.
         let mut idx = Vec::new();
-        let mut built: Vec<Vec<AnyHandle>> = vec![Vec::new()];
+        let mut built: Vec<AnyHandle> = Vec::new();
         for key in 0..512u64 {
             assert!(
                 t.partition_page_count(key) < t.page_count(),
                 "probe for {key} would scan the whole table"
             );
             idx.clear();
-            built[0].clear();
+            built.clear();
             assert_eq!(t.probe_into(key, 0, &mut idx, &mut built), 1);
-            let v: Handle<PcVec<i64>> = built[0][0].downcast_unchecked::<AnyObj>().assume();
-            assert_eq!(v.get(0), key as i64);
+            assert_eq!(firsts(&built), vec![key as i64]);
         }
         // Misses: the tag filter rejects (statistically almost) all of them
         // before any map probe, and none produce matches.
         let before = t.tag_rejects();
         for key in 10_000..11_000u64 {
-            idx.clear();
-            built[0].clear();
             assert_eq!(t.probe_into(key, 0, &mut idx, &mut built), 0);
         }
         assert!(
@@ -849,41 +759,41 @@ mod tests {
     #[test]
     fn insert_escalates_for_the_faulting_group_only() {
         let _s = AllocScope::new(1 << 21);
-        // Table pages start far smaller than one group's objects, so the
-        // first insert faults on a fresh page and must escalate (doubling)
-        // rather than spinning on same-size pages forever.
-        let mut t = JoinTable::new(1, 512);
+        // Table pages start far smaller than one object, so the first
+        // insert faults on a fresh page and must escalate (doubling) rather
+        // than spinning on same-size pages forever.
+        let mut t = JoinTable::new(512);
         let big = make_object::<PcVec<i64>>().unwrap();
         for i in 0..300i64 {
             big.push(i).unwrap();
         }
-        t.insert_rowwise(42, &[big.erase()]).unwrap();
+        t.insert_rowwise(42, &big.erase()).unwrap();
         assert_eq!(t.groups, 1);
-        let mut idx: Vec<u32> = Vec::new();
-        let mut built: Vec<Vec<AnyHandle>> = vec![Vec::new()];
-        assert_eq!(t.probe_into(42, 0, &mut idx, &mut built), 1);
-        let v: Handle<PcVec<i64>> = built[0][0].downcast_unchecked::<AnyObj>().assume();
-        assert_eq!(v.len(), 300);
-        assert_eq!(v.get(299), 299);
-        // Escalation was local to the oversized group: later inserts (other
-        // partitions / fresh pages) go back to the configured page size.
+        // Escalation was local to the oversized object: later inserts
+        // (other partitions / fresh pages) go back to the configured size.
         for i in 0..40u64 {
             let small = make_object::<PcVec<i64>>().unwrap();
             small.push(i as i64).unwrap();
-            t.insert_rowwise(100 + i, &[small.erase()]).unwrap();
+            t.insert_rowwise(100 + i, &small.erase()).unwrap();
         }
         assert_eq!(t.groups, 41);
         let caps = t.page_capacities();
         assert!(
             caps.iter().any(|&c| c > 512),
-            "oversized group must escalate its own page"
+            "oversized object must escalate its own page"
         );
         assert!(
             caps.iter().filter(|&&c| c == 512).count() > 0,
             "configured page size must be restored after escalation: {caps:?}"
         );
+        let t = reopen(t);
+        let (mut idx, mut built) = (Vec::new(), Vec::new());
+        assert_eq!(t.probe_into(42, 0, &mut idx, &mut built), 1);
+        let v: Handle<PcVec<i64>> = built[0].downcast_unchecked::<AnyObj>().assume();
+        assert_eq!(v.len(), 300);
+        assert_eq!(v.get(299), 299);
         // Same contract on the vectorized path.
-        let mut tv = JoinTable::new(1, 512);
+        let mut tv = JoinTable::new(512);
         let big2 = make_object::<PcVec<i64>>().unwrap();
         for i in 0..300i64 {
             big2.push(i).unwrap();
@@ -892,7 +802,7 @@ mod tests {
         let mut objs: Vec<AnyHandle> = vec![big2.erase()];
         objs.extend(smalls.iter().map(|v| v.erase()));
         let hashes: Vec<u64> = (0..41u64).map(|i| i * 13 + 7).collect();
-        tv.insert_batch(&hashes, None, &[objs.as_slice()]).unwrap();
+        tv.insert_batch(&hashes, None, &objs).unwrap();
         let caps = tv.page_capacities();
         assert!(caps.iter().any(|&c| c > 512));
         assert!(
@@ -900,71 +810,48 @@ mod tests {
             "vectorized escalation must also restore the configured size: {caps:?}"
         );
     }
-
-    #[test]
-    fn composite_arity_groups_probe_in_order() {
-        let _s = AllocScope::new(1 << 18);
-        let mut t = JoinTable::new(2, 1 << 16);
-        let a = make_object::<PcVec<i64>>().unwrap();
-        a.push(1).unwrap();
-        let b = make_object::<PcVec<i64>>().unwrap();
-        b.push(2).unwrap();
-        t.insert_rowwise(7, &[a.erase(), b.erase()]).unwrap();
-        t.probe(7, |group| {
-            assert_eq!(group.len(), 2);
-            let x: Handle<PcVec<i64>> = group[0].downcast_unchecked::<AnyObj>().assume();
-            let y: Handle<PcVec<i64>> = group[1].downcast_unchecked::<AnyObj>().assume();
-            assert_eq!((x.get(0), y.get(0)), (1, 2));
-            Ok(())
-        })
-        .unwrap();
-    }
 }
 
 #[cfg(test)]
 mod join_vectorized {
     //! Differential property tests for the radix-partitioned vectorized join
-    //! build: the batch path (batch hash → radix scatter → grouped bulk upsert)
-    //! and the retained row-at-a-time reference must produce identical
-    //! probe-result multisets across arities, selections, batch sizes, and
-    //! page sizes — and a `BlockFull` fault mid-group must never leave a torn
-    //! `arity`-frame in any bucket.
+    //! build: the batch path (batch hash → radix scatter → bulk upsert) and
+    //! the retained row-at-a-time reference must produce identical
+    //! probe-result multisets across selections, batch sizes, and page
+    //! sizes — and `BlockFull` faults mid-fold must leave every inserted
+    //! row visible to probes exactly once.
 
+    use super::reopen;
     use crate::JoinTable;
     use pc_object::{make_object, AllocScope, AnyHandle, AnyObj, Handle, PcVec};
     use proptest::prelude::*;
 
-    /// Payload object `k`: a vector `[tag, k]` so probes can recover both the
-    /// column index and the row identity.
-    fn payload(col: i64, row: i64) -> Handle<PcVec<i64>> {
+    /// Payload object for build row `row`: a vector `[row, row * 7]` so
+    /// probes can recover the row identity and check the framing.
+    fn payload(row: i64) -> Handle<PcVec<i64>> {
         let v = make_object::<PcVec<i64>>().unwrap();
-        v.push(col).unwrap();
         v.push(row).unwrap();
+        v.push(row * 7).unwrap();
         v
     }
 
     /// Probes `keys` against `t` and returns the sorted multiset of
-    /// `(key, probe_row, col_tag, row_id)` over every match group and column.
-    fn probe_all(t: &JoinTable, keys: &[u64]) -> Vec<(u64, u32, i64, i64)> {
+    /// `(key, probe_row, row_id)` over every match.
+    fn probe_all(t: &JoinTable, keys: &[u64]) -> Vec<(u64, u32, i64)> {
         let mut out = Vec::new();
         let mut idx: Vec<u32> = Vec::new();
-        let mut built: Vec<Vec<AnyHandle>> = (0..t.arity()).map(|_| Vec::new()).collect();
+        let mut built: Vec<AnyHandle> = Vec::new();
         for (p, &key) in keys.iter().enumerate() {
             idx.clear();
-            for b in built.iter_mut() {
-                b.clear();
-            }
+            built.clear();
             let n = t.probe_into(key, p as u32, &mut idx, &mut built);
-            assert_eq!(idx.len(), n, "one idx entry per match group");
-            for b in &built {
-                assert_eq!(b.len(), n, "every column buffer aligned to matches");
-            }
-            for m in 0..n {
-                for b in &built {
-                    let v: Handle<PcVec<i64>> = b[m].downcast_unchecked::<AnyObj>().assume();
-                    assert_eq!(v.len(), 2, "payload framing intact");
-                    out.push((key, idx[m], v.get(0), v.get(1)));
-                }
+            assert_eq!(idx.len(), n, "one idx entry per match");
+            assert_eq!(built.len(), n, "object buffer aligned to matches");
+            for (&row, h) in idx.iter().zip(&built) {
+                let v: Handle<PcVec<i64>> = h.downcast_unchecked::<AnyObj>().assume();
+                assert_eq!(v.len(), 2, "payload framing intact");
+                assert_eq!(v.get(1), v.get(0) * 7, "payload framing intact");
+                out.push((key, row, v.get(0)));
             }
         }
         out.sort_unstable();
@@ -978,7 +865,6 @@ mod join_vectorized {
         fn vectorized_and_rowwise_builds_probe_identically(
             rows in proptest::collection::vec(0u64..24, 1..300),
             mask in proptest::collection::vec(any::<bool>(), 300..301),
-            arity in 1usize..4,
             partitions in 1usize..9,
             page_size_exp in 12u32..17,
             batch_rows in 8usize..120,
@@ -986,41 +872,27 @@ mod join_vectorized {
             let page_size = 1usize << page_size_exp; // 4 KiB .. 64 KiB: forces
                                                      // multi-page chains + faults
             let scope = AllocScope::new(1 << 22);
-            let mut vectorized = JoinTable::with_partitions(arity, page_size, partitions);
-            let mut rowwise = JoinTable::with_partitions(arity, page_size, partitions);
+            let mut vectorized = JoinTable::with_partitions(page_size, partitions);
+            let mut rowwise = JoinTable::with_partitions(page_size, partitions);
 
             // Absorb the same input through both paths, batch by batch, with a
             // selection vector derived from the mask.
-            let mut group: Vec<AnyHandle> = Vec::with_capacity(arity);
             for (chunk_at, chunk) in rows.chunks(batch_rows).enumerate() {
-                let cols: Vec<Vec<AnyHandle>> = (0..arity)
-                    .map(|k| {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(i, _)| {
-                                payload(k as i64, (chunk_at * batch_rows + i) as i64).erase()
-                            })
-                            .collect()
-                    })
+                let objs: Vec<AnyHandle> = (0..chunk.len())
+                    .map(|i| payload((chunk_at * batch_rows + i) as i64).erase())
                     .collect();
-                let hashes: Vec<u64> = chunk.to_vec();
                 let sel: Vec<u32> = (0..chunk.len())
                     .filter(|i| mask[(chunk_at * batch_rows + i) % mask.len()])
                     .map(|i| i as u32)
                     .collect();
-                let col_slices: Vec<&[AnyHandle]> = cols.iter().map(|c| c.as_slice()).collect();
-                vectorized.insert_batch(&hashes, Some(&sel), &col_slices).unwrap();
+                vectorized.insert_batch(chunk, Some(&sel), &objs).unwrap();
                 for &i in &sel {
-                    group.clear();
-                    group.extend(cols.iter().map(|c| c[i as usize].clone()));
-                    rowwise.insert_rowwise(hashes[i as usize], &group).unwrap();
+                    rowwise.insert_rowwise(chunk[i as usize], &objs[i as usize]).unwrap();
                 }
             }
-            drop(group);
             drop(scope);
-            prop_assert_eq!(vectorized.groups, rowwise.groups, "group counts diverged");
-            vectorized.finish_build();
+            prop_assert_eq!(vectorized.groups, rowwise.groups, "row counts diverged");
+            let (vectorized, rowwise) = (reopen(vectorized), reopen(rowwise));
 
             // Probe every possible key (hits and misses) through both tables.
             let keys: Vec<u64> = (0..30u64).collect();
@@ -1030,88 +902,56 @@ mod join_vectorized {
         }
     }
 
-    /// Torn-group regression: with `arity > 1` and pages so small that
-    /// `BlockFull` faults land mid-group constantly, the rollback
-    /// (`bucket.truncate(before)`) must keep every bucket's framing intact —
-    /// each probed group carries exactly one payload per column, with matching
-    /// row ids across the columns of a group.
+    /// `BlockFull` resumption: with pages so small that most rows fault at
+    /// least once, the vectorized fold resumes on a fresh page exactly
+    /// where it stopped — every inserted row is visible to probes exactly
+    /// once, none lost and none duplicated.
     #[test]
     fn torn_groups_never_survive_block_full_faults() {
         let _s = AllocScope::new(1 << 22);
-        for arity in [2usize, 3] {
-            // 512-byte pages cannot hold many 2-element vectors: most groups
-            // fault at least once, many mid-group.
-            let mut t = JoinTable::with_partitions(arity, 512, 4);
-            let n = 120usize;
-            let cols: Vec<Vec<AnyHandle>> = (0..arity)
-                .map(|k| {
-                    (0..n)
-                        .map(|i| payload(k as i64, i as i64).erase())
-                        .collect()
-                })
-                .collect();
-            let hashes: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
-            let col_slices: Vec<&[AnyHandle]> = cols.iter().map(|c| c.as_slice()).collect();
-            t.insert_batch(&hashes, None, &col_slices).unwrap();
-            t.finish_build();
-            assert!(t.page_count() > 4, "tiny pages must fault and chain");
+        let mut t = JoinTable::with_partitions(512, 4);
+        let n = 120usize;
+        let objs: Vec<AnyHandle> = (0..n).map(|i| payload(i as i64).erase()).collect();
+        let hashes: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
+        t.insert_batch(&hashes, None, &objs).unwrap();
+        assert_eq!(t.groups, n as u64);
+        let t = reopen(t);
+        assert!(t.page_count() > 4, "tiny pages must fault and chain");
 
-            let mut idx: Vec<u32> = Vec::new();
-            let mut built: Vec<Vec<AnyHandle>> = (0..arity).map(|_| Vec::new()).collect();
-            let mut total = 0usize;
-            for key in 0..5u64 {
-                idx.clear();
-                for b in built.iter_mut() {
-                    b.clear();
-                }
-                let matches = t.probe_into(key, 0, &mut idx, &mut built);
-                total += matches;
-                for m in 0..matches {
-                    let mut row_id = None;
-                    for (k, b) in built.iter().enumerate() {
-                        let v: Handle<PcVec<i64>> = b[m].downcast_unchecked::<AnyObj>().assume();
-                        assert_eq!(v.len(), 2, "payload framing intact");
-                        assert_eq!(v.get(0), k as i64, "column tag preserved in order");
-                        match row_id {
-                            None => row_id = Some(v.get(1)),
-                            Some(r) => assert_eq!(
-                                v.get(1),
-                                r,
-                                "group columns must come from the same build row"
-                            ),
-                        }
-                    }
-                }
-            }
-            assert_eq!(total, n, "every group probed exactly once (arity {arity})");
+        let got = probe_all(&t, &(0..5u64).collect::<Vec<_>>());
+        let mut rows: Vec<i64> = got.iter().map(|&(_, _, row)| row).collect();
+        rows.sort_unstable();
+        assert_eq!(
+            rows,
+            (0..n as i64).collect::<Vec<_>>(),
+            "every row probed exactly once"
+        );
+        for &(key, _, row) in &got {
+            assert_eq!(key, row as u64 % 5, "row {row} probed under the wrong key");
         }
     }
 
-    /// The same rollback contract on the rowwise reference path.
+    /// The same resumption contract against the rowwise reference.
     #[test]
     fn rowwise_rollback_matches_vectorized_under_faults() {
         let _s = AllocScope::new(1 << 22);
-        let arity = 2usize;
-        let mut vectorized = JoinTable::with_partitions(arity, 512, 2);
-        let mut rowwise = JoinTable::with_partitions(arity, 512, 2);
+        let mut vectorized = JoinTable::with_partitions(512, 2);
+        let mut rowwise = JoinTable::with_partitions(512, 2);
         let n = 80usize;
-        let cols: Vec<Vec<AnyHandle>> = (0..arity)
-            .map(|k| {
-                (0..n)
-                    .map(|i| payload(k as i64, i as i64).erase())
-                    .collect()
-            })
-            .collect();
+        let objs: Vec<AnyHandle> = (0..n).map(|i| payload(i as i64).erase()).collect();
         let hashes: Vec<u64> = (0..n as u64).map(|i| i % 3).collect();
-        let col_slices: Vec<&[AnyHandle]> = cols.iter().map(|c| c.as_slice()).collect();
-        vectorized.insert_batch(&hashes, None, &col_slices).unwrap();
-        vectorized.finish_build();
-        for i in 0..n {
-            rowwise
-                .insert_rowwise(hashes[i], &[cols[0][i].clone(), cols[1][i].clone()])
-                .unwrap();
+        vectorized.insert_batch(&hashes, None, &objs).unwrap();
+        for (h, o) in hashes.iter().zip(&objs) {
+            rowwise.insert_rowwise(*h, o).unwrap();
         }
+        let (vectorized, rowwise) = (reopen(vectorized), reopen(rowwise));
+        assert!(
+            vectorized.page_count() > 2,
+            "tiny pages must fault and chain"
+        );
         let keys: Vec<u64> = (0..4u64).collect();
-        assert_eq!(probe_all(&vectorized, &keys), probe_all(&rowwise, &keys));
+        let got = probe_all(&vectorized, &keys);
+        assert_eq!(got.len(), n, "every row probed exactly once");
+        assert_eq!(got, probe_all(&rowwise, &keys));
     }
 }

@@ -20,12 +20,10 @@ use crate::morsel::MorselOutput;
 use crate::plan::{PipelineSpec, ResolvedOp, ResolvedPipeline, ResolvedSink, Sink};
 use crate::vlist::VectorList;
 use pc_lambda::{
-    for_each_sel, Column, ColumnKernel, ColumnPool, ErasedAgg, ErasedAggSink, ExecCtx, SetWriter,
-    SpillCtx,
+    for_each_sel, Column, ColumnPool, ErasedAgg, ErasedAggSink, ExecCtx, SetWriter, SpillCtx,
 };
 use pc_object::{
-    AllocPolicy, AllocScope, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcResult, PcVec,
-    SealedPage,
+    AllocPolicy, AllocScope, AnyObj, BlockRef, Handle, PcError, PcResult, PcVec, SealedPage,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -55,12 +53,6 @@ pub struct ExecConfig {
     /// therefore the merged output — depends only on this knob and the
     /// input pages, not on `threads`.
     pub morsel_rows: usize,
-    /// Out-of-core context: the [`MemoryBudget`](pc_object::MemoryBudget)
-    /// operators reserve working memory against, plus the spill store a
-    /// partition's page chain is shed to when a reservation is denied.
-    /// `None` (the default) is the old fully-in-memory behavior: nothing is
-    /// reserved and nothing can spill.
-    pub spill: Option<SpillCtx>,
 }
 
 /// Default stage thread count: `PC_THREADS` when set to a positive integer,
@@ -87,7 +79,6 @@ impl Default for ExecConfig {
             join_partitions: 8,
             threads: default_threads(),
             morsel_rows: 32 * 1024,
-            spill: None,
         }
     }
 }
@@ -100,6 +91,7 @@ pub struct ExecStats {
     pub rows_in: u64,
     pub rows_out: u64,
     pub pages_written: u64,
+    /// Build rows folded into join tables.
     pub join_groups: u64,
     pub agg_groups: u64,
     /// Rows folded into pre-aggregation partition maps (the producing side
@@ -109,7 +101,7 @@ pub struct ExecStats {
     pub map_pages_sealed: u64,
     /// Rows that probed a join hash table.
     pub rows_probed: u64,
-    /// Match groups those probes produced.
+    /// Matches those probes produced.
     pub join_matches: u64,
     /// Join build table pages finished by build sinks (the partitioned
     /// chains' pages, sealed for broadcast in the distributed runtime).
@@ -188,6 +180,19 @@ enum SinkState {
 /// The database name intermediates are materialized under.
 pub const TMP_DB: &str = "__tmp";
 
+/// What every span of one stage on one worker shares: the knobs, the
+/// pipeline and its resolved form, the aggregation engines, and the
+/// worker's out-of-core context (the budget operators reserve working
+/// memory against, and the spill store they shed page chains to when a
+/// reservation is denied).
+pub(crate) struct Stage<'a> {
+    pub config: &'a ExecConfig,
+    pub p: &'a PipelineSpec,
+    pub rp: &'a ResolvedPipeline,
+    pub aggs: &'a HashMap<String, Arc<dyn ErasedAgg>>,
+    pub spill: &'a SpillCtx,
+}
+
 /// Runs one pipeline over one `(page, lo, hi)` row range (`None`: no input
 /// rows, the sink machinery alone) with fresh sink state, on the calling
 /// thread. This is the unit a morsel scheduler dispatches: every morsel
@@ -195,14 +200,18 @@ pub const TMP_DB: &str = "__tmp";
 /// merges deterministically by morsel index. The output is sealed here, on
 /// the thread that produced it (handles never cross threads — §6.5).
 pub(crate) fn run_span(
-    config: &ExecConfig,
-    p: &PipelineSpec,
-    rp: &ResolvedPipeline,
-    aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
+    stage: &Stage,
     tables: &HashMap<String, JoinTable>,
     pool: &mut ColumnPool,
     span: Option<(&Arc<SealedPage>, usize, usize)>,
 ) -> PcResult<(MorselOutput, ExecStats)> {
+    let Stage {
+        config,
+        p,
+        rp,
+        aggs,
+        ..
+    } = stage;
     let mut stats = ExecStats::default();
     let mut sink = match &p.sink {
         Sink::Output { .. } | Sink::Materialize { .. } => {
@@ -215,11 +224,10 @@ pub(crate) fn run_span(
             SinkState::Agg(agg.new_sink(
                 config.agg_partitions,
                 config.page_size,
-                config.spill.clone(),
+                Some(stage.spill.clone()),
             ))
         }
-        Sink::JoinBuild { obj_cols, .. } => SinkState::Build(JoinTable::with_partitions(
-            obj_cols.len(),
+        Sink::JoinBuild { .. } => SinkState::Build(JoinTable::with_partitions(
             config.page_size,
             config.join_partitions,
         )),
@@ -278,11 +286,7 @@ pub(crate) fn run_span(
             stats.build_pages_sealed += t.page_count() as u64;
             // Sealed as it stands: the probe side builds its tag filters
             // once over the gathered pages, not per morsel.
-            MorselOutput::TablePages {
-                groups: t.groups,
-                partitions: t.partitions(),
-                pages: t.into_pages()?,
-            }
+            MorselOutput::TablePages(t.into_pages()?)
         }
         SinkState::Agg(mut sink) => {
             let parts = sink.flush()?;
@@ -318,7 +322,13 @@ fn run_batch(
                 drop,
                 drop_out,
             } => {
-                let col = apply_with_retry(kernel, inputs, vl, sink, scratch)?;
+                let col = with_kernel_page(sink, scratch, |ctx| {
+                    let cols: Vec<&Column> = inputs
+                        .iter()
+                        .map(|&s| vl.slot(s))
+                        .collect::<PcResult<Vec<_>>>()?;
+                    kernel.apply(&cols, vl.sel(), ctx)
+                })?;
                 vl.drop_slots(drop, pool);
                 vl.rebase_with(*out, col, pool);
                 if *drop_out {
@@ -337,26 +347,8 @@ fn run_batch(
                 drop,
                 drop_out,
             } => {
-                let mut result = None;
-                for attempt in 0..8 {
-                    let block = kernel_block(sink, scratch)?;
-                    let scope = AllocScope::install(block.clone());
-                    let mut ctx = ExecCtx::new(block);
-                    let r = kernel.apply(&[vl.slot(*input)?], vl.sel(), &mut ctx);
-                    std::mem::drop(scope);
-                    match r {
-                        Ok(v) => {
-                            result = Some(v);
-                            break;
-                        }
-                        Err(PcError::BlockFull { .. }) if attempt < 7 => {
-                            roll_kernel_page(sink, scratch)?;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                let (col, counts) = result.ok_or_else(|| {
-                    PcError::Catalog("flatmap exceeded page-fault retries".into())
+                let (col, counts) = with_kernel_page(sink, scratch, |ctx| {
+                    kernel.apply(&[vl.slot(*input)?], vl.sel(), ctx)
                 })?;
                 vl.drop_slots(drop, pool);
                 vl.replicate_with(&counts, *out, col, pool);
@@ -368,7 +360,7 @@ fn run_batch(
             ResolvedOp::Probe {
                 table,
                 hash_slot,
-                build_slots,
+                build_slot,
                 drop,
                 drop_after,
             } => {
@@ -376,8 +368,7 @@ fn run_batch(
                     .get(table)
                     .ok_or_else(|| PcError::Catalog(format!("join table {table} not built")))?;
                 let mut idx = pool.take_sel();
-                let mut built: Vec<Vec<AnyHandle>> =
-                    (0..t.arity()).map(|_| pool.take_objs()).collect();
+                let mut built = pool.take_objs();
                 {
                     let hashes = vl.slot(*hash_slot)?.as_u64()?;
                     // Fold the selection into the gather indices: only live
@@ -400,14 +391,11 @@ fn run_batch(
                 }
                 vl.drop_slots(drop, pool);
                 vl.gather_rebase(&idx, pool);
-                for (k, slot) in build_slots.iter().enumerate() {
-                    vl.set_slot(*slot, Column::Obj(std::mem::take(&mut built[k])));
-                }
+                // `built`'s buffer returns to the pool when the vector list
+                // recycles at the batch boundary.
+                vl.set_slot(*build_slot, Column::Obj(built));
                 vl.drop_slots(drop_after, pool);
                 pool.recycle_sel(idx);
-                // `built` now holds only the zero-capacity leftovers of
-                // mem::take; the real buffers return to the pool when the
-                // vector list recycles at the batch boundary.
             }
         }
     }
@@ -427,20 +415,15 @@ fn run_batch(
         (
             ResolvedSink::JoinBuild {
                 hash_slot,
-                obj_slots,
+                obj_slot,
             },
             SinkState::Build(t),
         ) => {
             // The vectorized build: the whole selection-live batch is
             // hashed, radix-partitioned, and bulk-folded into the table's
-            // partition chains in one call — no per-row group Vec, no
-            // per-column handle clone.
+            // partition chains in one call.
             let hashes = vl.slot(*hash_slot)?.as_u64()?;
-            let cols: Vec<&[AnyHandle]> = obj_slots
-                .iter()
-                .map(|s| vl.slot(*s).and_then(|c| c.as_obj()))
-                .collect::<PcResult<_>>()?;
-            t.insert_batch(hashes, vl.sel(), &cols)?;
+            t.insert_batch(hashes, vl.sel(), vl.slot(*obj_slot)?.as_obj()?)?;
         }
         _ => {
             return Err(PcError::Catalog(
@@ -473,36 +456,32 @@ fn roll_kernel_page(sink: &mut SinkState, scratch: &mut ScratchPage) -> PcResult
     }
 }
 
-fn apply_with_retry(
-    kernel: &Arc<dyn ColumnKernel>,
-    inputs: &[usize],
-    vl: &VectorList,
+/// Runs one kernel call with the page it should allocate on installed.
+/// On a page fault the page is retired, escalated, and the call retried —
+/// up to eight attempts, after which the fault propagates.
+fn with_kernel_page<R>(
     sink: &mut SinkState,
     scratch: &mut ScratchPage,
-) -> PcResult<Column> {
-    for attempt in 0..8 {
+    mut call: impl FnMut(&mut ExecCtx) -> PcResult<R>,
+) -> PcResult<R> {
+    let mut attempt = 0;
+    loop {
         let block = kernel_block(sink, scratch)?;
         let scope = AllocScope::install(block.clone());
+        // `ctx` still pins the faulting page during the roll below, so an
+        // output page always retires as a zombie and seals at the batch
+        // boundary.
         let mut ctx = ExecCtx::new(block);
-        let cols: Vec<&Column> = inputs
-            .iter()
-            .map(|&s| vl.slot(s))
-            .collect::<PcResult<Vec<_>>>()?;
-        let r = kernel.apply(&cols, vl.sel(), &mut ctx);
+        let r = call(&mut ctx);
         drop(scope);
         match r {
-            Ok(col) => return Ok(col),
             Err(PcError::BlockFull { .. }) if attempt < 7 => {
-                // Page fault: retire the page (it may zombify if pinned by
-                // this batch's earlier columns), escalate, retry the stage.
                 roll_kernel_page(sink, scratch)?;
+                attempt += 1;
             }
-            Err(e) => return Err(e),
+            r => return r,
         }
     }
-    Err(PcError::Catalog(
-        "pipeline stage exceeded page-fault retries".into(),
-    ))
 }
 
 /// A recycled allocation page for intermediate objects in pipelines whose

@@ -19,7 +19,7 @@
 //! `ColumnPool` buffer cache — only affects allocation, never output bytes.
 
 use crate::jointable::{JoinTable, TagFilter};
-use crate::local::{run_span, ExecConfig, ExecStats};
+use crate::local::{run_span, ExecConfig, ExecStats, Stage};
 use crate::plan::PipelineSpec;
 use pc_lambda::{AggPage, ColumnPool, ErasedAgg, SpillCtx, StageLibrary};
 use pc_object::{
@@ -147,16 +147,8 @@ pub fn fan_out<T: Send, R: Send>(
 pub enum MorselOutput {
     /// Sealed output pages (OUTPUT / materialization sinks).
     Pages(Vec<SealedPage>),
-    /// A sealed join build table: partition-tagged pages plus its summary
-    /// numbers (groups folded, radix partition count).
-    TablePages {
-        /// Groups folded into this morsel's table.
-        groups: u64,
-        /// Radix partition count the pages are tagged with.
-        partitions: usize,
-        /// The partition-tagged sealed map pages.
-        pages: Vec<(usize, SealedPage)>,
-    },
+    /// A sealed join build table's partition-tagged map pages.
+    TablePages(Vec<(usize, SealedPage)>),
     /// Pre-aggregated `(partition, page)` pairs awaiting merge; a page may
     /// be resident or spilled (it reloads lazily at merge time).
     AggPartitions(Vec<(usize, AggPage)>),
@@ -191,8 +183,6 @@ pub struct SpilledPartition {
 /// always cover the **full** table — a spilled partition's filter is
 /// exactly the reload skip-check the second pass reuses.
 pub struct SharedTable {
-    /// Build-side column count.
-    pub arity: usize,
     /// Radix partition count the pages are tagged with.
     pub partitions: usize,
     /// Resident partition-tagged sealed map pages, in deterministic
@@ -213,35 +203,24 @@ pub struct SharedTable {
 }
 
 impl SharedTable {
-    /// Builds the shared form under an optional memory budget. The gathered
-    /// table's bytes are reserved against the budget; while the reservation
-    /// is denied, the **largest** resident partition's whole page chain is
-    /// sealed to the spill store and the (smaller) reservation retried —
-    /// grace-style shedding. The loop always terminates: every denial sheds
-    /// at least one page, and a zero-byte reservation is never denied, so
-    /// in the worst case the table ends fully spilled with no grant held.
+    /// Builds the shared form under the worker's memory budget. The
+    /// gathered table's bytes are reserved against the budget; while the
+    /// reservation is denied, the **largest** resident partition's whole
+    /// page chain is sealed to the spill store and the (smaller)
+    /// reservation retried — grace-style shedding. The loop always
+    /// terminates: every denial sheds at least one page, and a zero-byte
+    /// reservation is never denied, so in the worst case the table ends
+    /// fully spilled with no grant held.
     pub fn from_tagged_pages_budgeted(
-        arity: usize,
         partitions: usize,
         pages: Vec<(usize, Arc<SealedPage>)>,
-        spill: Option<&SpillCtx>,
+        ctx: &SpillCtx,
     ) -> PcResult<Self> {
         let partitions = JoinTable::round_partitions(partitions);
         // Filters cover the FULL table, built before anything spills: a
         // spilled partition's filter doubles as the second pass's reload
         // skip-check, and wave views reuse the same filter set unchanged.
         let filters = JoinTable::build_shared_tag_filters(partitions, &pages)?;
-        let Some(ctx) = spill else {
-            return Ok(SharedTable {
-                arity,
-                partitions,
-                pages,
-                filters,
-                spilled: Vec::new(),
-                spiller: None,
-                _grant: None,
-            });
-        };
         let mut resident = pages;
         let mut spilled: Vec<SpilledPartition> = Vec::new();
         let mut total: usize = resident.iter().map(|(_, pg)| pg.used()).sum();
@@ -294,7 +273,6 @@ impl SharedTable {
             Some(ctx.spiller.clone())
         };
         Ok(SharedTable {
-            arity,
             partitions,
             pages: resident,
             filters,
@@ -310,13 +288,7 @@ impl SharedTable {
     /// pages: their probes route to an empty chain and match nothing — the
     /// second-pass waves own those rows.
     pub fn open(&self, page_size: usize) -> PcResult<JoinTable> {
-        JoinTable::from_shared_pages(
-            self.arity,
-            page_size,
-            self.partitions,
-            &self.pages,
-            &self.filters,
-        )
+        JoinTable::from_shared_pages(page_size, self.partitions, &self.pages, &self.filters)
     }
 
     /// How many partitions were shed to the spill store.
@@ -334,7 +306,6 @@ impl SharedTable {
     /// reloading some *other* table's chunk.
     fn resident_view(&self) -> SharedTable {
         SharedTable {
-            arity: self.arity,
             partitions: self.partitions,
             pages: self.pages.clone(),
             filters: self.filters.clone(),
@@ -348,23 +319,18 @@ impl SharedTable {
     /// at least one page, grown greedily while the budget grants more. The
     /// planning reservations are sizing probes only (released immediately);
     /// [`Self::open_chunk`] re-reserves when a wave actually reloads.
-    fn plan_chunks(&self, budget: Option<&MemoryBudget>) -> Vec<ChunkPlan> {
+    fn plan_chunks(&self, budget: &MemoryBudget) -> Vec<ChunkPlan> {
         let mut chunks = Vec::new();
         for (si, sp) in self.spilled.iter().enumerate() {
             let mut lo = 0;
             while lo < sp.page_bytes.len() {
                 let mut hi = lo + 1;
-                match budget {
-                    Some(b) => {
-                        if let Ok(mut g) = b.reserve(sp.page_bytes[lo]) {
-                            while hi < sp.page_bytes.len() && g.grow(sp.page_bytes[hi]).is_ok() {
-                                hi += 1;
-                            }
-                        }
-                        // A denied first page still chunks alone: the wave
-                        // must make progress under any denial pattern.
+                // A denied first page still chunks alone: the wave must
+                // make progress under any denial pattern.
+                if let Ok(mut g) = budget.reserve(sp.page_bytes[lo]) {
+                    while hi < sp.page_bytes.len() && g.grow(sp.page_bytes[hi]).is_ok() {
+                        hi += 1;
                     }
-                    None => hi = sp.page_bytes.len(),
                 }
                 chunks.push((si, lo, hi));
                 lo = hi;
@@ -381,7 +347,7 @@ impl SharedTable {
         si: usize,
         lo: usize,
         hi: usize,
-        budget: Option<&MemoryBudget>,
+        budget: &MemoryBudget,
     ) -> PcResult<SharedTable> {
         let sp = &self.spilled[si];
         let spiller = self
@@ -389,13 +355,12 @@ impl SharedTable {
             .as_ref()
             .ok_or_else(|| PcError::Catalog("spilled join table has no spiller".into()))?;
         let bytes: usize = sp.page_bytes[lo..hi].iter().sum();
-        let grant = budget.and_then(|b| b.reserve(bytes).ok());
+        let grant = budget.reserve(bytes).ok();
         let mut pages = Vec::with_capacity(hi - lo);
         for k in lo..hi {
             pages.push((sp.part, Arc::new(spiller.reload(sp.tokens[k])?)));
         }
         Ok(SharedTable {
-            arity: self.arity,
             partitions: self.partitions,
             pages,
             filters: self.filters.clone(),
@@ -408,16 +373,15 @@ impl SharedTable {
 
 /// Opens thread-local probe views of every table this pipeline probes.
 fn open_probe_tables(
-    config: &ExecConfig,
-    p: &PipelineSpec,
+    stage: &Stage,
     shared: &HashMap<String, SharedTable>,
 ) -> PcResult<HashMap<String, JoinTable>> {
     let mut local = HashMap::new();
-    for t in p.probes() {
+    for t in stage.p.probes() {
         let st = shared
             .get(t)
             .ok_or_else(|| PcError::Catalog(format!("join table {t} not built")))?;
-        local.insert(t.to_string(), st.open(config.page_size)?);
+        local.insert(t.to_string(), st.open(stage.config.page_size)?);
     }
     Ok(local)
 }
@@ -427,31 +391,29 @@ type MorselResults = PcResult<Vec<(usize, MorselOutput, ExecStats)>>;
 /// One worker thread's loop: pull morsels (own deque first, then steal),
 /// run each as an independent span with fresh sink state, seal its output,
 /// and tag it with its morsel index for the deterministic merge.
-#[allow(clippy::too_many_arguments)]
 fn run_worker(
-    config: &ExecConfig,
-    p: &PipelineSpec,
-    rp: &crate::plan::ResolvedPipeline,
-    aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
+    stage: &Stage,
     shared: &HashMap<String, SharedTable>,
     queue: &MorselQueue,
     me: usize,
 ) -> MorselResults {
     let mut pool = ColumnPool::default();
-    let local_tables = open_probe_tables(config, p, shared)?;
+    let local_tables = open_probe_tables(stage, shared)?;
     let mut acc = Vec::new();
     while let Some(m) = queue.next(me) {
         let span = Some((&m.page, m.lo, m.hi));
-        let (out, stats) = run_span(config, p, rp, aggs, &local_tables, &mut pool, span)?;
+        let (out, stats) = run_span(stage, &local_tables, &mut pool, span)?;
         acc.push((m.index, out, stats));
     }
     Ok(acc)
 }
 
 /// Runs one pipeline stage morsel-driven over `config.threads`
-/// work-stealing threads. Returns each morsel's sealed output **in morsel
-/// order** plus the merged stats (also folded in morsel order, so even
-/// stats are schedule-independent apart from `morsels_stolen`).
+/// work-stealing threads, with `spill` (the worker's memory budget and
+/// spill store) as the out-of-core context of its operators. Returns each
+/// morsel's sealed output **in morsel order** plus the merged stats (also
+/// folded in morsel order, so even stats are schedule-independent apart
+/// from `morsels_stolen`).
 ///
 /// If any probed table shed partitions to the spill store at gather time,
 /// the stage runs **second-pass waves** after the resident pass: one wave
@@ -467,9 +429,17 @@ pub fn run_stage_morsels(
     stages: &StageLibrary,
     aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
     shared: &HashMap<String, SharedTable>,
+    spill: &SpillCtx,
 ) -> PcResult<(Vec<MorselOutput>, ExecStats)> {
     let rp = p.resolve(stages)?;
-    let (mut outputs, mut stats) = run_wave(config, p, &rp, pages, aggs, shared)?;
+    let stage = Stage {
+        config,
+        p,
+        rp: &rp,
+        aggs,
+        spill,
+    };
+    let (mut outputs, mut stats) = run_wave(&stage, pages, shared)?;
 
     // ---- second pass: probe waves over spilled join partitions ----
     let spilled_tables: Vec<&str> = p
@@ -480,13 +450,12 @@ pub fn run_stage_morsels(
     if spilled_tables.is_empty() || pages.is_empty() {
         return Ok((outputs, stats));
     }
-    let budget = config.spill.as_ref().map(|s| s.budget.clone());
     // Per spilled table: its chunk plan. A wave picks, for every spilled
     // table, either the resident view (index 0) or one chunk (index i+1);
     // the all-resident combination was the first pass above.
     let plans: Vec<(&str, Vec<ChunkPlan>)> = spilled_tables
         .iter()
-        .map(|t| (*t, shared[*t].plan_chunks(budget.as_ref())))
+        .map(|t| (*t, shared[*t].plan_chunks(&spill.budget)))
         .collect();
     let lens: Vec<usize> = plans.iter().map(|(_, c)| c.len() + 1).collect();
     let mut idx = vec![0usize; plans.len()];
@@ -511,13 +480,13 @@ pub fn run_stage_morsels(
             let view = match plans.iter().position(|(n, _)| *n == t) {
                 Some(pi) if idx[pi] > 0 => {
                     let (si, lo, hi) = plans[pi].1[idx[pi] - 1];
-                    st.open_chunk(si, lo, hi, budget.as_ref())?
+                    st.open_chunk(si, lo, hi, &spill.budget)?
                 }
                 _ => st.resident_view(),
             };
             wave_shared.insert(t.to_string(), view);
         }
-        let (wave_out, wave_stats) = run_wave(config, p, &rp, pages, aggs, &wave_shared)?;
+        let (wave_out, wave_stats) = run_wave(&stage, pages, &wave_shared)?;
         stats.absorb(&wave_stats);
         stats.spill_waves += 1;
         outputs.extend(wave_out);
@@ -528,37 +497,32 @@ pub fn run_stage_morsels(
 /// One pass of a stage over `pages` against one set of probe views: the
 /// morsel-driven core of [`run_stage_morsels`].
 fn run_wave(
-    config: &ExecConfig,
-    p: &PipelineSpec,
-    rp: &crate::plan::ResolvedPipeline,
+    stage: &Stage,
     pages: &[Arc<SealedPage>],
-    aggs: &HashMap<String, Arc<dyn ErasedAgg>>,
     shared: &HashMap<String, SharedTable>,
 ) -> PcResult<(Vec<MorselOutput>, ExecStats)> {
-    let morsels = carve_morsels(pages, config.morsel_rows)?;
+    let morsels = carve_morsels(pages, stage.config.morsel_rows)?;
 
     if morsels.is_empty() {
         // No input rows: still run the sink machinery once so an empty
         // input yields the sink's (empty) output — a finished empty table,
         // a flushed map — exactly as the single-threaded engine does.
         let mut pool = ColumnPool::default();
-        let local_tables = open_probe_tables(config, p, shared)?;
-        let (out, mut stats) = run_span(config, p, rp, aggs, &local_tables, &mut pool, None)?;
+        let local_tables = open_probe_tables(stage, shared)?;
+        let (out, mut stats) = run_span(stage, &local_tables, &mut pool, None)?;
         stats.threads_used = stats.threads_used.max(1);
         return Ok((vec![out], stats));
     }
 
     // Never spawn more threads than there are morsels to run.
-    let nthreads = config.threads.max(1).min(morsels.len());
+    let nthreads = stage.config.threads.max(1).min(morsels.len());
     let queue = MorselQueue::deal(morsels, nthreads);
 
     let per_thread: Vec<MorselResults> = if nthreads == 1 {
         // Single-threaded: run inline, no spawn overhead.
-        vec![run_worker(config, p, rp, aggs, shared, &queue, 0)]
+        vec![run_worker(stage, shared, &queue, 0)]
     } else {
-        fan_out(0..nthreads, |t| {
-            run_worker(config, p, rp, aggs, shared, &queue, t)
-        })
+        fan_out(0..nthreads, |t| run_worker(stage, shared, &queue, t))
     };
 
     let mut tagged = Vec::new();

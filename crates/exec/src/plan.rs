@@ -66,11 +66,11 @@ pub enum PipeOp {
         keep: Vec<String>,
     },
     /// Probe the hash table built for join `table`; appends the build-side
-    /// object columns `build_cols` and fans out matches.
+    /// object column `build_col` and fans out matches.
     Probe {
         table: String,
         hash_col: String,
-        build_cols: Vec<String>,
+        build_col: String,
         keep: Vec<String>,
     },
 }
@@ -93,11 +93,11 @@ pub enum Sink {
         set: String,
         col: String,
     },
-    /// Build the hash table for join `table` from `hash_col` + `obj_cols`.
+    /// Build the hash table for join `table` from `hash_col` + `obj_col`.
     JoinBuild {
         table: String,
         hash_col: String,
-        obj_cols: Vec<String>,
+        obj_col: String,
     },
     /// Pre-aggregate into partitioned maps (the producing stage).
     AggProduce {
@@ -205,11 +205,11 @@ pub enum ResolvedOp {
         drop_out: bool,
     },
     /// JOIN probe: hash lookups fan out matches; survivors gather by the
-    /// probe's match indices; build-side columns land in `build_slots`.
+    /// probe's match indices; the matched build objects land in `build_slot`.
     Probe {
         table: String,
         hash_slot: usize,
-        build_slots: Vec<usize>,
+        build_slot: usize,
         drop: Vec<usize>,
         drop_after: Vec<usize>,
     },
@@ -220,11 +220,8 @@ pub enum ResolvedOp {
 pub enum ResolvedSink {
     /// OUTPUT / Materialize: write the objects in `slot`.
     Write { slot: usize },
-    /// Join build: insert `(hash_slot, obj_slots)` groups.
-    JoinBuild {
-        hash_slot: usize,
-        obj_slots: Vec<usize>,
-    },
+    /// Join build: insert `(hash_slot, obj_slot)` rows.
+    JoinBuild { hash_slot: usize, obj_slot: usize },
     /// Pre-aggregation: absorb the objects in `slot`.
     AggProduce { slot: usize },
 }
@@ -393,16 +390,16 @@ impl PipelineSpec {
                 PipeOp::Probe {
                     table,
                     hash_col,
-                    build_cols,
+                    build_col,
                     keep,
                 } => {
                     let hash_slot = r.slot(hash_col);
-                    let build_slots: Vec<usize> = build_cols.iter().map(|n| r.slot(n)).collect();
-                    let (drop, drop_after) = r.advance(keep, &build_slots);
+                    let build_slot = r.slot(build_col);
+                    let (drop, drop_after) = r.advance(keep, &[build_slot]);
                     ops.push(ResolvedOp::Probe {
                         table: table.clone(),
                         hash_slot,
-                        build_slots,
+                        build_slot,
                         drop,
                         drop_after,
                     });
@@ -416,10 +413,10 @@ impl PipelineSpec {
             }
             Sink::AggProduce { col, .. } => ResolvedSink::AggProduce { slot: r.slot(col) },
             Sink::JoinBuild {
-                hash_col, obj_cols, ..
+                hash_col, obj_col, ..
             } => ResolvedSink::JoinBuild {
                 hash_slot: r.slot(hash_col),
-                obj_slots: obj_cols.iter().map(|n| r.slot(n)).collect(),
+                obj_slot: r.slot(obj_col),
             },
         };
 
@@ -484,9 +481,9 @@ impl std::fmt::Display for PhysicalPlan {
                     PipeOp::Probe {
                         table,
                         hash_col,
-                        build_cols,
+                        build_col,
                         ..
-                    } => writeln!(f, "  probe {table} on {hash_col} -> {build_cols:?}")?,
+                    } => writeln!(f, "  probe {table} on {hash_col} -> {build_col}")?,
                 }
             }
             writeln!(f, "  sink: {:?}", p.sink)?;
@@ -577,13 +574,24 @@ pub fn plan(prog: &TcapProgram) -> PcResult<PhysicalPlan> {
                         rhs_hash,
                         ..
                     } => {
+                        // A join builds from one input, so its table holds
+                        // one object per row (the compiler copies exactly
+                        // one column from the building side).
+                        let [build_col] = lhs_copy.cols.as_slice() else {
+                            return Err(PcError::Catalog(format!(
+                                "JOIN {} copies {} build-side columns; a join \
+                                 table holds exactly one",
+                                s.output.name,
+                                lhs_copy.cols.len()
+                            )));
+                        };
                         if cur_list == lhs_hash.list {
                             // Build side: pipeline ends here (Appendix D.3
                             // builds from every input but the streamed one).
                             break Sink::JoinBuild {
                                 table: s.output.name.clone(),
                                 hash_col: lhs_hash.cols[0].clone(),
-                                obj_cols: lhs_copy.cols.clone(),
+                                obj_col: build_col.clone(),
                             };
                         }
                         debug_assert_eq!(cur_list, rhs_hash.list, "probe must arrive via rhs");
@@ -591,7 +599,7 @@ pub fn plan(prog: &TcapProgram) -> PcResult<PhysicalPlan> {
                         ops.push(PipeOp::Probe {
                             table: s.output.name.clone(),
                             hash_col: rhs_hash.cols[0].clone(),
-                            build_cols: lhs_copy.cols.clone(),
+                            build_col: build_col.clone(),
                             keep,
                         });
                     }
@@ -757,4 +765,69 @@ pub fn describe_decompositions(prog: &TcapProgram) -> Vec<String> {
         out.push(desc);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pc_tcap::parse_program;
+
+    /// A hand-written two-input join whose build side copies `lhs_copy`.
+    fn join_program(lhs_copy: &str) -> TcapProgram {
+        parse_program(&format!(
+            "\
+In_0(in0) <= INPUT('db', 'a', 'ReadA', []);
+In_1(in1) <= INPUT('db', 'b', 'ReadB', []);
+W_1(in0,mt1) <= APPLY(In_0(in0), In_0(in0), 'J', 'key_l', []);
+H_1(in0,mt1,hash1) <= HASH(W_1(mt1), W_1(in0,mt1), 'J', []);
+W_2(in1,mt2) <= APPLY(In_1(in1), In_1(in1), 'J', 'key_r', []);
+H_2(in1,hash2) <= HASH(W_2(mt2), W_2(in1), 'J', []);
+J_1(in0,in1) <= JOIN(H_1(hash1), {lhs_copy}, H_2(hash2), H_2(in1), 'J', []);
+Out_0() <= OUTPUT(J_1(in0), 'db', 'out', 'Write', []);
+"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_join_builds_and_probes_one_column() {
+        let physical = plan(&join_program("H_1(in0)")).unwrap();
+        let build = physical
+            .pipelines
+            .iter()
+            .find_map(|p| match &p.sink {
+                Sink::JoinBuild { obj_col, .. } => Some(obj_col.as_str()),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(build, "in0");
+        let probe = physical
+            .pipelines
+            .iter()
+            .flat_map(|p| &p.ops)
+            .find_map(|op| match op {
+                PipeOp::Probe { build_col, .. } => Some(build_col.as_str()),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(probe, "in0");
+    }
+
+    #[test]
+    fn a_join_copying_two_build_columns_is_an_error() {
+        let err = plan(&join_program("H_1(in0,mt1)")).unwrap_err();
+        assert!(
+            matches!(err, PcError::Catalog(ref m) if m.contains("2 build-side")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_join_copying_no_build_column_is_an_error() {
+        let err = plan(&join_program("H_1()")).unwrap_err();
+        assert!(
+            matches!(err, PcError::Catalog(ref m) if m.contains("0 build-side")),
+            "{err}"
+        );
+    }
 }

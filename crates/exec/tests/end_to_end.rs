@@ -275,6 +275,8 @@ fn two_way_join_with_pushdown() {
     assert_eq!(got, want);
     // Every probe row is an employee that passed the pushed-down filter.
     assert_eq!(stats.rows_probed, want.len() as u64);
+    // Each department is one build row, counted once.
+    assert_eq!(stats.join_groups, 7);
 }
 
 struct DeptAgg;
@@ -471,6 +473,12 @@ fn three_way_join_cascades() {
         assert_eq!(got, want, "star: {star}");
         // `a` probes b's table, then the a ⋈ b rows probe c's.
         assert_eq!(stats.rows_probed, a.len() as u64 + a_join_b, "star: {star}");
+        // `b` and `c` build one table each; every row is counted once.
+        assert_eq!(
+            stats.join_groups,
+            (b.len() + c.len()) as u64,
+            "star: {star}"
+        );
     }
 }
 
@@ -514,7 +522,6 @@ fn morsel_scheduler_reports_stats_and_matches_single_threaded() {
             join_partitions: 4,
             morsel_rows: 64,
             threads,
-            ..ExecConfig::default()
         });
         load_emps(&ex, 700);
         ex.create_or_clear_set("db", "out").unwrap();

@@ -210,31 +210,6 @@ impl<T: PcValue> Handle<PcVec<T>> {
     }
 }
 
-impl<T: PcObjType> Handle<PcVec<Handle<T>>> {
-    /// Appends a group of untyped handles as one atomic unit — the bulk
-    /// bucket-append of the join build sink. Capacity is reserved once for
-    /// the whole group (no per-push doubling checks), cross-block handles
-    /// deep-copy onto this vector's page per §6.4, and a fault anywhere in
-    /// the group rolls the length back so no torn group (a partial
-    /// `arity`-frame) is ever observable.
-    pub fn push_group<'a, I>(&self, objs: I) -> PcResult<()>
-    where
-        I: IntoIterator<Item = &'a crate::AnyHandle>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let it = objs.into_iter();
-        let before = self.len();
-        self.reserve(before + it.len())?;
-        for h in it {
-            if let Err(e) = self.push(h.typed_ref::<T>().clone()) {
-                self.truncate(before);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Flat-element bulk operations (zero-copy views).
 macro_rules! flat_views {
     ($t:ty, $slice:ident, $slice_mut:ident) => {
