@@ -224,7 +224,7 @@ pub(crate) fn run_span(
             SinkState::Agg(agg.new_sink(
                 config.agg_partitions,
                 config.page_size,
-                Some(stage.spill.clone()),
+                stage.spill.clone(),
             ))
         }
         Sink::JoinBuild { .. } => SinkState::Build(JoinTable::with_partitions(

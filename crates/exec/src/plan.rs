@@ -21,7 +21,7 @@
 
 use pc_lambda::{ColumnKernel, FlatMapKernel, StageKernel, StageLibrary};
 use pc_object::{PcError, PcResult};
-use pc_tcap::ir::{TcapOp, TcapProgram};
+use pc_tcap::ir::{TcapOp, TcapProgram, TcapStmt};
 use std::sync::Arc;
 
 /// Where a pipeline reads its input objects.
@@ -537,7 +537,7 @@ pub fn plan(prog: &TcapProgram) -> PcResult<PhysicalPlan> {
                             comp: computation.clone(),
                             stage: stage.clone(),
                             inputs: input.cols.clone(),
-                            out: created(s).unwrap_or_default(),
+                            out: appended(s)?,
                             keep,
                         });
                     }
@@ -557,14 +557,14 @@ pub fn plan(prog: &TcapProgram) -> PcResult<PhysicalPlan> {
                             comp: computation.clone(),
                             stage: stage.clone(),
                             input: input.cols[0].clone(),
-                            out: created(s).unwrap_or_default(),
+                            out: appended(s)?,
                             keep,
                         });
                     }
                     TcapOp::Hash { input, .. } => {
                         ops.push(PipeOp::Hash {
                             input: input.cols[0].clone(),
-                            out: created(s).unwrap_or_default(),
+                            out: appended(s)?,
                             keep,
                         });
                     }
@@ -694,15 +694,17 @@ pub fn plan(prog: &TcapProgram) -> PcResult<PhysicalPlan> {
     Ok(PhysicalPlan { pipelines })
 }
 
-/// The column a statement appends.
-fn created(s: &pc_tcap::ir::TcapStmt) -> Option<String> {
-    let copy: &[String] = match &s.op {
-        TcapOp::Apply { copy, .. } | TcapOp::FlatMap { copy, .. } | TcapOp::Hash { copy, .. } => {
-            &copy.cols
-        }
-        _ => return None,
-    };
-    s.output.cols.iter().find(|c| !copy.contains(c)).cloned()
+/// The one column an APPLY, FLATMAP or HASH appends; a statement appending
+/// zero or several has no kernel output slot to plan.
+fn appended(s: &TcapStmt) -> PcResult<String> {
+    s.created().map(str::to_string).ok_or_else(|| {
+        PcError::Catalog(format!(
+            "{} {} appends {} columns; it must append exactly one",
+            s.op.name(),
+            s.output.name,
+            s.appended().count()
+        ))
+    })
 }
 
 /// Topologically orders pipelines by produced/required resources.
@@ -737,7 +739,7 @@ fn order_pipelines(pipelines: &mut Vec<PipelineSpec>) -> PcResult<()> {
 /// decomposition 0: each `JOIN`'s `lhs` (a later input) builds and the first
 /// input streams through every probe, per Appendix D.3.
 pub fn describe_decompositions(prog: &TcapProgram) -> Vec<String> {
-    let joins: Vec<&pc_tcap::ir::TcapStmt> = prog
+    let joins: Vec<&TcapStmt> = prog
         .stmts
         .iter()
         .filter(|s| matches!(s.op, TcapOp::Join { .. }))
@@ -811,6 +813,25 @@ Out_0() <= OUTPUT(J_1(in0), 'db', 'out', 'Write', []);
             })
             .unwrap();
         assert_eq!(probe, "in0");
+    }
+
+    #[test]
+    fn an_apply_appending_zero_or_two_columns_is_an_error() {
+        for (decl, n) in [("W_1(in0)", 0), ("W_1(in0,mt1,mt2)", 2)] {
+            let prog = parse_program(&format!(
+                "\
+In_0(in0) <= INPUT('db', 'a', 'ReadA', []);
+{decl} <= APPLY(In_0(in0), In_0(in0), 'S', 'key', []);
+Out_0() <= OUTPUT(W_1(in0), 'db', 'out', 'Write', []);
+"
+            ))
+            .unwrap();
+            let err = plan(&prog).unwrap_err();
+            assert!(
+                matches!(err, PcError::Catalog(ref m) if m.contains(&format!("appends {n} columns"))),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 /// Out-of-core context for a pre-aggregation sink: the [`MemoryBudget`] its
 /// sealed map pages reserve against, and the [`PageSpiller`] a chain falls
-/// back to when a reservation is denied. `None` in the engine means the old
-/// fully-in-memory behavior, byte for byte.
+/// back to when a reservation is denied. An unlimited budget never denies
+/// one, so its sink stays fully in memory.
 #[derive(Clone)]
 pub struct SpillCtx {
     pub budget: MemoryBudget,
@@ -204,14 +204,13 @@ pub trait AggregateSpec: Send + Sync + 'static {
 pub trait ErasedAgg: Send + Sync {
     /// Display name of the output type (diagnostics / catalog).
     fn out_type(&self) -> String;
-    /// A pre-aggregation sink with `partitions` hash partitions. With a
-    /// [`SpillCtx`], sealed map pages reserve budget and spill under
-    /// pressure; with `None` the sink is purely in-memory.
+    /// A pre-aggregation sink with `partitions` hash partitions. Its sealed
+    /// map pages reserve against `spill`'s budget and spill under pressure.
     fn new_sink(
         &self,
         partitions: usize,
         page_size: usize,
-        spill: Option<SpillCtx>,
+        spill: SpillCtx,
     ) -> Box<dyn ErasedAggSink>;
     /// A merger for one partition's shuffled pages.
     fn new_merger(&self, page_size: usize) -> Box<dyn ErasedAggMerger>;
@@ -307,7 +306,7 @@ impl<S: AggregateSpec> ErasedAgg for AggEngine<S> {
         &self,
         partitions: usize,
         page_size: usize,
-        spill: Option<SpillCtx>,
+        spill: SpillCtx,
     ) -> Box<dyn ErasedAggSink> {
         // Power-of-two partition count, so partition selection is a shift
         // and mask on the hash's *high* bits — disjoint from the low bits
@@ -351,8 +350,8 @@ struct SinkImpl<S: AggregateSpec> {
     page_size: usize,
     current: Vec<Option<MapPage<S>>>,
     done: Vec<(usize, AggPage)>,
-    /// Out-of-core context; `None` = in-memory sink.
-    spill: Option<SpillCtx>,
+    /// Out-of-core context.
+    spill: SpillCtx,
     /// The reservation covering every `Ready` page in `done`.
     grant: Option<MemoryGrant>,
     stats: AggSinkStats,
@@ -391,10 +390,7 @@ impl<S: AggregateSpec> SinkImpl<S> {
     /// nothing, because the merge pass needs the full chain anyway).
     fn push_done(&mut self, part: usize, page: SealedPage) -> PcResult<()> {
         self.stats.map_pages_sealed += 1;
-        let Some(ctx) = self.spill.clone() else {
-            self.done.push((part, AggPage::Ready(page)));
-            return Ok(());
-        };
+        let ctx = &self.spill;
         let bytes = page.used();
         let granted = match &mut self.grant {
             Some(g) => g.grow(bytes).is_ok(),
@@ -823,11 +819,34 @@ mod agg_vectorized {
     //! final materialization.
 
     use crate::agg::AggEngine;
-    use crate::{AggregateSpec, Column, ErasedAgg, ErasedAggSink, SetWriter};
+    use crate::{AggregateSpec, Column, ErasedAgg, ErasedAggSink, SetWriter, SpillCtx};
     use pc_object::{
-        make_object, pc_object, AllocScope, AnyObj, BlockRef, Handle, PcResult, PcVec, SealedPage,
+        make_object, pc_object, AllocScope, AnyObj, BlockRef, Handle, MemoryBudget, PageSpiller,
+        PcResult, PcVec, SealedPage,
     };
     use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// The sinks' spill context: an unlimited budget never denies a
+    /// reservation, so the spiller is never reached.
+    fn in_memory() -> SpillCtx {
+        struct Unreachable;
+        impl PageSpiller for Unreachable {
+            fn spill(&self, _: &SealedPage) -> PcResult<u64> {
+                unreachable!("an unlimited budget spilled")
+            }
+            fn reload(&self, _: u64) -> PcResult<SealedPage> {
+                unreachable!("an unlimited budget spilled")
+            }
+            fn discard(&self, _: u64) {
+                unreachable!("an unlimited budget spilled")
+            }
+        }
+        SpillCtx {
+            budget: MemoryBudget::unlimited(),
+            spiller: Arc::new(Unreachable),
+        }
+    }
 
     pc_object! {
         /// The test record: a group key and a payload value.
@@ -928,8 +947,8 @@ mod agg_vectorized {
                                                      // mid-burst seals + escalation
             let scope = AllocScope::new(1 << 22);
             let engine = AggEngine::new(GroupSum);
-            let mut vectorized = engine.new_sink(partitions, page_size, None);
-            let mut rowwise = engine.new_sink(partitions, page_size, None);
+            let mut vectorized = engine.new_sink(partitions, page_size, in_memory());
+            let mut rowwise = engine.new_sink(partitions, page_size, in_memory());
 
             // Build object batches of `batch_rows` rows each, with a selection
             // vector derived from the mask; absorb the same input through both
@@ -979,8 +998,8 @@ mod agg_vectorized {
             // mid-bucket.
             let scope = AllocScope::new(1 << 22);
             let engine = AggEngine::new(GroupSum);
-            let mut vectorized = engine.new_sink(partitions, 4096, None);
-            let mut rowwise = engine.new_sink(partitions, 4096, None);
+            let mut vectorized = engine.new_sink(partitions, 4096, in_memory());
+            let mut rowwise = engine.new_sink(partitions, 4096, in_memory());
             let mut handles = Vec::with_capacity(n);
             let mut model: std::collections::HashMap<i64, (i64, i64)> = Default::default();
             for i in 0..n {

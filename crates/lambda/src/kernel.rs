@@ -118,8 +118,11 @@ where
 /// objects into an output object).
 pub struct Extract2<A: PcObjType, B: PcObjType, R, F> {
     pub f: F,
-    pub _pd: PhantomData<fn(&Handle<A>, &Handle<B>) -> R>,
+    pub _pd: PhantomData<Extract2Fn<A, B, R>>,
 }
+
+/// The signature an [`Extract2`] kernel's `f` implements.
+type Extract2Fn<A, B, R> = fn(&Handle<A>, &Handle<B>) -> R;
 
 impl<A, B, R, F> ColumnKernel for Extract2<A, B, R, F>
 where
@@ -193,8 +196,11 @@ where
 /// One-input flat-map kernel.
 pub struct FlatMap1<T: PcObjType, R, F> {
     pub f: F,
-    pub _pd: PhantomData<fn(&Handle<T>) -> Vec<R>>,
+    pub _pd: PhantomData<FlatMap1Fn<T, R>>,
 }
+
+/// The signature a [`FlatMap1`] kernel's `f` implements.
+type FlatMap1Fn<T, R> = fn(&Handle<T>) -> Vec<R>;
 
 impl<T, R, F> FlatMapKernel for FlatMap1<T, R, F>
 where

@@ -146,8 +146,7 @@ impl<O: Factor> AggregateSpec for FactorAgg<O> {
 
     fn init(&self, b: &BlockRef, rec: &Handle<Assignment>) -> PcResult<Handle<PcVec<f64>>> {
         let v = b.make_object::<PcVec<f64>>()?;
-        v.reserve(self.width)?;
-        v.extend_from_slice(&vec![0.0; self.width])?;
+        v.extend_zeroed(self.width)?;
         let c = rec.v().counts();
         for (d, s) in v.as_mut_slice().iter_mut().zip(c.as_slice()) {
             *d += s;
@@ -479,7 +478,9 @@ impl BaselineLda {
         let theta_rdd = eng.parallelize(theta_rdd.collect());
         let phi_rdd = eng.parallelize(phi_rdd.collect());
         let j1 = by_doc.join(&theta_rdd); // (doc, ((word,count), θ_d))
-        let by_word: Rdd<(i64, (i64, i64, Vec<f64>))> = j1.map(|(d, ((w, c), th))| (w, (d, c, th)));
+                                          // (word, (doc, count, θ_d))
+        type ByWord = (i64, (i64, i64, Vec<f64>));
+        let by_word: Rdd<ByWord> = j1.map(|(d, ((w, c), th))| (w, (d, c, th)));
         let j2 = by_word.join(&phi_rdd); // (word, ((doc,count,θ), φ_w))
         let seed: u64 = self.rng.random();
         let fast = self.tuning >= LdaTuning::HandCodedSampler;

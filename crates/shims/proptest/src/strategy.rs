@@ -92,11 +92,14 @@ where
     }
 }
 
+/// A boxed predicate over generated values.
+type Predicate<T> = Box<dyn Fn(&T) -> bool>;
+
 /// Result of [`Strategy::prop_filter`].
 pub struct Filter<S: Strategy> {
     inner: S,
     reason: String,
-    pred: Box<dyn Fn(&S::Value) -> bool>,
+    pred: Predicate<S::Value>,
 }
 
 impl<S: Strategy> Strategy for Filter<S> {

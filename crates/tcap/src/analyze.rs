@@ -4,7 +4,7 @@
 //! what the push-down rule calls "refers to values that depend only on one
 //! of the join inputs").
 
-use crate::ir::{TcapOp, TcapProgram};
+use crate::ir::{is_copy_role, TcapOp, TcapProgram};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// The statement-level DAG of a TCAP program.
@@ -127,6 +127,12 @@ impl Provenance {
         let mut p = Provenance::default();
         for (i, s) in prog.stmts.iter().enumerate() {
             let out = &s.output;
+            // Shallow copies keep the identity of the value they carry.
+            for (role, r) in s.op.refs() {
+                if is_copy_role(role) {
+                    p.copy_ids(&r.list, &r.cols, &out.name);
+                }
+            }
             match &s.op {
                 TcapOp::Input { .. } => {
                     for c in &out.cols {
@@ -136,10 +142,11 @@ impl Provenance {
                         p.id.insert((out.name.clone(), c.clone()), cid);
                     }
                 }
-                TcapOp::Apply { input, copy, .. } | TcapOp::FlatMap { input, copy, .. } => {
-                    p.copy_ids(&copy.list, &copy.cols, &out.name);
-                    // The appended column(s): everything in the output decl
-                    // beyond the copied columns.
+                TcapOp::Apply { input, .. }
+                | TcapOp::FlatMap { input, .. }
+                | TcapOp::Hash { input, .. } => {
+                    // The appended column(s) depend on everything the
+                    // kernel's inputs depend on.
                     let mut dep_set = BTreeSet::new();
                     for c in &input.cols {
                         if let Some(cid) = p.id.get(&(input.list.clone(), c.clone())) {
@@ -148,36 +155,11 @@ impl Provenance {
                             }
                         }
                     }
-                    for c in out.cols.iter().filter(|c| !copy.cols.contains(c)) {
+                    for c in s.appended() {
                         let cid: ColId = (i, c.clone());
                         p.deps.insert(cid.clone(), dep_set.clone());
                         p.id.insert((out.name.clone(), c.clone()), cid);
                     }
-                }
-                TcapOp::Hash { input, copy, .. } => {
-                    p.copy_ids(&copy.list, &copy.cols, &out.name);
-                    let mut dep_set = BTreeSet::new();
-                    for c in &input.cols {
-                        if let Some(cid) = p.id.get(&(input.list.clone(), c.clone())) {
-                            if let Some(ds) = p.deps.get(cid) {
-                                dep_set.extend(ds.iter().cloned());
-                            }
-                        }
-                    }
-                    for c in out.cols.iter().filter(|c| !copy.cols.contains(c)) {
-                        let cid: ColId = (i, c.clone());
-                        p.deps.insert(cid.clone(), dep_set.clone());
-                        p.id.insert((out.name.clone(), c.clone()), cid);
-                    }
-                }
-                TcapOp::Filter { copy, .. } => {
-                    p.copy_ids(&copy.list, &copy.cols, &out.name);
-                }
-                TcapOp::Join {
-                    lhs_copy, rhs_copy, ..
-                } => {
-                    p.copy_ids(&lhs_copy.list, &lhs_copy.cols, &out.name);
-                    p.copy_ids(&rhs_copy.list, &rhs_copy.cols, &out.name);
                 }
                 TcapOp::Aggregate { .. } => {
                     for c in &out.cols {
@@ -186,7 +168,7 @@ impl Provenance {
                         p.id.insert((out.name.clone(), c.clone()), cid);
                     }
                 }
-                TcapOp::Output { .. } => {}
+                TcapOp::Filter { .. } | TcapOp::Join { .. } | TcapOp::Output { .. } => {}
             }
         }
         p

@@ -45,6 +45,43 @@ pub fn meta_get<'a>(meta: &'a Meta, key: &str) -> Option<&'a str> {
     meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
+/// The one definition of each op's column references: `(role, ref)` pairs
+/// in argument order. Expanded for `&TcapOp` and `&mut TcapOp`, so the
+/// shared and mutable views cannot drift apart.
+macro_rules! labelled_refs {
+    ($op:expr) => {
+        match $op {
+            TcapOp::Input { .. } => vec![],
+            TcapOp::Apply { input, copy, .. }
+            | TcapOp::FlatMap { input, copy, .. }
+            | TcapOp::Hash { input, copy, .. } => vec![("input", input), ("copy", copy)],
+            TcapOp::Filter { bool_col, copy, .. } => {
+                vec![("condition", bool_col), ("copy", copy)]
+            }
+            TcapOp::Join {
+                lhs_hash,
+                lhs_copy,
+                rhs_hash,
+                rhs_copy,
+                ..
+            } => vec![
+                ("lhs hash", lhs_hash),
+                ("lhs copy", lhs_copy),
+                ("rhs hash", rhs_hash),
+                ("rhs copy", rhs_copy),
+            ],
+            TcapOp::Aggregate { key, value, .. } => vec![("key", key), ("value", value)],
+            TcapOp::Output { input, .. } => vec![("input", input)],
+        }
+    };
+}
+
+/// Whether a [`TcapOp::refs`] role names a copy list (`copy`, `lhs copy`,
+/// `rhs copy`) rather than a ref the op computes on.
+pub fn is_copy_role(role: &str) -> bool {
+    role.ends_with("copy")
+}
+
 /// One TCAP operation (the right-hand side of a statement).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TcapOp {
@@ -144,6 +181,48 @@ impl TcapOp {
         }
     }
 
+    /// The op's keyword, as the printer emits it (e.g. `"APPLY"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            TcapOp::Input { .. } => "INPUT",
+            TcapOp::Apply { .. } => "APPLY",
+            TcapOp::Filter { .. } => "FILTER",
+            TcapOp::Hash { .. } => "HASH",
+            TcapOp::Join { .. } => "JOIN",
+            TcapOp::FlatMap { .. } => "FLATMAP",
+            TcapOp::Aggregate { .. } => "AGGREGATE",
+            TcapOp::Output { .. } => "OUTPUT",
+        }
+    }
+
+    /// Every [`ColRef`] the op reads, in argument order, labelled with its
+    /// role for diagnostics. Roles ending in `copy` (see [`is_copy_role`])
+    /// are shallow-copied through; the others are computed on.
+    pub fn refs(&self) -> Vec<(&'static str, &ColRef)> {
+        labelled_refs!(self)
+    }
+
+    /// [`TcapOp::refs`], mutably: the same refs in the same order.
+    pub fn refs_mut(&mut self) -> Vec<(&'static str, &mut ColRef)> {
+        labelled_refs!(self)
+    }
+
+    /// The copy list of an APPLY, FLATMAP, HASH or FILTER (the ref labelled
+    /// `copy`); `None` for the other ops.
+    pub fn copy(&self) -> Option<&ColRef> {
+        let (_, copy) = self.refs().into_iter().find(|(role, _)| *role == "copy")?;
+        Some(copy)
+    }
+
+    /// [`TcapOp::copy`], mutably.
+    pub fn copy_mut(&mut self) -> Option<&mut ColRef> {
+        let (_, copy) = self
+            .refs_mut()
+            .into_iter()
+            .find(|(role, _)| *role == "copy")?;
+        Some(copy)
+    }
+
     /// Names of the vector lists this op consumes.
     pub fn input_lists(&self) -> Vec<&str> {
         match self {
@@ -186,6 +265,32 @@ impl TcapOp {
 pub struct TcapStmt {
     pub output: VecListDecl,
     pub op: TcapOp,
+}
+
+impl TcapStmt {
+    /// The columns an APPLY, FLATMAP or HASH appends: its output declaration
+    /// minus its copy list. Empty for every other op (a FILTER appends
+    /// nothing; undeclared extras on one are a shape error, not a result).
+    pub fn appended(&self) -> impl Iterator<Item = &String> {
+        let copy = match &self.op {
+            TcapOp::Filter { .. } => None,
+            op => op.copy(),
+        };
+        self.output
+            .cols
+            .iter()
+            .filter(move |c| copy.is_some_and(|copy| !copy.cols.contains(c)))
+    }
+
+    /// The one column the statement appends; `None` when it appends zero or
+    /// several.
+    pub fn created(&self) -> Option<&str> {
+        let mut appended = self.appended();
+        match (appended.next(), appended.next()) {
+            (Some(c), None) => Some(c),
+            _ => None,
+        }
+    }
 }
 
 /// A complete TCAP program: an ordered list of statements forming a DAG.
@@ -365,5 +470,79 @@ impl fmt::Display for TcapProgram {
             writeln!(f, "{s}")?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::parse_program;
+
+    /// One statement of every op kind.
+    const EVERY_OP: &str = "\
+In_0(a) <= INPUT('db', 'a', 'ReadA', []);
+W_1(a,k) <= APPLY(In_0(a), In_0(a), 'C', 'key', []);
+F_1(a,k) <= FILTER(W_1(k), W_1(a,k), 'C', []);
+H_1(a,h) <= HASH(F_1(k), F_1(a), 'C', []);
+J_1(a,b) <= JOIN(H_1(h), H_1(a), H_1(h), H_1(a), 'C', []);
+M_1(a,b,m) <= FLATMAP(J_1(b), J_1(a,b), 'C', 'explode', []);
+A_1(s) <= AGGREGATE(M_1(m), M_1(a), 'C', []);
+Out_0() <= OUTPUT(A_1(s), 'db', 'out', 'Write', []);
+";
+
+    #[test]
+    fn accessors_describe_every_op() {
+        let mut prog = parse_program(EVERY_OP).unwrap();
+        // (keyword, copy list, created column) of each statement.
+        type Expected<'a> = (&'a str, Option<&'a [&'a str]>, Option<&'a str>);
+        let expected: [Expected; 8] = [
+            ("INPUT", None, None),
+            ("APPLY", Some(&["a"]), Some("k")),
+            ("FILTER", Some(&["a", "k"]), None),
+            ("HASH", Some(&["a"]), Some("h")),
+            ("JOIN", None, None),
+            ("FLATMAP", Some(&["a", "b"]), Some("m")),
+            ("AGGREGATE", None, None),
+            ("OUTPUT", None, None),
+        ];
+        for (s, (name, copy, created)) in prog.stmts.iter_mut().zip(expected) {
+            let shared: Vec<(&str, *const ColRef)> =
+                s.op.refs()
+                    .into_iter()
+                    .map(|(role, r)| (role, r as *const ColRef))
+                    .collect();
+            let mutable: Vec<(&str, *const ColRef)> =
+                s.op.refs_mut()
+                    .into_iter()
+                    .map(|(role, r)| (role, &*r as *const ColRef))
+                    .collect();
+            assert_eq!(shared, mutable, "{s}");
+            assert_eq!(s.op.name(), name);
+            assert!(s.to_string().contains(&format!("<= {name}(")), "{s}");
+            let copy_cols = |c: &ColRef| c.cols.clone();
+            let want_copy = copy.map(|c| c.iter().map(|c| c.to_string()).collect());
+            assert_eq!(s.op.copy().map(copy_cols), want_copy, "{s}");
+            assert_eq!(s.op.copy_mut().map(|c| copy_cols(c)), want_copy, "{s}");
+            assert_eq!(s.created(), created, "{s}");
+        }
+        let roles: Vec<&str> = prog.stmts[4].op.refs().iter().map(|(r, _)| *r).collect();
+        assert_eq!(roles, ["lhs hash", "lhs copy", "rhs hash", "rhs copy"]);
+    }
+
+    #[test]
+    fn created_is_none_unless_exactly_one_column_is_appended() {
+        let prog = parse_program(
+            "\
+In_0(a) <= INPUT('db', 'a', 'ReadA', []);
+W_1(a) <= APPLY(In_0(a), In_0(a), 'C', 'none', []);
+W_2(a,x,y) <= APPLY(In_0(a), In_0(a), 'C', 'two', []);
+F_1(a,x) <= FILTER(W_2(x), W_2(a), 'C', []);
+",
+        )
+        .unwrap();
+        let created: Vec<Option<&str>> = prog.stmts.iter().map(TcapStmt::created).collect();
+        assert_eq!(created, [None, None, None, None]);
+        assert_eq!(prog.stmts[2].appended().collect::<Vec<_>>(), ["x", "y"]);
+        assert_eq!(prog.stmts[3].appended().count(), 0);
     }
 }

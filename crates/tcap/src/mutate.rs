@@ -13,7 +13,7 @@
 //! mixer as the transport/budget chaos layers), so a surviving mutant
 //! replays exactly from its seed.
 
-use crate::ir::{ColRef, TcapOp, TcapProgram};
+use crate::ir::{is_copy_role, TcapOp, TcapProgram};
 
 /// SplitMix64-style mixer: one seed convention across the chaos suites. A
 /// copy of `pc_object::hash::mix`, because this crate has no dependencies.
@@ -119,26 +119,6 @@ pub struct Mutation {
     pub description: String,
 }
 
-/// Every mutable [`ColRef`] of a statement (mutably).
-fn refs_mut(op: &mut TcapOp) -> Vec<&mut ColRef> {
-    match op {
-        TcapOp::Input { .. } => vec![],
-        TcapOp::Apply { input, copy, .. }
-        | TcapOp::FlatMap { input, copy, .. }
-        | TcapOp::Hash { input, copy, .. } => vec![input, copy],
-        TcapOp::Filter { bool_col, copy, .. } => vec![bool_col, copy],
-        TcapOp::Join {
-            lhs_hash,
-            lhs_copy,
-            rhs_hash,
-            rhs_copy,
-            ..
-        } => vec![lhs_hash, lhs_copy, rhs_hash, rhs_copy],
-        TcapOp::Aggregate { key, value, .. } => vec![key, value],
-        TcapOp::Output { input, .. } => vec![input],
-    }
-}
-
 /// Applies mutation class `kind` to a seed-chosen applicable site in `prog`.
 /// Returns `None` when the program offers no applicable site (e.g. no JOIN
 /// to rewire) — the gauntlet skips those, it does not count them as misses.
@@ -156,28 +136,25 @@ pub fn mutate(
                 .filter(|&i| !p.stmts[i].op.input_lists().is_empty())
                 .collect();
             let &i = sites.get(pick(seed, 0, sites.len()))?;
-            let stmt = &mut p.stmts[i];
-            let mut refs = refs_mut(&mut stmt.op);
+            let mut refs = p.stmts[i].op.refs_mut();
             let ri = pick(seed, 1, refs.len());
-            let r = refs.get_mut(ri)?;
+            let (_, r) = refs.get_mut(ri)?;
             desc = format!("stmt {i}: list ref `{}` -> `Zz_void`", r.list);
             r.list = "Zz_void".to_string();
         }
         MutationKind::RenameColRef => {
             let sites: Vec<usize> = (0..p.stmts.len())
-                .filter(|&i| {
-                    let mut s = p.stmts[i].clone();
-                    refs_mut(&mut s.op).iter().any(|r| !r.cols.is_empty())
-                })
+                .filter(|&i| p.stmts[i].op.refs().iter().any(|(_, r)| !r.cols.is_empty()))
                 .collect();
             let &i = sites.get(pick(seed, 0, sites.len()))?;
-            let stmt = &mut p.stmts[i];
-            let mut refs: Vec<&mut ColRef> = refs_mut(&mut stmt.op)
+            let mut refs: Vec<_> = p.stmts[i]
+                .op
+                .refs_mut()
                 .into_iter()
-                .filter(|r| !r.cols.is_empty())
+                .filter(|(_, r)| !r.cols.is_empty())
                 .collect();
             let ri = pick(seed, 1, refs.len());
-            let r = refs.get_mut(ri)?;
+            let (_, r) = refs.get_mut(ri)?;
             let ci = pick(seed, 2, r.cols.len());
             desc = format!("stmt {i}: column ref `{}` -> `zz_ghost`", r.cols[ci]);
             r.cols[ci] = "zz_ghost".to_string();
@@ -225,12 +202,12 @@ pub fn mutate(
             // Only refs that form statement-graph edges: a JOIN's copy refs
             // don't (they must mirror the hash refs — that's TV0009's job).
             let is_join = matches!(stmt.op, TcapOp::Join { .. });
-            let mut refs = refs_mut(&mut stmt.op);
+            let mut refs = stmt.op.refs_mut();
             if is_join {
                 refs = vec![refs.remove(2), refs.remove(0)];
             }
             let ri = pick(seed, 1, refs.len());
-            let r = refs.get_mut(ri)?;
+            let (_, r) = refs.get_mut(ri)?;
             desc = format!("stmt {i}: reads its own output `{own}`");
             r.list = own;
         }
@@ -305,20 +282,20 @@ pub fn mutate(
             meta.push(("type".into(), "arithmetic".into()));
         }
         MutationKind::DropOutputCol => {
-            // Statements with a copied column present in the output decl.
+            // Statements with a copied column present in the output decl (a
+            // JOIN offers its lhs copy list only).
             let mut sites: Vec<(usize, String)> = Vec::new();
             for (i, s) in p.stmts.iter().enumerate() {
-                let copy_cols: Vec<String> = match &s.op {
-                    TcapOp::Apply { copy, .. }
-                    | TcapOp::FlatMap { copy, .. }
-                    | TcapOp::Hash { copy, .. }
-                    | TcapOp::Filter { copy, .. } => copy.cols.clone(),
-                    TcapOp::Join { lhs_copy, .. } => lhs_copy.cols.clone(),
-                    _ => continue,
+                let copy = match &s.op {
+                    TcapOp::Join { lhs_copy, .. } => lhs_copy,
+                    op => match op.copy() {
+                        Some(copy) => copy,
+                        None => continue,
+                    },
                 };
-                for c in copy_cols {
-                    if s.output.cols.contains(&c) {
-                        sites.push((i, c));
+                for c in &copy.cols {
+                    if s.output.cols.contains(c) {
+                        sites.push((i, c.clone()));
                     }
                 }
             }
@@ -402,31 +379,18 @@ fn col_is_object(prog: &TcapProgram, list: &str, col: &str) -> bool {
         let Some(s) = prog.producer(&cur) else {
             return false;
         };
-        match &s.op {
-            TcapOp::Input { .. } => return s.output.cols.iter().any(|c| c == col),
-            TcapOp::Apply { copy, .. }
-            | TcapOp::FlatMap { copy, .. }
-            | TcapOp::Hash { copy, .. }
-            | TcapOp::Filter { copy, .. } => {
-                if copy.cols.iter().any(|c| c == col) {
-                    cur = copy.list.clone();
-                } else {
-                    return false;
-                }
-            }
-            TcapOp::Join {
-                lhs_copy, rhs_copy, ..
-            } => {
-                if lhs_copy.cols.iter().any(|c| c == col) {
-                    cur = lhs_copy.list.clone();
-                } else if rhs_copy.cols.iter().any(|c| c == col) {
-                    cur = rhs_copy.list.clone();
-                } else {
-                    return false;
-                }
-            }
-            TcapOp::Aggregate { .. } | TcapOp::Output { .. } => return false,
+        if let TcapOp::Input { .. } = s.op {
+            return s.output.cols.iter().any(|c| c == col);
         }
+        // Follow the first copy list carrying `col` (JOIN: lhs, then rhs).
+        let Some((_, copy)) =
+            s.op.refs()
+                .into_iter()
+                .find(|(role, r)| is_copy_role(role) && r.cols.iter().any(|c| c == col))
+        else {
+            return false;
+        };
+        cur = copy.list.clone();
     }
     false
 }

@@ -20,7 +20,7 @@
 //! otherwise — an optimizer must never change program meaning.
 
 use crate::analyze::{ColId, Provenance, TcapGraph};
-use crate::ir::{meta_get, ColRef, TcapOp, TcapProgram, TcapStmt};
+use crate::ir::{is_copy_role, meta_get, ColRef, TcapOp, TcapProgram, TcapStmt};
 use std::collections::{BTreeSet, HashMap};
 
 /// Which rules fired, how many times.
@@ -132,63 +132,9 @@ fn rename_refs(
         }
     };
     for s in prog.stmts.iter_mut() {
-        match &mut s.op {
-            TcapOp::Input { .. } => {}
-            TcapOp::Apply { input, copy, .. }
-            | TcapOp::FlatMap { input, copy, .. }
-            | TcapOp::Hash { input, copy, .. } => {
-                fix(input);
-                fix(copy);
-            }
-            TcapOp::Filter { bool_col, copy, .. } => {
-                fix(bool_col);
-                fix(copy);
-            }
-            TcapOp::Join {
-                lhs_hash,
-                lhs_copy,
-                rhs_hash,
-                rhs_copy,
-                ..
-            } => {
-                fix(lhs_hash);
-                fix(lhs_copy);
-                fix(rhs_hash);
-                fix(rhs_copy);
-            }
-            TcapOp::Aggregate { key, value, .. } => {
-                fix(key);
-                fix(value);
-            }
-            TcapOp::Output { input, .. } => fix(input),
+        for (_, r) in s.op.refs_mut() {
+            fix(r);
         }
-    }
-}
-
-/// The column an APPLY/HASH/FLATMAP appends (output decl minus copied cols).
-fn created_col(s: &TcapStmt) -> Option<String> {
-    let copy_cols: &[String] = match &s.op {
-        TcapOp::Apply { copy, .. } | TcapOp::FlatMap { copy, .. } | TcapOp::Hash { copy, .. } => {
-            &copy.cols
-        }
-        _ => return None,
-    };
-    let mut created = s.output.cols.iter().filter(|c| !copy_cols.contains(c));
-    let first = created.next()?.clone();
-    if created.next().is_some() {
-        return None; // multi-column appends not handled by the CSE rule
-    }
-    Some(first)
-}
-
-/// The list a statement primarily flows from (its copy source).
-fn primary_source(s: &TcapStmt) -> Option<&str> {
-    match &s.op {
-        TcapOp::Apply { copy, .. }
-        | TcapOp::FlatMap { copy, .. }
-        | TcapOp::Hash { copy, .. }
-        | TcapOp::Filter { copy, .. } => Some(&copy.list),
-        _ => None,
     }
 }
 
@@ -235,12 +181,11 @@ fn remove_redundant_apply(prog: &mut TcapProgram) -> bool {
             if sig_i != sig_j {
                 continue;
             }
-            let Some(i_col) = created_col(&prog.stmts[i]) else {
+            let (Some(i_col), Some(j_col)) = (prog.stmts[i].created(), prog.stmts[j].created())
+            else {
                 continue;
             };
-            let Some(j_col) = created_col(&prog.stmts[j]) else {
-                continue;
-            };
+            let (i_col, j_col) = (i_col.to_string(), j_col.to_string());
             if try_eliminate(prog, i, j, &i_col, &j_col) {
                 return true;
             }
@@ -255,16 +200,16 @@ fn try_eliminate(prog: &mut TcapProgram, i: usize, j: usize, i_col: &str, j_col:
     // statements that must carry i's column through.
     let i_list = prog.stmts[i].output.name.clone();
     let mut chain: Vec<usize> = Vec::new();
-    let mut cur = match primary_source(&prog.stmts[j]) {
-        Some(l) => l.to_string(),
-        None => return false,
+    let Some(j_src) = prog.stmts[j].op.copy().map(|c| c.list.clone()) else {
+        return false;
     };
+    let mut cur = j_src.clone();
     while cur != i_list {
         let Some(k) = prog.producer_index(&cur) else {
             return false;
         };
         // Only linear APPLY/FILTER/HASH chains are handled.
-        let Some(src) = primary_source(&prog.stmts[k]) else {
+        let Some(src) = prog.stmts[k].op.copy() else {
             return false;
         };
         // Collision: an unrelated column with i's name already flows here.
@@ -272,26 +217,22 @@ fn try_eliminate(prog: &mut TcapProgram, i: usize, j: usize, i_col: &str, j_col:
             return false;
         }
         chain.push(k);
-        cur = src.to_string();
+        cur = src.list.clone();
     }
 
     // Carry i_col through every intermediate statement.
     for &k in chain.iter().rev() {
         let s = &mut prog.stmts[k];
         s.output.cols.push(i_col.to_string());
-        match &mut s.op {
-            TcapOp::Apply { copy, .. }
-            | TcapOp::FlatMap { copy, .. }
-            | TcapOp::Hash { copy, .. }
-            | TcapOp::Filter { copy, .. } => copy.cols.push(i_col.to_string()),
-            _ => return false,
-        }
+        let Some(copy) = s.op.copy_mut() else {
+            return false;
+        };
+        copy.cols.push(i_col.to_string());
     }
 
     // Remove j; downstream reads of j's output move to j's source list, and
     // j's created column becomes i's column.
     let j_out = prog.stmts[j].output.name.clone();
-    let j_src = primary_source(&prog.stmts[j]).unwrap().to_string();
     let mut renames = HashMap::new();
     renames.insert(j_col.to_string(), i_col.to_string());
     prog.stmts.remove(j);
@@ -334,8 +275,8 @@ fn push_down_selection(prog: &mut TcapProgram) -> bool {
             };
             match &prog.stmts[k].op {
                 TcapOp::Join { .. } => break Some(k),
-                _ => match primary_source(&prog.stmts[k]) {
-                    Some(src) => cur = src.to_string(),
+                op => match op.copy() {
+                    Some(src) => cur = src.list.clone(),
                     None => break None,
                 },
             }
@@ -404,8 +345,8 @@ fn side_info(
             TcapOp::Input { .. } | TcapOp::Join { .. } | TcapOp::Aggregate { .. } => {
                 return (Some(s.output.name.clone()), bases)
             }
-            _ => match primary_source(s) {
-                Some(src) => cur = src.to_string(),
+            op => match op.copy() {
+                Some(src) => cur = src.list.clone(),
                 None => return (None, bases),
             },
         }
@@ -433,10 +374,10 @@ fn try_push(
     let mut chain: Vec<usize> = Vec::new();
     for k in ((ji + 1)..ai).rev() {
         let s = &prog.stmts[k];
-        let Some(created) = created_col(s) else {
+        let Some(created) = s.created() else {
             continue;
         };
-        if !want.contains(&created) {
+        if !want.contains(created) {
             continue;
         }
         let TcapOp::Apply { input, .. } = &s.op else {
@@ -457,7 +398,7 @@ fn try_push(
                      // Everything wanted must be found among the chain's created columns.
     let produced: BTreeSet<String> = chain
         .iter()
-        .filter_map(|&k| created_col(&prog.stmts[k]))
+        .filter_map(|&k| prog.stmts[k].created().map(str::to_string))
         .collect();
     if !want.iter().all(|c| produced.contains(c)) {
         return false;
@@ -472,20 +413,8 @@ fn try_push(
         if chain.contains(&k) || k == ai {
             continue;
         }
-        let compute_cols: Vec<&ColRef> = match &s.op {
-            TcapOp::Apply { input, .. }
-            | TcapOp::FlatMap { input, .. }
-            | TcapOp::Hash { input, .. } => vec![input],
-            TcapOp::Filter { bool_col, .. } => vec![bool_col],
-            TcapOp::Join {
-                lhs_hash, rhs_hash, ..
-            } => vec![lhs_hash, rhs_hash],
-            TcapOp::Aggregate { key, value, .. } => vec![key, value],
-            TcapOp::Output { input, .. } => vec![input],
-            TcapOp::Input { .. } => vec![],
-        };
-        for r in compute_cols {
-            if r.cols.iter().any(|c| produced.contains(c)) {
+        for (role, r) in s.op.refs() {
+            if !is_copy_role(role) && r.cols.iter().any(|c| produced.contains(c)) {
                 return false;
             }
         }
@@ -514,7 +443,7 @@ fn try_push(
         if !input.cols.iter().all(|c| cur_cols.contains(c)) {
             return false;
         }
-        let created = created_col(&prog.stmts[k]).unwrap();
+        let created = prog.stmts[k].created().unwrap().to_string();
         let out_name = fresh_among(prog, &new_stmts, "PshD");
         let mut out_cols = cur_cols.clone();
         out_cols.push(created.clone());
@@ -580,7 +509,11 @@ fn try_push(
         .filter(|&c| c < first_new || c > last_new)
         .collect();
     for c in consumers {
-        remap_one(&mut prog.stmts[c], src_list, &filter_name);
+        for (_, r) in prog.stmts[c].op.refs_mut() {
+            if r.list == src_list {
+                r.list = filter_name.clone();
+            }
+        }
     }
 
     // 4. Remove the post-join conjunct chain and collapse the AND.
@@ -593,13 +526,13 @@ fn try_push(
     // Rewire each removed stmt's output to its copy source.
     for &k in to_remove.iter() {
         let out = prog.stmts[k].output.name.clone();
-        let src = primary_source(&prog.stmts[k]).unwrap().to_string();
+        let src = prog.stmts[k].op.copy().unwrap().list.clone();
         rename_refs(prog, &out, &src, &HashMap::new());
     }
     // Collapse AND: downstream (the FILTER) reads the surviving operand.
     let and_out = prog.stmts[ai].output.name.clone();
-    let and_src = primary_source(&prog.stmts[ai]).unwrap().to_string();
-    let and_created = created_col(&prog.stmts[ai]).unwrap();
+    let and_src = prog.stmts[ai].op.copy().unwrap().list.clone();
+    let and_created = prog.stmts[ai].created().unwrap().to_string();
     let mut renames = HashMap::new();
     renames.insert(and_created, other_operand.to_string());
     rename_refs(prog, &and_out, &and_src, &renames);
@@ -644,35 +577,8 @@ fn try_push(
                 r.cols.retain(|c| !produced.contains(c));
             }
         };
-        match &mut s.op {
-            TcapOp::Input { .. } => {}
-            TcapOp::Apply { input, copy, .. }
-            | TcapOp::FlatMap { input, copy, .. }
-            | TcapOp::Hash { input, copy, .. } => {
-                strip(input);
-                strip(copy);
-            }
-            TcapOp::Filter { bool_col, copy, .. } => {
-                strip(bool_col);
-                strip(copy);
-            }
-            TcapOp::Join {
-                lhs_hash,
-                lhs_copy,
-                rhs_hash,
-                rhs_copy,
-                ..
-            } => {
-                strip(lhs_hash);
-                strip(lhs_copy);
-                strip(rhs_hash);
-                strip(rhs_copy);
-            }
-            TcapOp::Aggregate { key, value, .. } => {
-                strip(key);
-                strip(value);
-            }
-            TcapOp::Output { input, .. } => strip(input),
+        for (_, r) in s.op.refs_mut() {
+            strip(r);
         }
         if downstream_lists.contains(&s.output.name) {
             s.output.cols.retain(|c| !produced.contains(c));
@@ -692,45 +598,6 @@ fn fresh_among(prog: &TcapProgram, pending: &[TcapStmt], prefix: &str) -> String
             return candidate;
         }
         i += 1;
-    }
-}
-
-/// Rewrites one statement's references from `old` to `new` (no col renames).
-fn remap_one(s: &mut TcapStmt, old: &str, new: &str) {
-    let fix = |r: &mut ColRef| {
-        if r.list == old {
-            r.list = new.to_string();
-        }
-    };
-    match &mut s.op {
-        TcapOp::Input { .. } => {}
-        TcapOp::Apply { input, copy, .. }
-        | TcapOp::FlatMap { input, copy, .. }
-        | TcapOp::Hash { input, copy, .. } => {
-            fix(input);
-            fix(copy);
-        }
-        TcapOp::Filter { bool_col, copy, .. } => {
-            fix(bool_col);
-            fix(copy);
-        }
-        TcapOp::Join {
-            lhs_hash,
-            lhs_copy,
-            rhs_hash,
-            rhs_copy,
-            ..
-        } => {
-            fix(lhs_hash);
-            fix(lhs_copy);
-            fix(rhs_hash);
-            fix(rhs_copy);
-        }
-        TcapOp::Aggregate { key, value, .. } => {
-            fix(key);
-            fix(value);
-        }
-        TcapOp::Output { input, .. } => fix(input),
     }
 }
 
@@ -784,68 +651,28 @@ fn prune_dead(prog: &mut TcapProgram) -> (usize, usize) {
     // Dead copied columns.
     let mut referenced: BTreeSet<(String, String)> = BTreeSet::new();
     for s in &prog.stmts {
-        let mut add = |r: &ColRef| {
+        for (_, r) in s.op.refs() {
             for c in &r.cols {
                 referenced.insert((r.list.clone(), c.clone()));
             }
-        };
-        match &s.op {
-            TcapOp::Input { .. } => {}
-            TcapOp::Apply { input, copy, .. }
-            | TcapOp::FlatMap { input, copy, .. }
-            | TcapOp::Hash { input, copy, .. } => {
-                add(input);
-                add(copy);
-            }
-            TcapOp::Filter { bool_col, copy, .. } => {
-                add(bool_col);
-                add(copy);
-            }
-            TcapOp::Join {
-                lhs_hash,
-                lhs_copy,
-                rhs_hash,
-                rhs_copy,
-                ..
-            } => {
-                add(lhs_hash);
-                add(lhs_copy);
-                add(rhs_hash);
-                add(rhs_copy);
-            }
-            TcapOp::Aggregate { key, value, .. } => {
-                add(key);
-                add(value);
-            }
-            TcapOp::Output { input, .. } => add(input),
         }
     }
     for s in prog.stmts.iter_mut() {
-        if matches!(s.op, TcapOp::Input { .. }) {
-            continue; // base object columns always stay
-        }
         let name = s.output.name.clone();
         let keep = |c: &String| referenced.contains(&(name.clone(), c.clone()));
-        // Only prune *copied* columns; created columns define the statement.
-        let copy_cols: Vec<String> = match &s.op {
-            TcapOp::Apply { copy, .. }
-            | TcapOp::FlatMap { copy, .. }
-            | TcapOp::Hash { copy, .. }
-            | TcapOp::Filter { copy, .. } => copy.cols.clone(),
-            _ => continue,
+        // Only prune *copied* columns; created columns define the statement
+        // and INPUT's base object columns always stay.
+        let Some(copy) = s.op.copy() else {
+            continue;
         };
-        let dead: Vec<String> = copy_cols.iter().filter(|c| !keep(c)).cloned().collect();
+        let dead: Vec<String> = copy.cols.iter().filter(|c| !keep(c)).cloned().collect();
         if dead.is_empty() {
             continue;
         }
         pruned_cols += dead.len();
         s.output.cols.retain(|c| !dead.contains(c));
-        match &mut s.op {
-            TcapOp::Apply { copy, .. }
-            | TcapOp::FlatMap { copy, .. }
-            | TcapOp::Hash { copy, .. }
-            | TcapOp::Filter { copy, .. } => copy.cols.retain(|c| !dead.contains(c)),
-            _ => {}
+        if let Some(copy) = s.op.copy_mut() {
+            copy.cols.retain(|c| !dead.contains(c));
         }
     }
     (pruned_cols, removed)

@@ -37,7 +37,7 @@
 //! each compiled plan before accepting it.
 
 use crate::analyze::TcapGraph;
-use crate::ir::{meta_get, ColRef, TcapOp, TcapProgram};
+use crate::ir::{is_copy_role, meta_get, ColRef, TcapOp, TcapProgram};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -329,48 +329,10 @@ fn check_names(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Every [`ColRef`] an operation reads, labelled for diagnostics.
-fn op_refs(op: &TcapOp) -> Vec<(&'static str, &ColRef)> {
-    match op {
-        TcapOp::Input { .. } => vec![],
-        TcapOp::Apply { input, copy, .. }
-        | TcapOp::FlatMap { input, copy, .. }
-        | TcapOp::Hash { input, copy, .. } => vec![("input", input), ("copy", copy)],
-        TcapOp::Filter { bool_col, copy, .. } => vec![("condition", bool_col), ("copy", copy)],
-        TcapOp::Join {
-            lhs_hash,
-            lhs_copy,
-            rhs_hash,
-            rhs_copy,
-            ..
-        } => vec![
-            ("lhs hash", lhs_hash),
-            ("lhs copy", lhs_copy),
-            ("rhs hash", rhs_hash),
-            ("rhs copy", rhs_copy),
-        ],
-        TcapOp::Aggregate { key, value, .. } => vec![("key", key), ("value", value)],
-        TcapOp::Output { input, .. } => vec![("input", input)],
-    }
-}
-
-fn op_name(op: &TcapOp) -> &'static str {
-    match op {
-        TcapOp::Input { .. } => "INPUT",
-        TcapOp::Apply { .. } => "APPLY",
-        TcapOp::Filter { .. } => "FILTER",
-        TcapOp::Hash { .. } => "HASH",
-        TcapOp::Join { .. } => "JOIN",
-        TcapOp::FlatMap { .. } => "FLATMAP",
-        TcapOp::Aggregate { .. } => "AGGREGATE",
-        TcapOp::Output { .. } => "OUTPUT",
-    }
-}
-
 fn check_refs(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
     for (i, s) in prog.stmts.iter().enumerate() {
         let mut missing_lists: BTreeSet<&str> = BTreeSet::new();
-        for (role, r) in op_refs(&s.op) {
+        for (role, r) in s.op.refs() {
             let Some(producer) = prog.producer(&r.list) else {
                 // Report each undefined list once per statement.
                 if missing_lists.insert(r.list.as_str()) {
@@ -380,7 +342,7 @@ fn check_refs(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
                             i,
                             format!(
                                 "{} reads from undefined vector list `{}`",
-                                op_name(&s.op),
+                                s.op.name(),
                                 r.list
                             ),
                         )
@@ -397,7 +359,7 @@ fn check_refs(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
                             i,
                             format!(
                                 "{} {role} references column `{c}` which `{}` does not declare",
-                                op_name(&s.op),
+                                s.op.name(),
                                 r.list
                             ),
                         )
@@ -418,35 +380,32 @@ fn check_refs(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
 fn check_shapes(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
     for (i, s) in prog.stmts.iter().enumerate() {
         let out = &s.output;
+        for c in s.op.copy().iter().flat_map(|copy| &copy.cols) {
+            if !out.cols.contains(c) {
+                diags.push(Diagnostic::error(
+                    "TV0007",
+                    i,
+                    format!(
+                        "{} copies column `{c}` but `{}` does not declare it",
+                        s.op.name(),
+                        out.name
+                    ),
+                ));
+            }
+        }
         match &s.op {
-            TcapOp::Apply { copy, .. }
-            | TcapOp::FlatMap { copy, .. }
-            | TcapOp::Hash { copy, .. } => {
-                for c in &copy.cols {
-                    if !out.cols.contains(c) {
-                        diags.push(Diagnostic::error(
-                            "TV0007",
-                            i,
-                            format!(
-                                "{} copies column `{c}` but `{}` does not declare it",
-                                op_name(&s.op),
-                                out.name
-                            ),
-                        ));
-                    }
-                }
-                let created: Vec<&String> =
-                    out.cols.iter().filter(|c| !copy.cols.contains(c)).collect();
-                if created.len() != 1 {
+            TcapOp::Apply { .. } | TcapOp::FlatMap { .. } | TcapOp::Hash { .. } => {
+                let created = s.appended().count();
+                if created != 1 {
                     diags.push(
                         Diagnostic::error(
                             "TV0006",
                             i,
                             format!(
                                 "{} must append exactly one new column to `{}`, found {}",
-                                op_name(&s.op),
+                                s.op.name(),
                                 out.name,
-                                created.len()
+                                created
                             ),
                         )
                         .note("output declaration = copied columns + the kernel's result column"),
@@ -454,18 +413,6 @@ fn check_shapes(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
                 }
             }
             TcapOp::Filter { copy, .. } => {
-                for c in &copy.cols {
-                    if !out.cols.contains(c) {
-                        diags.push(Diagnostic::error(
-                            "TV0007",
-                            i,
-                            format!(
-                                "FILTER copies column `{c}` but `{}` does not declare it",
-                                out.name
-                            ),
-                        ));
-                    }
-                }
                 for c in out.cols.iter().filter(|c| !copy.cols.contains(c)) {
                     diags.push(
                         Diagnostic::error(
@@ -624,29 +571,26 @@ fn check_types(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
             .copied()
             .unwrap_or(ColType::Unknown)
     };
-    let inherit =
-        |ty: &mut HashMap<(String, String), ColType>, src: &ColRef, dst: &str, cols: &[String]| {
-            for c in cols {
-                let t = ty
-                    .get(&(src.list.clone(), c.clone()))
-                    .copied()
-                    .unwrap_or(ColType::Unknown);
-                ty.insert((dst.to_string(), c.clone()), t);
-            }
-        };
 
     for &i in &order {
         let s = &prog.stmts[i];
         let out_name = s.output.name.clone();
+        // Copied columns keep their type.
+        for (role, r) in s.op.refs() {
+            if is_copy_role(role) {
+                for c in &r.cols {
+                    let t = lookup(&ty, r, c);
+                    ty.insert((out_name.clone(), c.clone()), t);
+                }
+            }
+        }
         match &s.op {
             TcapOp::Input { .. } => {
                 for c in &s.output.cols {
                     ty.insert((out_name.clone(), c.clone()), ColType::Obj);
                 }
             }
-            TcapOp::Apply {
-                input, copy, meta, ..
-            } => {
+            TcapOp::Apply { input, meta, .. } => {
                 let meta_ty = meta_get(meta, "type");
                 if let Some(want) = apply_arity(meta_ty) {
                     if input.cols.len() != want {
@@ -710,13 +654,12 @@ fn check_types(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
                     }
                     _ => {}
                 }
-                inherit(&mut ty, copy, &out_name, &copy.cols);
                 let result = apply_result_type(meta_ty);
-                for c in s.output.cols.iter().filter(|c| !copy.cols.contains(c)) {
+                for c in s.appended() {
                     ty.insert((out_name.clone(), c.clone()), result);
                 }
             }
-            TcapOp::Hash { input, copy, .. } => {
+            TcapOp::Hash { input, .. } => {
                 if input.cols.len() != 1 {
                     diags.push(Diagnostic::error(
                         "TV0103",
@@ -739,18 +682,16 @@ fn check_types(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
                         );
                     }
                 }
-                inherit(&mut ty, copy, &out_name, &copy.cols);
-                for c in s.output.cols.iter().filter(|c| !copy.cols.contains(c)) {
+                for c in s.appended() {
                     ty.insert((out_name.clone(), c.clone()), ColType::Hash);
                 }
             }
-            TcapOp::FlatMap { copy, .. } => {
-                inherit(&mut ty, copy, &out_name, &copy.cols);
-                for c in s.output.cols.iter().filter(|c| !copy.cols.contains(c)) {
+            TcapOp::FlatMap { .. } => {
+                for c in s.appended() {
                     ty.insert((out_name.clone(), c.clone()), ColType::Obj);
                 }
             }
-            TcapOp::Filter { bool_col, copy, .. } => {
+            TcapOp::Filter { bool_col, .. } => {
                 if bool_col.cols.len() != 1 {
                     diags.push(Diagnostic::error(
                         "TV0103",
@@ -774,14 +715,9 @@ fn check_types(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
                         );
                     }
                 }
-                inherit(&mut ty, copy, &out_name, &copy.cols);
             }
             TcapOp::Join {
-                lhs_hash,
-                lhs_copy,
-                rhs_hash,
-                rhs_copy,
-                ..
+                lhs_hash, rhs_hash, ..
             } => {
                 for r in [lhs_hash, rhs_hash] {
                     if r.cols.len() != 1 {
@@ -808,8 +744,6 @@ fn check_types(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
                         }
                     }
                 }
-                inherit(&mut ty, lhs_copy, &out_name, &lhs_copy.cols);
-                inherit(&mut ty, rhs_copy, &out_name, &rhs_copy.cols);
             }
             TcapOp::Aggregate { key, value, .. } => {
                 for (role, r) in [("key", key), ("value", value)] {
@@ -852,23 +786,17 @@ fn check_liveness(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
     // TV0202's business).
     let mut referenced: BTreeSet<(String, String)> = BTreeSet::new();
     for s in &prog.stmts {
-        for (_, r) in op_refs(&s.op) {
+        for (_, r) in s.op.refs() {
             for c in &r.cols {
                 referenced.insert((r.list.clone(), c.clone()));
             }
         }
     }
     for (i, s) in prog.stmts.iter().enumerate() {
-        let copy_cols: &[String] = match &s.op {
-            TcapOp::Apply { copy, .. }
-            | TcapOp::FlatMap { copy, .. }
-            | TcapOp::Hash { copy, .. } => &copy.cols,
-            _ => continue,
-        };
         if prog.consumers(&s.output.name).is_empty() {
             continue;
         }
-        for c in s.output.cols.iter().filter(|c| !copy_cols.contains(c)) {
+        for c in s.appended() {
             if !referenced.contains(&(s.output.name.clone(), c.clone())) {
                 diags.push(
                     Diagnostic::warning(

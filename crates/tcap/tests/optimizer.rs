@@ -143,52 +143,17 @@ fn pushdown_keeps_a_runnable_dag() {
     // Every referenced list must have a producer, and every referenced
     // column must be in its producer's output declaration.
     for s in &prog.stmts {
-        for list in s.op.input_lists() {
-            let producer = prog
-                .producer(list)
-                .unwrap_or_else(|| panic!("dangling list {list} in:\n{prog}"));
-            let _ = producer;
-        }
-    }
-    let check_cols = |list: &str, cols: &[String]| {
-        let p = prog.producer(list).unwrap();
-        for c in cols {
-            assert!(
-                p.output.cols.contains(c),
-                "column {c} not produced by {list} in:\n{prog}"
-            );
-        }
-    };
-    for s in &prog.stmts {
-        match &s.op {
-            TcapOp::Apply { input, copy, .. }
-            | TcapOp::FlatMap { input, copy, .. }
-            | TcapOp::Hash { input, copy, .. } => {
-                check_cols(&input.list, &input.cols);
-                check_cols(&copy.list, &copy.cols);
+        for (_, r) in s.op.refs() {
+            let p = prog
+                .producer(&r.list)
+                .unwrap_or_else(|| panic!("dangling list {} in:\n{prog}", r.list));
+            for c in &r.cols {
+                assert!(
+                    p.output.cols.contains(c),
+                    "column {c} not produced by {} in:\n{prog}",
+                    r.list
+                );
             }
-            TcapOp::Filter { bool_col, copy, .. } => {
-                check_cols(&bool_col.list, &bool_col.cols);
-                check_cols(&copy.list, &copy.cols);
-            }
-            TcapOp::Join {
-                lhs_hash,
-                lhs_copy,
-                rhs_hash,
-                rhs_copy,
-                ..
-            } => {
-                check_cols(&lhs_hash.list, &lhs_hash.cols);
-                check_cols(&lhs_copy.list, &lhs_copy.cols);
-                check_cols(&rhs_hash.list, &rhs_hash.cols);
-                check_cols(&rhs_copy.list, &rhs_copy.cols);
-            }
-            TcapOp::Aggregate { key, value, .. } => {
-                check_cols(&key.list, &key.cols);
-                check_cols(&value.list, &value.cols);
-            }
-            TcapOp::Output { input, .. } => check_cols(&input.list, &input.cols),
-            TcapOp::Input { .. } => {}
         }
     }
 }

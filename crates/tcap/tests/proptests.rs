@@ -110,37 +110,12 @@ fn program() -> impl Strategy<Value = TcapProgram> {
 /// Every referenced list has a producer and every referenced column exists
 /// in its producer's declaration.
 fn is_well_formed(prog: &TcapProgram) -> bool {
-    for s in &prog.stmts {
-        for list in s.op.input_lists() {
-            let Some(p) = prog.producer(list) else {
-                return false;
-            };
-            let refs: Vec<&ColRef> = match &s.op {
-                TcapOp::Apply { input, copy, .. }
-                | TcapOp::FlatMap { input, copy, .. }
-                | TcapOp::Hash { input, copy, .. } => vec![input, copy],
-                TcapOp::Filter { bool_col, copy, .. } => vec![bool_col, copy],
-                TcapOp::Join {
-                    lhs_hash,
-                    lhs_copy,
-                    rhs_hash,
-                    rhs_copy,
-                    ..
-                } => {
-                    vec![lhs_hash, lhs_copy, rhs_hash, rhs_copy]
-                }
-                TcapOp::Aggregate { key, value, .. } => vec![key, value],
-                TcapOp::Output { input, .. } => vec![input],
-                TcapOp::Input { .. } => vec![],
-            };
-            for r in refs {
-                if r.list == *list && !r.cols.iter().all(|c| p.output.cols.contains(c)) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    prog.stmts.iter().all(|s| {
+        s.op.refs().into_iter().all(|(_, r)| {
+            prog.producer(&r.list)
+                .is_some_and(|p| r.cols.iter().all(|c| p.output.cols.contains(c)))
+        })
+    })
 }
 
 proptest! {

@@ -73,10 +73,13 @@ pub fn to_rows(data: &[CustomerData]) -> Vec<BCustomer> {
         .collect()
 }
 
+/// A customer's name and the parts it bought from one supplier.
+type CustomerParts = (String, Vec<i64>);
+
 /// Workload 1 on the baseline: flat-map to (supplier, (customer, parts)),
 /// shuffle, group. Returns (supplier, customer count).
 pub fn customers_per_supplier(rdd: &Rdd<BCustomer>) -> Vec<(String, usize)> {
-    let infos: Rdd<(String, (String, Vec<i64>))> = rdd.flat_map(|c| {
+    let infos: Rdd<(String, CustomerParts)> = rdd.flat_map(|c| {
         let mut per: HashMap<i64, Vec<i64>> = HashMap::new();
         for (_ok, lines) in &c.orders {
             for (p, s) in lines {
@@ -90,7 +93,7 @@ pub fn customers_per_supplier(rdd: &Rdd<BCustomer>) -> Vec<(String, usize)> {
             .map(|(s, parts)| (supplier_name(s), (c.name.clone(), parts)))
             .collect()
     });
-    let grouped: Rdd<(String, Vec<(String, Vec<i64>)>)> = infos
+    let grouped: Rdd<(String, Vec<CustomerParts>)> = infos
         .map(|(s, cv)| (s, vec![cv]))
         .reduce_by_key(|mut a, mut b| {
             // merge customer entries (dedup parts per customer)
