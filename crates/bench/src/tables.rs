@@ -474,7 +474,7 @@ fn lda_sharpness<'a>(system: &str, theta: impl ExactSizeIterator<Item = &'a [f64
 }
 
 /// Table 4: LDA per-iteration times, PC vs the baseline tuning ladder.
-/// After [`LDA_SWEEPS`] sweeps (the untimed ones follow the timed ones),
+/// After `LDA_SWEEPS` sweeps (the untimed ones follow the timed ones),
 /// every system's θ must be a distribution per document and clear the
 /// sharpness bar, or the table panics. The corpus draws each document from
 /// one of `topics` word pools, so a converged θ row is nearly one-hot.

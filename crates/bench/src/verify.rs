@@ -6,7 +6,7 @@
 //! aggregation), shows each lowered plan verifying clean before and after
 //! optimization, renders one deliberately broken plan's diagnostics, and
 //! then runs the gauntlet: every mutation class from
-//! [`pc_tcap::mutate`] applied to every plan under many seeds, gated on
+//! [`pc_tcap::mutate`](mod@pc_tcap::mutate) applied to every plan under many seeds, gated on
 //! ≥95% of applied mutants being rejected with the class's expected `TV`
 //! code and zero false positives on the unmutated plans.
 

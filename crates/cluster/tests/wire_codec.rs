@@ -8,14 +8,17 @@ use pc_object::PcError;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
+/// Data frames whose checksummed region (45 header bytes plus the
+/// payload) runs from below the CRC's 64-byte fold threshold past a
+/// default 4 KiB chunk, so both CRC paths and the fold's tail are drawn.
 fn frame_strategy() -> impl Strategy<Value = WireFrame> {
     (
-        0..3u64,                   // epoch
-        0..8u64,                   // src
-        0..8u64,                   // dst
-        0..1_000u64,               // seq
-        (0..16u32, 1..17u32),      // idx < total
-        pvec(any::<u8>(), 0..512), // payload
+        0..3u64,                     // epoch
+        0..8u64,                     // src
+        0..8u64,                     // dst
+        0..1_000u64,                 // seq
+        (0..16u32, 1..17u32),        // idx < total
+        pvec(any::<u8>(), 0..4_200), // payload
     )
         .prop_map(|(epoch, src, dst, seq, (idx, total), payload)| {
             WireFrame::data(epoch, src, dst, seq, idx % total, total, payload)

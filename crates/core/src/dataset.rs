@@ -429,7 +429,7 @@ impl Job {
     /// executing. This is the hook engine-level tests and the figure
     /// generators use to inspect or drive the compiled form directly.
     ///
-    /// Every compiled plan passes through the [`pc_tcap::verify`] static
+    /// Every compiled plan passes through the [`pc_tcap::verify()`] static
     /// verifier before it is handed out: a lowering bug surfaces here as
     /// [`PcError::PlanRejected`] with rendered diagnostics, not as a
     /// mystery misbehavior deep inside the executor.

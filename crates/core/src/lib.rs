@@ -3,8 +3,8 @@
 //! The user-facing facade of the system (§2, §3): create sets, ship data
 //! into the cluster (`send_data` moves whole allocation blocks with zero
 //! serialization), and build queries through the typed, fluent
-//! [`Dataset`](dataset::Dataset) API. A chain of `filter` / `select` /
-//! `join` / `aggregate` calls grows an immutable plan; terminals lower it
+//! [`Dataset`] API. A chain of `filter` / `select` / `join` / `aggregate`
+//! calls grows an immutable plan; terminals lower it
 //! through the lambda → TCAP → optimizer → physical-plan path and execute
 //! it across the cluster, exactly as the paper's
 //! `pcClient.executeComputations(...)` does — but with the element type

@@ -11,7 +11,7 @@
 //! **Determinism.** Stealing makes the *schedule* timing-dependent, so no
 //! state may accumulate across morsels in a thread (PC map layout is
 //! insertion-order-sensitive). Every morsel therefore runs with fresh sink
-//! state ([`crate::local::run_span`]) and seals its output inside the
+//! state (`local::run_span`) and seals its output inside the
 //! producing thread; the driver merges sealed outputs strictly by **morsel
 //! index**. The morsel decomposition is a pure function of the input pages
 //! and `morsel_rows`, so the merged bytes are identical for every thread

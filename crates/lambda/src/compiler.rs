@@ -649,7 +649,51 @@ fn compile_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lambda::make_lambda_from_self;
+    use crate::lambda::{make_lambda_from_member, make_lambda_from_self};
+    use pc_object::pc_object;
+
+    pc_object! {
+        pub struct Pt / PtView {
+            (x, set_x): i64,
+            (y, set_y): i64,
+        }
+    }
+
+    #[test]
+    fn lambda_operators_compile_to_arithmetic_and_not_statements() {
+        let x = || make_lambda_from_member::<Pt, i64>(0, "x", |p| p.v().x());
+        let y = || make_lambda_from_member::<Pt, i64>(0, "y", |p| p.v().y());
+        let reader = Arc::new(Computation {
+            kind: CompKind::Reader {
+                db: "db".into(),
+                set: "pts".into(),
+            },
+            inputs: Vec::new(),
+        });
+        let sel = Arc::new(Computation {
+            kind: CompKind::Selection {
+                selection: (!(x() + y()).gt(x() * y() - x())).term,
+                projection: make_lambda_from_self(0).term,
+            },
+            inputs: vec![reader],
+        });
+        let tcap = compile(&[(&sel, "db", "out")]).unwrap().tcap.to_string();
+        for want in [
+            "W_3(in0,mt1,mt2,bl3) <= APPLY(W_2(mt1,mt2), W_2(in0,mt1,mt2), 'Sel_1', '+_3', \
+             [('type', 'arithmetic'), ('op', '+')]);",
+            "W_6(in0,mt1,mt2,bl3,mt4,mt5,bl6) <= APPLY(W_5(mt4,mt5), W_5(in0,mt1,mt2,bl3,mt4,mt5), \
+             'Sel_1', '*_6', [('type', 'arithmetic'), ('op', '*')]);",
+            "W_8(in0,mt1,mt2,bl3,mt4,mt5,bl6,mt7,bl8) <= APPLY(W_7(bl6,mt7), \
+             W_7(in0,mt1,mt2,bl3,mt4,mt5,bl6,mt7), 'Sel_1', '-_8', \
+             [('type', 'arithmetic'), ('op', '-')]);",
+            "W_10(in0,mt1,mt2,bl3,mt4,mt5,bl6,mt7,bl8,bl9,bl10) <= APPLY(W_9(bl9), \
+             W_9(in0,mt1,mt2,bl3,mt4,mt5,bl6,mt7,bl8,bl9), 'Sel_1', '!_10', \
+             [('type', 'bool_not')]);",
+            "Flt_11(in0) <= FILTER(W_10(bl10), W_10(in0), 'Sel_1', []);",
+        ] {
+            assert!(tcap.lines().any(|l| l == want), "missing {want}\n{tcap}");
+        }
+    }
 
     #[test]
     fn a_node_with_the_wrong_number_of_inputs_is_an_error() {

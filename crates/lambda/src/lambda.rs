@@ -154,21 +154,6 @@ impl<R> Lambda<R> {
         self.binary(BinOp::Lt, rhs)
     }
 
-    /// `+`
-    pub fn add(self, rhs: Lambda<R>) -> Lambda<R> {
-        self.binary(BinOp::Add, rhs)
-    }
-
-    /// `-`
-    pub fn sub(self, rhs: Lambda<R>) -> Lambda<R> {
-        self.binary(BinOp::Sub, rhs)
-    }
-
-    /// `*`
-    pub fn mul(self, rhs: Lambda<R>) -> Lambda<R> {
-        self.binary(BinOp::Mul, rhs)
-    }
-
     fn cmp_const(self, op: BinOp, value: ConstVal) -> Lambda<bool> {
         Lambda::from_term(LambdaTerm::ConstCmp {
             op,
@@ -213,9 +198,36 @@ impl Lambda<bool> {
     pub fn or(self, rhs: Lambda<bool>) -> Lambda<bool> {
         self.binary(BinOp::Or, rhs)
     }
+}
 
-    /// `!`
-    pub fn not(self) -> Lambda<bool> {
+/// `+`
+impl<R> std::ops::Add for Lambda<R> {
+    type Output = Lambda<R>;
+    fn add(self, rhs: Lambda<R>) -> Lambda<R> {
+        self.binary(BinOp::Add, rhs)
+    }
+}
+
+/// `-`
+impl<R> std::ops::Sub for Lambda<R> {
+    type Output = Lambda<R>;
+    fn sub(self, rhs: Lambda<R>) -> Lambda<R> {
+        self.binary(BinOp::Sub, rhs)
+    }
+}
+
+/// `*`
+impl<R> std::ops::Mul for Lambda<R> {
+    type Output = Lambda<R>;
+    fn mul(self, rhs: Lambda<R>) -> Lambda<R> {
+        self.binary(BinOp::Mul, rhs)
+    }
+}
+
+/// `!`
+impl std::ops::Not for Lambda<bool> {
+    type Output = Lambda<bool>;
+    fn not(self) -> Lambda<bool> {
         Lambda::from_term(LambdaTerm::Not {
             inner: Box::new(self.term),
         })

@@ -1,7 +1,8 @@
 //! Offline stand-in for the crates.io `proptest` crate.
 //!
-//! Implements the subset the workspace's property tests use: the [`Strategy`]
-//! trait with `prop_map` / `prop_filter`, `any::<T>()`, `Just`, ranges and
+//! Implements the subset the workspace's property tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_filter`,
+//! `any::<T>()`, `Just`, ranges and
 //! string-regex strategies, `collection::{vec, btree_map}`, and the
 //! `proptest!` / `prop_assert!` / `prop_assert_eq!` / `prop_oneof!` macros.
 //!

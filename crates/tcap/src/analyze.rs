@@ -106,6 +106,44 @@ impl std::fmt::Display for CycleError {
     }
 }
 
+/// Every `(list, column)` pair some statement reads.
+pub(crate) fn referenced_cols(prog: &TcapProgram) -> BTreeSet<(String, String)> {
+    let mut referenced = BTreeSet::new();
+    for s in &prog.stmts {
+        for (_, r) in s.op.refs() {
+            for c in &r.cols {
+                referenced.insert((r.list.clone(), c.clone()));
+            }
+        }
+    }
+    referenced
+}
+
+/// Which statements some OUTPUT (transitively) depends on: the backward
+/// closure from the OUTPUT statements. `None` when the program has no
+/// OUTPUT (a fragment, as in the §7 examples), which has no liveness root.
+pub(crate) fn live_stmts(prog: &TcapProgram) -> Option<Vec<bool>> {
+    let mut stack: Vec<usize> = prog
+        .stmts
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| matches!(s.op, TcapOp::Output { .. }))
+        .map(|(i, _)| i)
+        .collect();
+    if stack.is_empty() {
+        return None;
+    }
+    let g = TcapGraph::build(prog);
+    let mut live = vec![false; prog.stmts.len()];
+    while let Some(i) = stack.pop() {
+        if !live[i] {
+            live[i] = true;
+            stack.extend(&g.preds[i]);
+        }
+    }
+    Some(live)
+}
+
 /// The identity of a column: the statement that created it plus its name at
 /// creation. Shallow copies through APPLY/FILTER/HASH/JOIN preserve identity.
 pub type ColId = (usize, String);

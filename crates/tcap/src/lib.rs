@@ -28,9 +28,9 @@
 //!   rustc-style rendered diagnostics. The optimizer asserts
 //!   verify-cleanliness after every rule application (debug-default), and
 //!   the executors verify every plan before accepting it.
-//! * [`mutate`] — the seeded plan mutator behind the verifier's mutation
-//!   gauntlet (~11 classes of deliberately-broken rewrites, each with the
-//!   `TV` code the verifier must raise).
+//! * [`mutate`](mod@mutate) — the seeded plan mutator behind the
+//!   verifier's mutation gauntlet (~11 classes of deliberately-broken
+//!   rewrites, each with the `TV` code the verifier must raise).
 
 pub mod analyze;
 pub mod ir;

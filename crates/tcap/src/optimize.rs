@@ -19,7 +19,7 @@
 //! Every rule validates the exact shape it rewrites and bails conservatively
 //! otherwise — an optimizer must never change program meaning.
 
-use crate::analyze::{ColId, Provenance, TcapGraph};
+use crate::analyze::{live_stmts, referenced_cols, ColId, Provenance, TcapGraph};
 use crate::ir::{is_copy_role, meta_get, ColRef, TcapOp, TcapProgram, TcapStmt};
 use std::collections::{BTreeSet, HashMap};
 
@@ -612,33 +612,9 @@ fn prune_dead(prog: &mut TcapProgram) -> (usize, usize) {
     let mut pruned_cols = 0;
     let mut removed = 0;
 
-    if !prog
-        .stmts
-        .iter()
-        .any(|s| matches!(s.op, TcapOp::Output { .. }))
-    {
+    let Some(live) = live_stmts(prog) else {
         return (0, 0);
-    }
-
-    // Liveness: backward closure from OUTPUT statements.
-    let g = TcapGraph::build(prog);
-    let mut live = vec![false; prog.stmts.len()];
-    let mut stack: Vec<usize> = prog
-        .stmts
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| matches!(s.op, TcapOp::Output { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    while let Some(i) = stack.pop() {
-        if live[i] {
-            continue;
-        }
-        live[i] = true;
-        for &p in &g.preds[i] {
-            stack.push(p);
-        }
-    }
+    };
     let mut i = prog.stmts.len();
     while i > 0 {
         i -= 1;
@@ -649,14 +625,7 @@ fn prune_dead(prog: &mut TcapProgram) -> (usize, usize) {
     }
 
     // Dead copied columns.
-    let mut referenced: BTreeSet<(String, String)> = BTreeSet::new();
-    for s in &prog.stmts {
-        for (_, r) in s.op.refs() {
-            for c in &r.cols {
-                referenced.insert((r.list.clone(), c.clone()));
-            }
-        }
-    }
+    let referenced = referenced_cols(prog);
     for s in prog.stmts.iter_mut() {
         let name = s.output.name.clone();
         let keep = |c: &String| referenced.contains(&(name.clone(), c.clone()));

@@ -36,7 +36,7 @@
 //! overridable via `PC_VERIFY_RULES=0|1`), and `pc-core`/`pc-cluster` verify
 //! each compiled plan before accepting it.
 
-use crate::analyze::TcapGraph;
+use crate::analyze::{live_stmts, referenced_cols, TcapGraph};
 use crate::ir::{is_copy_role, meta_get, ColRef, TcapOp, TcapProgram};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -784,14 +784,7 @@ fn check_liveness(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
     // Dead created columns: a kernel result no consumer ever reads, on a
     // list that *does* have consumers (fully-unconsumed statements are
     // TV0202's business).
-    let mut referenced: BTreeSet<(String, String)> = BTreeSet::new();
-    for s in &prog.stmts {
-        for (_, r) in s.op.refs() {
-            for c in &r.cols {
-                referenced.insert((r.list.clone(), c.clone()));
-            }
-        }
-    }
+    let referenced = referenced_cols(prog);
     for (i, s) in prog.stmts.iter().enumerate() {
         if prog.consumers(&s.output.name).is_empty() {
             continue;
@@ -815,31 +808,9 @@ fn check_liveness(prog: &TcapProgram, diags: &mut Vec<Diagnostic>) {
 
     // Unreachable statements: nothing an OUTPUT depends on (only meaningful
     // when the program has sinks; §7-style fragments have none).
-    if !prog
-        .stmts
-        .iter()
-        .any(|s| matches!(s.op, TcapOp::Output { .. }))
-    {
+    let Some(live) = live_stmts(prog) else {
         return;
-    }
-    let g = TcapGraph::build(prog);
-    let mut live = vec![false; prog.stmts.len()];
-    let mut stack: Vec<usize> = prog
-        .stmts
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| matches!(s.op, TcapOp::Output { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    while let Some(i) = stack.pop() {
-        if live[i] {
-            continue;
-        }
-        live[i] = true;
-        for &p in &g.preds[i] {
-            stack.push(p);
-        }
-    }
+    };
     for (i, s) in prog.stmts.iter().enumerate() {
         if !live[i] {
             diags.push(
