@@ -554,7 +554,10 @@ pub fn table4(quick: bool) {
     }
 }
 
-/// Table 5: GMM per-iteration times across (dim, n) cases.
+/// Table 5: GMM per-iteration times across (dim, n) cases. Every case
+/// panics unless PC's model equals the baseline's within 1e-9 (the two
+/// fold each point with the same `fold_point`; only the summation order
+/// differs).
 pub fn table5(quick: bool) {
     println!("Table 5: PC vs baseline for GMM (per-iteration average)");
     let cases: &[(usize, usize)] = if quick {
@@ -591,6 +594,11 @@ pub fn table5(quick: bool) {
                 base.iterate();
             }
         });
+        let diff = pc.model.max_abs_diff(&base.model);
+        assert!(
+            diff < 1e-9,
+            "gmm d={d}: PC's model differs from the baseline's by {diff}"
+        );
         row(
             &[
                 d.to_string(),
@@ -604,7 +612,10 @@ pub fn table5(quick: bool) {
 }
 
 /// Table 6: k-means initialization and per-iteration latency; the Dataset
-/// API pays an RDD conversion before iterating.
+/// API pays an RDD conversion before iterating. Every case panics unless
+/// PC's centroids equal both baselines' within 1e-6 after the timed
+/// iterations (the same Lloyd steps from the same first-k seeds; only the
+/// summation order differs, and the points' noise spread is 0.5).
 pub fn table6(quick: bool) {
     println!("Table 6: PC vs baseline for k-means");
     let cases: &[(usize, usize)] = if quick {
@@ -681,6 +692,19 @@ pub fn table6(quick: bool) {
                 ds_base.iterate();
             }
         });
+        let pc_c: Vec<f64> = pc.centroids.concat();
+        assert_close(
+            &format!("kmeans d={d}: base RDD"),
+            &rdd_base.centroids.concat(),
+            &pc_c,
+            1e-6,
+        );
+        assert_close(
+            &format!("kmeans d={d}: base Dataset"),
+            &ds_base.centroids.concat(),
+            &pc_c,
+            1e-6,
+        );
         row(
             &[
                 d.to_string(),

@@ -9,126 +9,156 @@
 //! every object in the key's bucket; hash collisions are resolved by the
 //! residual predicate the compiler re-emits post-join.
 //!
-//! The table mirrors the vectorized aggregation sink's layout: the key's
-//! slot hash is computed once per row, its **high** bits select one of a
-//! power-of-two set of partitions (a shift and mask — disjoint from the low
-//! bits the partition maps consume for masked probing), and each partition
-//! owns its own chain of map pages.
-//!
-//! A table has one lifecycle. A build sink folds batches in
-//! ([`JoinTable::insert_batch`]: radix-partition a whole selection-filtered
-//! batch, then one bulk upsert per partition) and seals its pages
-//! ([`JoinTable::into_pages`]). Where the build's pages are gathered, each
+//! A table has one lifecycle. The build sink, [`JoinBuilder`], is the
+//! aggregation sink's [`MapPageBuilder`] with a bucket push as its fold:
+//! the builder scatters each selection-filtered batch by the slot hash's
+//! high bits, bulk-folds every partition's bucket into that partition's
+//! open page, and seals pages as they fill ([`JoinBuilder::into_pages`]
+//! seals the rest). Where the build's pages are gathered, each
 //! partition's compact 16-bit tag filter is built once from the stored
 //! hashes ([`JoinTable::build_shared_tag_filters`]), and every probing
-//! thread reopens a zero-copy view over the pages with those filters
-//! ([`JoinTable::from_shared_pages`]). A probe routes its key to the owning
-//! partition's chain only — never a full table scan — after the tag filter
-//! has rejected misses without touching any map. The pre-vectorization
-//! row-at-a-time build and the unrouted full-scan probe survive, compiled
-//! for this crate's tests only, as `insert_rowwise` and `probe_into_scan`:
-//! the references the differential tests here compare the batch paths
-//! against.
+//! thread reopens a zero-copy [`JoinTable`] view over the pages with those
+//! filters ([`JoinTable::from_shared_pages`]). A probe routes its key to
+//! the owning partition's chain only — never a full table scan — after the
+//! tag filter has rejected misses without touching any map. The
+//! pre-vectorization row-at-a-time build and the unrouted full-scan probe
+//! survive, compiled for this crate's tests only, as `insert_rowwise` and
+//! `probe_into_scan`: the references the differential tests here compare
+//! the batch paths against.
 
+use pc_object::containers::{partition_of, round_partitions};
 use pc_object::{
-    AllocPolicy, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcKey, PcMap, PcResult, PcVec,
+    AnyHandle, AnyObj, BlockRef, Handle, MapPageBuilder, PcKey, PcMap, PcResult, PcValue, PcVec,
     SealedPage,
 };
-use std::cell::Cell;
 
 type Bucket = Handle<PcVec<Handle<AnyObj>>>;
 type TableMap = PcMap<u64, Bucket>;
-
-/// Default hash-partition count for join tables (overridable through
-/// `ExecConfig::join_partitions` / [`JoinTable::with_partitions`]).
-pub const DEFAULT_JOIN_PARTITIONS: usize = 8;
 
 /// A partition's probe-side tag filter: a blocked Bloom filter with 16-bit
 /// blocks, sized from the partition's entry count. Shared (`Arc`) so a
 /// broadcast table's filters are built once and reopened by every
 /// pipelining thread without rescanning the maps. Empty = none (probes go
-/// straight to the maps): a table that is still building has none.
+/// straight to the maps).
 pub type TagFilter = std::sync::Arc<Vec<u16>>;
 
-/// One radix partition: its chain of map pages (the last one is open for
-/// inserts; earlier ones filled up) and its probe-side tag filter.
+/// The join build sink: folds batches of build rows into a
+/// [`MapPageBuilder`]'s partition maps, one bucket push per row, and
+/// collects the pages as they fill.
+pub struct JoinBuilder {
+    maps: MapPageBuilder<u64, Bucket>,
+    /// Retired `(partition, page)` pairs, in the order they filled.
+    pages: Vec<(usize, SealedPage)>,
+    // Per-batch scratch, cleared (not freed) at every batch boundary.
+    /// Join hash of each selected row.
+    keys: Vec<u64>,
+    /// Base row of each selected row.
+    rows: Vec<u32>,
+}
+
+impl JoinBuilder {
+    /// A build sink with `partitions` radix partitions (rounded to a power
+    /// of two) whose pages start at `page_size` bytes.
+    pub fn new(partitions: usize, page_size: usize) -> Self {
+        JoinBuilder {
+            maps: MapPageBuilder::new(partitions, page_size),
+            pages: Vec::new(),
+            keys: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Build rows inserted so far, counted per completed partition.
+    pub fn groups(&self) -> u64 {
+        self.maps.rows_folded
+    }
+
+    /// Inserts every selection-live row of a batch: `hashes[row]` is base
+    /// row `row`'s join hash and `objs[row]` its build-side object. The
+    /// builder scatters the rows by partition and bulk-folds each bucket;
+    /// a row's insert is one `push` onto its key's bucket, which changes
+    /// nothing when it faults.
+    pub fn push_batch(
+        &mut self,
+        hashes: &[u64],
+        sel: Option<&[u32]>,
+        objs: &[AnyHandle],
+    ) -> PcResult<()> {
+        let JoinBuilder {
+            maps,
+            pages,
+            keys,
+            rows,
+        } = self;
+        let slot_hashes = maps.batch();
+        keys.clear();
+        rows.clear();
+        let mut select = |row: u32| {
+            let key = hashes[row as usize];
+            rows.push(row);
+            keys.push(key);
+            slot_hashes.push(PcKey::hash_val(&key));
+        };
+        match sel {
+            None => (0..hashes.len() as u32).for_each(&mut select),
+            Some(s) => s.iter().copied().for_each(&mut select),
+        }
+        let obj = |i: usize| objs[rows[i] as usize].typed_ref::<AnyObj>().clone();
+        maps.fold(
+            |i, b, slot| b.read::<u64>(slot) == keys[i],
+            |i, _b| Ok(keys[i]),
+            |i, b| {
+                // First row under this key on this page: materialize the
+                // bucket and append the row's object in place.
+                let bucket = b.make_object::<PcVec<Handle<AnyObj>>>()?;
+                bucket.push(obj(i))?;
+                Ok(bucket)
+            },
+            |i, b, slot| {
+                let bucket: Bucket = PcValue::load(b, slot);
+                bucket.push(obj(i))
+            },
+            |part, page| {
+                pages.push((part, page));
+                Ok(())
+            },
+        )
+    }
+
+    /// Seals the table into shippable `(partition, page)` pairs (the
+    /// broadcast/shuffle form of a build side — its maps travel as raw
+    /// pages tagged with their radix partition, Appendix D.3), ordered by
+    /// partition and, within one, by chain order, so receivers reassemble
+    /// the partition chains.
+    pub fn into_pages(mut self) -> PcResult<Vec<(usize, SealedPage)>> {
+        let pages = &mut self.pages;
+        self.maps.finish(|part, page| {
+            pages.push((part, page));
+            Ok(())
+        })?;
+        // Partition-major, however the partitions' faults interleaved; the
+        // sort is stable, so each chain keeps the order its pages filled in.
+        self.pages.sort_by_key(|&(part, _)| part);
+        Ok(self.pages)
+    }
+}
+
+/// One radix partition of a probe view: its chain of map pages and its
+/// tag filter.
 struct Partition {
     pages: Vec<(BlockRef, Handle<TableMap>)>,
     tags: TagFilter,
 }
 
-/// Reusable batch scratch for [`JoinTable::insert_batch`] — grown on the
-/// first batch, cleared (not freed) afterwards.
-#[derive(Default)]
-struct BuildScratch {
-    /// Base row of each selected row.
-    rows: Vec<u32>,
-    /// Join-key hash (the hash column's value) per selected row.
-    jhashes: Vec<u64>,
-    /// Slot hash (`PcKey::hash_val` of the join hash) per selected row.
-    shashes: Vec<u64>,
-    /// Radix bucket boundaries: partition `p` owns `starts[p]..starts[p+1]`.
-    starts: Vec<u32>,
-    /// Scatter cursors, one per partition.
-    cursors: Vec<u32>,
-    /// Selected-row indices in bucket order.
-    order: Vec<u32>,
-    /// Slot hashes in bucket order — the contiguous bulk-upsert input.
-    bucket_hashes: Vec<u64>,
-}
-
-/// One join input's hash table: a power-of-two set of radix partitions,
-/// each spanning one or more pages.
+/// The probe side of one join input's hash table: zero-copy views over a
+/// built table's sealed pages, a power-of-two set of radix partitions,
+/// each a chain of map pages behind a tag filter.
 pub struct JoinTable {
-    page_size: usize,
     partitions: usize,
     parts: Vec<Partition>,
-    scratch: BuildScratch,
-    /// Total build rows inserted.
-    pub groups: u64,
-    /// Probe keys the tag filters rejected without a map probe.
-    tag_rejects: Cell<u64>,
 }
 
 impl JoinTable {
-    pub fn new(page_size: usize) -> Self {
-        Self::with_partitions(page_size, DEFAULT_JOIN_PARTITIONS)
-    }
-
-    /// The partition-count rounding every table applies: at least one, and
-    /// a power of two so partition selection is a shift and mask. The one
-    /// source of truth for builders, reopeners, and the broadcast store.
-    pub fn round_partitions(partitions: usize) -> usize {
-        partitions.max(1).next_power_of_two()
-    }
-
-    /// A table with an explicit hash-partition count (rounded by
-    /// [`Self::round_partitions`]).
-    pub fn with_partitions(page_size: usize, partitions: usize) -> Self {
-        let partitions = Self::round_partitions(partitions);
-        JoinTable {
-            page_size,
-            partitions,
-            parts: (0..partitions)
-                .map(|_| Partition {
-                    pages: Vec::new(),
-                    tags: TagFilter::default(),
-                })
-                .collect(),
-            scratch: BuildScratch::default(),
-            groups: 0,
-            tag_rejects: Cell::new(0),
-        }
-    }
-
-    /// Partition of a slot hash: high bits, masked. The map probe consumes
-    /// the low bits and the tag filter the bits above the partition's, so
-    /// the three stay independent.
-    #[inline]
-    fn part_of(&self, shash: u64) -> usize {
-        ((shash >> 32) as usize) & (self.partitions - 1)
-    }
-
     /// Tag-filter position of a slot hash within a filter of `len` (power
     /// of two) 16-bit blocks: `(block_index, bit_mask)`. The block index
     /// draws from the low bits (so even multi-million-entry partitions
@@ -143,189 +173,6 @@ impl JoinTable {
         (shash as usize & (len - 1), 1u16 << ((shash >> 55) & 15))
     }
 
-    /// Opens a fresh map page at the end of `part`'s chain; returns its map.
-    fn add_page(&mut self, part: usize, page_size: usize) -> PcResult<Handle<TableMap>> {
-        let block = BlockRef::new(page_size, AllocPolicy::LightweightReuse);
-        let map = block.make_object::<TableMap>()?;
-        block.set_root(&map);
-        self.parts[part].pages.push((block, map.clone()));
-        Ok(map)
-    }
-
-    // ------------------------------------------------------------- building
-
-    /// The vectorized build sink: inserts every selection-live row of a
-    /// batch in three phases — (1) slot hashes for the whole batch into
-    /// reusable scratch, (2) a counting radix scatter of row indices by the
-    /// hash's high bits, (3) one bulk upsert per non-empty partition, so
-    /// consecutive probes stay on that partition's hot table. `objs[row]`
-    /// is the build-side object of base row `row`.
-    pub fn insert_batch(
-        &mut self,
-        hashes: &[u64],
-        sel: Option<&[u32]>,
-        objs: &[AnyHandle],
-    ) -> PcResult<()> {
-        // Phase 1: extract base rows, join hashes, and slot hashes.
-        let mut s = std::mem::take(&mut self.scratch);
-        s.rows.clear();
-        s.jhashes.clear();
-        s.shashes.clear();
-        match sel {
-            None => {
-                for (i, &h) in hashes.iter().enumerate() {
-                    s.rows.push(i as u32);
-                    s.jhashes.push(h);
-                    s.shashes.push(PcKey::hash_val(&h));
-                }
-            }
-            Some(sel) => {
-                for &i in sel {
-                    let h = hashes[i as usize];
-                    s.rows.push(i);
-                    s.jhashes.push(h);
-                    s.shashes.push(PcKey::hash_val(&h));
-                }
-            }
-        }
-        let n = s.shashes.len();
-        if n == 0 {
-            self.scratch = s;
-            return Ok(());
-        }
-
-        // Phase 2: counting scatter into bucket order — no per-row `%`, no
-        // allocation past the first batch.
-        let p = self.partitions;
-        s.starts.clear();
-        s.starts.resize(p + 1, 0);
-        for &h in &s.shashes {
-            s.starts[self.part_of(h) + 1] += 1;
-        }
-        for i in 0..p {
-            s.starts[i + 1] += s.starts[i];
-        }
-        s.cursors.clear();
-        s.cursors.extend_from_slice(&s.starts[..p]);
-        s.order.clear();
-        s.order.resize(n, 0);
-        s.bucket_hashes.clear();
-        s.bucket_hashes.resize(n, 0);
-        for (i, &h) in s.shashes.iter().enumerate() {
-            let part = self.part_of(h);
-            let at = s.cursors[part] as usize;
-            s.cursors[part] += 1;
-            s.order[at] = i as u32;
-            s.bucket_hashes[at] = h;
-        }
-
-        // Phase 3: bulk insert, one partition at a time. `groups` counts
-        // per completed partition, so it stays consistent with the
-        // probe-visible contents even when a later partition errors out.
-        let mut result = Ok(());
-        for part in 0..p {
-            let (lo, hi) = (s.starts[part] as usize, s.starts[part + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            result = self.bulk_insert(
-                part,
-                &s.order[lo..hi],
-                &s.bucket_hashes[lo..hi],
-                &s.rows,
-                &s.jhashes,
-                objs,
-            );
-            if result.is_err() {
-                break;
-            }
-            self.groups += (hi - lo) as u64;
-        }
-        self.scratch = s;
-        result
-    }
-
-    /// Folds one partition's bucket of rows into its open map page with a
-    /// bulk upsert: table geometry is hoisted out of the row loop (inside
-    /// `upsert_batch_by`), the map is `reserve`-pre-sized for the burst,
-    /// and the `done` cursor makes the fold resumable — on `BlockFull` the
-    /// full page stays in the chain (buckets may span pages) and the fold
-    /// continues on a fresh page exactly where it stopped. A row's append
-    /// is one `push`, which changes nothing when it faults.
-    fn bulk_insert(
-        &mut self,
-        part: usize,
-        order: &[u32],
-        bhashes: &[u64],
-        rows: &[u32],
-        jhashes: &[u64],
-        objs: &[AnyHandle],
-    ) -> PcResult<()> {
-        // The chain's last page is the open one.
-        let mut map = match self.parts[part].pages.last() {
-            Some((_block, map)) => map.clone(),
-            None => self.add_page(part, self.page_size)?,
-        };
-        let obj = |j: usize| {
-            objs[rows[order[j] as usize] as usize]
-                .typed_ref::<AnyObj>()
-                .clone()
-        };
-        let mut done = 0usize;
-        // Escalation is local to the faulting row: a fresh page that still
-        // cannot hold one row doubles until it does, and the configured
-        // size is restored as soon as the fold progresses — one oversized
-        // object does not inflate every later table page.
-        let mut page_size = self.page_size;
-        let mut stall = 0u32;
-        loop {
-            let est = (map.len() * 2 + 16).min(bhashes.len() - done);
-            match map.reserve(est) {
-                Err(PcError::BlockFull { .. }) => {}
-                r => r?,
-            }
-            let before = done;
-            let r = map.upsert_batch_by(
-                bhashes,
-                &mut done,
-                |j, b, slot| b.read::<u64>(slot) == jhashes[order[j] as usize],
-                |j, _b| Ok(jhashes[order[j] as usize]),
-                |j, b| {
-                    // First row under this key on this page: materialize
-                    // the bucket and append the row's object in place.
-                    let bucket = b.make_object::<PcVec<Handle<AnyObj>>>()?;
-                    bucket.push(obj(j))?;
-                    Ok(bucket)
-                },
-                |j, b, slot| {
-                    let bucket: Bucket = pc_object::PcValue::load(b, slot);
-                    bucket.push(obj(j))
-                },
-            );
-            match r {
-                Ok(()) => return Ok(()),
-                Err(PcError::BlockFull { .. }) => {
-                    if done != before {
-                        stall = 0;
-                        page_size = self.page_size;
-                    } else {
-                        stall += 1;
-                    }
-                    if stall > 24 {
-                        return Err(PcError::Catalog(
-                            "join group exceeds the maximum page size".into(),
-                        ));
-                    }
-                    if stall > 1 {
-                        page_size = (page_size * 2).min(256 << 20);
-                    }
-                    map = self.add_page(part, page_size)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     // -------------------------------------------------------------- probing
 
     /// Routes a probe's slot hash to its owning partition, or `None` when
@@ -333,11 +180,10 @@ impl JoinTable {
     /// map touched). Shared by every routed probe path.
     #[inline]
     fn route(&self, shash: u64) -> Option<&Partition> {
-        let part = &self.parts[self.part_of(shash)];
+        let part = &self.parts[partition_of(shash, self.partitions)];
         if !part.tags.is_empty() {
             let (i, bit) = Self::tag_pos(shash, part.tags.len());
             if part.tags[i] & bit == 0 {
-                self.tag_rejects.set(self.tag_rejects.get() + 1);
                 return None;
             }
         }
@@ -373,46 +219,7 @@ impl JoinTable {
         matches
     }
 
-    /// Number of probe keys the tag filters rejected without a map probe
-    /// (diagnostics; reset never).
-    pub fn tag_rejects(&self) -> u64 {
-        self.tag_rejects.get()
-    }
-
-    /// Pages a probe for `hash` may touch: the size of its partition's
-    /// chain. The routing guarantee tested by the multi-page routing test —
-    /// strictly less than [`Self::page_count`] once other partitions hold
-    /// pages.
-    pub fn partition_page_count(&self, hash: u64) -> usize {
-        self.parts[self.part_of(PcKey::hash_val(&hash))].pages.len()
-    }
-
-    /// Page capacities across all partitions (diagnostics; the escalation
-    /// test asserts oversized objects don't inflate later pages).
-    pub fn page_capacities(&self) -> Vec<usize> {
-        self.parts
-            .iter()
-            .flat_map(|p| p.pages.iter().map(|(b, _)| b.capacity()))
-            .collect()
-    }
-
-    // ------------------------------------------------------------- shipping
-
-    /// Seals the table into shippable `(partition, page)` pairs (the
-    /// broadcast/shuffle form of a build side — its maps travel as raw
-    /// pages tagged with their radix partition, Appendix D.3), so receivers
-    /// can reassemble the partition chains instead of concatenating pages
-    /// into one flat scan list.
-    pub fn into_pages(self) -> PcResult<Vec<(usize, SealedPage)>> {
-        let mut out = Vec::new();
-        for (part, p) in self.parts.into_iter().enumerate() {
-            for (block, map) in p.pages {
-                drop(map);
-                out.push((part, block.try_seal()?));
-            }
-        }
-        Ok(out)
-    }
+    // ------------------------------------------------------------ reopening
 
     /// Builds the per-partition tag filters of a sealed, gathered table
     /// **once** from the stored entry hashes (no key is rehashed). The
@@ -423,7 +230,7 @@ impl JoinTable {
         partitions: usize,
         pages: &[(usize, std::sync::Arc<SealedPage>)],
     ) -> PcResult<Vec<TagFilter>> {
-        let partitions = Self::round_partitions(partitions);
+        let partitions = round_partitions(partitions);
         let mut opened: Vec<(usize, BlockRef, Handle<TableMap>)> = Vec::with_capacity(pages.len());
         for (part, p) in pages {
             let (block, root) = p.open_view()?;
@@ -461,28 +268,29 @@ impl JoinTable {
     /// Opens a read-only table over gathered partition-tagged pages
     /// (zero-copy views) with the tag filters built once over them by
     /// [`Self::build_shared_tag_filters`], one per partition. Used by every
-    /// probing thread; `insert_batch` must not be called on it.
+    /// probing thread.
     pub fn from_shared_pages(
-        page_size: usize,
         partitions: usize,
         pages: &[(usize, std::sync::Arc<SealedPage>)],
         filters: &[TagFilter],
     ) -> PcResult<Self> {
-        let mut t = JoinTable::with_partitions(page_size, partitions);
-        debug_assert_eq!(filters.len(), t.partitions, "one tag filter per partition");
+        let partitions = round_partitions(partitions);
+        debug_assert_eq!(filters.len(), partitions, "one tag filter per partition");
+        let mut parts: Vec<Partition> = (0..partitions)
+            .map(|_| Partition {
+                pages: Vec::new(),
+                tags: TagFilter::default(),
+            })
+            .collect();
         for (part, p) in pages {
             let (block, root) = p.open_view()?;
             let map = root.downcast::<TableMap>()?;
-            t.parts[*part].pages.push((block, map));
+            parts[*part].pages.push((block, map));
         }
-        for (part, f) in t.parts.iter_mut().zip(filters) {
+        for (part, f) in parts.iter_mut().zip(filters) {
             part.tags = f.clone();
         }
-        Ok(t)
-    }
-
-    pub fn page_count(&self) -> usize {
-        self.parts.iter().map(|p| p.pages.len()).sum()
+        Ok(JoinTable { partitions, parts })
     }
 }
 
@@ -502,38 +310,54 @@ fn push_matches(
     len
 }
 
-/// The row-at-a-time references the batch paths are tested against. Test
-/// builds only: nothing in the engine calls them.
+/// The row-at-a-time build reference the batch path is tested against.
+/// Test builds only: nothing in the engine calls it.
 #[cfg(test)]
-impl JoinTable {
+impl JoinBuilder {
     /// The pre-vectorization build path, kept as the reference for parity
     /// tests: one closure-driven `upsert_by`, a redundant `map.get`
-    /// re-probe, and a push per row. Routes through the same partitions so
-    /// its tables probe identically.
+    /// re-probe, and a push per row, with its own retry loop over the
+    /// builder's open page. Routes through the same partitions so its
+    /// tables probe identically.
     fn insert_rowwise(&mut self, hash: u64, obj: &AnyHandle) -> PcResult<()> {
-        let part = self.part_of(PcKey::hash_val(&hash));
-        if self.parts[part].pages.is_empty() {
-            self.add_page(part, self.page_size)?;
-        }
+        use pc_object::PcError;
+        let shash = PcKey::hash_val(&hash);
+        let part = partition_of(shash, self.maps.partitions());
         let mut on_fresh_page = false;
-        // Escalate locally for the faulting row, leaving the configured
-        // `self.page_size` untouched for later pages (see `bulk_insert`).
-        let mut page_size = self.page_size;
+        let mut page_size = self.maps.page_size();
         for _ in 0..24 {
-            match self.try_insert_last(part, hash, obj) {
+            let page = self.maps.open_page(part)?;
+            let r = page
+                .map
+                .upsert_by(
+                    shash,
+                    |b, slot| b.read::<u64>(slot) == hash,
+                    |_b| Ok(hash),
+                    |_b| page.block.make_object::<PcVec<Handle<AnyObj>>>(),
+                    |_b, _slot| Ok(()),
+                )
+                .and_then(|()| {
+                    // Fetch the bucket and append the object (deep copies
+                    // it onto the table page — §6.4's rule).
+                    let bucket = page.map.get(&hash).expect("bucket just ensured");
+                    bucket.push(obj.downcast_unchecked::<AnyObj>())
+                });
+            match r {
                 Ok(()) => {
-                    self.groups += 1;
+                    self.maps.rows_folded += 1;
                     return Ok(());
                 }
                 Err(PcError::BlockFull { .. }) => {
-                    // Page full: start a new page in the partition's chain
-                    // (buckets may span pages). A fault on a just-created
-                    // page means the object itself exceeds the page size:
-                    // escalate before retrying.
+                    // A fault on a just-created page means the object
+                    // itself exceeds the page size: escalate first.
                     if on_fresh_page {
                         page_size = (page_size * 2).min(256 << 20);
                     }
-                    self.add_page(part, page_size)?;
+                    let pages = &mut self.pages;
+                    self.maps.roll(part, page_size, |p, sealed| {
+                        pages.push((p, sealed));
+                        Ok(())
+                    })?;
                     on_fresh_page = true;
                 }
                 Err(e) => return Err(e),
@@ -543,24 +367,11 @@ impl JoinTable {
             "join group exceeds the maximum page size".into(),
         ))
     }
+}
 
-    fn try_insert_last(&mut self, part: usize, hash: u64, obj: &AnyHandle) -> PcResult<()> {
-        let (block, map) = self.parts[part].pages.last().unwrap();
-        // Probe with the key's canonical slot hash (PcKey::hash_val) so the
-        // typed `get` path finds the same entry.
-        map.upsert_by(
-            PcKey::hash_val(&hash),
-            |b, slot| b.read::<u64>(slot) == hash,
-            |_b| Ok(hash),
-            |_b| block.make_object::<PcVec<Handle<AnyObj>>>(),
-            |_b, _slot| Ok(()),
-        )?;
-        // Fetch the bucket and append the object (deep copies it from the
-        // probe/input page onto the table page — §6.4's rule).
-        let bucket = map.get(&hash).expect("bucket just ensured");
-        bucket.push(obj.downcast_unchecked::<AnyObj>())
-    }
-
+/// The unrouted probe reference and the chain diagnostics the tests read.
+#[cfg(test)]
+impl JoinTable {
     /// The retained pre-partitioning probe: walks **every** table page for
     /// each key with a fresh typed lookup, exactly as the engine did before
     /// probes were partition-routed. Kept only as the reference routed
@@ -582,13 +393,32 @@ impl JoinTable {
         }
         matches
     }
+
+    fn page_count(&self) -> usize {
+        self.parts.iter().map(|p| p.pages.len()).sum()
+    }
+
+    /// Pages a probe for `hash` may touch: the size of its partition's
+    /// chain.
+    fn partition_page_count(&self, hash: u64) -> usize {
+        let part = partition_of(PcKey::hash_val(&hash), self.partitions);
+        self.parts[part].pages.len()
+    }
+
+    /// `(capacity, entries)` of every page, partition by partition.
+    fn page_capacities(&self) -> Vec<(usize, usize)> {
+        self.parts
+            .iter()
+            .flat_map(|p| p.pages.iter().map(|(b, map)| (b.capacity(), map.len())))
+            .collect()
+    }
 }
 
 /// Seals a built table and reopens it the way the engine does: sealed
 /// pages, tag filters built once over them, a zero-copy probe view.
 #[cfg(test)]
-fn reopen(t: JoinTable) -> JoinTable {
-    let (page_size, partitions) = (t.page_size, t.partitions);
+fn reopen(t: JoinBuilder) -> JoinTable {
+    let partitions = t.maps.partitions();
     let pages: Vec<(usize, std::sync::Arc<SealedPage>)> = t
         .into_pages()
         .unwrap()
@@ -596,7 +426,7 @@ fn reopen(t: JoinTable) -> JoinTable {
         .map(|(part, page)| (part, std::sync::Arc::new(page)))
         .collect();
     let filters = JoinTable::build_shared_tag_filters(partitions, &pages).unwrap();
-    JoinTable::from_shared_pages(page_size, partitions, &pages, &filters).unwrap()
+    JoinTable::from_shared_pages(partitions, &pages, &filters).unwrap()
 }
 
 #[cfg(test)]
@@ -629,19 +459,19 @@ mod tests {
     #[test]
     fn insert_and_probe_with_collisions_across_pages() {
         let _s = AllocScope::new(1 << 18);
-        let mut t = JoinTable::new(4096); // tiny pages force spanning
+        let mut t = JoinBuilder::new(8, 4096); // tiny pages force spanning
         let sources = sources(200);
         for (i, v) in sources.iter().enumerate() {
             // Two logical keys, heavy bucket fan-in.
             let hash = (i % 2) as u64 + 1;
             t.insert_rowwise(hash, &v.erase()).unwrap();
         }
+        let t = reopen(t);
         assert!(
             t.page_count() > 1,
             "tiny pages must span ({} page)",
             t.page_count()
         );
-        let t = reopen(t);
         let (mut idx, mut built) = (Vec::new(), Vec::new());
         assert_eq!(t.probe_into(1, 0, &mut idx, &mut built), 100);
         assert!(firsts(&built).iter().all(|v| v % 2 == 0));
@@ -654,14 +484,14 @@ mod tests {
         let srcs = sources(300);
         let objs: Vec<AnyHandle> = srcs.iter().map(|v| v.erase()).collect();
         let hashes: Vec<u64> = (0..300u64).map(|i| i % 7).collect();
-        let mut vectorized = JoinTable::new(4096);
-        vectorized.insert_batch(&hashes, None, &objs).unwrap();
-        let mut rowwise = JoinTable::new(4096);
+        let mut vectorized = JoinBuilder::new(8, 4096);
+        vectorized.push_batch(&hashes, None, &objs).unwrap();
+        let mut rowwise = JoinBuilder::new(8, 4096);
         for (h, o) in hashes.iter().zip(&objs) {
             rowwise.insert_rowwise(*h, o).unwrap();
         }
-        assert_eq!(vectorized.groups, 300);
-        assert_eq!(rowwise.groups, 300);
+        assert_eq!(vectorized.groups(), 300);
+        assert_eq!(rowwise.groups(), 300);
         let (vectorized, rowwise) = (reopen(vectorized), reopen(rowwise));
         for key in 0..9u64 {
             let collect = |t: &JoinTable, scan: bool| {
@@ -686,13 +516,13 @@ mod tests {
     #[test]
     fn probe_into_fills_reusable_buffers_across_pages() {
         let _s = AllocScope::new(1 << 18);
-        let mut t = JoinTable::new(4096); // tiny pages force bucket spanning
+        let mut t = JoinBuilder::new(8, 4096); // tiny pages force bucket spanning
         let sources = sources(200);
         for (i, v) in sources.iter().enumerate() {
             t.insert_rowwise((i % 2) as u64 + 1, &v.erase()).unwrap();
         }
-        assert!(t.page_count() > 1, "bucket must span pages");
         let t = reopen(t);
+        assert!(t.page_count() > 1, "bucket must span pages");
         // The closure-free path: one idx entry + one handle per match, all
         // appended into caller-owned buffers.
         let mut idx: Vec<u32> = Vec::new();
@@ -718,11 +548,11 @@ mod tests {
         let _s = AllocScope::new(1 << 20);
         // Many keys over few partitions with tiny pages: every partition
         // grows a multi-page chain.
-        let mut t = JoinTable::with_partitions(2048, 4);
+        let mut t = JoinBuilder::new(4, 2048);
         let srcs = sources(512);
         let objs: Vec<AnyHandle> = srcs.iter().map(|v| v.erase()).collect();
         let hashes: Vec<u64> = (0..512u64).collect();
-        t.insert_batch(&hashes, None, &objs).unwrap();
+        t.push_batch(&hashes, None, &objs).unwrap();
         let t = reopen(t);
         assert!(
             t.page_count() > t.partitions,
@@ -745,15 +575,24 @@ mod tests {
         }
         // Misses: the tag filter rejects (statistically almost) all of them
         // before any map probe, and none produce matches.
-        let before = t.tag_rejects();
+        let mut rejected = 0;
         for key in 10_000..11_000u64 {
             assert_eq!(t.probe_into(key, 0, &mut idx, &mut built), 0);
+            rejected += usize::from(t.route(PcKey::hash_val(&key)).is_none());
         }
         assert!(
-            t.tag_rejects() - before > 800,
-            "tag filter rejected only {} of 1000 misses",
-            t.tag_rejects() - before
+            rejected > 800,
+            "tag filter rejected only {rejected} of 1000 misses"
         );
+    }
+
+    /// A 300-element vector: far bigger than a 512-byte page.
+    fn oversized() -> Handle<PcVec<i64>> {
+        let big = make_object::<PcVec<i64>>().unwrap();
+        for i in 0..300i64 {
+            big.push(i).unwrap();
+        }
+        big
     }
 
     #[test]
@@ -762,13 +601,9 @@ mod tests {
         // Table pages start far smaller than one object, so the first
         // insert faults on a fresh page and must escalate (doubling) rather
         // than spinning on same-size pages forever.
-        let mut t = JoinTable::new(512);
-        let big = make_object::<PcVec<i64>>().unwrap();
-        for i in 0..300i64 {
-            big.push(i).unwrap();
-        }
-        t.insert_rowwise(42, &big.erase()).unwrap();
-        assert_eq!(t.groups, 1);
+        let mut t = JoinBuilder::new(8, 512);
+        t.insert_rowwise(42, &oversized().erase()).unwrap();
+        assert_eq!(t.groups(), 1);
         // Escalation was local to the oversized object: later inserts
         // (other partitions / fresh pages) go back to the configured size.
         for i in 0..40u64 {
@@ -776,39 +611,54 @@ mod tests {
             small.push(i as i64).unwrap();
             t.insert_rowwise(100 + i, &small.erase()).unwrap();
         }
-        assert_eq!(t.groups, 41);
+        assert_eq!(t.groups(), 41);
+        let t = reopen(t);
         let caps = t.page_capacities();
         assert!(
-            caps.iter().any(|&c| c > 512),
-            "oversized object must escalate its own page"
+            caps.iter().any(|&(c, n)| c > 512 && n > 0),
+            "oversized object must escalate its own page: {caps:?}"
         );
         assert!(
-            caps.iter().filter(|&&c| c == 512).count() > 0,
+            caps.iter().any(|&(c, n)| c == 512 && n > 0),
             "configured page size must be restored after escalation: {caps:?}"
         );
-        let t = reopen(t);
         let (mut idx, mut built) = (Vec::new(), Vec::new());
         assert_eq!(t.probe_into(42, 0, &mut idx, &mut built), 1);
         let v: Handle<PcVec<i64>> = built[0].downcast_unchecked::<AnyObj>().assume();
         assert_eq!(v.len(), 300);
         assert_eq!(v.get(299), 299);
         // Same contract on the vectorized path.
-        let mut tv = JoinTable::new(512);
-        let big2 = make_object::<PcVec<i64>>().unwrap();
-        for i in 0..300i64 {
-            big2.push(i).unwrap();
-        }
+        let mut tv = JoinBuilder::new(8, 512);
         let smalls = sources(40);
-        let mut objs: Vec<AnyHandle> = vec![big2.erase()];
+        let mut objs: Vec<AnyHandle> = vec![oversized().erase()];
         objs.extend(smalls.iter().map(|v| v.erase()));
         let hashes: Vec<u64> = (0..41u64).map(|i| i * 13 + 7).collect();
-        tv.insert_batch(&hashes, None, &objs).unwrap();
-        let caps = tv.page_capacities();
-        assert!(caps.iter().any(|&c| c > 512));
+        tv.push_batch(&hashes, None, &objs).unwrap();
+        let caps = reopen(tv).page_capacities();
+        assert!(caps.iter().any(|&(c, n)| c > 512 && n > 0), "{caps:?}");
         assert!(
-            caps.iter().filter(|&&c| c == 512).count() > 0,
+            caps.iter().any(|&(c, n)| c == 512 && n > 0),
             "vectorized escalation must also restore the configured size: {caps:?}"
         );
+    }
+
+    #[test]
+    fn a_first_object_too_big_for_its_page_seals_no_empty_page() {
+        let _s = AllocScope::new(1 << 21);
+        // The engine's build path, one partition: the object faults its
+        // page twice before the page escalates to fit it. Neither faulted
+        // page held an entry, so neither may be sealed, counted or shipped.
+        let mut t = JoinBuilder::new(1, 512);
+        t.push_batch(&[42], None, &[oversized().erase()]).unwrap();
+        let pages = t.into_pages().unwrap();
+        let entries: Vec<(usize, usize)> = pages
+            .iter()
+            .map(|(_, page)| {
+                let (block, root) = page.open_view().unwrap();
+                (block.capacity(), root.downcast::<TableMap>().unwrap().len())
+            })
+            .collect();
+        assert_eq!(entries, vec![(4096, 1)], "(capacity, entries) per page");
     }
 }
 
@@ -822,7 +672,7 @@ mod join_vectorized {
     //! row visible to probes exactly once.
 
     use super::reopen;
-    use crate::JoinTable;
+    use crate::{JoinBuilder, JoinTable};
     use pc_object::{make_object, AllocScope, AnyHandle, AnyObj, Handle, PcVec};
     use proptest::prelude::*;
 
@@ -872,8 +722,8 @@ mod join_vectorized {
             let page_size = 1usize << page_size_exp; // 4 KiB .. 64 KiB: forces
                                                      // multi-page chains + faults
             let scope = AllocScope::new(1 << 22);
-            let mut vectorized = JoinTable::with_partitions(page_size, partitions);
-            let mut rowwise = JoinTable::with_partitions(page_size, partitions);
+            let mut vectorized = JoinBuilder::new(partitions, page_size);
+            let mut rowwise = JoinBuilder::new(partitions, page_size);
 
             // Absorb the same input through both paths, batch by batch, with a
             // selection vector derived from the mask.
@@ -885,13 +735,13 @@ mod join_vectorized {
                     .filter(|i| mask[(chunk_at * batch_rows + i) % mask.len()])
                     .map(|i| i as u32)
                     .collect();
-                vectorized.insert_batch(chunk, Some(&sel), &objs).unwrap();
+                vectorized.push_batch(chunk, Some(&sel), &objs).unwrap();
                 for &i in &sel {
                     rowwise.insert_rowwise(chunk[i as usize], &objs[i as usize]).unwrap();
                 }
             }
             drop(scope);
-            prop_assert_eq!(vectorized.groups, rowwise.groups, "row counts diverged");
+            prop_assert_eq!(vectorized.groups(), rowwise.groups(), "row counts diverged");
             let (vectorized, rowwise) = (reopen(vectorized), reopen(rowwise));
 
             // Probe every possible key (hits and misses) through both tables.
@@ -909,12 +759,12 @@ mod join_vectorized {
     #[test]
     fn torn_groups_never_survive_block_full_faults() {
         let _s = AllocScope::new(1 << 22);
-        let mut t = JoinTable::with_partitions(512, 4);
+        let mut t = JoinBuilder::new(4, 512);
         let n = 120usize;
         let objs: Vec<AnyHandle> = (0..n).map(|i| payload(i as i64).erase()).collect();
         let hashes: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
-        t.insert_batch(&hashes, None, &objs).unwrap();
-        assert_eq!(t.groups, n as u64);
+        t.push_batch(&hashes, None, &objs).unwrap();
+        assert_eq!(t.groups(), n as u64);
         let t = reopen(t);
         assert!(t.page_count() > 4, "tiny pages must fault and chain");
 
@@ -935,12 +785,12 @@ mod join_vectorized {
     #[test]
     fn rowwise_rollback_matches_vectorized_under_faults() {
         let _s = AllocScope::new(1 << 22);
-        let mut vectorized = JoinTable::with_partitions(512, 2);
-        let mut rowwise = JoinTable::with_partitions(512, 2);
+        let mut vectorized = JoinBuilder::new(2, 512);
+        let mut rowwise = JoinBuilder::new(2, 512);
         let n = 80usize;
         let objs: Vec<AnyHandle> = (0..n).map(|i| payload(i as i64).erase()).collect();
         let hashes: Vec<u64> = (0..n as u64).map(|i| i % 3).collect();
-        vectorized.insert_batch(&hashes, None, &objs).unwrap();
+        vectorized.push_batch(&hashes, None, &objs).unwrap();
         for (h, o) in hashes.iter().zip(&objs) {
             rowwise.insert_rowwise(*h, o).unwrap();
         }

@@ -15,7 +15,7 @@
 //! sinks); `BlockFull` faults retire pages — zombifying them when in-flight
 //! columns still pin them — and retry the failed stage.
 
-use crate::jointable::JoinTable;
+use crate::jointable::{JoinBuilder, JoinTable};
 use crate::morsel::MorselOutput;
 use crate::plan::{PipelineSpec, ResolvedOp, ResolvedPipeline, ResolvedSink, Sink};
 use crate::vlist::VectorList;
@@ -173,8 +173,8 @@ enum SinkState {
     Write(SetWriter),
     /// Pre-aggregation into hash-partitioned map pages.
     Agg(Box<dyn ErasedAggSink>),
-    /// A join build table's partitioned page chains.
-    Build(JoinTable),
+    /// A join build table's partition maps.
+    Build(JoinBuilder),
 }
 
 /// The database name intermediates are materialized under.
@@ -227,10 +227,9 @@ pub(crate) fn run_span(
                 stage.spill.clone(),
             ))
         }
-        Sink::JoinBuild { .. } => SinkState::Build(JoinTable::with_partitions(
-            config.page_size,
-            config.join_partitions,
-        )),
+        Sink::JoinBuild { .. } => {
+            SinkState::Build(JoinBuilder::new(config.join_partitions, config.page_size))
+        }
     };
     let mut scratch = ScratchPage::new(config.page_size);
     // One slot-addressed vector list and the thread's buffer pool serve
@@ -282,11 +281,12 @@ pub(crate) fn run_span(
             MorselOutput::Pages(pages)
         }
         SinkState::Build(t) => {
-            stats.join_groups += t.groups;
-            stats.build_pages_sealed += t.page_count() as u64;
+            stats.join_groups += t.groups();
             // Sealed as it stands: the probe side builds its tag filters
             // once over the gathered pages, not per morsel.
-            MorselOutput::TablePages(t.into_pages()?)
+            let pages = t.into_pages()?;
+            stats.build_pages_sealed += pages.len() as u64;
+            MorselOutput::TablePages(pages)
         }
         SinkState::Agg(mut sink) => {
             let parts = sink.flush()?;
@@ -423,7 +423,7 @@ fn run_batch(
             // hashed, radix-partitioned, and bulk-folded into the table's
             // partition chains in one call.
             let hashes = vl.slot(*hash_slot)?.as_u64()?;
-            t.insert_batch(hashes, vl.sel(), vl.slot(*obj_slot)?.as_obj()?)?;
+            t.push_batch(hashes, vl.sel(), vl.slot(*obj_slot)?.as_obj()?)?;
         }
         _ => {
             return Err(PcError::Catalog(

@@ -216,7 +216,7 @@ impl SharedTable {
         pages: Vec<(usize, Arc<SealedPage>)>,
         ctx: &SpillCtx,
     ) -> PcResult<Self> {
-        let partitions = JoinTable::round_partitions(partitions);
+        let partitions = pc_object::containers::round_partitions(partitions);
         // Filters cover the FULL table, built before anything spills: a
         // spilled partition's filter doubles as the second pass's reload
         // skip-check, and wave views reuse the same filter set unchanged.
@@ -287,8 +287,8 @@ impl SharedTable {
     /// for every morsel it runs. Spilled partitions simply have no resident
     /// pages: their probes route to an empty chain and match nothing — the
     /// second-pass waves own those rows.
-    pub fn open(&self, page_size: usize) -> PcResult<JoinTable> {
-        JoinTable::from_shared_pages(page_size, self.partitions, &self.pages, &self.filters)
+    pub fn open(&self) -> PcResult<JoinTable> {
+        JoinTable::from_shared_pages(self.partitions, &self.pages, &self.filters)
     }
 
     /// How many partitions were shed to the spill store.
@@ -381,7 +381,7 @@ fn open_probe_tables(
         let st = shared
             .get(t)
             .ok_or_else(|| PcError::Catalog(format!("join table {t} not built")))?;
-        local.insert(t.to_string(), st.open(stage.config.page_size)?);
+        local.insert(t.to_string(), st.open()?);
     }
     Ok(local)
 }

@@ -150,9 +150,10 @@ impl VectorList {
         self.slots[out_slot] = Some(out);
     }
 
-    /// FLATMAP rebase: every surviving column is replicated by `counts`
-    /// (one entry per live row) through the selection; the selection
-    /// clears; the kernel's dense output column is installed.
+    /// FLATMAP rebase: `counts` (one entry per live row) expands through
+    /// the selection into a pooled base-row index vector, every surviving
+    /// column is gathered by it (the probe rebase's gather), the selection
+    /// clears, and the kernel's dense output column is installed.
     pub fn replicate_with(
         &mut self,
         counts: &[u32],
@@ -160,14 +161,14 @@ impl VectorList {
         out: Column,
         pool: &mut ColumnPool,
     ) {
-        let sel = self.sel.take();
-        for c in self.slots.iter_mut().flatten() {
-            let replicated = c.replicate_sel(counts, sel.as_deref());
-            pool.recycle(std::mem::replace(c, replicated));
+        let mut idx = pool.take_sel();
+        let sel = self.sel.as_deref();
+        for (i, &c) in counts.iter().enumerate() {
+            let row = sel.map_or(i as u32, |s| s[i]);
+            idx.extend(std::iter::repeat(row).take(c as usize));
         }
-        if let Some(sel) = sel {
-            pool.recycle_sel(sel);
-        }
+        self.gather_rebase(&idx, pool);
+        pool.recycle_sel(idx);
         self.slots[out_slot] = Some(out);
     }
 

@@ -15,20 +15,23 @@
 //!   object-safe interfaces the execution engine drives.
 //!
 //! The sink's hot path is **vectorized**: `absorb` extracts keys and hashes
-//! for the whole selection-filtered batch into reusable scratch buffers,
-//! radix-partitions row indices by the hash's high bits (a mask, not a
-//! per-row `%`), and folds each partition's bucket into its map page with
-//! one grouped bulk upsert, so consecutive probes hit the same hot table.
-//! The merger folds shuffled pages map-at-a-time, reusing stored entry
-//! hashes instead of rehashing keys. The old row-at-a-time path survives,
-//! compiled for this crate's tests only, as `absorb_rowwise`: the reference
-//! the differential proptests in `agg_vectorized` compare `absorb` against.
+//! for the whole selection-filtered batch into reusable scratch buffers and
+//! hands the batch to a [`MapPageBuilder`] — the same radix-partitioned
+//! map-page builder the join build uses — which scatters the rows by the
+//! hash's high bits and folds each partition's bucket into its map page
+//! with one resumable bulk upsert; the sink supplies the key comparison,
+//! [`AggregateSpec::init`] and [`AggregateSpec::combine`], and budgets or
+//! spills the pages the builder retires. The merger folds shuffled pages
+//! map-at-a-time, reusing stored entry hashes instead of rehashing keys.
+//! The old row-at-a-time path survives, compiled for this crate's tests
+//! only, as `absorb_rowwise`: the reference the differential proptests in
+//! `agg_vectorized` compare `absorb` against.
 
 use crate::column::Column;
 use crate::sink::SetWriter;
 use pc_object::{
-    hash as pc_hash, AllocPolicy, BlockRef, Handle, MemoryBudget, MemoryGrant, PageSpiller, PcKey,
-    PcMap, PcObjType, PcResult, PcString, PcValue, SealedPage,
+    hash as pc_hash, AllocPolicy, BlockRef, Handle, MapPage, MapPageBuilder, MemoryBudget,
+    MemoryGrant, PageSpiller, PcKey, PcMap, PcObjType, PcResult, PcString, PcValue, SealedPage,
 };
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -277,25 +280,8 @@ impl<S: AggregateSpec> AggEngine<S> {
 }
 
 type MapOf<S> = PcMap<<<S as AggregateSpec>::Key as AggKey>::Stored, <S as AggregateSpec>::Val>;
-
-struct MapPage<S: AggregateSpec> {
-    block: BlockRef,
-    map: Handle<MapOf<S>>,
-}
-
-impl<S: AggregateSpec> MapPage<S> {
-    fn new(page_size: usize) -> PcResult<Self> {
-        let block = BlockRef::new(page_size, AllocPolicy::LightweightReuse);
-        let map = block.make_object::<MapOf<S>>()?;
-        block.set_root(&map);
-        Ok(MapPage { block, map })
-    }
-
-    fn seal(self) -> PcResult<SealedPage> {
-        drop(self.map);
-        self.block.try_seal()
-    }
-}
+type MapPageOf<S> =
+    MapPage<<<S as AggregateSpec>::Key as AggKey>::Stored, <S as AggregateSpec>::Val>;
 
 impl<S: AggregateSpec> ErasedAgg for AggEngine<S> {
     fn out_type(&self) -> String {
@@ -308,28 +294,16 @@ impl<S: AggregateSpec> ErasedAgg for AggEngine<S> {
         page_size: usize,
         spill: SpillCtx,
     ) -> Box<dyn ErasedAggSink> {
-        // Power-of-two partition count, so partition selection is a shift
-        // and mask on the hash's *high* bits — disjoint from the low bits
-        // the partition maps use for masked probing (using the same bits
-        // for both would leave every map only `cap / partitions` home
-        // slots and degrade probing into long linear runs).
-        let partitions = partitions.max(1).next_power_of_two();
         Box::new(SinkImpl::<S> {
             spec: self.0.clone(),
-            partitions,
-            page_size,
-            current: (0..partitions).map(|_| None).collect(),
-            done: Vec::new(),
-            spill,
-            grant: None,
-            stats: AggSinkStats::default(),
+            maps: MapPageBuilder::new(partitions, page_size),
+            done: DonePages {
+                pages: Vec::new(),
+                spill,
+                grant: None,
+                stats: AggSinkStats::default(),
+            },
             keys: Vec::new(),
-            rows: Vec::new(),
-            hashes: Vec::new(),
-            starts: Vec::new(),
-            cursors: Vec::new(),
-            order: Vec::new(),
-            bucket_hashes: Vec::new(),
         })
     }
 
@@ -345,50 +319,33 @@ impl<S: AggregateSpec> ErasedAgg for AggEngine<S> {
 
 struct SinkImpl<S: AggregateSpec> {
     spec: Arc<S>,
-    /// Hash partition count, always a power of two.
-    partitions: usize,
-    page_size: usize,
-    current: Vec<Option<MapPage<S>>>,
-    done: Vec<(usize, AggPage)>,
-    /// Out-of-core context.
-    spill: SpillCtx,
-    /// The reservation covering every `Ready` page in `done`.
-    grant: Option<MemoryGrant>,
-    stats: AggSinkStats,
-    // Per-batch scratch, cleared (not freed) at every batch boundary.
-    /// Extracted keys, one per selected row.
+    /// The partition maps: scatter, resumable fold, one open page each.
+    maps: MapPageBuilder<<S::Key as AggKey>::Stored, S::Val>,
+    /// Where full pages go.
+    done: DonePages,
+    /// Extracted keys, one per selected row (per-batch scratch).
     keys: Vec<S::Key>,
-    /// Base-row index of each selected row, so phase 3 can re-borrow the
-    /// record from the column (a zero-refcount `typed_ref`, no per-row
-    /// handle materialization anywhere in the batch path).
-    rows: Vec<u32>,
-    /// Key hashes, one per selected row.
-    hashes: Vec<u64>,
-    /// Radix bucket boundaries: partition `p` owns `starts[p]..starts[p+1]`.
-    starts: Vec<u32>,
-    /// Scatter cursors, one per partition.
-    cursors: Vec<u32>,
-    /// Row indices (into `keys`/`recs`/`hashes`) in bucket order.
-    order: Vec<u32>,
-    /// Hashes in bucket order, the contiguous input to the bulk upsert.
-    bucket_hashes: Vec<u64>,
 }
 
-impl<S: AggregateSpec> SinkImpl<S> {
-    /// Partition of a hash: high bits, masked. The probe path consumes the
-    /// low bits, so the two stay independent (see `new_sink`).
-    #[inline]
-    fn part_of(&self, h: u64) -> usize {
-        ((h >> 32) as usize) & (self.partitions - 1)
-    }
+/// The sealed map pages a sink has retired, with their budget and spill
+/// accounting.
+struct DonePages {
+    pages: Vec<(usize, AggPage)>,
+    /// Out-of-core context.
+    spill: SpillCtx,
+    /// The reservation covering every `Ready` page in `pages`.
+    grant: Option<MemoryGrant>,
+    stats: AggSinkStats,
+}
 
-    /// Retires a sealed map page into `done`, reserving its bytes against
-    /// the budget. A denied reservation spills partition `part`'s *whole*
-    /// chain — every already-resident page of the partition plus the new
-    /// one — returning the freed bytes to the budget (grace-style: once a
+impl DonePages {
+    /// Retires a sealed map page, reserving its bytes against the budget.
+    /// A denied reservation spills partition `part`'s *whole* chain —
+    /// every already-resident page of the partition plus the new one —
+    /// returning the freed bytes to the budget (grace-style: once a
     /// partition starts spilling, keeping its older pages resident buys
     /// nothing, because the merge pass needs the full chain anyway).
-    fn push_done(&mut self, part: usize, page: SealedPage) -> PcResult<()> {
+    fn push(&mut self, part: usize, page: SealedPage) -> PcResult<()> {
         self.stats.map_pages_sealed += 1;
         let ctx = &self.spill;
         let bytes = page.used();
@@ -403,11 +360,11 @@ impl<S: AggregateSpec> SinkImpl<S> {
             },
         };
         if granted {
-            self.done.push((part, AggPage::Ready(page)));
+            self.pages.push((part, AggPage::Ready(page)));
             return Ok(());
         }
         let mut freed = 0usize;
-        for (p, ap) in self.done.iter_mut() {
+        for (p, ap) in self.pages.iter_mut() {
             if *p != part || ap.is_spilled() {
                 continue;
             }
@@ -432,7 +389,7 @@ impl<S: AggregateSpec> SinkImpl<S> {
         let token = ctx.spiller.spill(&page)?;
         self.stats.pages_spilled += 1;
         self.stats.bytes_spilled += bytes as u64;
-        self.done.push((
+        self.pages.push((
             part,
             AggPage::Spilled {
                 spiller: ctx.spiller.clone(),
@@ -442,165 +399,13 @@ impl<S: AggregateSpec> SinkImpl<S> {
         ));
         Ok(())
     }
+}
 
-    /// Phases 2 and 3 of `absorb`, over the batch scratch extracted in
-    /// phase 1 (passed in as slices because the scratch buffers are taken
-    /// out of `self` for the duration of the batch). `objs` is the batch's
-    /// object column; `rows[j]` is the base row of selected row `j`.
-    fn absorb_extracted(
-        &mut self,
-        objs: &[pc_object::AnyHandle],
-        keys: &[S::Key],
-        rows: &[u32],
-        hashes: &[u64],
-    ) -> PcResult<()> {
-        let n = hashes.len();
-        if n == 0 {
-            return Ok(());
-        }
-        self.stats.rows_absorbed += n as u64;
-        let p = self.partitions;
-
-        // Phase 2: radix-partition row indices with a counting scatter —
-        // no per-row `%`, no allocation past the first batch.
-        let mut starts = std::mem::take(&mut self.starts);
-        let mut cursors = std::mem::take(&mut self.cursors);
-        let mut order = std::mem::take(&mut self.order);
-        let mut bucket_hashes = std::mem::take(&mut self.bucket_hashes);
-        starts.clear();
-        starts.resize(p + 1, 0);
-        for &h in hashes {
-            starts[self.part_of(h) + 1] += 1;
-        }
-        for i in 0..p {
-            starts[i + 1] += starts[i];
-        }
-        cursors.clear();
-        cursors.extend_from_slice(&starts[..p]);
-        order.clear();
-        order.resize(n, 0);
-        bucket_hashes.clear();
-        bucket_hashes.resize(n, 0);
-        for (i, &h) in hashes.iter().enumerate() {
-            let part = self.part_of(h);
-            let at = cursors[part] as usize;
-            cursors[part] += 1;
-            order[at] = i as u32;
-            bucket_hashes[at] = h;
-        }
-
-        // Phase 3: grouped bulk upsert, one partition at a time, so probes
-        // for the same map page stay cache-resident.
-        let mut result = Ok(());
-        for part in 0..p {
-            let (lo, hi) = (starts[part] as usize, starts[part + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            result = self.bulk_upsert(
-                part,
-                &order[lo..hi],
-                &bucket_hashes[lo..hi],
-                objs,
-                keys,
-                rows,
-            );
-            if result.is_err() {
-                break;
-            }
-        }
-
-        self.starts = starts;
-        self.cursors = cursors;
-        self.order = order;
-        self.bucket_hashes = bucket_hashes;
-        result
-    }
-
-    /// Drives one partition's map through a whole bucket of rows, resuming
-    /// across page faults: on `BlockFull` the full page is sealed for
-    /// shuffling and the bulk upsert continues on a fresh page exactly where
-    /// it stopped.
-    fn bulk_upsert(
-        &mut self,
-        part: usize,
-        order: &[u32],
-        hashes: &[u64],
-        objs: &[pc_object::AnyHandle],
-        keys: &[S::Key],
-        rows: &[u32],
-    ) -> PcResult<()> {
-        if self.current[part].is_none() {
-            self.current[part] = Some(MapPage::new(self.page_size)?);
-        }
-        let spec = self.spec.clone();
-        let mut done = 0usize;
-        let mut page_size = self.page_size;
-        let mut stall = 0u32;
-        loop {
-            let mp = self.current[part].as_ref().unwrap();
-            // Pre-size for the burst. The estimate follows the map's own
-            // history (a low-cardinality map stays tiny; a high-cardinality
-            // one doubles ahead of the rows), and quietly falls back to
-            // on-demand growth when the page cannot hold the bigger table.
-            let est = (mp.map.len() * 2 + 16).min(hashes.len() - done);
-            match mp.map.reserve(est) {
-                Err(pc_object::PcError::BlockFull { .. }) => {}
-                r => r?,
-            }
-            let before = done;
-            // Records are re-borrowed from the column by base row: a
-            // zero-refcount typed view, valid for the life of the batch.
-            // `rows` is empty for dense batches (position == base row).
-            let rec = |j: usize| {
-                let pos = order[j] as usize;
-                let base = if rows.is_empty() {
-                    pos
-                } else {
-                    rows[pos] as usize
-                };
-                objs[base].typed_ref::<S::In>()
-            };
-            let r = mp.map.upsert_batch_by(
-                hashes,
-                &mut done,
-                |j, b, slot| keys[order[j] as usize].matches(b, slot),
-                |j, b| keys[order[j] as usize].store_on(b),
-                |j, b| spec.init(b, rec(j)),
-                |j, b, slot| spec.combine(b, slot, rec(j)),
-            );
-            match r {
-                Ok(()) => return Ok(()),
-                Err(pc_object::PcError::BlockFull { .. }) => {
-                    // Page full: seal it for shuffling and resume on a fresh
-                    // one (the out-of-memory fault of §6.1). No progress on
-                    // a just-created page means one value outgrows the page:
-                    // escalate before retrying.
-                    stall = if done == before { stall + 1 } else { 0 };
-                    if stall > 24 {
-                        return Err(pc_object::PcError::Catalog(
-                            "aggregate value exceeds the maximum page size".into(),
-                        ));
-                    }
-                    if stall > 1 {
-                        page_size = (page_size * 2).min(256 << 20);
-                    }
-                    let full = self.current[part].take().unwrap();
-                    if !full.map.is_empty() {
-                        let sealed = full.seal()?;
-                        self.push_done(part, sealed)?;
-                    }
-                    self.current[part] = Some(MapPage::new(page_size)?);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The pre-vectorization per-row upsert, kept verbatim as the reference
-    /// path behind `absorb_rowwise` (modulo-probed, closure-driven, one
-    /// retry scaffold per row).
-    #[cfg(test)]
+#[cfg(test)]
+impl<S: AggregateSpec> SinkImpl<S> {
+    /// The pre-vectorization per-row upsert, kept as the reference path
+    /// behind `absorb_rowwise` (modulo-probed, closure-driven, one retry
+    /// scaffold per row).
     fn upsert_row(
         &mut self,
         part: usize,
@@ -608,34 +413,26 @@ impl<S: AggregateSpec> SinkImpl<S> {
         key: &S::Key,
         rec: &Handle<S::In>,
     ) -> PcResult<()> {
-        if self.current[part].is_none() {
-            self.current[part] = Some(MapPage::new(self.page_size)?);
-        }
         let spec = self.spec.clone();
-        let attempt = |mp: &MapPage<S>| {
-            mp.map.upsert_by_modref(
+        let mut page_size = self.maps.page_size();
+        let mut on_fresh_page = false;
+        for _ in 0..24 {
+            let r = self.maps.open_page(part)?.map.upsert_by_modref(
                 hash,
                 |b, slot| key.matches(b, slot),
                 |b| key.store_on(b),
                 |b| spec.init(b, rec),
                 |b, slot| spec.combine(b, slot, rec),
-            )
-        };
-        let mut page_size = self.page_size;
-        let mut on_fresh_page = false;
-        for _ in 0..24 {
-            match attempt(self.current[part].as_ref().unwrap()) {
+            );
+            match r {
                 Ok(()) => return Ok(()),
                 Err(pc_object::PcError::BlockFull { .. }) => {
-                    let full = self.current[part].take().unwrap();
                     if on_fresh_page {
                         page_size = (page_size * 2).min(256 << 20);
                     }
-                    if !full.map.is_empty() {
-                        let sealed = full.seal()?;
-                        self.push_done(part, sealed)?;
-                    }
-                    self.current[part] = Some(MapPage::new(page_size)?);
+                    let done = &mut self.done;
+                    self.maps
+                        .roll(part, page_size, |p, page| done.push(p, page))?;
                     on_fresh_page = true;
                 }
                 Err(e) => return Err(e),
@@ -650,80 +447,69 @@ impl<S: AggregateSpec> SinkImpl<S> {
 impl<S: AggregateSpec> ErasedAggSink for SinkImpl<S> {
     fn absorb(&mut self, objs: &Column, sel: Option<&[u32]>) -> PcResult<()> {
         let objs = objs.as_obj()?;
-        // Phase 1: extract keys and hashes for the whole selected batch
-        // into reusable scratch. Records are *borrowed* from the column
+        let SinkImpl {
+            spec,
+            maps,
+            done,
+            keys,
+        } = self;
+        // Extract keys and hashes for the whole selected batch into
+        // reusable scratch. Records are *borrowed* from the column
         // (`typed_ref`): the batch path touches no reference count.
-        let mut keys = std::mem::take(&mut self.keys);
-        let mut rows = std::mem::take(&mut self.rows);
-        let mut hashes = std::mem::take(&mut self.hashes);
         keys.clear();
-        rows.clear();
-        hashes.clear();
-        let spec = self.spec.clone();
-        // `rows` (selected position → base row) is only materialized under a
-        // selection; for a dense batch the positions coincide.
-        let extracted = match sel {
-            None => crate::kernel::for_each_sel(objs.len(), None, |i| {
-                let key = spec.key_of(objs[i].typed_ref::<S::In>())?;
-                hashes.push(key.hash());
-                keys.push(key);
-                Ok(())
-            }),
-            Some(s) => crate::kernel::for_each_sel(objs.len(), Some(s), |i| {
-                let key = spec.key_of(objs[i].typed_ref::<S::In>())?;
-                hashes.push(key.hash());
-                keys.push(key);
-                rows.push(i as u32);
-                Ok(())
-            }),
-        };
-        let result = extracted.and_then(|()| self.absorb_extracted(objs, &keys, &rows, &hashes));
+        let hashes = maps.batch();
+        crate::kernel::for_each_sel(objs.len(), sel, |i| {
+            let key = spec.key_of(objs[i].typed_ref::<S::In>())?;
+            hashes.push(key.hash());
+            keys.push(key);
+            Ok(())
+        })?;
+        done.stats.rows_absorbed += keys.len() as u64;
+        // Records are re-borrowed from the column by base row: a
+        // zero-refcount typed view, valid for the life of the batch.
+        let rec = |i: usize| objs[sel.map_or(i, |s| s[i] as usize)].typed_ref::<S::In>();
+        let result = maps.fold(
+            |i, b, slot| keys[i].matches(b, slot),
+            |i, b| keys[i].store_on(b),
+            |i, b| spec.init(b, rec(i)),
+            |i, b, slot| spec.combine(b, slot, rec(i)),
+            |part, page| done.push(part, page),
+        );
         keys.clear();
-        rows.clear();
-        hashes.clear();
-        self.keys = keys;
-        self.rows = rows;
-        self.hashes = hashes;
         result
     }
 
     #[cfg(test)]
     fn absorb_rowwise(&mut self, objs: &Column, sel: Option<&[u32]>) -> PcResult<()> {
         let objs = objs.as_obj()?;
-        self.stats.rows_absorbed += crate::kernel::sel_len(objs.len(), sel) as u64;
+        self.done.stats.rows_absorbed += crate::kernel::sel_len(objs.len(), sel) as u64;
         crate::kernel::for_each_sel(objs.len(), sel, |i| {
             let rec = objs[i].downcast_unchecked::<S::In>();
             let key = self.spec.key_of(&rec)?;
             let hash = key.hash();
-            let part = (hash % self.partitions as u64) as usize;
+            let part = (hash % self.maps.partitions() as u64) as usize;
             self.upsert_row(part, hash, &key, &rec)
         })
     }
 
     fn flush(&mut self) -> PcResult<Vec<(usize, AggPage)>> {
-        for part in 0..self.partitions {
-            if let Some(mp) = self.current[part].take() {
-                if !mp.map.is_empty() {
-                    let sealed = mp.seal()?;
-                    self.push_done(part, sealed)?;
-                }
-            }
-        }
+        let done = &mut self.done;
+        self.maps.finish(|part, page| done.push(part, page))?;
         // The flushed pages leave the sink; their memory is the caller's
         // now (merged page-at-a-time), so the reservation releases here.
-        self.grant = None;
-        Ok(std::mem::take(&mut self.done))
+        done.grant = None;
+        Ok(std::mem::take(&mut done.pages))
     }
 
     fn stats(&self) -> AggSinkStats {
-        self.stats
+        self.done.stats
     }
 }
 
 struct MergerImpl<S: AggregateSpec> {
     spec: Arc<S>,
     page_size: usize,
-    acc: Option<MapPage<S>>,
+    acc: Option<MapPageOf<S>>,
     _pd: PhantomData<fn() -> S>,
 }
 
@@ -792,20 +578,14 @@ impl<S: AggregateSpec> ErasedAggMerger for MergerImpl<S> {
         // in-memory run regardless of the spill schedule.
         entries.sort_unstable();
         for (_h, kslot, vslot) in entries {
-            let key = S::Key::load_from(acc.block(), kslot);
+            let key = S::Key::load_from(&acc.block, kslot);
             writer.write_with(|| {
-                let out = self.spec.finalize(&key, acc.block(), vslot)?;
+                let out = self.spec.finalize(&key, &acc.block, vslot)?;
                 Ok(out.erase())
             })?;
             groups += 1;
         }
         Ok(groups)
-    }
-}
-
-impl<S: AggregateSpec> MapPage<S> {
-    fn block(&self) -> &BlockRef {
-        &self.block
     }
 }
 

@@ -80,59 +80,10 @@ impl Column {
         }
     }
 
-    /// Replicates row `i` `counts[i]` times (FLATMAP reshaping).
-    pub fn replicate(&self, counts: &[u32]) -> Column {
-        fn r<T: Clone>(v: &[T], counts: &[u32]) -> Vec<T> {
-            // Sum as usize: a batch of u32 counts can overflow a u32 total.
-            let total: usize = counts.iter().map(|&c| c as usize).sum();
-            let mut out = Vec::with_capacity(total);
-            for (x, &c) in v.iter().zip(counts) {
-                for _ in 0..c {
-                    out.push(x.clone());
-                }
-            }
-            out
-        }
-        match self {
-            Column::Bool(v) => Column::Bool(r(v, counts)),
-            Column::I64(v) => Column::I64(r(v, counts)),
-            Column::F64(v) => Column::F64(r(v, counts)),
-            Column::U64(v) => Column::U64(r(v, counts)),
-            Column::Str(v) => Column::Str(r(v, counts)),
-            Column::Obj(v) => Column::Obj(r(v, counts)),
-        }
-    }
-
-    /// Selection-aware replicate: `counts[i]` applies to row `sel[i]` (or to
-    /// row `i` when `sel` is `None`). Output is dense.
-    pub fn replicate_sel(&self, counts: &[u32], sel: Option<&[u32]>) -> Column {
-        let Some(sel) = sel else {
-            return self.replicate(counts);
-        };
-        fn r<T: Clone>(v: &[T], counts: &[u32], sel: &[u32]) -> Vec<T> {
-            let total: usize = counts.iter().map(|&c| c as usize).sum();
-            let mut out = Vec::with_capacity(total);
-            for (&row, &c) in sel.iter().zip(counts) {
-                for _ in 0..c {
-                    out.push(v[row as usize].clone());
-                }
-            }
-            out
-        }
-        match self {
-            Column::Bool(v) => Column::Bool(r(v, counts, sel)),
-            Column::I64(v) => Column::I64(r(v, counts, sel)),
-            Column::F64(v) => Column::F64(r(v, counts, sel)),
-            Column::U64(v) => Column::U64(r(v, counts, sel)),
-            Column::Str(v) => Column::Str(r(v, counts, sel)),
-            Column::Obj(v) => Column::Obj(r(v, counts, sel)),
-        }
-    }
-
-    /// Gathers rows by index (join probe output assembly, selection-vector
-    /// compaction at stage boundaries), drawing the output allocation from
-    /// (and sized by) a recycled [`ColumnPool`] buffer, so steady-state
-    /// batches allocate nothing.
+    /// Gathers rows by index (join probe output assembly, FLATMAP
+    /// replication, selection-vector compaction at stage boundaries),
+    /// drawing the output allocation from (and sized by) a recycled
+    /// [`ColumnPool`] buffer, so steady-state batches allocate nothing.
     pub fn gather_pooled(&self, idx: &[u32], pool: &mut ColumnPool) -> Column {
         fn g<T: Clone>(v: &[T], idx: &[u32], mut out: Vec<T>) -> Vec<T> {
             out.clear();

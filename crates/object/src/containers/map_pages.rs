@@ -1,0 +1,320 @@
+//! Radix-partitioned map pages: the one builder behind both hash sinks.
+//!
+//! Pre-aggregation (Appendix D.2) and the join build (Appendix D.3) are the
+//! same object-model operation: hash a batch of rows into hash-partitioned
+//! [`PcMap`] objects living on pages, sealing each page when it fills.
+//! [`MapPageBuilder`] is that operation once, generic over key and value;
+//! the sinks supply only what differs — how a row's key compares and
+//! stores, its first value, and how a later row folds into it.
+//!
+//! A batch goes through in two phases. A counting scatter orders the rows
+//! by partition ([`partition_of`]: the hash's high bits, masked — disjoint
+//! from the low bits the maps consume for masked probing), and each
+//! non-empty bucket folds into its partition's open page with one
+//! resumable [`upsert_batch_by`], so consecutive probes stay on one hot
+//! table. On `BlockFull` the full page leaves the builder and the fold
+//! resumes on a fresh page exactly where it stopped.
+//!
+//! Page escalation follows one rule: every bucket fold starts at the
+//! configured page size; the second consecutive fault without progress
+//! (a value that does not fit even a fresh page) doubles the size, capped
+//! at 256 MiB, and the larger size holds for the rest of that fold. A
+//! faulted page with no entries is discarded, never sealed.
+//!
+//! [`upsert_batch_by`]: Handle::upsert_batch_by
+
+use super::PcMap;
+use crate::block::{AllocPolicy, BlockRef};
+use crate::error::{PcError, PcResult};
+use crate::handle::Handle;
+use crate::page::SealedPage;
+use crate::traits::{PcKey, PcValue};
+
+/// The largest page an escalating fold opens.
+const MAX_PAGE: usize = 256 << 20;
+
+/// Consecutive no-progress faults after which a fold gives up.
+const MAX_STALLS: u32 = 24;
+
+/// The partition-count rounding every partitioned map set applies: at least
+/// one, and a power of two so [`partition_of`] is a shift and mask. The
+/// one source of truth for builders, probe views and the broadcast store.
+pub fn round_partitions(partitions: usize) -> usize {
+    partitions.max(1).next_power_of_two()
+}
+
+/// Partition of a slot hash among `partitions` (a power of two): the high
+/// bits, masked. Map probes consume the low bits, so the two stay
+/// independent (the same bits for both would leave every map only
+/// `cap / partitions` home slots and degrade probing into long runs).
+#[inline]
+pub fn partition_of(hash: u64, partitions: usize) -> usize {
+    ((hash >> 32) as usize) & (partitions - 1)
+}
+
+/// One map on its own page: the map is the page's root object.
+pub struct MapPage<K: PcKey, V: PcValue> {
+    pub block: BlockRef,
+    pub map: Handle<PcMap<K, V>>,
+}
+
+impl<K: PcKey, V: PcValue> MapPage<K, V> {
+    /// A fresh page of `page_size` bytes holding an empty map.
+    pub fn new(page_size: usize) -> PcResult<Self> {
+        let block = BlockRef::new(page_size, AllocPolicy::LightweightReuse);
+        let map = block.make_object::<PcMap<K, V>>()?;
+        block.set_root(&map);
+        Ok(MapPage { block, map })
+    }
+
+    /// Seals the page for shipping.
+    pub fn seal(self) -> PcResult<SealedPage> {
+        drop(self.map);
+        self.block.try_seal()
+    }
+}
+
+/// Builds batches of rows into a power-of-two set of partitions, each with
+/// one open map page. Full pages leave through the caller's `retire`
+/// callback, tagged with their partition, in the order they filled; pages
+/// of one partition therefore leave in insertion order.
+pub struct MapPageBuilder<K: PcKey, V: PcValue> {
+    /// Partition count, always a power of two.
+    partitions: usize,
+    /// The configured page size every bucket fold starts at.
+    page_size: usize,
+    /// The open page of each partition.
+    open: Vec<Option<MapPage<K, V>>>,
+    /// Rows folded so far, counted per completed partition bucket (so the
+    /// count matches what the retired and open pages hold even when a
+    /// later bucket errors out).
+    pub rows_folded: u64,
+    // Per-batch scratch, cleared (not freed) at every batch boundary.
+    /// Slot hash of each row of the batch, filled through [`Self::batch`].
+    hashes: Vec<u64>,
+    /// Bucket boundaries: partition `p` owns `starts[p]..starts[p+1]`.
+    starts: Vec<u32>,
+    /// Scatter cursors, one per partition.
+    cursors: Vec<u32>,
+    /// Row indices in bucket order.
+    order: Vec<u32>,
+    /// Hashes in bucket order: the contiguous input to the bulk upsert.
+    bucket_hashes: Vec<u64>,
+}
+
+impl<K: PcKey, V: PcValue> MapPageBuilder<K, V> {
+    /// A builder with `partitions` partitions (rounded by
+    /// [`round_partitions`]) whose pages start at `page_size` bytes.
+    pub fn new(partitions: usize, page_size: usize) -> Self {
+        let partitions = round_partitions(partitions);
+        MapPageBuilder {
+            partitions,
+            page_size,
+            open: (0..partitions).map(|_| None).collect(),
+            rows_folded: 0,
+            hashes: Vec::new(),
+            starts: Vec::new(),
+            cursors: Vec::new(),
+            order: Vec::new(),
+            bucket_hashes: Vec::new(),
+        }
+    }
+
+    /// The partition count (a power of two).
+    pub fn partitions(&self) -> usize {
+        self.partitions
+    }
+
+    /// The configured page size.
+    pub fn page_size(&self) -> usize {
+        self.page_size
+    }
+
+    /// Starts a batch: the cleared hash vector the caller fills with one
+    /// slot hash per row. [`Self::fold`] then names each row by its index
+    /// here.
+    pub fn batch(&mut self) -> &mut Vec<u64> {
+        self.hashes.clear();
+        &mut self.hashes
+    }
+
+    /// Folds the batch into the partition maps. Each per-row callback gets
+    /// the row's index into the batch: `matches` compares the row's key
+    /// with the stored key at a slot, `make_key` stores it on a page's
+    /// block, `init` builds the first value for a fresh key, and `combine`
+    /// folds the row into the value at a slot. `retire` receives every
+    /// page that fills, with its partition.
+    pub fn fold(
+        &mut self,
+        mut matches: impl FnMut(usize, &BlockRef, u32) -> bool,
+        mut make_key: impl FnMut(usize, &BlockRef) -> PcResult<K>,
+        mut init: impl FnMut(usize, &BlockRef) -> PcResult<V>,
+        mut combine: impl FnMut(usize, &BlockRef, u32) -> PcResult<()>,
+        mut retire: impl FnMut(usize, SealedPage) -> PcResult<()>,
+    ) -> PcResult<()> {
+        let MapPageBuilder {
+            partitions,
+            page_size,
+            open,
+            rows_folded,
+            hashes,
+            starts,
+            cursors,
+            order,
+            bucket_hashes,
+        } = self;
+        let (p, n) = (*partitions, hashes.len());
+        if n == 0 {
+            return Ok(());
+        }
+
+        // Counting scatter into bucket order: no per-row `%`, no
+        // allocation past the first batch.
+        starts.clear();
+        starts.resize(p + 1, 0);
+        for &h in hashes.iter() {
+            starts[partition_of(h, p) + 1] += 1;
+        }
+        for i in 0..p {
+            starts[i + 1] += starts[i];
+        }
+        cursors.clear();
+        cursors.extend_from_slice(&starts[..p]);
+        order.clear();
+        order.resize(n, 0);
+        bucket_hashes.clear();
+        bucket_hashes.resize(n, 0);
+        for (i, &h) in hashes.iter().enumerate() {
+            let part = partition_of(h, p);
+            let at = cursors[part] as usize;
+            cursors[part] += 1;
+            order[at] = i as u32;
+            bucket_hashes[at] = h;
+        }
+
+        // One resumable bulk upsert per non-empty bucket.
+        for part in 0..p {
+            let (lo, hi) = (starts[part] as usize, starts[part + 1] as usize);
+            if lo == hi {
+                continue;
+            }
+            let (order, bhashes) = (&order[lo..hi], &bucket_hashes[lo..hi]);
+            let mut done = 0usize;
+            let mut size = *page_size;
+            let mut stall = 0u32;
+            loop {
+                let map = &open_page(&mut open[part], size)?.map;
+                // Pre-size for the burst. The estimate follows the map's own
+                // history (a low-cardinality map stays tiny; a
+                // high-cardinality one doubles ahead of the rows), and
+                // quietly falls back to on-demand growth when the page
+                // cannot hold the bigger table.
+                let est = (map.len() * 2 + 16).min(bhashes.len() - done);
+                match map.reserve(est) {
+                    Err(PcError::BlockFull { .. }) => {}
+                    r => r?,
+                }
+                let before = done;
+                let r = map.upsert_batch_by(
+                    bhashes,
+                    &mut done,
+                    |j, b, slot| matches(order[j] as usize, b, slot),
+                    |j, b| make_key(order[j] as usize, b),
+                    |j, b| init(order[j] as usize, b),
+                    |j, b, slot| combine(order[j] as usize, b, slot),
+                );
+                match r {
+                    Ok(()) => break,
+                    Err(PcError::BlockFull { .. }) => {
+                        // The page is full: it leaves, and the fold resumes
+                        // on a fresh one (the out-of-memory fault of §6.1).
+                        // A second fault without progress means one value
+                        // outgrows a fresh page: escalate before retrying.
+                        stall = if done == before { stall + 1 } else { 0 };
+                        if stall > MAX_STALLS {
+                            return Err(PcError::Catalog(
+                                "a map value exceeds the maximum page size".into(),
+                            ));
+                        }
+                        if stall > 1 {
+                            size = (size * 2).min(MAX_PAGE);
+                        }
+                        roll_page(part, &mut open[part], size, &mut retire)?;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            *rows_folded += (hi - lo) as u64;
+        }
+        Ok(())
+    }
+
+    /// The open page of `part`, opened at the configured size if there is
+    /// none. With [`Self::roll`], the primitive row-at-a-time reference
+    /// paths drive their own retry loops with.
+    pub fn open_page(&mut self, part: usize) -> PcResult<&MapPage<K, V>> {
+        open_page(&mut self.open[part], self.page_size)
+    }
+
+    /// Retires `part`'s open page (if it holds entries) through `retire`
+    /// and opens a fresh one of `page_size` bytes.
+    pub fn roll(
+        &mut self,
+        part: usize,
+        page_size: usize,
+        mut retire: impl FnMut(usize, SealedPage) -> PcResult<()>,
+    ) -> PcResult<()> {
+        roll_page(part, &mut self.open[part], page_size, &mut retire)
+    }
+
+    /// Retires every open page that holds entries, partition by partition.
+    pub fn finish(
+        &mut self,
+        mut retire: impl FnMut(usize, SealedPage) -> PcResult<()>,
+    ) -> PcResult<()> {
+        for part in 0..self.partitions {
+            if let Some(page) = self.open[part].take() {
+                retire_page(part, page, &mut retire)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The open page in `slot`, opened at `page_size` if there is none.
+fn open_page<K: PcKey, V: PcValue>(
+    slot: &mut Option<MapPage<K, V>>,
+    page_size: usize,
+) -> PcResult<&MapPage<K, V>> {
+    Ok(match slot {
+        Some(page) => page,
+        None => slot.insert(MapPage::new(page_size)?),
+    })
+}
+
+/// Retires the page in `slot` and opens a fresh one of `page_size` bytes.
+fn roll_page<K: PcKey, V: PcValue>(
+    part: usize,
+    slot: &mut Option<MapPage<K, V>>,
+    page_size: usize,
+    retire: &mut impl FnMut(usize, SealedPage) -> PcResult<()>,
+) -> PcResult<()> {
+    if let Some(page) = slot.take() {
+        retire_page(part, page, retire)?;
+    }
+    *slot = Some(MapPage::new(page_size)?);
+    Ok(())
+}
+
+/// The one path a page leaves a builder by: sealed and handed to `retire`
+/// if it holds entries, dropped otherwise.
+fn retire_page<K: PcKey, V: PcValue>(
+    part: usize,
+    page: MapPage<K, V>,
+    retire: &mut impl FnMut(usize, SealedPage) -> PcResult<()>,
+) -> PcResult<()> {
+    if page.map.is_empty() {
+        return Ok(());
+    }
+    retire(part, page.seal()?)
+}

@@ -1,4 +1,5 @@
-//! Built-in container objects: [`PcVec`], [`PcMap`], [`PcString`].
+//! Built-in container objects: [`PcVec`], [`PcMap`], [`PcString`], and
+//! the [`MapPageBuilder`] that builds hash-partitioned `PcMap` pages.
 //!
 //! These are the generic, page-resident analogues of PC's `Vector`, `Map`
 //! and `String` (§6.1). Their storage lives entirely on the owning block:
@@ -7,10 +8,12 @@
 //! one contiguous range of bytes.
 
 mod map;
+mod map_pages;
 mod string;
 mod vec;
 
 pub use map::PcMap;
+pub use map_pages::{partition_of, round_partitions, MapPage, MapPageBuilder};
 pub use string::PcString;
 pub use vec::PcVec;
 
