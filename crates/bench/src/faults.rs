@@ -103,8 +103,7 @@ pub fn cluster_with(transport: TransportKind) -> PcCluster {
         exec: ExecConfig {
             batch_size: 32,
             page_size: 1 << 15,
-            agg_partitions: 5,
-            join_partitions: 8,
+            partitions: 8,
             morsel_rows: 64,
             ..ExecConfig::default()
         },
@@ -124,8 +123,7 @@ fn cluster_pressured(seed: u64) -> PcCluster {
         exec: ExecConfig {
             batch_size: 32,
             page_size: 1 << 15,
-            agg_partitions: 5,
-            join_partitions: 8,
+            partitions: 8,
             morsel_rows: 64,
             ..ExecConfig::default()
         },

@@ -133,8 +133,7 @@ pub fn figure5() {
         exec: ExecConfig {
             batch_size: 256,
             page_size: 1 << 16,
-            agg_partitions: 6,
-            join_partitions: 8,
+            partitions: 8,
             ..ExecConfig::default()
         },
         ..ClusterConfig::default()

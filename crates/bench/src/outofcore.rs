@@ -104,8 +104,7 @@ fn client_with(threads: usize, pool_capacity: usize, pressure: Option<PressureSp
             // Small pages so the dataset spans many of them: spilling moves
             // whole page chains, and the second pass chunks by page.
             page_size: 1 << 14,
-            agg_partitions: 4,
-            join_partitions: 8,
+            partitions: 4,
             threads,
             ..ExecConfig::default()
         },

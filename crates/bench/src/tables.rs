@@ -18,8 +18,7 @@ fn bench_client() -> PcClient {
         exec: ExecConfig {
             batch_size: 1024,
             page_size: 1 << 20,
-            agg_partitions: 4,
-            join_partitions: 8,
+            partitions: 4,
             ..ExecConfig::default()
         },
         ..ClusterConfig::default()

@@ -9,6 +9,7 @@ use pc_lambda::{CompiledQuery, ErasedAgg, SpillCtx, StageLibrary};
 use pc_object::{AnyHandle, PcError, PcResult, PressureSpec, SealedPage};
 use pc_storage::{Catalog, StorageManager, WorkerTypeCatalog};
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -94,10 +95,49 @@ pub struct PcCluster {
     stages_replayed: AtomicU64,
     workers_recovered: AtomicU64,
     round_robin: AtomicU64,
+    /// The workers' spill directories' parent, removed when the cluster
+    /// drops. Last, so it drops after the workers' storage.
+    _dir: ClusterDir,
+}
+
+/// A cluster's `$TMPDIR/pccluster_<pid>_<n>` directory, removed on drop.
+struct ClusterDir(PathBuf);
+
+impl Drop for ClusterDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Removes the `pccluster_<pid>_*` directories under `tmp` whose process
+/// no longer exists: a killed process never drops its clusters. Only
+/// where `/proc` lists processes; elsewhere every directory is left alone.
+fn reclaim_orphaned_dirs(tmp: &Path) {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(tmp) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("pccluster_"))
+            .and_then(|rest| rest.split('_').next())
+            .and_then(|pid| pid.parse::<u32>().ok());
+        if let Some(pid) = pid {
+            if !proc.join(pid.to_string()).exists() {
+                let _ = std::fs::remove_dir_all(entry.path());
+            }
+        }
+    }
 }
 
 impl PcCluster {
-    /// Boots a cluster with per-worker temp spill directories.
+    /// Boots a cluster with per-worker temp spill directories, first
+    /// reclaiming those of clusters whose process was killed.
     pub fn new(config: ClusterConfig) -> PcResult<Self> {
         if config.workers == 0 {
             // Page dispatch and the shuffle both route `% workers`.
@@ -106,17 +146,19 @@ impl PcCluster {
             ));
         }
         let catalog = Arc::new(Catalog::new());
-        let base = std::env::temp_dir().join(format!(
+        let tmp = std::env::temp_dir();
+        reclaim_orphaned_dirs(&tmp);
+        let dir = ClusterDir(tmp.join(format!(
             "pccluster_{}_{}",
             std::process::id(),
-            crate::cluster::unique_suffix()
-        ));
+            unique_suffix()
+        )));
         let mut workers = Vec::with_capacity(config.workers);
         for id in 0..config.workers {
             let storage = StorageManager::with_pressure(
                 catalog.clone(),
                 config.pool_capacity,
-                base.join(format!("worker{id}")),
+                dir.0.join(format!("worker{id}")),
                 config.pressure.clone(),
             )?;
             workers.push(WorkerNode {
@@ -137,6 +179,7 @@ impl PcCluster {
             stages_replayed: AtomicU64::new(0),
             workers_recovered: AtomicU64::new(0),
             round_robin: AtomicU64::new(0),
+            _dir: dir,
         })
     }
 
@@ -336,7 +379,7 @@ impl PcCluster {
                 self.create_or_clear_set(pc_exec::TMP_DB, list)?;
             }
             // Broadcast join tables live as shared partition-tagged page
-            // lists plus their once-built tag filters, one per join.
+            // lists, one per join.
             let mut tables: stages::TableStore = HashMap::new();
             for p in &physical.pipelines {
                 let s = recovery::run_stage_with_recovery(self, p, stages, aggs, &mut tables)?;
@@ -403,4 +446,41 @@ impl PcCluster {
 pub(crate) fn unique_suffix() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn small() -> ClusterConfig {
+        ClusterConfig {
+            workers: 2,
+            pool_capacity: 1 << 20,
+            ..ClusterConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_dropped_cluster_leaves_no_directory() {
+        let c = PcCluster::new(small()).unwrap();
+        let dir = c._dir.0.clone();
+        assert!(dir.join("worker1").is_dir(), "{dir:?} not created");
+        drop(c);
+        assert!(!dir.exists(), "{dir:?} outlived its cluster");
+    }
+
+    #[test]
+    fn new_reclaims_a_dead_process_directory() {
+        // Above Linux's largest pid_max (2^22), so no process has this id.
+        let orphan = std::env::temp_dir().join("pccluster_4294967_0");
+        std::fs::create_dir_all(orphan.join("worker0")).unwrap();
+        std::fs::write(orphan.join("worker0").join("1_1.pcpage"), b"x").unwrap();
+        let live = PcCluster::new(small()).unwrap();
+        let _next = PcCluster::new(small()).unwrap();
+        assert!(!orphan.exists(), "{orphan:?} was not reclaimed");
+        assert!(
+            live._dir.0.is_dir(),
+            "a live process's directory was removed"
+        );
+    }
 }

@@ -14,10 +14,10 @@
 //!   sets are distributed.
 //! * **JoinBuild** — per-morsel tables are sealed into partition-tagged
 //!   pages and **broadcast**: every worker receives every build page (the
-//!   paper's broadcast join). The gather builds the table's tag filters
-//!   once and reserves its bytes against a budget, spilling partitions
-//!   that do not fit. The paper hash-partitions large build sides per D.3
-//!   instead; this simulation broadcasts every build side.
+//!   paper's broadcast join). The gather reserves the table's bytes
+//!   against a budget once, spilling partitions that do not fit. The
+//!   paper hash-partitions large build sides per D.3 instead; this
+//!   simulation broadcasts every build side.
 //! * **AggProduce** — the two-stage distributed aggregation of D.2 /
 //!   Figure 5: pipelining threads pre-aggregate into hash-partitioned map
 //!   pages and push them through a zero-copy pointer queue to combining
@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Broadcast join tables in transit, by name: sealed partition-tagged page
-/// lists plus their once-built tag filters ([`SharedTable`]). Receivers
+/// lists ([`SharedTable`]). Receivers
 /// reassemble the partition chains from the page tags instead of
 /// concatenating every page into one flat scan list.
 pub type TableStore = HashMap<String, SharedTable>;
@@ -134,14 +134,13 @@ pub fn run_stage_distributed(
                 let _ = transport.collect(w)?;
             }
             cluster.note_broadcast();
-            // Tag filters are built once here, from the gathered pages'
-            // stored hashes; every reopening thread shares them. The gather
-            // is where the table's full size first exists in one place, so
-            // it reserves against a budget and sheds partitions that do not
-            // fit (this in-process cluster shares one broadcast table, so
-            // worker 0's pool stands in for the per-worker copy).
+            // The gather is where the table's full size first exists in
+            // one place, so it reserves against a budget and sheds
+            // partitions that do not fit (this in-process cluster shares
+            // one broadcast table, so worker 0's pool stands in for the
+            // per-worker copy).
             let st = SharedTable::from_tagged_pages_budgeted(
-                cluster.config.exec.join_partitions,
+                cluster.config.exec.partitions,
                 gathered,
                 &cluster.worker_spill_ctx(0),
             )?;

@@ -38,8 +38,7 @@ fn cluster() -> PcCluster {
         exec: ExecConfig {
             batch_size: 32,
             page_size: 1 << 15,
-            agg_partitions: 5,
-            join_partitions: 8,
+            partitions: 8,
             morsel_rows: 64,
             ..ExecConfig::default()
         },

@@ -29,8 +29,7 @@ fn cluster(threads: usize, morsel_rows: usize) -> PcCluster {
         exec: ExecConfig {
             batch_size: 32,
             page_size: 1 << 15,
-            agg_partitions: 3,
-            join_partitions: 4,
+            partitions: 4,
             morsel_rows,
             threads,
         },

@@ -24,16 +24,14 @@ fn cluster(
     threads: usize,
     pool_capacity: usize,
     pressure: Option<PressureSpec>,
-    join_partitions: usize,
-    agg_partitions: usize,
+    partitions: usize,
 ) -> PcCluster {
     PcCluster::new(ClusterConfig {
         workers: 2,
         exec: ExecConfig {
             batch_size: 64,
             page_size: 1 << 13,
-            agg_partitions,
-            join_partitions,
+            partitions,
             threads,
             ..ExecConfig::default()
         },
@@ -167,17 +165,16 @@ proptest! {
     #[test]
     fn spilling_run_matches_in_memory_run(
         seed in 0..u64::MAX,
-        join_partitions in 2usize..9,
-        agg_partitions in 2usize..6,
+        partitions in 2usize..9,
         threads in prop_oneof![Just(1usize), Just(4usize)],
         pressure_seed in prop_oneof![Just(None), (0..u64::MAX).prop_map(Some)],
     ) {
         let (n, keys) = (1_200, 600i64);
         let label = format!(
-            "seed={seed} jp={join_partitions} ap={agg_partitions} threads={threads} pressure={pressure_seed:?}"
+            "seed={seed} partitions={partitions} threads={threads} pressure={pressure_seed:?}"
         );
 
-        let base_c = cluster(threads, 1 << 30, None, join_partitions, agg_partitions);
+        let base_c = cluster(threads, 1 << 30, None, partitions);
         load(&base_c, n, keys, seed);
         let (baseline, base_stats) = run_query(&base_c, None).unwrap();
         prop_assert_eq!(
@@ -187,7 +184,7 @@ proptest! {
         );
 
         let pressure = pressure_seed.map(PressureSpec::seeded);
-        let c = cluster(threads, TINY_POOL, pressure, join_partitions, agg_partitions);
+        let c = cluster(threads, TINY_POOL, pressure, partitions);
         load(&c, n, keys, seed);
         let (got, stats) = run_query(&c, None).unwrap();
         assert_runs_identical(&label, &baseline, &got);
@@ -212,7 +209,7 @@ proptest! {
 #[test]
 fn mid_stage_abort_leaks_no_spill_files() {
     let (n, keys) = (1_200, 600i64);
-    let c = cluster(1, TINY_POOL, None, 8, 4);
+    let c = cluster(1, TINY_POOL, None, 4);
     load(&c, n, keys, 7);
 
     // Poison the probe-side projection: the join build (which spills at

@@ -35,8 +35,7 @@ impl PcClient {
             exec: ExecConfig {
                 batch_size: 256,
                 page_size: 1 << 18,
-                agg_partitions: 2,
-                join_partitions: 8,
+                partitions: 2,
                 ..ExecConfig::default()
             },
             ..ClusterConfig::default()

@@ -14,19 +14,22 @@
 //! the builder scatters each selection-filtered batch by the slot hash's
 //! high bits, bulk-folds every partition's bucket into that partition's
 //! open page, and seals pages as they fill ([`JoinBuilder::into_pages`]
-//! seals the rest). Where the build's pages are gathered, each
-//! partition's compact 16-bit tag filter is built once from the stored
-//! hashes ([`JoinTable::build_shared_tag_filters`]), and every probing
-//! thread reopens a zero-copy [`JoinTable`] view over the pages with those
-//! filters ([`JoinTable::from_shared_pages`]). A probe routes its key to
-//! the owning partition's chain only — never a full table scan — after the
-//! tag filter has rejected misses without touching any map. The
-//! pre-vectorization row-at-a-time build and the unrouted full-scan probe
-//! survive, compiled for this crate's tests only, as `insert_rowwise` and
-//! `probe_into_scan`: the references the differential tests here compare
-//! the batch paths against.
+//! seals the rest). Every probing thread reopens a zero-copy [`JoinTable`]
+//! view over the sealed pages ([`JoinTable::from_shared_pages`]). A probe
+//! routes its key to the owning partition's chain only — never a full
+//! table scan — and probes that chain's maps by the precomputed hash.
+//!
+//! A key's matches come from its partition's chain in morsel order, then
+//! in fill order, so probes emit them in build-insertion order whatever the
+//! partition count: join output does not depend on it when nothing
+//! spills.
+//!
+//! The pre-vectorization row-at-a-time build and the unrouted full-scan
+//! probe survive, compiled for this crate's tests only, as
+//! `insert_rowwise` and `probe_into_scan`: the references the
+//! differential tests here compare the batch paths against.
 
-use pc_object::containers::{partition_of, round_partitions};
+use pc_object::containers::partition_of;
 use pc_object::{
     AnyHandle, AnyObj, BlockRef, Handle, MapPageBuilder, PcKey, PcMap, PcResult, PcValue, PcVec,
     SealedPage,
@@ -34,13 +37,6 @@ use pc_object::{
 
 type Bucket = Handle<PcVec<Handle<AnyObj>>>;
 type TableMap = PcMap<u64, Bucket>;
-
-/// A partition's probe-side tag filter: a blocked Bloom filter with 16-bit
-/// blocks, sized from the partition's entry count. Shared (`Arc`) so a
-/// broadcast table's filters are built once and reopened by every
-/// pipelining thread without rescanning the maps. Empty = none (probes go
-/// straight to the maps).
-pub type TagFilter = std::sync::Arc<Vec<u16>>;
 
 /// The join build sink: folds batches of build rows into a
 /// [`MapPageBuilder`]'s partition maps, one bucket push per row, and
@@ -143,62 +139,25 @@ impl JoinBuilder {
     }
 }
 
-/// One radix partition of a probe view: its chain of map pages and its
-/// tag filter.
-struct Partition {
-    pages: Vec<(BlockRef, Handle<TableMap>)>,
-    tags: TagFilter,
-}
+/// One radix partition of a probe view: its chain of map pages.
+type Partition = Vec<(BlockRef, Handle<TableMap>)>;
 
 /// The probe side of one join input's hash table: zero-copy views over a
 /// built table's sealed pages, a power-of-two set of radix partitions,
-/// each a chain of map pages behind a tag filter.
+/// each a chain of map pages.
 pub struct JoinTable {
-    partitions: usize,
     parts: Vec<Partition>,
 }
 
 impl JoinTable {
-    /// Tag-filter position of a slot hash within a filter of `len` (power
-    /// of two) 16-bit blocks: `(block_index, bit_mask)`. The block index
-    /// draws from the low bits (so even multi-million-entry partitions
-    /// index the whole filter — low bits vary freely within a partition,
-    /// unlike the partition-select bits 32..44) and the bit from bits
-    /// 55..59 — ranges disjoint from each other and from bit 63, which the
-    /// map repurposes as its OCCUPIED marker and strips from stored hashes
-    /// (the filter is built from stored hashes, so consuming bit 63 would
-    /// produce false negatives for half of all keys).
-    #[inline]
-    fn tag_pos(shash: u64, len: usize) -> (usize, u16) {
-        (shash as usize & (len - 1), 1u16 << ((shash >> 55) & 15))
-    }
-
-    // -------------------------------------------------------------- probing
-
-    /// Routes a probe's slot hash to its owning partition, or `None` when
-    /// the partition's tag filter rejects the key (one filter word read, no
-    /// map touched). Shared by every routed probe path.
-    #[inline]
-    fn route(&self, shash: u64) -> Option<&Partition> {
-        let part = &self.parts[partition_of(shash, self.partitions)];
-        if !part.tags.is_empty() {
-            let (i, bit) = Self::tag_pos(shash, part.tags.len());
-            if part.tags[i] & bit == 0 {
-                return None;
-            }
-        }
-        Some(part)
-    }
-
     /// The pipeline's probe fast path: appends each match for `hash`
     /// directly into the caller's reusable buffers — `probe_row` once per
     /// match into `idx` (the gather-index vector) and the matched build
     /// object into `built` — with no per-match closure call or allocation.
     /// The slot hash is computed once: its high bits route to the owning
     /// partition (only that partition's page chain is walked — never the
-    /// whole table), the tag filter rejects misses before any map probe,
-    /// and the maps probe by the precomputed hash. Returns the number of
-    /// matches.
+    /// whole table), and the maps probe by the precomputed hash. Returns
+    /// the number of matches.
     pub fn probe_into(
         &self,
         hash: u64,
@@ -207,11 +166,8 @@ impl JoinTable {
         built: &mut Vec<AnyHandle>,
     ) -> usize {
         let shash = PcKey::hash_val(&hash);
-        let Some(part) = self.route(shash) else {
-            return 0;
-        };
         let mut matches = 0;
-        for (_block, map) in &part.pages {
+        for (_block, map) in &self.parts[partition_of(shash, self.parts.len())] {
             if let Some(bucket) = map.get_hashed(shash, &hash) {
                 matches += push_matches(&bucket, probe_row, idx, built);
             }
@@ -221,76 +177,22 @@ impl JoinTable {
 
     // ------------------------------------------------------------ reopening
 
-    /// Builds the per-partition tag filters of a sealed, gathered table
-    /// **once** from the stored entry hashes (no key is rehashed). The
-    /// broadcast path calls this at gather time and ships the `Arc`s
-    /// alongside the pages, so every reopening pipelining thread shares
-    /// the filters instead of rescanning all table entries per thread.
-    pub fn build_shared_tag_filters(
-        partitions: usize,
-        pages: &[(usize, std::sync::Arc<SealedPage>)],
-    ) -> PcResult<Vec<TagFilter>> {
-        let partitions = round_partitions(partitions);
-        let mut opened: Vec<(usize, BlockRef, Handle<TableMap>)> = Vec::with_capacity(pages.len());
-        for (part, p) in pages {
-            let (block, root) = p.open_view()?;
-            let map = root.downcast::<TableMap>()?;
-            opened.push((*part, block, map));
-        }
-        let mut entries = vec![0usize; partitions];
-        for (part, _block, map) in &opened {
-            entries[*part] += map.len();
-        }
-        let mut filters: Vec<Vec<u16>> = entries
-            .iter()
-            .map(|&e| {
-                if e == 0 {
-                    Vec::new()
-                } else {
-                    vec![0u16; (e * 2).next_power_of_two().max(16)]
-                }
-            })
-            .collect();
-        for (part, _block, map) in &opened {
-            let tags = &mut filters[*part];
-            let len = tags.len();
-            if len == 0 {
-                continue;
-            }
-            map.for_each_stored_hash(|h| {
-                let (i, bit) = Self::tag_pos(h, len);
-                tags[i] |= bit;
-            });
-        }
-        Ok(filters.into_iter().map(TagFilter::new).collect())
-    }
-
     /// Opens a read-only table over gathered partition-tagged pages
-    /// (zero-copy views) with the tag filters built once over them by
-    /// [`Self::build_shared_tag_filters`], one per partition. Used by every
-    /// probing thread.
+    /// (zero-copy views), one chain per partition in page order. Used by
+    /// every probing thread. `partitions` is the table's partition count,
+    /// already rounded to a power of two (`SharedTable` rounds it once).
     pub fn from_shared_pages(
         partitions: usize,
         pages: &[(usize, std::sync::Arc<SealedPage>)],
-        filters: &[TagFilter],
     ) -> PcResult<Self> {
-        let partitions = round_partitions(partitions);
-        debug_assert_eq!(filters.len(), partitions, "one tag filter per partition");
-        let mut parts: Vec<Partition> = (0..partitions)
-            .map(|_| Partition {
-                pages: Vec::new(),
-                tags: TagFilter::default(),
-            })
-            .collect();
+        debug_assert!(partitions.is_power_of_two(), "unrounded partition count");
+        let mut parts: Vec<Partition> = vec![Vec::new(); partitions];
         for (part, p) in pages {
             let (block, root) = p.open_view()?;
             let map = root.downcast::<TableMap>()?;
-            parts[*part].pages.push((block, map));
+            parts[*part].push((block, map));
         }
-        for (part, f) in parts.iter_mut().zip(filters) {
-            part.tags = f.clone();
-        }
-        Ok(JoinTable { partitions, parts })
+        Ok(JoinTable { parts })
     }
 }
 
@@ -384,38 +286,37 @@ impl JoinTable {
         built: &mut Vec<AnyHandle>,
     ) -> usize {
         let mut matches = 0;
-        for part in &self.parts {
-            for (_block, map) in &part.pages {
-                if let Some(bucket) = map.get(&hash) {
-                    matches += push_matches(&bucket, probe_row, idx, built);
-                }
+        for (_block, map) in self.parts.iter().flatten() {
+            if let Some(bucket) = map.get(&hash) {
+                matches += push_matches(&bucket, probe_row, idx, built);
             }
         }
         matches
     }
 
     fn page_count(&self) -> usize {
-        self.parts.iter().map(|p| p.pages.len()).sum()
+        self.parts.iter().map(Vec::len).sum()
     }
 
     /// Pages a probe for `hash` may touch: the size of its partition's
     /// chain.
     fn partition_page_count(&self, hash: u64) -> usize {
-        let part = partition_of(PcKey::hash_val(&hash), self.partitions);
-        self.parts[part].pages.len()
+        let part = partition_of(PcKey::hash_val(&hash), self.parts.len());
+        self.parts[part].len()
     }
 
     /// `(capacity, entries)` of every page, partition by partition.
     fn page_capacities(&self) -> Vec<(usize, usize)> {
         self.parts
             .iter()
-            .flat_map(|p| p.pages.iter().map(|(b, map)| (b.capacity(), map.len())))
+            .flatten()
+            .map(|(b, map)| (b.capacity(), map.len()))
             .collect()
     }
 }
 
 /// Seals a built table and reopens it the way the engine does: sealed
-/// pages, tag filters built once over them, a zero-copy probe view.
+/// pages under a zero-copy probe view.
 #[cfg(test)]
 fn reopen(t: JoinBuilder) -> JoinTable {
     let partitions = t.maps.partitions();
@@ -425,8 +326,7 @@ fn reopen(t: JoinBuilder) -> JoinTable {
         .into_iter()
         .map(|(part, page)| (part, std::sync::Arc::new(page)))
         .collect();
-    let filters = JoinTable::build_shared_tag_filters(partitions, &pages).unwrap();
-    JoinTable::from_shared_pages(partitions, &pages, &filters).unwrap()
+    JoinTable::from_shared_pages(partitions, &pages).unwrap()
 }
 
 #[cfg(test)]
@@ -544,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn probes_route_to_one_partition_and_tags_reject_misses() {
+    fn probes_route_to_one_partition_and_misses_match_nothing() {
         let _s = AllocScope::new(1 << 20);
         // Many keys over few partitions with tiny pages: every partition
         // grows a multi-page chain.
@@ -555,7 +455,7 @@ mod tests {
         t.push_batch(&hashes, None, &objs).unwrap();
         let t = reopen(t);
         assert!(
-            t.page_count() > t.partitions,
+            t.page_count() > t.parts.len(),
             "need multi-page chains ({} pages)",
             t.page_count()
         );
@@ -573,17 +473,13 @@ mod tests {
             assert_eq!(t.probe_into(key, 0, &mut idx, &mut built), 1);
             assert_eq!(firsts(&built), vec![key as i64]);
         }
-        // Misses: the tag filter rejects (statistically almost) all of them
-        // before any map probe, and none produce matches.
-        let mut rejected = 0;
+        // Misses probe their partition's chain and produce no matches.
+        idx.clear();
+        built.clear();
         for key in 10_000..11_000u64 {
             assert_eq!(t.probe_into(key, 0, &mut idx, &mut built), 0);
-            rejected += usize::from(t.route(PcKey::hash_val(&key)).is_none());
         }
-        assert!(
-            rejected > 800,
-            "tag filter rejected only {rejected} of 1000 misses"
-        );
+        assert!(idx.is_empty() && built.is_empty());
     }
 
     /// A 300-element vector: far bigger than a 512-byte page.

@@ -22,7 +22,7 @@ pub mod morsel;
 pub mod plan;
 pub mod vlist;
 
-pub use jointable::{JoinBuilder, JoinTable, TagFilter};
+pub use jointable::{JoinBuilder, JoinTable};
 pub use local::{default_threads, ExecConfig, ExecStats, TMP_DB};
 pub use morsel::{
     carve_morsels, fan_out, run_stage_morsels, Morsel, MorselOutput, MorselQueue, SharedTable,

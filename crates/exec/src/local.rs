@@ -36,12 +36,11 @@ pub struct ExecConfig {
     pub batch_size: usize,
     /// Output/table page size (PC's default is 256 MB; scaled down here).
     pub page_size: usize,
-    /// Hash partitions for aggregation sinks.
-    pub agg_partitions: usize,
-    /// Radix partitions for join build tables (rounded to a power of two;
-    /// probes route to one partition's page chain instead of scanning every
-    /// table page).
-    pub join_partitions: usize,
+    /// Hash partitions of both map-page sinks (Appendix D.2/D.3): the
+    /// aggregation's pre-aggregation maps and the join build table alike,
+    /// rounded up to a power of two. A probe walks one partition's page
+    /// chain instead of every table page.
+    pub partitions: usize,
     /// Worker threads per pipeline stage (the paper's pipelining threads).
     /// Defaults to the available cores; the `PC_THREADS` environment
     /// variable overrides the default. Results are byte-identical for every
@@ -75,8 +74,7 @@ impl Default for ExecConfig {
         ExecConfig {
             batch_size: 1024,
             page_size: 1 << 20,
-            agg_partitions: 4,
-            join_partitions: 8,
+            partitions: 4,
             threads: default_threads(),
             morsel_rows: 32 * 1024,
         }
@@ -221,14 +219,10 @@ pub(crate) fn run_span(
             let agg = aggs
                 .get(comp)
                 .ok_or_else(|| PcError::Catalog(format!("no aggregation engine for {comp}")))?;
-            SinkState::Agg(agg.new_sink(
-                config.agg_partitions,
-                config.page_size,
-                stage.spill.clone(),
-            ))
+            SinkState::Agg(agg.new_sink(config.partitions, config.page_size, stage.spill.clone()))
         }
         Sink::JoinBuild { .. } => {
-            SinkState::Build(JoinBuilder::new(config.join_partitions, config.page_size))
+            SinkState::Build(JoinBuilder::new(config.partitions, config.page_size))
         }
     };
     let mut scratch = ScratchPage::new(config.page_size);
@@ -282,8 +276,6 @@ pub(crate) fn run_span(
         }
         SinkState::Build(t) => {
             stats.join_groups += t.groups();
-            // Sealed as it stands: the probe side builds its tag filters
-            // once over the gathered pages, not per morsel.
             let pages = t.into_pages()?;
             stats.build_pages_sealed += pages.len() as u64;
             MorselOutput::TablePages(pages)

@@ -18,7 +18,7 @@
 //! count and every steal schedule. What *is* thread-affine — the
 //! `ColumnPool` buffer cache — only affects allocation, never output bytes.
 
-use crate::jointable::{JoinTable, TagFilter};
+use crate::jointable::JoinTable;
 use crate::local::{run_span, ExecConfig, ExecStats, Stage};
 use crate::plan::PipelineSpec;
 use pc_lambda::{AggPage, ColumnPool, ErasedAgg, SpillCtx, StageLibrary};
@@ -171,27 +171,21 @@ pub struct SpilledPartition {
     pub bytes: usize,
 }
 
-/// A sealed, shareable join build table: partition-tagged pages plus the
-/// tag filters built once at merge/gather time. Probe threads (local
-/// morsel workers and remote cluster workers alike) reopen zero-copy
-/// [`JoinTable`] views over it with [`SharedTable::open`].
+/// A sealed, shareable join build table: partition-tagged pages gathered
+/// once. Probe threads (local morsel workers and remote cluster workers
+/// alike) reopen zero-copy [`JoinTable`] views over it with
+/// [`SharedTable::open`].
 ///
 /// Under a memory budget the table may be *partial*: partitions that did
 /// not fit their reservation were sealed and spilled whole at gather time
 /// (`spilled`), and the stage driver probes them in second-pass waves that
-/// reload one budget-sized chunk of a chain at a time. The tag filters
-/// always cover the **full** table — a spilled partition's filter is
-/// exactly the reload skip-check the second pass reuses.
+/// reload one budget-sized chunk of a chain at a time.
 pub struct SharedTable {
-    /// Radix partition count the pages are tagged with.
+    /// Radix partition count the pages are tagged with (a power of two).
     pub partitions: usize,
     /// Resident partition-tagged sealed map pages, in deterministic
     /// (morsel / gather) order.
     pub pages: Vec<(usize, Arc<SealedPage>)>,
-    /// Per-partition 16-bit blocked-Bloom tag filters, built once over the
-    /// full table (before any spilling) and shared by every reopening
-    /// thread and every wave.
-    pub filters: Vec<TagFilter>,
     /// Partitions shed whole to the spill store at gather time, sorted by
     /// partition index.
     pub spilled: Vec<SpilledPartition>,
@@ -217,10 +211,6 @@ impl SharedTable {
         ctx: &SpillCtx,
     ) -> PcResult<Self> {
         let partitions = pc_object::containers::round_partitions(partitions);
-        // Filters cover the FULL table, built before anything spills: a
-        // spilled partition's filter doubles as the second pass's reload
-        // skip-check, and wave views reuse the same filter set unchanged.
-        let filters = JoinTable::build_shared_tag_filters(partitions, &pages)?;
         let mut resident = pages;
         let mut spilled: Vec<SpilledPartition> = Vec::new();
         let mut total: usize = resident.iter().map(|(_, pg)| pg.used()).sum();
@@ -275,20 +265,19 @@ impl SharedTable {
         Ok(SharedTable {
             partitions,
             pages: resident,
-            filters,
             spilled,
             spiller,
             _grant: grant,
         })
     }
 
-    /// Opens a read-only probe view (zero-copy page reopen, shared
-    /// filters). Each probing thread opens its own view once and probes it
-    /// for every morsel it runs. Spilled partitions simply have no resident
-    /// pages: their probes route to an empty chain and match nothing — the
-    /// second-pass waves own those rows.
+    /// Opens a read-only probe view (zero-copy page reopen). Each probing
+    /// thread opens its own view once and probes it for every morsel it
+    /// runs. Spilled partitions simply have no resident pages: their probes
+    /// route to an empty chain and match nothing — the second-pass waves
+    /// own those rows.
     pub fn open(&self) -> PcResult<JoinTable> {
-        JoinTable::from_shared_pages(self.partitions, &self.pages, &self.filters)
+        JoinTable::from_shared_pages(self.partitions, &self.pages)
     }
 
     /// How many partitions were shed to the spill store.
@@ -301,14 +290,13 @@ impl SharedTable {
         self.spilled.iter().map(|sp| sp.bytes).sum()
     }
 
-    /// A resident-only clone (shared pages and filters, no spill state) —
-    /// the view of this table a second-pass wave uses when the wave is
-    /// reloading some *other* table's chunk.
+    /// A resident-only clone (shared pages, no spill state) — the view of
+    /// this table a second-pass wave uses when the wave is reloading some
+    /// *other* table's chunk.
     fn resident_view(&self) -> SharedTable {
         SharedTable {
             partitions: self.partitions,
             pages: self.pages.clone(),
-            filters: self.filters.clone(),
             spilled: Vec::new(),
             spiller: None,
             _grant: None,
@@ -363,7 +351,6 @@ impl SharedTable {
         Ok(SharedTable {
             partitions: self.partitions,
             pages,
-            filters: self.filters.clone(),
             spilled: Vec::new(),
             spiller: None,
             _grant: grant,

@@ -29,8 +29,7 @@ fn setup() -> PcCluster {
         exec: ExecConfig {
             batch_size: 32,
             page_size: 1 << 15,
-            agg_partitions: 2,
-            join_partitions: 4,
+            partitions: 2,
             morsel_rows: 64,
             ..ExecConfig::default()
         },

@@ -67,8 +67,7 @@ fn setup() -> PcCluster {
     one_worker(ExecConfig {
         batch_size: 64,
         page_size: 1 << 16,
-        agg_partitions: 3,
-        join_partitions: 4,
+        partitions: 4,
         morsel_rows: 128,
         ..ExecConfig::default()
     })
@@ -487,8 +486,7 @@ fn tiny_pages_force_rolls_and_stay_correct() {
     let ex = one_worker(ExecConfig {
         batch_size: 16,
         page_size: 4096,
-        agg_partitions: 2,
-        join_partitions: 2,
+        partitions: 2,
         morsel_rows: 64,
         ..ExecConfig::default()
     });
@@ -518,8 +516,7 @@ fn morsel_scheduler_reports_stats_and_matches_single_threaded() {
         let ex = one_worker(ExecConfig {
             batch_size: 64,
             page_size: 1 << 16,
-            agg_partitions: 3,
-            join_partitions: 4,
+            partitions: 4,
             morsel_rows: 64,
             threads,
         });
@@ -560,4 +557,62 @@ fn morsel_scheduler_reports_stats_and_matches_single_threaded() {
         base, par,
         "4-thread output pages must be byte-identical to the 1-thread run"
     );
+}
+
+#[test]
+fn join_output_does_not_depend_on_the_partition_count() {
+    // Employees build (many morsels, every department's bucket spread
+    // over all of them) and departments probe, so each probe emits a long
+    // run of matches whose order is the build's insertion order. Without a
+    // budget nothing spills, and the output pages must be byte-identical
+    // for every partition count.
+    let run = |partitions: usize| -> Vec<Vec<u8>> {
+        let ex = one_worker(ExecConfig {
+            batch_size: 64,
+            page_size: 1 << 16,
+            partitions,
+            morsel_rows: 64,
+            ..ExecConfig::default()
+        });
+        load_emps(&ex, 700);
+        load_depts(&ex);
+        ex.create_or_clear_set("db", "placements").unwrap();
+        let joined = Dataset::<Dept>::scan("db", "depts").join(
+            &Dataset::<Emp>::scan("db", "emps"),
+            |d, e| {
+                d.member("id", |d| d.v().id())
+                    .eq(e.member("deptId", |e| e.v().dept_id()))
+            },
+            "mkPlacement",
+            |d, e| {
+                let p = make_object::<Placement>()?;
+                p.v().set_emp_name(e.v().name())?;
+                p.v().set_dept_name(d.v().dname())?;
+                p.v().set_salary(e.v().salary())?;
+                Ok(p)
+            },
+        );
+        let q = Job::new()
+            .add(joined.write_to("db", "placements"))
+            .compile()
+            .unwrap();
+        let stats = ex.execute(&q).unwrap().exec;
+        assert_eq!(stats.join_matches, 700, "partitions={partitions}");
+        assert_eq!(stats.join_partitions_spilled, 0);
+        ex.workers[0]
+            .storage
+            .scan("db", "placements")
+            .unwrap()
+            .iter()
+            .map(|p| p.to_bytes())
+            .collect()
+    };
+    let base = run(1);
+    assert!(!base.is_empty());
+    for partitions in [2, 4, 8] {
+        assert!(
+            run(partitions) == base,
+            "output pages at {partitions} partitions differ from 1 partition's"
+        );
+    }
 }

@@ -275,8 +275,8 @@ impl<K: PcKey, V: PcValue> Handle<PcMap<K, V>> {
 
     /// Looks up a value by a caller-computed `hash` (the probe path of the
     /// partitioned join table, which derives the slot hash once per probe
-    /// and routes it through partition selection, the tag filter, and the
-    /// map probe without rehashing). `hash` must equal `key.hash_val()`.
+    /// and routes it through partition selection and the map probe
+    /// without rehashing). `hash` must equal `key.hash_val()`.
     pub fn get_hashed(&self, hash: u64, key: &K) -> Option<V> {
         if self.capacity() == 0 {
             return None;
@@ -287,21 +287,6 @@ impl<K: PcKey, V: PcValue> Handle<PcMap<K, V>> {
             Some(V::load(self.block(), Self::val_slot(e)))
         } else {
             None
-        }
-    }
-
-    /// Calls `f` with the stored slot hash of every occupied entry (the
-    /// OCCUPIED marker bit is stripped). This is how probe-side tag filters
-    /// are built at seal time: the hashes are read back verbatim from the
-    /// table, so no key is ever rehashed or materialized.
-    pub fn for_each_stored_hash(&self, mut f: impl FnMut(u64)) {
-        let cap = self.capacity() as u32;
-        let b = self.block();
-        for i in 0..cap {
-            let h = b.read::<u64>(self.entry(i));
-            if h & OCCUPIED != 0 {
-                f(h & !OCCUPIED);
-            }
         }
     }
 

@@ -185,8 +185,7 @@ fn multi_sink_job_runs_shared_upstream_once() {
         exec: ExecConfig {
             batch_size: 128,
             page_size: 1 << 16,
-            agg_partitions: 2,
-            join_partitions: 4,
+            partitions: 2,
             morsel_rows: 512,
             ..ExecConfig::default()
         },

@@ -67,8 +67,7 @@ fn selection_then_aggregation_then_join_across_cluster() {
         exec: ExecConfig {
             batch_size: 64,
             page_size: 1 << 16,
-            agg_partitions: 4,
-            join_partitions: 8,
+            partitions: 4,
             morsel_rows: 256,
             ..ExecConfig::default()
         },
