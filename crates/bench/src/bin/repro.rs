@@ -21,9 +21,11 @@
 //!                           >=95% expected-code rejection gate)
 //! repro lint                panic-hygiene lint: fails on any unwrap()/expect()
 //!                           in cluster/exec/storage non-test code
+//! repro joincost [--quick]  the relational join's build and probe timed
+//!                           apart, and its table bytes per build row
 //! ```
 
-use pc_bench::{faults, figures, lint, outofcore, tables, verify};
+use pc_bench::{faults, figures, joincost, lint, outofcore, tables, verify};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,6 +82,7 @@ fn main() {
         "figure5" => figures::figure5(),
         "faults" => faults::faults(quick, &seeds),
         "outofcore" => outofcore::outofcore(quick, threads, &seeds),
+        "joincost" => joincost::joincost(quick),
         "verify" => {
             if !verify::verify_demo(&seeds) {
                 std::process::exit(1);
@@ -92,7 +95,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment {other}; use all|table1..table8|figure1..figure5|faults|outofcore|verify|lint"
+                "unknown experiment {other}; use all|table1..table8|figure1..figure5|faults|outofcore|joincost|verify|lint"
             );
             std::process::exit(2);
         }

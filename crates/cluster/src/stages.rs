@@ -22,7 +22,8 @@
 //!   Figure 5: pipelining threads pre-aggregate into hash-partitioned map
 //!   pages and push them through a zero-copy pointer queue to combining
 //!   threads; combined pages are shuffled to each partition's owner; the
-//!   owner's aggregation threads merge and materialize the result.
+//!   owner's aggregation threads merge each partition that arrived as
+//!   several pages and materialize the result.
 
 use crate::cluster::PcCluster;
 use crate::transport::MASTER;
@@ -157,7 +158,7 @@ pub fn run_stage_distributed(
 
 /// The consuming side of distributed aggregation (Appendix D.2): combine
 /// per-morsel partition pages on each worker, shuffle them to the partition
-/// owners, merge, and materialize.
+/// owners, merge what arrived in pieces, and materialize.
 fn run_aggregation_stage(
     cluster: &PcCluster,
     comp: &str,
@@ -229,32 +230,38 @@ fn run_aggregation_stage(
         Ok(shipped)
     });
 
-    // Shuffle: partition p's pages go to worker p % W over the transport.
-    // All sends are queued before any inbox is collected, so the socket
-    // transport overlaps chunk delivery with the remaining combines.
+    // Shuffle: partition p's pages go to worker p % W over the transport,
+    // their partition tags side-band in send order, which collect()
+    // restores. All sends are queued before any inbox is collected, so the
+    // socket transport overlaps chunk delivery with the remaining combines.
     let transport = cluster.transport();
+    let mut parts_in_send_order: Vec<Vec<usize>> = vec![Vec::new(); nworkers];
     for (src_w, r) in combined.into_iter().enumerate() {
         for (part, page) in r? {
             let owner = part % nworkers;
             transport.send(src_w, owner, &page)?;
+            parts_in_send_order[owner].push(part);
         }
     }
-    let mut inbox: Vec<Vec<SealedPage>> = Vec::with_capacity(nworkers);
-    for w in 0..nworkers {
-        inbox.push(transport.collect(w)?);
+    let mut inbox: Vec<BTreeMap<usize, Vec<SealedPage>>> = Vec::with_capacity(nworkers);
+    for (w, parts) in parts_in_send_order.iter().enumerate() {
+        let mut by_part: BTreeMap<usize, Vec<SealedPage>> = BTreeMap::new();
+        for (&part, page) in parts.iter().zip(transport.collect(w)?) {
+            by_part.entry(part).or_default().push(page);
+        }
+        inbox.push(by_part);
     }
 
-    // Aggregation threads: each owner merges its inbox and materializes.
-    let finals = fan_out(inbox, |pages| -> PcResult<(u64, Vec<SealedPage>)> {
-        if pages.is_empty() {
+    // Aggregation threads: each owner finalizes its partitions. Only a
+    // partition that arrived as several pages (one per producing worker)
+    // merges, on its own; one that arrived whole is read in place.
+    let finals = fan_out(inbox, |by_part| -> PcResult<(u64, Vec<SealedPage>)> {
+        if by_part.is_empty() {
             return Ok((0, Vec::new()));
         }
-        let mut merger = agg.new_merger(page_size);
-        for page in pages {
-            merger.merge_page(page)?;
-        }
         let mut writer = SetWriter::new(page_size);
-        let groups = merger.finalize(&mut writer)?;
+        let parts = by_part.into_values().collect();
+        let groups = agg.finalize_partitions(parts, page_size, &mut writer)?;
         Ok((groups, writer.finish()?))
     });
 

@@ -275,7 +275,7 @@ pub(crate) fn run_span(
             MorselOutput::Pages(pages)
         }
         SinkState::Build(t) => {
-            stats.join_groups += t.groups();
+            stats.join_groups += t.rows();
             let pages = t.into_pages()?;
             stats.build_pages_sealed += pages.len() as u64;
             MorselOutput::TablePages(pages)

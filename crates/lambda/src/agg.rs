@@ -215,8 +215,18 @@ pub trait ErasedAgg: Send + Sync {
         page_size: usize,
         spill: SpillCtx,
     ) -> Box<dyn ErasedAggSink>;
-    /// A merger for one partition's shuffled pages.
+    /// A merger for one partition's pages (the combining step).
     fn new_merger(&self, page_size: usize) -> Box<dyn ErasedAggMerger>;
+    /// The owner's final step: emits one output object per group of
+    /// `parts` — each entry one partition's shuffled pages — into `writer`
+    /// and returns the group count. A partition that arrives as one page is
+    /// read in place; only one that arrives as several merges, on its own.
+    fn finalize_partitions(
+        &self,
+        parts: Vec<Vec<SealedPage>>,
+        page_size: usize,
+        writer: &mut SetWriter,
+    ) -> PcResult<u64>;
 }
 
 /// Counters a pre-aggregation sink accumulates while absorbing; folded into
@@ -259,12 +269,10 @@ pub trait ErasedAggSink {
     fn stats(&self) -> AggSinkStats;
 }
 
-/// Consuming-side merge + materialization (the aggregation threads).
+/// Consuming-side merge of one partition's partial-aggregate pages.
 pub trait ErasedAggMerger {
-    /// Merges one shuffled partial-aggregate page.
+    /// Merges one partial-aggregate page.
     fn merge_page(&mut self, page: SealedPage) -> PcResult<()>;
-    /// Emits one output object per group into `writer`; returns group count.
-    fn finalize(&mut self, writer: &mut SetWriter) -> PcResult<u64>;
     /// Seals the merged map back into shippable pages (used by the
     /// combining threads of Appendix D.2, which merge locally and forward).
     fn into_pages(self: Box<Self>) -> PcResult<Vec<SealedPage>>;
@@ -308,12 +316,54 @@ impl<S: AggregateSpec> ErasedAgg for AggEngine<S> {
     }
 
     fn new_merger(&self, page_size: usize) -> Box<dyn ErasedAggMerger> {
-        Box::new(MergerImpl::<S> {
-            spec: self.0.clone(),
-            page_size,
-            acc: None,
-            _pd: PhantomData,
-        })
+        Box::new(MergerImpl::<S>::new(self.0.clone(), page_size))
+    }
+
+    fn finalize_partitions(
+        &self,
+        parts: Vec<Vec<SealedPage>>,
+        page_size: usize,
+        writer: &mut SetWriter,
+    ) -> PcResult<u64> {
+        let mut maps: Vec<MapPageOf<S>> = Vec::with_capacity(parts.len());
+        for pages in parts {
+            match <[SealedPage; 1]>::try_from(pages) {
+                Ok([page]) => {
+                    let (block, root) = page.open()?;
+                    maps.push(MapPage {
+                        map: root.downcast::<MapOf<S>>()?,
+                        block,
+                    });
+                }
+                Err(pages) => {
+                    let mut merger = MergerImpl::<S>::new(self.0.clone(), page_size);
+                    for page in pages {
+                        merger.merge_page(page)?;
+                    }
+                    maps.extend(merger.acc);
+                }
+            }
+        }
+        let mut entries: Vec<(u64, u32, u32, u32)> = Vec::new();
+        for (m, page) in maps.iter().enumerate() {
+            page.map.for_each_slot_hashed(|h, _b, k, v| {
+                entries.push((h, m as u32, k, v));
+                Ok(())
+            })?;
+        }
+        // Canonical emit order: one stored-key-hash order across every
+        // partition, not slot order. Slot order encodes insertion history,
+        // which an out-of-core run replays wave by wave — sorting keeps the
+        // output bytes identical to the in-memory run regardless of the
+        // spill schedule, and to a run that merged every partition into
+        // one map.
+        entries.sort_unstable();
+        for &(_h, m, kslot, vslot) in &entries {
+            let block = &maps[m as usize].block;
+            let key = S::Key::load_from(block, kslot);
+            writer.write_with(|| Ok(self.0.finalize(&key, block, vslot)?.erase()))?;
+        }
+        Ok(entries.len() as u64)
     }
 }
 
@@ -514,6 +564,15 @@ struct MergerImpl<S: AggregateSpec> {
 }
 
 impl<S: AggregateSpec> MergerImpl<S> {
+    fn new(spec: Arc<S>, page_size: usize) -> Self {
+        MergerImpl {
+            spec,
+            page_size,
+            acc: None,
+            _pd: PhantomData,
+        }
+    }
+
     /// Grows the accumulator onto a block twice the size, deep-copying the
     /// map (keys keep hashing identically, so the rehash is exact).
     fn grow(&mut self) -> PcResult<()> {
@@ -560,32 +619,6 @@ impl<S: AggregateSpec> ErasedAggMerger for MergerImpl<S> {
             Some(acc) => Ok(vec![acc.seal()?]),
             None => Ok(Vec::new()),
         }
-    }
-
-    fn finalize(&mut self, writer: &mut SetWriter) -> PcResult<u64> {
-        let Some(acc) = self.acc.take() else {
-            return Ok(0);
-        };
-        let mut groups = 0u64;
-        let mut entries: Vec<(u64, u32, u32)> = Vec::with_capacity(acc.map.len());
-        acc.map.for_each_slot_hashed(|h, _b, k, v| {
-            entries.push((h, k, v));
-            Ok(())
-        })?;
-        // Canonical emit order: stored key hash, not slot order. Slot order
-        // encodes insertion history, which an out-of-core run replays wave
-        // by wave — sorting keeps the output bytes identical to the
-        // in-memory run regardless of the spill schedule.
-        entries.sort_unstable();
-        for (_h, kslot, vslot) in entries {
-            let key = S::Key::load_from(&acc.block, kslot);
-            writer.write_with(|| {
-                let out = self.spec.finalize(&key, &acc.block, vslot)?;
-                Ok(out.erase())
-            })?;
-            groups += 1;
-        }
-        Ok(groups)
     }
 }
 
@@ -681,21 +714,22 @@ mod agg_vectorized {
         }
     }
 
-    /// Drains a sink through the full two-phase path (flush → merge every
-    /// partition page → finalize) and returns the sorted `(key, count, sum)`
-    /// groups.
+    /// Drains a sink through the full two-phase path (flush → the owner's
+    /// per-partition merge and finalize) and returns the sorted
+    /// `(key, count, sum)` groups.
     fn drain(
         engine: &AggEngine<GroupSum>,
         mut sink: Box<dyn ErasedAggSink>,
         page_size: usize,
     ) -> Vec<(i64, i64, i64)> {
-        let mut merger = engine.new_merger(page_size);
-        for (_part, page) in sink.flush().unwrap() {
-            let page = page.load().unwrap();
-            merger.merge_page(page).unwrap();
+        let mut parts: std::collections::BTreeMap<usize, Vec<SealedPage>> = Default::default();
+        for (part, page) in sink.flush().unwrap() {
+            parts.entry(part).or_default().push(page.load().unwrap());
         }
         let mut w = SetWriter::new(1 << 18);
-        merger.finalize(&mut w).unwrap();
+        engine
+            .finalize_partitions(parts.into_values().collect(), page_size, &mut w)
+            .unwrap();
         let mut out = Vec::new();
         for page in w.finish().unwrap() {
             let (_b, root) = SealedPage::from_bytes(&page.to_bytes())

@@ -125,6 +125,9 @@ impl BufStorage {
 struct RawBlock {
     buf: BufStorage,
     used: u32,
+    /// Where bump allocation stops: the capacity, less what
+    /// [`BlockRef::hold_back`] holds back.
+    limit: u32,
     root: u32,
     policy: AllocPolicy,
     managed: bool,
@@ -194,6 +197,7 @@ impl BlockRef {
         let raw = RawBlock {
             buf: BufStorage::Owned(buf),
             used: BLOCK_HEADER_SIZE,
+            limit: capacity as u32,
             root: 0,
             policy,
             managed: true,
@@ -221,6 +225,7 @@ impl BlockRef {
     /// The buffer is shared with the sealed page (and possibly other views).
     pub(crate) fn from_shared(buf: std::sync::Arc<AlignedBuf>, used: u32, root: u32) -> Self {
         let raw = RawBlock {
+            limit: buf.len() as u32,
             buf: BufStorage::Shared(buf),
             used,
             root,
@@ -293,6 +298,18 @@ impl BlockRef {
                 deep_copies: (*r).deep_copies,
             }
         }
+    }
+
+    /// Holds the top `bytes` of the buffer back from bump allocation: an
+    /// allocation that would reach into them faults with
+    /// [`PcError::BlockFull`] as if the block ended there. A write-once
+    /// page builder keeps room this way for what it writes last, then
+    /// releases it (`hold_back(0)`) and writes it without a fault.
+    pub fn hold_back(&self, bytes: usize) {
+        let limit = self.capacity().saturating_sub(bytes) as u32;
+        // SAFETY: a block is used from one thread only (`BlockRef` is
+        // `!Send`), and no reference into `RawBlock` outlives this write.
+        unsafe { (*self.raw()).limit = limit }
     }
 
     pub(crate) fn note_deep_copy(&self) {
@@ -484,13 +501,13 @@ impl BlockRef {
                     // next bucket rather than scanning the list.
                 }
             }
-            // Bump allocation.
+            // Bump allocation, short of the held-back tail.
             let used = (*r).used;
-            let cap = (*r).buf.len() as u32;
-            if used + total > cap {
+            let limit = (*r).limit;
+            if used as u64 + total as u64 > limit as u64 {
                 return Err(PcError::BlockFull {
                     needed: total as usize,
-                    free: (cap - used) as usize,
+                    free: limit.saturating_sub(used) as usize,
                 });
             }
             (*r).used = used + total;

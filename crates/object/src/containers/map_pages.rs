@@ -1,25 +1,23 @@
-//! Radix-partitioned map pages: the one builder behind both hash sinks.
+//! Radix-partitioned map pages, and the partition rule, scatter and page
+//! escalation both hash sinks share.
 //!
-//! Pre-aggregation (Appendix D.2) and the join build (Appendix D.3) are the
-//! same object-model operation: hash a batch of rows into hash-partitioned
-//! [`PcMap`] objects living on pages, sealing each page when it fills.
-//! [`MapPageBuilder`] is that operation once, generic over key and value;
-//! the sinks supply only what differs — how a row's key compares and
-//! stores, its first value, and how a later row folds into it.
+//! Pre-aggregation (Appendix D.2) and the join build (Appendix D.3) both
+//! hash a batch of rows into hash-partitioned objects living on pages,
+//! sealing each page when it fills. What they share lives here:
+//! [`round_partitions`] and [`partition_of`] (the hash's high bits, masked —
+//! disjoint from the low bits maps and join directories index with), the
+//! counting [`Scatter`] that orders a batch by partition, and the one
+//! page-[`Escalation`] rule. What they store differs: pre-aggregation
+//! folds rows into [`PcMap`] values, built here by [`MapPageBuilder`];
+//! the join build only appends, onto write-once
+//! [`JoinPage`](super::JoinPage)s.
 //!
-//! A batch goes through in two phases. A counting scatter orders the rows
-//! by partition ([`partition_of`]: the hash's high bits, masked — disjoint
-//! from the low bits the maps consume for masked probing), and each
-//! non-empty bucket folds into its partition's open page with one
-//! resumable [`upsert_batch_by`], so consecutive probes stay on one hot
-//! table. On `BlockFull` the full page leaves the builder and the fold
-//! resumes on a fresh page exactly where it stopped.
-//!
-//! Page escalation follows one rule: every bucket fold starts at the
-//! configured page size; the second consecutive fault without progress
-//! (a value that does not fit even a fresh page) doubles the size, capped
-//! at 256 MiB, and the larger size holds for the rest of that fold. A
-//! faulted page with no entries is discarded, never sealed.
+//! [`MapPageBuilder`] takes a batch in two phases: the scatter, then one
+//! resumable [`upsert_batch_by`] per non-empty bucket into its partition's
+//! open page, so consecutive probes stay on one hot table. On `BlockFull`
+//! the full page leaves the builder and the fold resumes on a fresh page
+//! exactly where it stopped. A faulted page with no entries is discarded,
+//! never sealed.
 //!
 //! [`upsert_batch_by`]: Handle::upsert_batch_by
 
@@ -74,6 +72,105 @@ impl<K: PcKey, V: PcValue> MapPage<K, V> {
     }
 }
 
+/// A batch's rows in partition order: a counting scatter by
+/// [`partition_of`], with no per-row `%` and no allocation past the first
+/// batch. Both hash sinks scatter through it.
+#[derive(Default)]
+pub struct Scatter {
+    /// Bucket boundaries: partition `p` owns `starts[p]..starts[p+1]`.
+    starts: Vec<u32>,
+    /// Scatter cursors, one per partition.
+    cursors: Vec<u32>,
+    /// Row indices in bucket order.
+    order: Vec<u32>,
+    /// Slot hashes in bucket order.
+    hashes: Vec<u64>,
+}
+
+impl Scatter {
+    /// Orders the rows of a batch, named by their index into `hashes` (one
+    /// slot hash per row), by partition among `partitions` (a power of
+    /// two); rows of one partition keep their batch order.
+    pub fn scatter(&mut self, hashes: &[u64], partitions: usize) {
+        let Scatter {
+            starts,
+            cursors,
+            order,
+            hashes: bucket_hashes,
+        } = self;
+        let (p, n) = (partitions, hashes.len());
+        starts.clear();
+        starts.resize(p + 1, 0);
+        for &h in hashes {
+            starts[partition_of(h, p) + 1] += 1;
+        }
+        for i in 0..p {
+            starts[i + 1] += starts[i];
+        }
+        cursors.clear();
+        cursors.extend_from_slice(&starts[..p]);
+        order.clear();
+        order.resize(n, 0);
+        bucket_hashes.clear();
+        bucket_hashes.resize(n, 0);
+        for (i, &h) in hashes.iter().enumerate() {
+            let part = partition_of(h, p);
+            let at = cursors[part] as usize;
+            cursors[part] += 1;
+            order[at] = i as u32;
+            bucket_hashes[at] = h;
+        }
+    }
+
+    /// Partition `part`'s bucket of the last scatter: its rows' batch
+    /// indices and their slot hashes, in batch order.
+    pub fn bucket(&self, part: usize) -> (&[u32], &[u64]) {
+        let (lo, hi) = (self.starts[part] as usize, self.starts[part + 1] as usize);
+        (&self.order[lo..hi], &self.hashes[lo..hi])
+    }
+}
+
+/// The one page-escalation rule, kept per bucket fold: the fold starts at
+/// the configured page size; the second consecutive `BlockFull` without
+/// progress (a value that does not fit even a fresh page) doubles it,
+/// capped at 256 MiB, and the larger size holds for the rest of the fold.
+pub struct Escalation {
+    size: usize,
+    stall: u32,
+}
+
+impl Escalation {
+    /// A fold starting at `page_size`.
+    pub fn new(page_size: usize) -> Self {
+        Escalation {
+            size: page_size,
+            stall: 0,
+        }
+    }
+
+    /// The size the fold opens pages at.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Records a `BlockFull` fault, `progressed` telling whether the fold
+    /// stored a row since its previous fault (or its start). Returns the
+    /// size the fold's next page opens at, or an error once the fold has
+    /// stalled more than `MAX_STALLS` times in a row.
+    pub fn fault(&mut self, progressed: bool) -> PcResult<usize> {
+        self.stall = if progressed { 0 } else { self.stall + 1 };
+        if self.stall > MAX_STALLS {
+            return Err(PcError::Catalog(
+                "a value exceeds the maximum page size".into(),
+            ));
+        }
+        if self.stall > 1 {
+            self.size = (self.size * 2).min(MAX_PAGE);
+        }
+        Ok(self.size)
+    }
+}
+
 /// Builds batches of rows into a power-of-two set of partitions, each with
 /// one open map page. Full pages leave through the caller's `retire`
 /// callback, tagged with their partition, in the order they filled; pages
@@ -92,14 +189,8 @@ pub struct MapPageBuilder<K: PcKey, V: PcValue> {
     // Per-batch scratch, cleared (not freed) at every batch boundary.
     /// Slot hash of each row of the batch, filled through [`Self::batch`].
     hashes: Vec<u64>,
-    /// Bucket boundaries: partition `p` owns `starts[p]..starts[p+1]`.
-    starts: Vec<u32>,
-    /// Scatter cursors, one per partition.
-    cursors: Vec<u32>,
-    /// Row indices in bucket order.
-    order: Vec<u32>,
-    /// Hashes in bucket order: the contiguous input to the bulk upsert.
-    bucket_hashes: Vec<u64>,
+    /// The batch in partition order.
+    scatter: Scatter,
 }
 
 impl<K: PcKey, V: PcValue> MapPageBuilder<K, V> {
@@ -113,10 +204,7 @@ impl<K: PcKey, V: PcValue> MapPageBuilder<K, V> {
             open: (0..partitions).map(|_| None).collect(),
             rows_folded: 0,
             hashes: Vec::new(),
-            starts: Vec::new(),
-            cursors: Vec::new(),
-            order: Vec::new(),
-            bucket_hashes: Vec::new(),
+            scatter: Scatter::default(),
         }
     }
 
@@ -158,52 +246,23 @@ impl<K: PcKey, V: PcValue> MapPageBuilder<K, V> {
             open,
             rows_folded,
             hashes,
-            starts,
-            cursors,
-            order,
-            bucket_hashes,
+            scatter,
         } = self;
-        let (p, n) = (*partitions, hashes.len());
-        if n == 0 {
+        if hashes.is_empty() {
             return Ok(());
         }
-
-        // Counting scatter into bucket order: no per-row `%`, no
-        // allocation past the first batch.
-        starts.clear();
-        starts.resize(p + 1, 0);
-        for &h in hashes.iter() {
-            starts[partition_of(h, p) + 1] += 1;
-        }
-        for i in 0..p {
-            starts[i + 1] += starts[i];
-        }
-        cursors.clear();
-        cursors.extend_from_slice(&starts[..p]);
-        order.clear();
-        order.resize(n, 0);
-        bucket_hashes.clear();
-        bucket_hashes.resize(n, 0);
-        for (i, &h) in hashes.iter().enumerate() {
-            let part = partition_of(h, p);
-            let at = cursors[part] as usize;
-            cursors[part] += 1;
-            order[at] = i as u32;
-            bucket_hashes[at] = h;
-        }
+        scatter.scatter(hashes, *partitions);
 
         // One resumable bulk upsert per non-empty bucket.
-        for part in 0..p {
-            let (lo, hi) = (starts[part] as usize, starts[part + 1] as usize);
-            if lo == hi {
+        for (part, slot) in open.iter_mut().enumerate() {
+            let (order, bhashes) = scatter.bucket(part);
+            if order.is_empty() {
                 continue;
             }
-            let (order, bhashes) = (&order[lo..hi], &bucket_hashes[lo..hi]);
             let mut done = 0usize;
-            let mut size = *page_size;
-            let mut stall = 0u32;
+            let mut esc = Escalation::new(*page_size);
             loop {
-                let map = &open_page(&mut open[part], size)?.map;
+                let map = &open_page(slot, esc.size())?.map;
                 // Pre-size for the burst. The estimate follows the map's own
                 // history (a low-cardinality map stays tiny; a
                 // high-cardinality one doubles ahead of the rows), and
@@ -228,23 +287,13 @@ impl<K: PcKey, V: PcValue> MapPageBuilder<K, V> {
                     Err(PcError::BlockFull { .. }) => {
                         // The page is full: it leaves, and the fold resumes
                         // on a fresh one (the out-of-memory fault of §6.1).
-                        // A second fault without progress means one value
-                        // outgrows a fresh page: escalate before retrying.
-                        stall = if done == before { stall + 1 } else { 0 };
-                        if stall > MAX_STALLS {
-                            return Err(PcError::Catalog(
-                                "a map value exceeds the maximum page size".into(),
-                            ));
-                        }
-                        if stall > 1 {
-                            size = (size * 2).min(MAX_PAGE);
-                        }
-                        roll_page(part, &mut open[part], size, &mut retire)?;
+                        let size = esc.fault(done != before)?;
+                        roll_page(part, slot, size, &mut retire)?;
                     }
                     Err(e) => return Err(e),
                 }
             }
-            *rows_folded += (hi - lo) as u64;
+            *rows_folded += order.len() as u64;
         }
         Ok(())
     }

@@ -1,5 +1,6 @@
-//! Built-in container objects: [`PcVec`], [`PcMap`], [`PcString`], and
-//! the [`MapPageBuilder`] that builds hash-partitioned `PcMap` pages.
+//! Built-in container objects: [`PcVec`], [`PcMap`], [`PcString`], the
+//! [`MapPageBuilder`] that builds hash-partitioned `PcMap` pages, and the
+//! write-once [`JoinPage`] a join table's pages are rooted at.
 //!
 //! These are the generic, page-resident analogues of PC's `Vector`, `Map`
 //! and `String` (§6.1). Their storage lives entirely on the owning block:
@@ -7,13 +8,15 @@
 //! same block, so a sealed page carries the container and its contents as
 //! one contiguous range of bytes.
 
+mod join_page;
 mod map;
 mod map_pages;
 mod string;
 mod vec;
 
+pub use join_page::{JoinPage, JoinPageWriter, OpenJoinPage};
 pub use map::PcMap;
-pub use map_pages::{partition_of, round_partitions, MapPage, MapPageBuilder};
+pub use map_pages::{partition_of, round_partitions, Escalation, MapPage, MapPageBuilder, Scatter};
 pub use string::PcString;
 pub use vec::PcVec;
 

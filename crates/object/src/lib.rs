@@ -65,7 +65,9 @@ mod macros;
 pub use anyobj::AnyObj;
 pub use block::{AllocPolicy, AllocScope, BlockRef, BlockStats, ObjectPolicy};
 pub use budget::{MemoryBudget, MemoryGrant, PageSpiller, PressureSpec};
-pub use containers::{MapPage, MapPageBuilder, PcMap, PcString, PcVec};
+pub use containers::{
+    JoinPage, JoinPageWriter, MapPage, MapPageBuilder, OpenJoinPage, PcMap, PcString, PcVec,
+};
 pub use error::{PcError, PcResult};
 pub use handle::{AnyHandle, Handle};
 pub use page::{PageWriter, SealedPage};

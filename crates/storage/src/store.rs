@@ -24,6 +24,18 @@ struct StorageInner {
     ids: RwLock<HashMap<(String, String), SetId>>,
     pages: RwLock<HashMap<SetId, usize>>,
     next_id: AtomicU64,
+    /// The directory [`StorageManager::in_temp`] made, removed when the
+    /// storage drops. Last, so it drops after the pool's spill files.
+    temp: Option<TempDir>,
+}
+
+/// A directory removed on drop.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl StorageManager {
@@ -48,14 +60,29 @@ impl StorageManager {
                 ids: RwLock::new(HashMap::new()),
                 pages: RwLock::new(HashMap::new()),
                 next_id: AtomicU64::new(1),
+                temp: None,
             }),
         })
     }
 
-    /// Convenience constructor with a temp spill dir and a large cache.
+    /// Convenience constructor with a large cache spilling under a fresh
+    /// `$TMPDIR/pcstore_<label>_<pid>_<n>` directory, which is removed when
+    /// the last clone of the storage drops.
     pub fn in_temp(label: &str) -> PcResult<Self> {
-        let dir = std::env::temp_dir().join(format!("pcstore_{label}_{}", std::process::id()));
-        Self::new(Arc::new(Catalog::new()), 1 << 30, dir)
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("pcstore_{label}_{}_{n}", std::process::id()));
+        let mut storage = Self::new(Arc::new(Catalog::new()), 1 << 30, dir.clone())?;
+        if let Some(inner) = Arc::get_mut(&mut storage.inner) {
+            inner.temp = Some(TempDir(dir));
+        }
+        Ok(storage)
+    }
+
+    /// The directory [`Self::in_temp`] spills under, if it made one.
+    #[cfg(test)]
+    fn temp_dir(&self) -> Option<&std::path::Path> {
+        self.inner.temp.as_ref().map(|d| d.0.as_path())
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
@@ -192,6 +219,24 @@ mod tests {
         assert_eq!(pages.len(), 2);
         s.drop_set("db", "xs");
         assert!(s.append_page("db", "xs", page_with_n_objects(1)).is_err());
+    }
+
+    #[test]
+    fn a_temp_storage_removes_its_directory_when_it_drops() {
+        let s = StorageManager::in_temp("cleanup").unwrap();
+        s.create_set("db", "xs").unwrap();
+        s.append_page("db", "xs", page_with_n_objects(3)).unwrap();
+        s.flush_all().unwrap();
+        let dir = s
+            .temp_dir()
+            .expect("in_temp made a directory")
+            .to_path_buf();
+        assert!(dir.exists(), "{} was never made", dir.display());
+        let clone = s.clone();
+        drop(s);
+        assert!(dir.exists(), "a live clone still spills there");
+        drop(clone);
+        assert!(!dir.exists(), "{} outlived its storage", dir.display());
     }
 
     #[test]
