@@ -23,9 +23,12 @@
 //!                           in cluster/exec/storage non-test code
 //! repro joincost [--quick]  the relational join's build and probe timed
 //!                           apart, and its table bytes per build row
+//! repro aggcost [--quick]   the relational aggregation's pre-aggregate,
+//!                           combine and owner finalize timed apart, the
+//!                           finalize at 1 and 2 lanes
 //! ```
 
-use pc_bench::{faults, figures, joincost, lint, outofcore, tables, verify};
+use pc_bench::{aggcost, faults, figures, joincost, lint, outofcore, tables, verify};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,6 +86,7 @@ fn main() {
         "faults" => faults::faults(quick, &seeds),
         "outofcore" => outofcore::outofcore(quick, threads, &seeds),
         "joincost" => joincost::joincost(quick),
+        "aggcost" => aggcost::aggcost(quick),
         "verify" => {
             if !verify::verify_demo(&seeds) {
                 std::process::exit(1);
@@ -95,7 +99,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment {other}; use all|table1..table8|figure1..figure5|faults|outofcore|joincost|verify|lint"
+                "unknown experiment {other}; use all|table1..table8|figure1..figure5|faults|outofcore|joincost|aggcost|verify|lint"
             );
             std::process::exit(2);
         }

@@ -7,9 +7,9 @@ use crate::transport::{Transport, TransportKind, TransportMeter, MASTER};
 use pc_exec::{plan, ExecConfig, ExecStats, PhysicalPlan, Sink, Source};
 use pc_lambda::{CompiledQuery, ErasedAgg, SpillCtx, StageLibrary};
 use pc_object::{AnyHandle, PcError, PcResult, PressureSpec, SealedPage};
-use pc_storage::{Catalog, StorageManager, WorkerTypeCatalog};
+use pc_storage::{reclaim_orphaned_dirs, Catalog, StorageManager, WorkerTypeCatalog};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,8 +19,10 @@ pub struct ClusterConfig {
     /// Number of worker nodes.
     pub workers: usize,
     /// Per-pipeline executor knobs. `exec.threads` is the one parallelism
-    /// knob: it sets each worker's pipelining threads (Appendix D.2's N)
-    /// and its aggregation combining threads (D.2's K) alike.
+    /// knob: it sets each worker's pipelining threads (Appendix D.2's N),
+    /// its aggregation combining threads (D.2's K) and the most lanes its
+    /// aggregation threads finalize owned partitions on
+    /// ([`stages::aggregation_lanes`]). Output bytes do not depend on it.
     pub exec: ExecConfig,
     /// How pages move between nodes (in-process copy, TCP sockets, or
     /// either of those under fault injection).
@@ -109,32 +111,6 @@ impl Drop for ClusterDir {
     }
 }
 
-/// Removes the `pccluster_<pid>_*` directories under `tmp` whose process
-/// no longer exists: a killed process never drops its clusters. Only
-/// where `/proc` lists processes; elsewhere every directory is left alone.
-fn reclaim_orphaned_dirs(tmp: &Path) {
-    let proc = Path::new("/proc");
-    if !proc.join("self").exists() {
-        return;
-    }
-    let Ok(entries) = std::fs::read_dir(tmp) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let pid = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("pccluster_"))
-            .and_then(|rest| rest.split('_').next())
-            .and_then(|pid| pid.parse::<u32>().ok());
-        if let Some(pid) = pid {
-            if !proc.join(pid.to_string()).exists() {
-                let _ = std::fs::remove_dir_all(entry.path());
-            }
-        }
-    }
-}
-
 impl PcCluster {
     /// Boots a cluster with per-worker temp spill directories, first
     /// reclaiming those of clusters whose process was killed.
@@ -147,7 +123,7 @@ impl PcCluster {
         }
         let catalog = Arc::new(Catalog::new());
         let tmp = std::env::temp_dir();
-        reclaim_orphaned_dirs(&tmp);
+        reclaim_orphaned_dirs(&tmp, "pccluster_");
         let dir = ClusterDir(tmp.join(format!(
             "pccluster_{}_{}",
             std::process::id(),

@@ -616,3 +616,140 @@ fn join_output_does_not_depend_on_the_partition_count() {
         );
     }
 }
+
+/// Count and Σ`k1` of join-output rows per `id`.
+struct NodeSum;
+
+impl AggregateSpec for NodeSum {
+    type In = Node;
+    type Key = i64;
+    type Val = (i64, i64);
+    type Out = DeptStat;
+
+    fn key_of(&self, rec: &Handle<Node>) -> PcResult<i64> {
+        Ok(rec.v().id())
+    }
+
+    fn init(&self, _b: &BlockRef, rec: &Handle<Node>) -> PcResult<(i64, i64)> {
+        Ok((1, rec.v().k1()))
+    }
+
+    fn combine(&self, b: &BlockRef, slot: u32, rec: &Handle<Node>) -> PcResult<()> {
+        let (c, s): (i64, i64) = b.read(slot);
+        b.write(slot, (c + 1, s + rec.v().k1()));
+        Ok(())
+    }
+
+    fn merge(&self, dst: &BlockRef, dst_slot: u32, src: &BlockRef, src_slot: u32) -> PcResult<()> {
+        let (c1, s1): (i64, i64) = dst.read(dst_slot);
+        let (c2, s2): (i64, i64) = src.read(src_slot);
+        dst.write(dst_slot, (c1 + c2, s1 + s2));
+        Ok(())
+    }
+
+    fn finalize(&self, key: &i64, b: &BlockRef, slot: u32) -> PcResult<Handle<DeptStat>> {
+        let (c, s): (i64, i64) = b.read(slot);
+        let out = make_object::<DeptStat>()?;
+        out.v().set_dept(*key)?;
+        out.v().set_count(c)?;
+        out.v().set_total(s as f64)?;
+        Ok(out)
+    }
+}
+
+/// A job's output: `(key, count, Σ)` rows and page bytes, both in storage
+/// order.
+type RowsAndPages = (Vec<(i64, i64, i64)>, Vec<Vec<u8>>);
+
+/// Facts and groups of [`join_aggregate_run`]: 20 000 groups are enough
+/// for an owner to finalize in four runs (`stages::GROUPS_PER_RUN`), so
+/// it runs as many lanes as it has threads, up to four.
+const FACTS: i64 = 40_000;
+const KEYS: i64 = 20_000;
+
+/// Runs `facts ⋈ dims` on `k1` → [`NodeSum`] → `write_to` on one worker.
+fn join_aggregate_run(partitions: usize, threads: usize) -> RowsAndPages {
+    let ex = one_worker(ExecConfig {
+        batch_size: 256,
+        page_size: 1 << 16,
+        partitions,
+        morsel_rows: 4096,
+        threads,
+    });
+    let facts: Vec<(i64, i64, i64)> = (0..FACTS).map(|i| (i, i * 13 % KEYS, i % 100)).collect();
+    let dims: Vec<(i64, i64, i64)> = (0..KEYS).map(|k| (k, k, k % 37)).collect();
+    load_nodes(&ex, "facts", &facts);
+    load_nodes(&ex, "dims", &dims);
+    ex.create_or_clear_set("db", "sums").unwrap();
+    let k1 = |n: &Handle<Node>| n.v().k1();
+    let joined = Dataset::<Node>::scan("db", "facts").join(
+        &Dataset::<Node>::scan("db", "dims"),
+        move |f, d| f.member("k1", k1).eq(d.member("k1", k1)),
+        "mkKeyed",
+        |f, d| {
+            let n = make_object::<Node>()?;
+            n.v().set_id(f.v().k1())?;
+            n.v().set_k1(f.v().k2() + d.v().k2())?;
+            Ok(n)
+        },
+    );
+    let q = Job::new()
+        .add(joined.aggregate(NodeSum).write_to("db", "sums"))
+        .compile()
+        .unwrap();
+    let stats = ex.execute(&q).unwrap().exec;
+    assert_eq!(stats.agg_groups, KEYS as u64);
+    let rows = read_all::<DeptStat>(&ex, "db", "sums")
+        .iter()
+        .map(|s| (s.v().dept(), s.v().count(), s.v().total() as i64))
+        .collect();
+    let pages = ex.workers[0]
+        .storage
+        .scan("db", "sums")
+        .unwrap()
+        .iter()
+        .map(|p| p.to_bytes())
+        .collect();
+    (rows, pages)
+}
+
+#[test]
+fn aggregation_rows_come_out_in_stored_hash_order_at_every_partition_and_thread_count() {
+    // The reference: one map over every group, emitted in stored-hash
+    // order (an i64 key's slot hash is `mix64` of its bits; a map stores
+    // it without bit 63, its occupied flag).
+    let mut groups: std::collections::HashMap<i64, (i64, i64)> = Default::default();
+    for i in 0..FACTS {
+        let key = i * 13 % KEYS;
+        let g = groups.entry(key).or_default();
+        g.0 += 1;
+        g.1 += i % 100 + key % 37;
+    }
+    let mut want: Vec<(i64, i64, i64)> = groups.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
+    want.sort_unstable_by_key(|&(k, _, _)| (pc_object::hash::mix64(k as u64) << 1, k));
+    for partitions in [1, 2, 4, 8] {
+        for threads in [1, 4] {
+            let (rows, _) = join_aggregate_run(partitions, threads);
+            assert!(
+                rows == want,
+                "row sequence at {partitions} partitions x {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn aggregation_pages_do_not_depend_on_the_thread_count() {
+    let (_, base) = join_aggregate_run(4, 1);
+    assert!(
+        base.len() >= 4,
+        "a page breaks at every run (here, every partition)"
+    );
+    for threads in [2, 4] {
+        let (_, pages) = join_aggregate_run(4, threads);
+        assert!(
+            pages == base,
+            "pages at {threads} threads differ from 1 thread's"
+        );
+    }
+}

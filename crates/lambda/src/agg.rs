@@ -3,8 +3,10 @@
 //! Aggregation in PC is built directly on the object model: worker threads
 //! pre-aggregate into hash-partitioned [`PcMap`] objects allocated on
 //! output pages; the pages are sealed and shuffled wholesale (zero
-//! serialization); the consuming side merges maps and materializes output
-//! objects. This module provides:
+//! serialization); each partition's owner merges the partition's maps if it
+//! arrived in pieces and materializes its output objects
+//! ([`ErasedAgg::finalize_partition`], one partition per call, so an owner
+//! finalizes its partitions on parallel lanes). This module provides:
 //!
 //! * [`AggregateSpec`] — the typed, user-implemented description of one
 //!   aggregation (key extraction, in-place combine, partial-aggregate merge,
@@ -18,11 +20,16 @@
 //! for the whole selection-filtered batch into reusable scratch buffers and
 //! hands the batch to a [`MapPageBuilder`] — the same radix-partitioned
 //! map-page builder the join build uses — which scatters the rows by the
-//! hash's high bits and folds each partition's bucket into its map page
+//! stored hash's top bits and folds each partition's bucket into its map page
 //! with one resumable bulk upsert; the sink supplies the key comparison,
 //! [`AggregateSpec::init`] and [`AggregateSpec::combine`], and budgets or
 //! spills the pages the builder retires. The merger folds shuffled pages
 //! map-at-a-time, reusing stored entry hashes instead of rehashing keys.
+//! A partition emits its groups in stored-hash order; since partitions
+//! hold ascending ranges of stored hashes
+//! ([`partition_of`](pc_object::containers::partition_of)),
+//! an owner's partitions concatenated in partition order are in one global
+//! stored-hash order, whatever lane finalized each.
 //! The old row-at-a-time path survives, compiled for this crate's tests
 //! only, as `absorb_rowwise`: the reference the differential proptests in
 //! `agg_vectorized` compare `absorb` against.
@@ -217,13 +224,21 @@ pub trait ErasedAgg: Send + Sync {
     ) -> Box<dyn ErasedAggSink>;
     /// A merger for one partition's pages (the combining step).
     fn new_merger(&self, page_size: usize) -> Box<dyn ErasedAggMerger>;
-    /// The owner's final step: emits one output object per group of
-    /// `parts` — each entry one partition's shuffled pages — into `writer`
-    /// and returns the group count. A partition that arrives as one page is
-    /// read in place; only one that arrives as several merges, on its own.
-    fn finalize_partitions(
+    /// Entries in one partition's shuffled `pages`, summed: the
+    /// partition's group count when it arrived as one page, an upper bound
+    /// when several producers' pages hold the same key. Each page holds its
+    /// producer's distinct keys of the partition whatever order they were
+    /// folded in, so the count does not depend on spill schedules or
+    /// thread counts. Pages are read in place.
+    fn entries(&self, pages: &[SealedPage]) -> PcResult<u64>;
+    /// The owner's final step for one partition: emits one output object
+    /// per group of the partition's shuffled `pages` into `writer`, in
+    /// stored-hash order, and returns the group count. A partition that
+    /// arrives as one page is read in place; one that arrives as several
+    /// merges first.
+    fn finalize_partition(
         &self,
-        parts: Vec<Vec<SealedPage>>,
+        pages: Vec<SealedPage>,
         page_size: usize,
         writer: &mut SetWriter,
     ) -> PcResult<u64>;
@@ -319,47 +334,55 @@ impl<S: AggregateSpec> ErasedAgg for AggEngine<S> {
         Box::new(MergerImpl::<S>::new(self.0.clone(), page_size))
     }
 
-    fn finalize_partitions(
+    fn entries(&self, pages: &[SealedPage]) -> PcResult<u64> {
+        let mut n = 0;
+        for page in pages {
+            let (_block, root) = page.open_view()?;
+            n += root.downcast::<MapOf<S>>()?.len() as u64;
+        }
+        Ok(n)
+    }
+
+    fn finalize_partition(
         &self,
-        parts: Vec<Vec<SealedPage>>,
+        pages: Vec<SealedPage>,
         page_size: usize,
         writer: &mut SetWriter,
     ) -> PcResult<u64> {
-        let mut maps: Vec<MapPageOf<S>> = Vec::with_capacity(parts.len());
-        for pages in parts {
-            match <[SealedPage; 1]>::try_from(pages) {
-                Ok([page]) => {
-                    let (block, root) = page.open()?;
-                    maps.push(MapPage {
-                        map: root.downcast::<MapOf<S>>()?,
-                        block,
-                    });
-                }
-                Err(pages) => {
-                    let mut merger = MergerImpl::<S>::new(self.0.clone(), page_size);
-                    for page in pages {
-                        merger.merge_page(page)?;
-                    }
-                    maps.extend(merger.acc);
+        let page = match <[SealedPage; 1]>::try_from(pages) {
+            Ok([page]) => {
+                let (block, root) = page.open()?;
+                MapPage {
+                    map: root.downcast::<MapOf<S>>()?,
+                    block,
                 }
             }
-        }
-        let mut entries: Vec<(u64, u32, u32, u32)> = Vec::new();
-        for (m, page) in maps.iter().enumerate() {
-            page.map.for_each_slot_hashed(|h, _b, k, v| {
-                entries.push((h, m as u32, k, v));
-                Ok(())
-            })?;
-        }
-        // Canonical emit order: one stored-key-hash order across every
-        // partition, not slot order. Slot order encodes insertion history,
-        // which an out-of-core run replays wave by wave — sorting keeps the
-        // output bytes identical to the in-memory run regardless of the
-        // spill schedule, and to a run that merged every partition into
-        // one map.
+            Err(pages) => {
+                let mut merger = MergerImpl::<S>::new(self.0.clone(), page_size);
+                for page in pages {
+                    merger.merge_page(page)?;
+                }
+                match merger.acc {
+                    Some(acc) => acc,
+                    None => return Ok(0),
+                }
+            }
+        };
+        let mut entries: Vec<(u64, u32, u32)> = Vec::with_capacity(page.map.len());
+        page.map.for_each_slot_hashed(|h, _b, k, v| {
+            entries.push((h, k, v));
+            Ok(())
+        })?;
+        // Canonical emit order: stored-key hash, not slot order. Slot order
+        // encodes insertion history, which an out-of-core run replays wave
+        // by wave — sorting keeps the output bytes identical to the
+        // in-memory run regardless of the spill schedule. Partitions hold
+        // disjoint, ascending hash ranges (`partition_of` takes the top
+        // bits), so an owner's partitions emitted in partition order give
+        // one global stored-hash order.
         entries.sort_unstable();
-        for &(_h, m, kslot, vslot) in &entries {
-            let block = &maps[m as usize].block;
+        let block = &page.block;
+        for &(_h, kslot, vslot) in &entries {
             let key = S::Key::load_from(block, kslot);
             writer.write_with(|| Ok(self.0.finalize(&key, block, vslot)?.erase()))?;
         }
@@ -727,9 +750,9 @@ mod agg_vectorized {
             parts.entry(part).or_default().push(page.load().unwrap());
         }
         let mut w = SetWriter::new(1 << 18);
-        engine
-            .finalize_partitions(parts.into_values().collect(), page_size, &mut w)
-            .unwrap();
+        for pages in parts.into_values() {
+            engine.finalize_partition(pages, page_size, &mut w).unwrap();
+        }
         let mut out = Vec::new();
         for page in w.finish().unwrap() {
             let (_b, root) = SealedPage::from_bytes(&page.to_bytes())

@@ -4,8 +4,9 @@
 //! Pre-aggregation (Appendix D.2) and the join build (Appendix D.3) both
 //! hash a batch of rows into hash-partitioned objects living on pages,
 //! sealing each page when it fills. What they share lives here:
-//! [`round_partitions`] and [`partition_of`] (the hash's high bits, masked —
-//! disjoint from the low bits maps and join directories index with), the
+//! [`round_partitions`] and [`partition_of`] (the stored hash's top bits —
+//! disjoint from the low bits maps and join directories index with, and
+//! ordered like the hash, so partition-major order is stored-hash order), the
 //! counting [`Scatter`] that orders a batch by partition, and the one
 //! page-[`Escalation`] rule. What they store differs: pre-aggregation
 //! folds rows into [`PcMap`] values, built here by [`MapPageBuilder`];
@@ -41,13 +42,20 @@ pub fn round_partitions(partitions: usize) -> usize {
     partitions.max(1).next_power_of_two()
 }
 
-/// Partition of a slot hash among `partitions` (a power of two): the high
-/// bits, masked. Map probes consume the low bits, so the two stay
-/// independent (the same bits for both would leave every map only
+/// Partition of a slot hash among `partitions` (a power of two): the top
+/// `log2(partitions)` bits of the hash a map stores. A map keeps 63 bits of
+/// a slot hash (bit 63 is its occupied flag), so the partition is bits 62
+/// and down, and partition-major order is stored-hash order: partition `p`
+/// holds one contiguous range of stored hashes, below partition `p + 1`'s.
+/// Map probes and join directories consume the low 32 bits, so the two
+/// stay independent (the same bits for both would leave every map only
 /// `cap / partitions` home slots and degrade probing into long runs).
 #[inline]
 pub fn partition_of(hash: u64, partitions: usize) -> usize {
-    ((hash >> 32) as usize) & (partitions - 1)
+    if partitions == 1 {
+        return 0;
+    }
+    ((hash << 1) >> (64 - partitions.trailing_zeros())) as usize
 }
 
 /// One map on its own page: the map is the page's root object.
@@ -366,4 +374,37 @@ fn retire_page<K: PcKey, V: PcValue>(
         return Ok(());
     }
     retire(part, page.seal()?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::partition_of;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Partition-major order is stored-hash order: sorting by
+        /// `(partition, stored hash)` is sorting by stored hash, at every
+        /// partition count. That is what lets an owner finalize its
+        /// partitions apart and still emit one global stored-hash order.
+        #[test]
+        fn partition_major_order_is_stored_hash_order(
+            hashes in proptest::collection::vec(any::<u64>(), 0..400),
+        ) {
+            // What a map stores of a slot hash: bit 63 is its occupied flag.
+            let stored = |h: u64| h & !(1 << 63);
+            let mut by_hash: Vec<u64> = hashes.iter().map(|&h| stored(h)).collect();
+            by_hash.sort_unstable();
+            for p in [1usize, 2, 4, 8, 16] {
+                let mut by_part = hashes.clone();
+                by_part.sort_unstable_by_key(|&h| (partition_of(h, p), stored(h)));
+                let by_part: Vec<u64> = by_part.into_iter().map(stored).collect();
+                prop_assert_eq!(&by_part, &by_hash, "{} partitions", p);
+                for &h in &hashes {
+                    prop_assert!(partition_of(h, p) < p);
+                    prop_assert_eq!(partition_of(h, p), partition_of(stored(h), p));
+                }
+            }
+            prop_assert!(hashes.iter().all(|&h| partition_of(h, 1) == 0));
+        }
+    }
 }

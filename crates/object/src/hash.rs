@@ -42,7 +42,7 @@ pub fn mix(seed: u64, n: u64, salt: u64) -> u64 {
 /// Hash a string key's bytes: FNV-1a, then the [`mix64`] finalizer. FNV-1a
 /// alone leaves its high bits — the partition bits — the same across keys
 /// that differ only in their last few bytes (`Supplier#0000` ..
-/// `Supplier#0049` all share bits 32–33); the finalizer makes every output
+/// `Supplier#0049` all share bits 62–60); the finalizer makes every output
 /// bit depend on every input byte.
 #[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
@@ -88,12 +88,12 @@ mod tests {
         }
     }
 
-    /// Share of `keys` whose partition (bits 32.. of the hash, masked to
-    /// `parts`, as the aggregation and join sinks select it) is each `p`.
-    fn partition_shares(keys: &[String], parts: u64, hash: fn(&[u8]) -> u64) -> Vec<f64> {
-        let mut counts = vec![0usize; parts as usize];
+    /// Share of `keys` whose partition (`partition_of`, as the aggregation
+    /// and join sinks select it) is each `p`.
+    fn partition_shares(keys: &[String], parts: usize, hash: fn(&[u8]) -> u64) -> Vec<f64> {
+        let mut counts = vec![0usize; parts];
         for k in keys {
-            counts[((hash(k.as_bytes()) >> 32) & (parts - 1)) as usize] += 1;
+            counts[crate::containers::partition_of(hash(k.as_bytes()), parts)] += 1;
         }
         counts
             .iter()

@@ -18,4 +18,4 @@ pub mod store;
 
 pub use catalog::{Catalog, SetMeta, WorkerTypeCatalog};
 pub use pool::{BufferPool, PoolStats, SpillSet};
-pub use store::{SetId, StorageManager};
+pub use store::{reclaim_orphaned_dirs, SetId, StorageManager};

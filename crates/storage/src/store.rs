@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::pool::BufferPool;
 use pc_object::{sync, PcError, PcResult, SealedPage};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -38,6 +38,40 @@ impl Drop for TempDir {
     }
 }
 
+/// Removes the `<prefix>…_<pid>_<n>` directories under `tmp` whose process
+/// no longer exists: a killed process never drops what it made there. The
+/// pid is the second `_`-separated field from the right, so whatever sits
+/// between `prefix` and it (a label, which may itself contain `_`) does not
+/// matter; a name whose last two fields are not numbers is left alone. Only
+/// where `/proc` lists processes; elsewhere every directory is left alone.
+pub fn reclaim_orphaned_dirs(tmp: &Path, prefix: &str) {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(tmp) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(rest) = name.to_str().and_then(|n| n.strip_prefix(prefix)) else {
+            continue;
+        };
+        let mut fields = rest.rsplit('_');
+        let (Some(n), Some(pid)) = (fields.next(), fields.next()) else {
+            continue;
+        };
+        if n.parse::<u64>().is_err() {
+            continue;
+        }
+        if let Ok(pid) = pid.parse::<u32>() {
+            if !proc.join(pid.to_string()).exists() {
+                let _ = std::fs::remove_dir_all(entry.path());
+            }
+        }
+    }
+}
+
 impl StorageManager {
     /// Creates a storage manager with `pool_capacity` bytes of page cache,
     /// spilling under `dir`.
@@ -67,11 +101,14 @@ impl StorageManager {
 
     /// Convenience constructor with a large cache spilling under a fresh
     /// `$TMPDIR/pcstore_<label>_<pid>_<n>` directory, which is removed when
-    /// the last clone of the storage drops.
+    /// the last clone of the storage drops. Those of processes that were
+    /// killed are reclaimed first ([`reclaim_orphaned_dirs`]).
     pub fn in_temp(label: &str) -> PcResult<Self> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("pcstore_{label}_{}_{n}", std::process::id()));
+        let tmp = std::env::temp_dir();
+        reclaim_orphaned_dirs(&tmp, "pcstore_");
+        let dir = tmp.join(format!("pcstore_{label}_{}_{n}", std::process::id()));
         let mut storage = Self::new(Arc::new(Catalog::new()), 1 << 30, dir.clone())?;
         if let Some(inner) = Arc::get_mut(&mut storage.inner) {
             inner.temp = Some(TempDir(dir));
@@ -237,6 +274,39 @@ mod tests {
         assert!(dir.exists(), "a live clone still spills there");
         drop(clone);
         assert!(!dir.exists(), "{} outlived its storage", dir.display());
+    }
+
+    #[test]
+    fn orphaned_directories_of_dead_processes_are_reclaimed() {
+        // Above the kernel's largest pid (2^22), so no such process exists.
+        let dead = 999_999_999u32;
+        let live = std::process::id();
+        let tmp = std::env::temp_dir().join(format!("pcreclaim_{live}"));
+        let names = [
+            format!("pcstore_cold_{dead}_0"),
+            format!("pcstore_with_under_scores_{dead}_7"),
+            format!("pccluster_{dead}_3"),
+            format!("pcstore_cold_{live}_0"),
+            format!("pcstore_with_under_scores_{live}_1"),
+            format!("pccluster_{live}_0"),
+            // Not `<pid>_<n>` at the end: never touched.
+            format!("pcstore_cold_{dead}"),
+            format!("pcstore_{dead}_x"),
+        ];
+        for name in &names {
+            std::fs::create_dir_all(tmp.join(name)).unwrap();
+        }
+        reclaim_orphaned_dirs(&tmp, "pcstore_");
+        reclaim_orphaned_dirs(&tmp, "pccluster_");
+        let mut left: Vec<String> = std::fs::read_dir(&tmp)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        std::fs::remove_dir_all(&tmp).unwrap();
+        let mut want = names[3..].to_vec();
+        want.sort();
+        assert_eq!(left, want);
     }
 
     #[test]
