@@ -11,8 +11,9 @@
 //!   JOIN build inputs, AGGREGATE, OUTPUT, or any multi-consumer edge, and
 //!   a probe side runs *through* a JOIN into the next stages (Figure 3);
 //! * output objects are allocated **in place on the live output page**;
-//!   `BlockFull` faults retire the page (sealing it, or parking it as a
-//!   *zombie output page* when in-flight columns still pin it — Appendix C);
+//!   a `BlockFull` fault retires the page (parking it as a *zombie output
+//!   page* until the batch ends — Appendix C) and re-runs only the faulting
+//!   row on a fresh page;
 //! * join hash tables and aggregation maps are PC `Map` objects on pages,
 //!   built and probed with no serialization (Appendix D).
 

@@ -11,20 +11,22 @@
 //!
 //! Batch mechanics follow Appendix C: input pages stay pinned while a batch
 //! built from them is in flight; object-producing kernels allocate directly
-//! on the live output page (or a recycled scratch page for non-output
-//! sinks); `BlockFull` faults retire pages — zombifying them when in-flight
-//! columns still pin them — and retry the failed stage.
+//! on the live output page (or a scratch page for non-output sinks), which
+//! `SinkState` hands them as their [`PageSource`]. A `BlockFull` fault
+//! rolls that page and re-runs only the faulting row (`ExecCtx::row`), not
+//! the whole stage: retired output pages holding written rows park as
+//! zombies until the batch boundary, and rolled scratch pages die with the
+//! batch's handles into them.
 
 use crate::jointable::{JoinBuilder, JoinTable};
 use crate::morsel::MorselOutput;
 use crate::plan::{PipelineSpec, ResolvedOp, ResolvedPipeline, ResolvedSink, Sink};
 use crate::vlist::VectorList;
 use pc_lambda::{
-    for_each_sel, Column, ColumnPool, ErasedAgg, ErasedAggSink, ExecCtx, SetWriter, SpillCtx,
+    for_each_sel, Column, ColumnPool, ErasedAgg, ErasedAggSink, ExecCtx, PageSource, ScratchPage,
+    SetWriter, SpillCtx,
 };
-use pc_object::{
-    AllocPolicy, AllocScope, AnyObj, BlockRef, Handle, PcError, PcResult, PcVec, SealedPage,
-};
+use pc_object::{AnyObj, Handle, PcError, PcResult, PcVec, SealedPage};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -165,14 +167,28 @@ impl ExecStats {
 }
 
 /// A span's sink state: the one sink its pipeline ends in, built once from
-/// [`Sink`] and consumed into the span's [`MorselOutput`].
+/// [`Sink`] and consumed into the span's [`MorselOutput`], with the pages
+/// the pipeline's kernels allocate on.
 enum SinkState {
     /// OUTPUT / materialization: objects land on the writer's live page.
     Write(SetWriter),
-    /// Pre-aggregation into hash-partitioned map pages.
-    Agg(Box<dyn ErasedAggSink>),
-    /// A join build table's partition maps.
-    Build(JoinBuilder),
+    /// Pre-aggregation into hash-partitioned map pages; kernels allocate
+    /// intermediates on scratch pages.
+    Agg(Box<dyn ErasedAggSink>, ScratchPage),
+    /// A join build table's partition maps, with scratch pages likewise.
+    Build(JoinBuilder, ScratchPage),
+}
+
+impl SinkState {
+    /// The page source of the span's kernels: the live output page for
+    /// OUTPUT-like sinks (objects land where they are needed), scratch
+    /// pages otherwise.
+    fn kernel_pages(&mut self) -> &mut dyn PageSource {
+        match self {
+            SinkState::Write(w) => w,
+            SinkState::Agg(_, s) | SinkState::Build(_, s) => s,
+        }
+    }
 }
 
 /// The database name intermediates are materialized under.
@@ -219,13 +235,16 @@ pub(crate) fn run_span(
             let agg = aggs
                 .get(comp)
                 .ok_or_else(|| PcError::Catalog(format!("no aggregation engine for {comp}")))?;
-            SinkState::Agg(agg.new_sink(config.partitions, config.page_size, stage.spill.clone()))
+            SinkState::Agg(
+                agg.new_sink(config.partitions, config.page_size, stage.spill.clone()),
+                ScratchPage::new(config.page_size),
+            )
         }
-        Sink::JoinBuild { .. } => {
-            SinkState::Build(JoinBuilder::new(config.partitions, config.page_size))
-        }
+        Sink::JoinBuild { .. } => SinkState::Build(
+            JoinBuilder::new(config.partitions, config.page_size),
+            ScratchPage::new(config.page_size),
+        ),
     };
-    let mut scratch = ScratchPage::new(config.page_size);
     // One slot-addressed vector list and the thread's buffer pool serve
     // every batch: the batch boundary recycles column buffers instead of
     // freeing them, and the pool outlives the span so buffers stay affine
@@ -247,15 +266,7 @@ pub(crate) fn run_span(
             vl.set_slot(rp.source_slot, Column::Obj(handles));
             at = hi;
 
-            run_batch(
-                rp,
-                tables,
-                &mut vl,
-                &mut sink,
-                &mut scratch,
-                pool,
-                &mut stats,
-            )?;
+            run_batch(rp, tables, &mut vl, &mut sink, pool, &mut stats)?;
             stats.batches += 1;
             // Batch boundary: the vector list dies (its buffers return to
             // the pool, dropping object references), zombies release.
@@ -274,13 +285,13 @@ pub(crate) fn run_span(
             stats.pages_written += pages.len() as u64;
             MorselOutput::Pages(pages)
         }
-        SinkState::Build(t) => {
+        SinkState::Build(t, _) => {
             stats.join_groups += t.rows();
             let pages = t.into_pages()?;
             stats.build_pages_sealed += pages.len() as u64;
             MorselOutput::TablePages(pages)
         }
-        SinkState::Agg(mut sink) => {
+        SinkState::Agg(mut sink, _) => {
             let parts = sink.flush()?;
             let s = sink.stats();
             stats.rows_aggregated += s.rows_absorbed;
@@ -298,7 +309,6 @@ fn run_batch(
     tables: &HashMap<String, JoinTable>,
     vl: &mut VectorList,
     sink: &mut SinkState,
-    scratch: &mut ScratchPage,
     pool: &mut ColumnPool,
     stats: &mut ExecStats,
 ) -> PcResult<()> {
@@ -314,13 +324,14 @@ fn run_batch(
                 drop,
                 drop_out,
             } => {
-                let col = with_kernel_page(sink, scratch, |ctx| {
+                let col = {
                     let cols: Vec<&Column> = inputs
                         .iter()
                         .map(|&s| vl.slot(s))
                         .collect::<PcResult<Vec<_>>>()?;
-                    kernel.apply(&cols, vl.sel(), ctx)
-                })?;
+                    let mut ctx = ExecCtx::new(sink.kernel_pages())?;
+                    kernel.apply(&cols, vl.sel(), &mut ctx)?
+                };
                 vl.drop_slots(drop, pool);
                 vl.rebase_with(*out, col, pool);
                 if *drop_out {
@@ -339,9 +350,10 @@ fn run_batch(
                 drop,
                 drop_out,
             } => {
-                let (col, counts) = with_kernel_page(sink, scratch, |ctx| {
-                    kernel.apply(&[vl.slot(*input)?], vl.sel(), ctx)
-                })?;
+                let (col, counts) = {
+                    let mut ctx = ExecCtx::new(sink.kernel_pages())?;
+                    kernel.apply(&[vl.slot(*input)?], vl.sel(), &mut ctx)?
+                };
                 vl.drop_slots(drop, pool);
                 vl.replicate_with(&counts, *out, col, pool);
                 if *drop_out {
@@ -401,7 +413,7 @@ fn run_batch(
             let objs = vl.slot(*slot)?.as_obj()?;
             for_each_sel(objs.len(), vl.sel(), |i| w.write_handle(&objs[i]))?;
         }
-        (ResolvedSink::AggProduce { slot }, SinkState::Agg(agg)) => {
+        (ResolvedSink::AggProduce { slot }, SinkState::Agg(agg, _)) => {
             agg.absorb(vl.slot(*slot)?, vl.sel())?;
         }
         (
@@ -409,7 +421,7 @@ fn run_batch(
                 hash_slot,
                 obj_slot,
             },
-            SinkState::Build(t),
+            SinkState::Build(t, _),
         ) => {
             // The vectorized build: the whole selection-live batch is
             // hashed, radix-partitioned, and bulk-folded into the table's
@@ -424,86 +436,6 @@ fn run_batch(
         }
     }
     Ok(())
-}
-
-/// The block kernels should allocate on: the live output page for
-/// OUTPUT-like sinks (objects land where they are needed), a recycled
-/// scratch page otherwise.
-fn kernel_block(sink: &mut SinkState, scratch: &mut ScratchPage) -> PcResult<BlockRef> {
-    match sink {
-        SinkState::Write(w) => w.live_block(),
-        _ => scratch.block(),
-    }
-}
-
-fn roll_kernel_page(sink: &mut SinkState, scratch: &mut ScratchPage) -> PcResult<()> {
-    match sink {
-        SinkState::Write(w) => {
-            // Same-size retries can fault forever when one batch's output
-            // exceeds a page; escalate the page size as we retry.
-            w.escalate_page_size();
-            w.retire_live_page()
-        }
-        _ => scratch.roll(),
-    }
-}
-
-/// Runs one kernel call with the page it should allocate on installed.
-/// On a page fault the page is retired, escalated, and the call retried —
-/// up to eight attempts, after which the fault propagates.
-fn with_kernel_page<R>(
-    sink: &mut SinkState,
-    scratch: &mut ScratchPage,
-    mut call: impl FnMut(&mut ExecCtx) -> PcResult<R>,
-) -> PcResult<R> {
-    let mut attempt = 0;
-    loop {
-        let block = kernel_block(sink, scratch)?;
-        let scope = AllocScope::install(block.clone());
-        // `ctx` still pins the faulting page during the roll below, so an
-        // output page always retires as a zombie and seals at the batch
-        // boundary.
-        let mut ctx = ExecCtx::new(block);
-        let r = call(&mut ctx);
-        drop(scope);
-        match r {
-            Err(PcError::BlockFull { .. }) if attempt < 7 => {
-                roll_kernel_page(sink, scratch)?;
-                attempt += 1;
-            }
-            r => return r,
-        }
-    }
-}
-
-/// A recycled allocation page for intermediate objects in pipelines whose
-/// sink is not an output page (the paper's intermediate-data pages).
-struct ScratchPage {
-    size: usize,
-    block: Option<BlockRef>,
-}
-
-impl ScratchPage {
-    fn new(size: usize) -> Self {
-        ScratchPage { size, block: None }
-    }
-
-    fn block(&mut self) -> PcResult<BlockRef> {
-        let size = self.size;
-        Ok(self
-            .block
-            .get_or_insert_with(|| BlockRef::new(size, AllocPolicy::LightweightReuse))
-            .clone())
-    }
-
-    /// Abandons the current scratch page (a zombie page in §C's taxonomy —
-    /// it dies when the batch's handles drop) and escalates the size so a
-    /// batch whose intermediates exceed one page eventually fits.
-    fn roll(&mut self) -> PcResult<()> {
-        self.block = None;
-        self.size = (self.size * 2).min(256 << 20);
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -6,24 +6,122 @@
 //! is a monomorphized generic struct behind an `Arc<dyn ColumnKernel>`; the
 //! engine pays one dynamic dispatch per *batch* and the inner loop is fully
 //! inlined by the compiler.
+//!
+//! Kernels that run user lambdas (`Extract1`/`2`/`3`, `FlatMap1`) may
+//! allocate objects, and do so on the page their [`ExecCtx`] has installed
+//! (Appendix C's "in-place data allocation of output data"). Each row runs
+//! through [`ExecCtx::row`]: when the row's allocation faults with
+//! `BlockFull`, the context rolls to a fresh page from its [`PageSource`]
+//! and re-runs **that row** only. Rows already done keep their objects on
+//! the retired page, which the batch's columns keep alive. Appendix C
+//! re-processes the whole faulted vector instead; resuming at the row is
+//! the rule the hash sinks' `upsert_batch_by` folds already follow, and it
+//! never throws a finished row's work away. The page size follows the one
+//! [`Escalation`] rule both hash sinks use. The scalar kernels allocate
+//! nothing and ignore their context.
 
 use crate::column::{ColValue, Column};
-use pc_object::{hash as pc_hash, BlockRef, Handle, PcObjType, PcResult};
+use pc_object::containers::Escalation;
+use pc_object::{
+    hash as pc_hash, AllocPolicy, AllocScope, BlockRef, Handle, PcError, PcObjType, PcResult,
+};
 use std::marker::PhantomData;
 
-/// Per-batch execution context handed to kernels: the current live output
-/// page (kernels that construct objects allocate directly on it — Appendix
-/// C's "in-place data allocation of output data").
-pub struct ExecCtx {
-    /// The live output block; also installed as the thread's active block.
-    pub out: BlockRef,
-    /// Rows processed so far (diagnostics).
-    pub rows: u64,
+/// Where a kernel's allocation pages come from: the output sink's live
+/// page, or scratch pages for intermediates.
+pub trait PageSource {
+    /// The size a page opens at before any escalation.
+    fn page_size(&self) -> usize;
+    /// The page kernels allocate on now.
+    fn page(&mut self) -> PcResult<BlockRef>;
+    /// Retires the full current page and opens a fresh one of `size` bytes.
+    fn roll(&mut self, size: usize) -> PcResult<BlockRef>;
 }
 
-impl ExecCtx {
-    pub fn new(out: BlockRef) -> Self {
-        ExecCtx { out, rows: 0 }
+/// Pages for intermediate objects in pipelines whose sink is not an output
+/// page (the paper's intermediate-data pages). A rolled-away page is
+/// dropped here; it dies when the batch's handles into it drop.
+pub struct ScratchPage {
+    size: usize,
+    block: Option<BlockRef>,
+}
+
+impl ScratchPage {
+    /// Scratch pages of `size` bytes, the first opened on first use.
+    pub fn new(size: usize) -> Self {
+        ScratchPage { size, block: None }
+    }
+}
+
+impl PageSource for ScratchPage {
+    fn page_size(&self) -> usize {
+        self.size
+    }
+
+    fn page(&mut self) -> PcResult<BlockRef> {
+        let size = self.size;
+        Ok(self
+            .block
+            .get_or_insert_with(|| BlockRef::new(size, AllocPolicy::LightweightReuse))
+            .clone())
+    }
+
+    fn roll(&mut self, size: usize) -> PcResult<BlockRef> {
+        let block = BlockRef::new(size, AllocPolicy::LightweightReuse);
+        self.block = Some(block.clone());
+        Ok(block)
+    }
+}
+
+/// A kernel call's page handle: it keeps a page of its [`PageSource`]
+/// installed as the thread's active allocation block while the call runs,
+/// and rolls it when a row faults.
+pub struct ExecCtx<'a> {
+    /// The installed page; `None` only inside [`Self::roll`].
+    scope: Option<AllocScope>,
+    source: &'a mut dyn PageSource,
+    esc: Escalation,
+    /// Whether a row finished since the last fault (or the call's start).
+    progressed: bool,
+}
+
+impl<'a> ExecCtx<'a> {
+    /// Installs `source`'s current page for one kernel call.
+    pub fn new(source: &'a mut dyn PageSource) -> PcResult<Self> {
+        let scope = AllocScope::install(source.page()?);
+        Ok(ExecCtx {
+            scope: Some(scope),
+            esc: Escalation::new(source.page_size()),
+            source,
+            progressed: false,
+        })
+    }
+
+    /// Runs one row's work `f`. On `BlockFull` the page rolls and `f` runs
+    /// again, for this row only; a row that keeps faulting on fresh pages
+    /// escalates the page size, and one that never fits ends in an error.
+    #[inline]
+    pub fn row<R>(&mut self, mut f: impl FnMut() -> PcResult<R>) -> PcResult<R> {
+        loop {
+            match f() {
+                Ok(r) => {
+                    self.progressed = true;
+                    return Ok(r);
+                }
+                Err(PcError::BlockFull { .. }) => self.roll()?,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    #[cold]
+    fn roll(&mut self) -> PcResult<()> {
+        let size = self.esc.fault(std::mem::take(&mut self.progressed))?;
+        // Unpin the full page before the source retires it: whether it
+        // outlives the roll is up to the batch's columns alone.
+        self.scope = None;
+        self.scope = Some(AllocScope::install(self.source.roll(size)?));
+        Ok(())
     }
 }
 
@@ -36,8 +134,12 @@ impl ExecCtx {
 /// never allocate output objects for rows a FILTER already dropped. When
 /// `None`, inputs are dense and processed in full.
 pub trait ColumnKernel: Send + Sync {
-    fn apply(&self, inputs: &[&Column], sel: Option<&[u32]>, ctx: &mut ExecCtx)
-        -> PcResult<Column>;
+    fn apply(
+        &self,
+        inputs: &[&Column],
+        sel: Option<&[u32]>,
+        ctx: &mut ExecCtx<'_>,
+    ) -> PcResult<Column>;
 }
 
 /// A set-valued stage (lowers `MultiSelectionComp`): each input row yields
@@ -49,7 +151,7 @@ pub trait FlatMapKernel: Send + Sync {
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        ctx: &mut ExecCtx<'_>,
     ) -> PcResult<(Column, Vec<u32>)>;
 }
 
@@ -100,16 +202,16 @@ where
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        ctx: &mut ExecCtx<'_>,
     ) -> PcResult<Column> {
         let objs = inputs[0].as_obj()?;
         let n = sel_len(objs.len(), sel);
         let mut out = Vec::with_capacity(n);
         for_each_sel(objs.len(), sel, |i| {
-            out.push((self.f)(&objs[i].downcast_unchecked::<T>())?);
+            let h = objs[i].downcast_unchecked::<T>();
+            out.push(ctx.row(|| (self.f)(&h))?);
             Ok(())
         })?;
-        ctx.rows += n as u64;
         Ok(R::collect(out))
     }
 }
@@ -135,7 +237,7 @@ where
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        ctx: &mut ExecCtx<'_>,
     ) -> PcResult<Column> {
         let a = inputs[0].as_obj()?;
         let b = inputs[1].as_obj()?;
@@ -143,13 +245,13 @@ where
         let n = sel_len(a.len(), sel);
         let mut out = Vec::with_capacity(n);
         for_each_sel(a.len(), sel, |i| {
-            out.push((self.f)(
-                &a[i].downcast_unchecked::<A>(),
-                &b[i].downcast_unchecked::<B>(),
-            )?);
+            let (x, y) = (
+                a[i].downcast_unchecked::<A>(),
+                b[i].downcast_unchecked::<B>(),
+            );
+            out.push(ctx.row(|| (self.f)(&x, &y))?);
             Ok(())
         })?;
-        ctx.rows += n as u64;
         Ok(R::collect(out))
     }
 }
@@ -173,7 +275,7 @@ where
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        ctx: &mut ExecCtx<'_>,
     ) -> PcResult<Column> {
         let a = inputs[0].as_obj()?;
         let b = inputs[1].as_obj()?;
@@ -181,14 +283,14 @@ where
         let n = sel_len(a.len(), sel);
         let mut out = Vec::with_capacity(n);
         for_each_sel(a.len(), sel, |i| {
-            out.push((self.f)(
-                &a[i].downcast_unchecked::<A>(),
-                &b[i].downcast_unchecked::<B>(),
-                &c[i].downcast_unchecked::<C>(),
-            )?);
+            let (x, y, z) = (
+                a[i].downcast_unchecked::<A>(),
+                b[i].downcast_unchecked::<B>(),
+                c[i].downcast_unchecked::<C>(),
+            );
+            out.push(ctx.row(|| (self.f)(&x, &y, &z))?);
             Ok(())
         })?;
-        ctx.rows += n as u64;
         Ok(R::collect(out))
     }
 }
@@ -212,19 +314,19 @@ where
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        ctx: &mut ExecCtx<'_>,
     ) -> PcResult<(Column, Vec<u32>)> {
         let objs = inputs[0].as_obj()?;
         let n = sel_len(objs.len(), sel);
         let mut out = Vec::new();
         let mut counts = Vec::with_capacity(n);
         for_each_sel(objs.len(), sel, |i| {
-            let vals = (self.f)(&objs[i].downcast_unchecked::<T>())?;
+            let h = objs[i].downcast_unchecked::<T>();
+            let vals = ctx.row(|| (self.f)(&h))?;
             counts.push(vals.len() as u32);
             out.extend(vals);
             Ok(())
         })?;
-        ctx.rows += n as u64;
         Ok((R::collect(out), counts))
     }
 }
@@ -313,10 +415,9 @@ impl ColumnKernel for BinaryKernel {
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        _ctx: &mut ExecCtx<'_>,
     ) -> PcResult<Column> {
         let (a, b) = (inputs[0], inputs[1]);
-        ctx.rows += sel_len(a.len(), sel) as u64;
         use BinOpKind::*;
         use Column::*;
         Ok(match (self.op, a, b) {
@@ -363,10 +464,9 @@ impl ColumnKernel for NotKernel {
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        _ctx: &mut ExecCtx<'_>,
     ) -> PcResult<Column> {
         let b = inputs[0].as_bool()?;
-        ctx.rows += sel_len(b.len(), sel) as u64;
         Ok(Column::Bool(match sel {
             None => b.iter().map(|x| !x).collect(),
             Some(s) => s.iter().map(|&i| !b[i as usize]).collect(),
@@ -403,10 +503,9 @@ impl ColumnKernel for ConstCmpKernel {
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        _ctx: &mut ExecCtx<'_>,
     ) -> PcResult<Column> {
         let a = inputs[0];
-        ctx.rows += sel_len(a.len(), sel) as u64;
         use BinOpKind::*;
         fn over<T: Copy>(v: &[T], sel: Option<&[u32]>, f: impl Fn(T) -> bool) -> Vec<bool> {
             match sel {
@@ -470,10 +569,9 @@ impl ColumnKernel for HashKernel {
         &self,
         inputs: &[&Column],
         sel: Option<&[u32]>,
-        ctx: &mut ExecCtx,
+        _ctx: &mut ExecCtx<'_>,
     ) -> PcResult<Column> {
         let a = inputs[0];
-        ctx.rows += sel_len(a.len(), sel) as u64;
         fn over<T, F: Fn(&T) -> u64>(v: &[T], sel: Option<&[u32]>, f: F) -> Vec<u64> {
             match sel {
                 None => v.iter().map(f).collect(),
@@ -498,15 +596,16 @@ impl ColumnKernel for HashKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_object::{AllocPolicy, BlockRef};
 
-    fn ctx() -> ExecCtx {
-        ExecCtx::new(BlockRef::new(4096, AllocPolicy::LightweightReuse))
+    /// A context for the scalar kernels, which never allocate.
+    fn ctx(pages: &mut ScratchPage) -> ExecCtx<'_> {
+        ExecCtx::new(pages).unwrap()
     }
 
     #[test]
     fn binary_kernels_cover_mixed_scalars() {
-        let mut c = ctx();
+        let mut pages = ScratchPage::new(4096);
+        let mut c = ctx(&mut pages);
         let a = Column::F64(vec![1.0, 5.0, 3.0]);
         let b = Column::F64(vec![2.0, 2.0, 3.0]);
         let gt = BinaryKernel { op: BinOpKind::Gt }
@@ -525,7 +624,8 @@ mod tests {
 
     #[test]
     fn type_mismatch_is_an_error_not_a_panic() {
-        let mut c = ctx();
+        let mut pages = ScratchPage::new(4096);
+        let mut c = ctx(&mut pages);
         let a = Column::F64(vec![1.0]);
         let b = Column::I64(vec![1]);
         assert!(BinaryKernel { op: BinOpKind::Eq }
@@ -535,7 +635,8 @@ mod tests {
 
     #[test]
     fn const_cmp_and_not() {
-        let mut c = ctx();
+        let mut pages = ScratchPage::new(4096);
+        let mut c = ctx(&mut pages);
         let a = Column::I64(vec![49_999, 50_000, 50_001]);
         let gt = ConstCmpKernel {
             op: BinOpKind::Gt,
@@ -550,7 +651,8 @@ mod tests {
 
     #[test]
     fn hash_kernel_is_stable_per_value() {
-        let mut c = ctx();
+        let mut pages = ScratchPage::new(4096);
+        let mut c = ctx(&mut pages);
         let a = Column::Str(vec!["eng".into(), "ops".into(), "eng".into()]);
         let h = HashKernel.apply(&[&a], None, &mut c).unwrap();
         let h = h.as_u64().unwrap();
@@ -565,7 +667,10 @@ mod tests {
         let _scope = AllocScope::new(4096);
         let keys = ["", "Supplier#0007", "Customer#001999", "é"];
         let col = Column::Str(keys.iter().map(|&k| k.into()).collect());
-        let kernel = HashKernel.apply(&[&col], None, &mut ctx()).unwrap();
+        let mut pages = ScratchPage::new(4096);
+        let kernel = HashKernel
+            .apply(&[&col], None, &mut ctx(&mut pages))
+            .unwrap();
         for (k, &h) in keys.iter().zip(kernel.as_u64().unwrap()) {
             assert_eq!(k.to_string().hash(), h, "AggKey for String, {k:?}");
             assert_eq!(PcString::make(k).unwrap().hash_val(), h, "PcString, {k:?}");
@@ -574,8 +679,103 @@ mod tests {
     }
 
     #[test]
+    fn a_faulting_row_resumes_on_a_fresh_page() {
+        use pc_object::{AllocScope, PcString};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // 40 rows of ~500-byte strings need about five 4 KiB pages.
+        let _input = AllocScope::new(1 << 16);
+        let rows: Vec<_> = (0..40)
+            .map(|i| PcString::make(&format!("{i:0>500}")).unwrap().erase())
+            .collect();
+        let done = Arc::new(AtomicUsize::new(0));
+        let counter = done.clone();
+        let kernel = Extract1 {
+            f: move |h: &Handle<PcString>| {
+                let copy = PcString::make(h.as_str())?;
+                counter.fetch_add(1, Ordering::Relaxed);
+                Ok(copy.erase())
+            },
+            _pd: PhantomData,
+        };
+        let mut pages = ScratchPage::new(4096);
+        let first = pages.page().unwrap();
+        let col = Column::Obj(rows.clone());
+        let out = kernel
+            .apply(&[&col], None, &mut ExecCtx::new(&mut pages).unwrap())
+            .unwrap();
+        // Every row's lambda completed exactly once, and the rows that
+        // landed before a roll still read back from their retired pages.
+        assert_eq!(done.load(Ordering::Relaxed), 40);
+        let out = out.as_obj().unwrap();
+        for (h, want) in out.iter().zip(&rows) {
+            let got = h.downcast_unchecked::<PcString>();
+            assert_eq!(got.as_str(), want.downcast_unchecked::<PcString>().as_str());
+        }
+        assert!(!pages.page().unwrap().same_block(&first), "the page rolled");
+    }
+
+    /// A source that opens tiny pages whatever size is asked, recording the
+    /// sizes.
+    struct Recording(Vec<usize>);
+
+    impl PageSource for Recording {
+        fn page_size(&self) -> usize {
+            4096
+        }
+        fn page(&mut self) -> PcResult<BlockRef> {
+            Ok(BlockRef::new(4096, AllocPolicy::LightweightReuse))
+        }
+        fn roll(&mut self, size: usize) -> PcResult<BlockRef> {
+            self.0.push(size);
+            self.page()
+        }
+    }
+
+    #[test]
+    fn page_size_escalates_only_on_fresh_pages_and_a_stall_ends_in_an_error() {
+        let mut src = Recording(Vec::new());
+        let mut ctx = ExecCtx::new(&mut src).unwrap();
+        // A fault after progress rolls at the same size.
+        let mut faults = 1;
+        ctx.row(|| {
+            if faults > 0 {
+                faults -= 1;
+                return Err(PcError::BlockFull { needed: 1, free: 0 });
+            }
+            Ok(())
+        })
+        .unwrap();
+        ctx.row(|| Ok(())).unwrap();
+        let mut faults = 1;
+        ctx.row(|| {
+            if faults > 0 {
+                faults -= 1;
+                return Err(PcError::BlockFull { needed: 1, free: 0 });
+            }
+            Ok(())
+        })
+        .unwrap();
+        // A row that never fits stalls until the context gives up.
+        let err = ctx
+            .row(|| -> PcResult<()> { Err(PcError::BlockFull { needed: 1, free: 0 }) })
+            .unwrap_err();
+        assert!(!matches!(err, PcError::BlockFull { .. }), "{err:?}");
+        drop(ctx);
+        let sizes = &src.0;
+        // Three faults, each the first since a row finished (or since the
+        // start); the stalled row's second fault is on a fresh page, so its
+        // third roll doubles, and doubling goes on to the cap.
+        assert_eq!(sizes[..4], [4096; 4]);
+        assert_eq!(sizes[4], 8192);
+        assert_eq!(*sizes.last().unwrap(), 256 << 20);
+        assert!(sizes.len() < 40, "{} rolls", sizes.len());
+    }
+
+    #[test]
     fn selection_vector_reads_base_rows_and_emits_dense_output() {
-        let mut c = ctx();
+        let mut pages = ScratchPage::new(4096);
+        let mut c = ctx(&mut pages);
         let a = Column::I64(vec![10, 20, 30, 40, 50]);
         let b = Column::I64(vec![1, 2, 3, 4, 5]);
         let sel: Vec<u32> = vec![0, 2, 4];

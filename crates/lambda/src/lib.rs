@@ -39,7 +39,9 @@ pub use agg::{
 pub use column::{ColValue, Column, ColumnPool};
 pub use compiler::{compile, CompiledQuery, StageKernel, StageLibrary};
 pub use computation::{CompKind, Computation};
-pub use kernel::{for_each_sel, sel_len, ColumnKernel, ExecCtx, FlatMapKernel};
+pub use kernel::{
+    for_each_sel, sel_len, ColumnKernel, ExecCtx, FlatMapKernel, PageSource, ScratchPage,
+};
 pub use lambda::{
     make_lambda, make_lambda2, make_lambda3, make_lambda_from_member, make_lambda_from_method,
     make_lambda_from_self, BinOp, ConstVal, Lambda, LambdaTerm,

@@ -3,15 +3,25 @@
 //!
 //! Output objects are constructed **directly on the live output page** (the
 //! paper's "data should be constructed where it is ultimately needed"). When
-//! the page faults with `BlockFull` mid-batch, it cannot necessarily be
-//! sealed: columns still in flight may hold handles into it. Such a page
-//! becomes a **zombie output page** — full, holding valid output data, but
-//! pinned until the vector list that references it finishes. The paper
-//! proves at most two zombie output pages can exist per pipeline;
+//! the page fills mid-batch, it cannot necessarily be sealed: columns still
+//! in flight may hold handles into it. A retired page that holds written
+//! rows therefore becomes a **zombie output page** — full, holding valid
+//! output data, and parked until the batch ends.
 //! [`SetWriter::release_zombies`] (called at batch boundaries) seals the
-//! ones that have gone unreferenced, and [`SetWriter::finish`] asserts none
-//! remain pinned.
+//! zombies in the order they filled, and [`SetWriter::finish`] asserts none
+//! remain pinned. A retired page that holds no written rows yet (one an
+//! object-producing kernel filled) is not a zombie: it lives as long as the
+//! batch's handles into it, and the sink deep-copies its objects onto the
+//! live page when it writes them (§6.4).
+//!
+//! Appendix C bounds zombie output pages at two per pipeline, because a
+//! faulted vector is re-processed whole on a fresh page. Here a faulted
+//! kernel resumes at its row instead (`crate::kernel`), and the rows done
+//! before each fault are copied when written. A batch therefore parks about
+//! one zombie per page its kernels fill (the copies, plus each page's root
+//! vector), plus the page that was live when the batch began.
 
+use crate::kernel::PageSource;
 use pc_object::{
     make_object, AllocPolicy, AllocScope, AnyHandle, AnyObj, BlockRef, Handle, PcError, PcResult,
     PcVec, SealedPage,
@@ -54,49 +64,46 @@ impl SetWriter {
 
     fn ensure_page(&mut self) -> PcResult<()> {
         if self.current.is_none() {
-            let block = BlockRef::new(self.page_size, self.policy);
-            let scope = AllocScope::install(block.clone());
-            let root = make_object::<PcVec<Handle<AnyObj>>>()?;
-            block.set_root(&root);
-            drop(scope);
-            self.current = Some((block, root));
+            self.open_page(self.page_size)?;
         }
         Ok(())
     }
 
+    /// Opens a fresh live page of `size` bytes.
+    fn open_page(&mut self, size: usize) -> PcResult<BlockRef> {
+        let block = BlockRef::new(size, self.policy);
+        let scope = AllocScope::install(block.clone());
+        let root = make_object::<PcVec<Handle<AnyObj>>>()?;
+        block.set_root(&root);
+        drop(scope);
+        self.current = Some((block.clone(), root));
+        Ok(block)
+    }
+
     /// Doubles the page size for the next live page (fault escalation: a
-    /// single batch's output must eventually fit one page; the executor
-    /// escalates when same-size retries keep faulting). Capped at 256 MiB,
-    /// PC's default page size.
-    pub fn escalate_page_size(&mut self) {
+    /// single object must eventually fit one page). Capped at 256 MiB, PC's
+    /// default page size.
+    fn escalate_page_size(&mut self) {
         self.page_size = (self.page_size * 2).min(256 << 20);
     }
 
-    /// The fault path: retire the live page (seal now or zombify) and open a
-    /// fresh live page.
-    pub fn retire_live_page(&mut self) -> PcResult<()> {
+    /// The fault path: retire the live page and open a fresh live page.
+    fn retire_live_page(&mut self) -> PcResult<()> {
+        self.retire();
+        self.ensure_page()
+    }
+
+    /// Parks the live page, if it holds rows, as a zombie until the next
+    /// batch boundary: columns in flight may still reference it, and
+    /// parked pages seal in the order they filled. A page that holds no
+    /// rows is dropped; objects on it live on as long as their handles do.
+    fn retire(&mut self) {
         if let Some((block, root)) = self.current.take() {
-            let empty = root.is_empty();
-            drop(root);
-            if !empty {
-                // Attempt to seal; if columns still reference the page, park
-                // it as a zombie (the clone keeps it alive).
-                let keep = block.clone();
-                match block.try_seal() {
-                    Ok(page) => {
-                        drop(keep);
-                        self.pages.push(page);
-                        self.pages_sealed += 1;
-                    }
-                    Err(PcError::BlockShared) => {
-                        self.zombies.push(keep);
-                        self.max_zombies = self.max_zombies.max(self.zombies.len());
-                    }
-                    Err(e) => return Err(e),
-                }
+            if !root.is_empty() {
+                self.zombies.push(block);
+                self.max_zombies = self.max_zombies.max(self.zombies.len());
             }
         }
-        self.ensure_page()
     }
 
     /// Seals every zombie page whose external references are gone. Call at
@@ -125,15 +132,14 @@ impl SetWriter {
         Ok(())
     }
 
-    /// Number of zombie output pages currently alive (the paper caps this
-    /// at two per pipeline).
+    /// Number of zombie output pages parked until the batch boundary.
     pub fn zombie_count(&self) -> usize {
         self.zombies.len()
     }
 
     /// The live output block (callers install it as the active allocation
     /// block while running object-producing kernels).
-    pub fn live_block(&mut self) -> PcResult<BlockRef> {
+    fn live_block(&mut self) -> PcResult<BlockRef> {
         self.ensure_page()?;
         Ok(self.current.as_ref().unwrap().0.clone())
     }
@@ -240,6 +246,24 @@ impl SetWriter {
             }
         }
         Ok(())
+    }
+}
+
+/// The live output page is where object-producing kernels allocate: a
+/// kernel's fault retires it (parking it as a zombie if it holds rows) and
+/// opens a fresh one at the size the kernel's escalation asks for.
+impl PageSource for SetWriter {
+    fn page_size(&self) -> usize {
+        self.page_size
+    }
+
+    fn page(&mut self) -> PcResult<BlockRef> {
+        self.live_block()
+    }
+
+    fn roll(&mut self, size: usize) -> PcResult<BlockRef> {
+        self.retire();
+        self.open_page(size)
     }
 }
 

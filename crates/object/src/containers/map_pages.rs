@@ -1,5 +1,6 @@
 //! Radix-partitioned map pages, and the partition rule, scatter and page
-//! escalation both hash sinks share.
+//! escalation both hash sinks share (the escalation serves object-producing
+//! kernels too).
 //!
 //! Pre-aggregation (Appendix D.2) and the join build (Appendix D.3) both
 //! hash a batch of rows into hash-partitioned objects living on pages,
@@ -138,8 +139,9 @@ impl Scatter {
     }
 }
 
-/// The one page-escalation rule, kept per bucket fold: the fold starts at
-/// the configured page size; the second consecutive `BlockFull` without
+/// The one page-escalation rule, kept per bucket fold (and per
+/// object-producing kernel call, by `pc_lambda::ExecCtx`): the fold starts
+/// at the configured page size; the second consecutive `BlockFull` without
 /// progress (a value that does not fit even a fresh page) doubles it,
 /// capped at 256 MiB, and the larger size holds for the rest of the fold.
 pub struct Escalation {
