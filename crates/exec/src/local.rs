@@ -14,9 +14,10 @@
 //! on the live output page (or a scratch page for non-output sinks), which
 //! `SinkState` hands them as their [`PageSource`]. A `BlockFull` fault
 //! rolls that page and re-runs only the faulting row (`ExecCtx::row`), not
-//! the whole stage: retired output pages holding written rows park as
-//! zombies until the batch boundary, and rolled scratch pages die with the
-//! batch's handles into them.
+//! the whole stage: a rolled output page stays open as a zombie, the Write
+//! sink roots the batch's rows on it where its kernels left them, and it
+//! seals at the batch boundary; rolled scratch pages die with the batch's
+//! handles into them.
 
 use crate::jointable::{JoinBuilder, JoinTable};
 use crate::morsel::MorselOutput;
@@ -91,6 +92,9 @@ pub struct ExecStats {
     pub rows_in: u64,
     pub rows_out: u64,
     pub pages_written: u64,
+    /// Objects a Write sink deep-copied onto its live page because they
+    /// could not be rooted where they lay.
+    pub objects_copied: u64,
     /// Build rows folded into join tables.
     pub join_groups: u64,
     pub agg_groups: u64,
@@ -142,6 +146,7 @@ impl ExecStats {
         self.rows_in += other.rows_in;
         self.rows_out += other.rows_out;
         self.pages_written += other.pages_written;
+        self.objects_copied += other.objects_copied;
         self.join_groups += other.join_groups;
         self.agg_groups += other.agg_groups;
         self.rows_aggregated += other.rows_aggregated;
@@ -272,7 +277,6 @@ pub(crate) fn run_span(
             // the pool, dropping object references), zombies release.
             vl.recycle(pool);
             if let SinkState::Write(w) = &mut sink {
-                stats.max_zombie_pages = stats.max_zombie_pages.max(w.max_zombies);
                 w.release_zombies()?;
             }
         }
@@ -281,6 +285,8 @@ pub(crate) fn run_span(
     let output = match sink {
         SinkState::Write(w) => {
             stats.rows_out += w.objects_written;
+            stats.objects_copied += w.objects_copied;
+            stats.max_zombie_pages = stats.max_zombie_pages.max(w.max_zombies);
             let pages = w.finish()?;
             stats.pages_written += pages.len() as u64;
             MorselOutput::Pages(pages)
@@ -456,6 +462,7 @@ mod tests {
             rows_in: 7,
             rows_out: 4,
             pages_written: 2,
+            objects_copied: 31,
             join_groups: 6,
             agg_groups: 1,
             rows_aggregated: 9,
@@ -486,6 +493,7 @@ mod tests {
         assert_eq!(total.rows_in, 7);
         assert_eq!(total.rows_out, 4);
         assert_eq!(total.pages_written, 2);
+        assert_eq!(total.objects_copied, 31);
         assert_eq!(total.join_groups, 6);
         assert_eq!(total.agg_groups, 1);
         assert_eq!(total.rows_aggregated, 9);

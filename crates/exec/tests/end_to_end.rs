@@ -498,6 +498,10 @@ fn tiny_pages_force_rolls_and_stay_correct() {
     let q = Job::new().add(all.write_to("db", "all")).compile().unwrap();
     let stats = ex.execute(&q).unwrap().exec;
     assert_eq!(stats.rows_out, 400);
+    assert_eq!(
+        stats.objects_copied, 400,
+        "each stored object is copied once"
+    );
     assert!(stats.pages_written > 1, "4 KiB pages must roll");
     assert!(
         stats.max_zombie_pages <= 2,

@@ -179,6 +179,8 @@ impl std::fmt::Debug for Column {
 /// Rust values collectible into a [`Column`] — the return types usable from
 /// lambda extraction functions.
 pub trait ColValue: 'static + Sized {
+    /// Whether a value is an object, one a Write sink may root.
+    const OBJ: bool = false;
     fn collect(v: Vec<Self>) -> Column;
 }
 
@@ -219,6 +221,7 @@ impl ColValue for String {
 }
 
 impl ColValue for AnyHandle {
+    const OBJ: bool = true;
     fn collect(v: Vec<Self>) -> Column {
         Column::Obj(v)
     }

@@ -13,12 +13,15 @@
 //! through [`ExecCtx::row`]: when the row's allocation faults with
 //! `BlockFull`, the context rolls to a fresh page from its [`PageSource`]
 //! and re-runs **that row** only. Rows already done keep their objects on
-//! the retired page, which the batch's columns keep alive. Appendix C
-//! re-processes the whole faulted vector instead; resuming at the row is
-//! the rule the hash sinks' `upsert_batch_by` folds already follow, and it
-//! never throws a finished row's work away. The page size follows the one
-//! [`Escalation`] rule both hash sinks use. The scalar kernels allocate
-//! nothing and ignore their context.
+//! the retired page, which the batch's columns keep alive; a Write sink
+//! later roots them there. Appendix C re-processes the whole faulted vector
+//! instead; resuming at the row is the rule the hash sinks'
+//! `upsert_batch_by` folds already follow, and it never throws a finished
+//! row's work away. The page size follows the one [`Escalation`] rule both
+//! hash sinks use. A source that asks ([`PageSource::counts_rows`]) hears
+//! of every object a finished row made, so it can hold back room on the
+//! page for the object's handle. The scalar kernels allocate nothing and
+//! ignore their context.
 
 use crate::column::{ColValue, Column};
 use pc_object::containers::Escalation;
@@ -36,6 +39,12 @@ pub trait PageSource {
     fn page(&mut self) -> PcResult<BlockRef>;
     /// Retires the full current page and opens a fresh one of `size` bytes.
     fn roll(&mut self, size: usize) -> PcResult<BlockRef>;
+    /// Whether the source takes [`Self::rows_done`] reports.
+    fn counts_rows(&self) -> bool {
+        false
+    }
+    /// Kernel rows finished `rows` objects on the current page.
+    fn rows_done(&mut self, _rows: usize) {}
 }
 
 /// Pages for intermediate objects in pipelines whose sink is not an output
@@ -83,6 +92,8 @@ pub struct ExecCtx<'a> {
     esc: Escalation,
     /// Whether a row finished since the last fault (or the call's start).
     progressed: bool,
+    /// Whether `source` takes [`PageSource::rows_done`] reports.
+    counts: bool,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -92,6 +103,7 @@ impl<'a> ExecCtx<'a> {
         Ok(ExecCtx {
             scope: Some(scope),
             esc: Escalation::new(source.page_size()),
+            counts: source.counts_rows(),
             source,
             progressed: false,
         })
@@ -102,8 +114,31 @@ impl<'a> ExecCtx<'a> {
     /// escalates the page size, and one that never fits ends in an error.
     #[inline]
     pub fn row<R>(&mut self, mut f: impl FnMut() -> PcResult<R>) -> PcResult<R> {
+        let first = f();
+        self.retry(first, f)
+    }
+
+    /// Runs a kernel row as [`Self::row`] does, and reports the object it
+    /// made, if its value is one.
+    #[inline]
+    pub fn value<R: ColValue>(&mut self, f: impl FnMut() -> PcResult<R>) -> PcResult<R> {
+        let r = self.row(f)?;
+        if R::OBJ {
+            self.rows_done(1);
+        }
+        Ok(r)
+    }
+
+    /// Finishes a row whose latest attempt returned `attempt`, as
+    /// [`Self::row`] does: on `BlockFull` the page rolls and `f` runs again.
+    #[inline]
+    pub fn retry<R>(
+        &mut self,
+        mut attempt: PcResult<R>,
+        mut f: impl FnMut() -> PcResult<R>,
+    ) -> PcResult<R> {
         loop {
-            match f() {
+            match attempt {
                 Ok(r) => {
                     self.progressed = true;
                     return Ok(r);
@@ -111,6 +146,16 @@ impl<'a> ExecCtx<'a> {
                 Err(PcError::BlockFull { .. }) => self.roll()?,
                 Err(e) => return Err(e),
             }
+            attempt = f();
+        }
+    }
+
+    /// Reports `rows` objects finished on the current page to a source
+    /// that counts them.
+    #[inline]
+    pub fn rows_done(&mut self, rows: usize) {
+        if self.counts {
+            self.source.rows_done(rows);
         }
     }
 
@@ -209,7 +254,7 @@ where
         let mut out = Vec::with_capacity(n);
         for_each_sel(objs.len(), sel, |i| {
             let h = objs[i].downcast_unchecked::<T>();
-            out.push(ctx.row(|| (self.f)(&h))?);
+            out.push(ctx.value(|| (self.f)(&h))?);
             Ok(())
         })?;
         Ok(R::collect(out))
@@ -249,7 +294,7 @@ where
                 a[i].downcast_unchecked::<A>(),
                 b[i].downcast_unchecked::<B>(),
             );
-            out.push(ctx.row(|| (self.f)(&x, &y))?);
+            out.push(ctx.value(|| (self.f)(&x, &y))?);
             Ok(())
         })?;
         Ok(R::collect(out))
@@ -288,7 +333,7 @@ where
                 b[i].downcast_unchecked::<B>(),
                 c[i].downcast_unchecked::<C>(),
             );
-            out.push(ctx.row(|| (self.f)(&x, &y, &z))?);
+            out.push(ctx.value(|| (self.f)(&x, &y, &z))?);
             Ok(())
         })?;
         Ok(R::collect(out))
@@ -323,6 +368,9 @@ where
         for_each_sel(objs.len(), sel, |i| {
             let h = objs[i].downcast_unchecked::<T>();
             let vals = ctx.row(|| (self.f)(&h))?;
+            if R::OBJ {
+                ctx.rows_done(vals.len());
+            }
             counts.push(vals.len() as u32);
             out.extend(vals);
             Ok(())

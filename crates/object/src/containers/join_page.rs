@@ -21,13 +21,13 @@
 //! `next_power_of_two(keys)` buckets — one to two entries per bucket on
 //! average, so a lookup reads one bucket pair and about one entry.
 
-use super::{alloc_array, free_array};
+use super::{alloc_array, array_bytes, free_array};
 use crate::anyobj::AnyObj;
-use crate::block::{AllocPolicy, BlockRef, OBJ_HEADER_SIZE};
+use crate::block::{AllocPolicy, BlockRef};
 use crate::error::{PcError, PcResult};
 use crate::handle::{AnyHandle, Handle};
 use crate::page::SealedPage;
-use crate::traits::{align8, PcObjType, PcValue};
+use crate::traits::{PcObjType, PcValue};
 use std::ops::Range;
 
 /// The root object of a join table page.
@@ -54,11 +54,6 @@ const ENTRY: u32 = 16;
 /// Buckets of a directory over `keys` keys.
 fn bucket_count(keys: usize) -> usize {
     keys.max(1).next_power_of_two()
-}
-
-/// Bytes a raw array of `bytes` payload takes on a block.
-fn array_bytes(bytes: usize) -> usize {
-    OBJ_HEADER_SIZE as usize + align8(bytes.max(1) as u32) as usize
 }
 
 /// Bytes the index of a page with `rows` rows under `keys` keys takes.

@@ -1,6 +1,7 @@
 //! Built-in container objects: [`PcVec`], [`PcMap`], [`PcString`], the
-//! [`MapPageBuilder`] that builds hash-partitioned `PcMap` pages, and the
-//! write-once [`JoinPage`] a join table's pages are rooted at.
+//! [`MapPageBuilder`] that builds hash-partitioned `PcMap` pages, the
+//! write-once [`JoinPage`] a join table's pages are rooted at, and
+//! [`SetPage`], which writes a stored set's page root once at seal.
 //!
 //! These are the generic, page-resident analogues of PC's `Vector`, `Map`
 //! and `String` (§6.1). Their storage lives entirely on the owning block:
@@ -18,9 +19,9 @@ pub use join_page::{JoinPage, JoinPageWriter, OpenJoinPage};
 pub use map::PcMap;
 pub use map_pages::{partition_of, round_partitions, Escalation, MapPage, MapPageBuilder, Scatter};
 pub use string::PcString;
-pub use vec::PcVec;
+pub use vec::{PcVec, SetPage};
 
-use crate::block::{BlockRef, FLAG_NO_REFCOUNT, FLAG_VAR_SIZE};
+use crate::block::{BlockRef, FLAG_NO_REFCOUNT, FLAG_VAR_SIZE, OBJ_HEADER_SIZE};
 use crate::error::PcResult;
 use crate::registry::TypeCode;
 
@@ -34,6 +35,11 @@ pub(crate) fn alloc_array(b: &BlockRef, bytes: u32) -> PcResult<u32> {
     let off = b.alloc(bytes, RAW_ARRAY_CODE, FLAG_NO_REFCOUNT | FLAG_VAR_SIZE)?;
     b.zero_range(off, bytes as usize);
     Ok(off)
+}
+
+/// Bytes an allocation of `bytes` payload takes from a block's bump region.
+pub(crate) fn array_bytes(bytes: usize) -> usize {
+    OBJ_HEADER_SIZE as usize + crate::traits::align8(bytes.max(1) as u32) as usize
 }
 
 /// Frees a raw array previously allocated with [`alloc_array`].

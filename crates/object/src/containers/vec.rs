@@ -1,9 +1,11 @@
 //! `PcVec<T>`: the page-resident growable vector (PC's `Vector`).
 
-use super::{alloc_array, free_array};
+use super::{alloc_array, array_bytes, free_array};
+use crate::anyobj::AnyObj;
 use crate::block::BlockRef;
 use crate::error::PcResult;
 use crate::handle::Handle;
+use crate::page::SealedPage;
 use crate::traits::{stored_footprint, PcObjType, PcValue};
 use std::marker::PhantomData;
 
@@ -320,3 +322,37 @@ impl<T: PcValue> Iterator for PcVecIter<'_, T> {
 }
 
 impl<T: PcValue> ExactSizeIterator for PcVecIter<'_, T> {}
+
+/// The page format of a stored set: the set's objects, then one
+/// `PcVec<Handle<AnyObj>>` root sized exactly for the page's rows, written
+/// once when the page seals. A page builder keeps its row offsets off-page
+/// and holds back (see [`BlockRef::hold_back`]) [`Self::root_bytes`] for
+/// them, so the root always fits.
+pub struct SetPage;
+
+impl SetPage {
+    /// Bytes the root of a page of `rows` rows takes.
+    pub fn root_bytes(rows: usize) -> usize {
+        array_bytes(PcVec::<Handle<AnyObj>>::init_size() as usize) + array_bytes(rows * 8)
+    }
+
+    /// Roots `block` at the objects at offsets `rows`, in order, and seals
+    /// it. Each object must hold one reference for the root, which the
+    /// root takes over.
+    pub fn seal(block: BlockRef, rows: &[u32]) -> PcResult<SealedPage> {
+        block.hold_back(0);
+        let root = block.make_object::<PcVec<Handle<AnyObj>>>()?;
+        let elems = alloc_array(&block, rows.len() as u32 * 8)?;
+        let code = <AnyObj as PcObjType>::type_code().0;
+        for (i, &off) in rows.iter().enumerate() {
+            block.write::<(u32, u32)>(elems + i as u32 * 8, (off, code));
+        }
+        let n = rows.len() as u32;
+        for (at, v) in [(OFF_LEN, n), (OFF_CAP, n), (OFF_ELEMS, elems)] {
+            block.write_u32(root.offset() + at, v);
+        }
+        block.set_root(&root);
+        drop(root);
+        block.try_seal()
+    }
+}

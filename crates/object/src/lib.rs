@@ -67,6 +67,7 @@ pub use block::{AllocPolicy, AllocScope, BlockRef, BlockStats, ObjectPolicy};
 pub use budget::{MemoryBudget, MemoryGrant, PageSpiller, PressureSpec};
 pub use containers::{
     JoinPage, JoinPageWriter, MapPage, MapPageBuilder, OpenJoinPage, PcMap, PcString, PcVec,
+    SetPage,
 };
 pub use error::{PcError, PcResult};
 pub use handle::{AnyHandle, Handle};
