@@ -390,8 +390,8 @@ fn rows_mixing_input_and_new_objects_are_written_in_input_order() {
     let ids = output::<Doc, _>(&ex, |d| d.v().id());
     assert_eq!(ids, (0..DOCS).collect::<Vec<_>>(), "rows in input order");
     assert!(
-        stats.objects_copied > DOCS as u64 / 2,
-        "odd rows and the even rows behind them are copied: {stats:?}"
+        stats.objects_copied >= DOCS as u64 / 2,
+        "every odd row is copied: {stats:?}"
     );
 }
 

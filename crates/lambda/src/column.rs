@@ -228,6 +228,7 @@ impl ColValue for AnyHandle {
 }
 
 impl<T: pc_object::PcObjType> ColValue for pc_object::Handle<T> {
+    const OBJ: bool = true;
     fn collect(v: Vec<Self>) -> Column {
         Column::Obj(v.into_iter().map(|h| h.erase()).collect())
     }

@@ -18,9 +18,9 @@
 //! instead; resuming at the row is the rule the hash sinks'
 //! `upsert_batch_by` folds already follow, and it never throws a finished
 //! row's work away. The page size follows the one [`Escalation`] rule both
-//! hash sinks use. A source that asks ([`PageSource::counts_rows`]) hears
-//! of every object a finished row made, so it can hold back room on the
-//! page for the object's handle. The scalar kernels allocate nothing and
+//! hash sinks use. The source hears of every object a finished row made
+//! ([`PageSource::rows_done`]), so it can hold back room on the page for
+//! the object's handle. The scalar kernels allocate nothing and
 //! ignore their context.
 
 use crate::column::{ColValue, Column};
@@ -39,11 +39,8 @@ pub trait PageSource {
     fn page(&mut self) -> PcResult<BlockRef>;
     /// Retires the full current page and opens a fresh one of `size` bytes.
     fn roll(&mut self, size: usize) -> PcResult<BlockRef>;
-    /// Whether the source takes [`Self::rows_done`] reports.
-    fn counts_rows(&self) -> bool {
-        false
-    }
-    /// Kernel rows finished `rows` objects on the current page.
+    /// Kernel rows finished `rows` objects on the current page. The default
+    /// ignores the report.
     fn rows_done(&mut self, _rows: usize) {}
 }
 
@@ -92,8 +89,6 @@ pub struct ExecCtx<'a> {
     esc: Escalation,
     /// Whether a row finished since the last fault (or the call's start).
     progressed: bool,
-    /// Whether `source` takes [`PageSource::rows_done`] reports.
-    counts: bool,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -103,7 +98,6 @@ impl<'a> ExecCtx<'a> {
         Ok(ExecCtx {
             scope: Some(scope),
             esc: Escalation::new(source.page_size()),
-            counts: source.counts_rows(),
             source,
             progressed: false,
         })
@@ -150,13 +144,10 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Reports `rows` objects finished on the current page to a source
-    /// that counts them.
+    /// Reports `rows` objects finished on the current page to the source.
     #[inline]
     pub fn rows_done(&mut self, rows: usize) {
-        if self.counts {
-            self.source.rows_done(rows);
-        }
+        self.source.rows_done(rows);
     }
 
     #[cold]

@@ -12,10 +12,11 @@
 //! One rooting rule decides every row: its object is rooted in place when
 //! it lies on one of this writer's open pages, no earlier than the page the
 //! previous row was rooted on, with room for one more handle. Any other row
-//! is deep-copied onto the live page through [`ExecCtx::row`] (§6.4): a
-//! stored object a FILTER passed through, a lambda's input object, or a
-//! flat-map row whose values outran the room held for them. Within a
-//! morsel, rows are therefore in row order and pages in fill order.
+//! is deep-copied onto the live page (§6.4), which an [`ExecCtx`] rolls
+//! only when the copy faults: a stored object a FILTER passed through, a
+//! lambda's input object, or a flat-map row whose values outran the room
+//! held for them. Within a morsel, rows are therefore in row order and
+//! pages in fill order.
 //!
 //! When a kernel's fault rolls the live page mid-batch, the page cannot be
 //! sealed yet: columns in flight hold handles into it, and the sink has yet
@@ -29,8 +30,8 @@
 
 use crate::kernel::{ExecCtx, PageSource};
 use pc_object::{
-    current_block, AllocPolicy, AllocScope, AnyHandle, BlockRef, PcError, PcResult, SealedPage,
-    SetPage,
+    current_block, AllocPolicy, AllocScope, AnyHandle, AnyObj, BlockRef, PcError, PcObjType,
+    PcResult, SealedPage, SetPage,
 };
 
 /// Accumulates objects into sealed [`SetPage`]s — the on-page shape of a
@@ -96,6 +97,7 @@ impl SetWriter {
         let SetWriter {
             open,
             pages,
+            finished,
             last,
             max_zombies,
             ..
@@ -109,6 +111,10 @@ impl SetWriter {
                 pages.push(SetPage::seal(block, &rows)?);
             }
         }
+        // The batch's rows are all written: objects it finished but did
+        // not write (a later FILTER dropped them) need no root space.
+        *finished = open.last().map_or(0, |(_, rows)| rows.len());
+        self.hold();
         Ok(())
     }
 
@@ -116,14 +122,30 @@ impl SetWriter {
     /// allows, deep-copied onto the live page otherwise (§6.4).
     pub fn write_handle(&mut self, h: &AnyHandle) -> PcResult<()> {
         if !self.root_in_place(h) {
-            let copy = ExecCtx::new(self)?
-                .row(|| h.deep_copy_to(&current_block().ok_or(PcError::NoActiveBlock)?))?;
-            self.objects_copied += 1;
-            if !self.root_in_place(&copy) {
-                return Err(PcError::Catalog("a copied row found no room".into()));
-            }
+            self.copy_to_live_page(h)?;
         }
         self.objects_written += 1;
+        Ok(())
+    }
+
+    /// Deep-copies `h`'s object onto the live page and roots it there. The
+    /// copy fits under the held-back root, so the root has room for it; a
+    /// `BlockFull` goes to an [`ExecCtx`], which rolls the page.
+    fn copy_to_live_page(&mut self, h: &AnyHandle) -> PcResult<()> {
+        let copy = |to: &BlockRef| AnyObj::deep_copy_obj(h.block(), h.offset(), to);
+        let off = match copy(&self.page()?) {
+            Ok(off) => off,
+            Err(e) => ExecCtx::new(self)?.retry(Err(e), || {
+                copy(&current_block().ok_or(PcError::NoActiveBlock)?)
+            })?,
+        };
+        let (block, rows) = self.open.last_mut().ok_or(PcError::NoActiveBlock)?;
+        // The root will own the copy's first reference.
+        block.inc_ref(off);
+        rows.push(off);
+        self.last = self.open.len() - 1;
+        self.objects_copied += 1;
+        self.hold();
         Ok(())
     }
 
@@ -197,10 +219,6 @@ impl PageSource for SetWriter {
         Ok(self.open_page(size))
     }
 
-    fn counts_rows(&self) -> bool {
-        true
-    }
-
     fn rows_done(&mut self, rows: usize) {
         self.finished += rows;
         self.hold();
@@ -210,7 +228,7 @@ impl PageSource for SetWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_object::{make_object, pc_object, AnyObj, Handle, PcVec};
+    use pc_object::{make_object, pc_object, Handle, PcVec};
 
     pc_object! {
         pub struct Point / PointView {
@@ -281,6 +299,12 @@ mod tests {
         assert!(
             w.max_zombies >= 1,
             "pages the kernel filled park as zombies"
+        );
+        // 40 points fill less than one 2 KiB page, so a batch parks at
+        // most the page live when it began and one page it filled.
+        assert!(
+            w.max_zombies <= 2,
+            "Appendix C caps zombie output pages at 2"
         );
         let pages = w.finish().unwrap();
         let want: Vec<f64> = (0..200).map(|i| i as f64).collect();
